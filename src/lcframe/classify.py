@@ -12,6 +12,10 @@ first partials:
 * otherwise the sign of lam~ = -4 a1 b1 separates spacelike (positive)
   from timelike (negative)
 
+Each entry point evaluates the invariants once per point; the class,
+the curvature packet and the singular curvature scalars at that point
+are all derived from that one evaluation.
+
 Loci are traced as zero sets of lam~ (lightlike locus) or c2 (rank-one
 singular locus) by marching squares with bisection refinement.
 """
@@ -22,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 
-from .curvature import CurvaturePacket, curvature_packet, is_zero, singular_curvatures
+from .curvature import CurvaturePacket, _packet, _singular, is_zero
 from .errors import LcframeError
 from .minkowski import pseudo_dot
 from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
@@ -39,7 +43,6 @@ __all__ = [
     "ClassificationRow",
     "ClassificationTable",
     "classify_grid",
-    "second_kind_admissibility_hint",
     "WrongClassError",
     "CSV_HEADER",
 ]
@@ -88,12 +91,18 @@ def _classify_from_invariants(inv: BasicInvariants, tol: float) -> PointClass:
     return PointClass(Category.SPACELIKE if lam > 0.0 else Category.TIMELIKE)
 
 
-def classify(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> PointClass:
-    """Classify one parameter point at the given tolerance."""
+def _evaluate(s, u, v, tol=1e-9):
+    """(invariants, class) of one parameter point."""
     if tol <= 0:
         raise LcframeError("classification tolerance must be positive")
     s.require_in_domain(u, v)
-    return _classify_from_invariants(basic_invariants_at(s, u, v), tol)
+    inv = basic_invariants_at(s, u, v)
+    return inv, _classify_from_invariants(inv, tol)
+
+
+def classify(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> PointClass:
+    """Classify one parameter point at the given tolerance."""
+    return _evaluate(s, u, v, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -112,8 +121,7 @@ def null_vector(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> NullVec
     point the v-direction itself is null because X_v vanishes.  Raises
     WrongClassError elsewhere.
     """
-    pc = classify(s, u, v, tol)
-    inv = basic_invariants_at(s, u, v)
+    inv, pc = _evaluate(s, u, v, tol)
     if pc.category is Category.LIGHTLIKE:
         eta = (inv.c2, -inv.c1)
     elif pc.category is Category.SINGULAR_1:
@@ -364,17 +372,16 @@ def line_of_curvature_test(
     s: SurfaceDef, u: float, v: float, tol: float = 1e-9
 ) -> LineOfCurvatureReport:
     """Run the line-of-curvature criterion at a rank-one singular point."""
-    pc = classify(s, u, v, tol)
+    inv, pc = _evaluate(s, u, v, tol)
     if pc.category is not Category.SINGULAR_1 or pc.degenerate:
         return LineOfCurvatureReport(
             applicable=False,
             reason=f"needs a non-degenerate rank-one singular point, got "
                    f"{pc.category.value}{' (degenerate)' if pc.degenerate else ''}")
-    p = curvature_packet(s, u, v)
+    p = _packet(s, u, v, inv)
     scale = (p.Etil, p.Ltil, p.Ntil)
     if is_zero(p.Etil, *scale):
         return LineOfCurvatureReport(applicable=False, reason="Etil~0", kind=pc.kind)
-    inv = basic_invariants_at(s, u, v)
 
     if pc.kind is Kind.SECOND:
         # V1 = (Ntil, ...) and c2v = 0, so the criterion is Ntil = 0
@@ -387,7 +394,7 @@ def line_of_curvature_test(
             routes_agree=loc == is_zero(dd, *scale),
         )
 
-    sc = singular_curvatures(s, u, v)
+    sc = _singular(inv)
     if sc.kappa_t_til is None:
         return LineOfCurvatureReport(applicable=False, reason="c2v~0", kind=pc.kind)
     if p.Etil > 0:
@@ -469,41 +476,7 @@ def classify_grid(
     for u in us:
         for v in vs:
             inv = basic_invariants_at(s, u, v)
-            pc = _classify_from_invariants(inv, tol)
-            packet = curvature_packet(s, u, v)
             rows.append(ClassificationRow(
-                u=u, v=v, point_class=pc, packet=packet, c2=inv.c2))
+                u=u, v=v, point_class=_classify_from_invariants(inv, tol),
+                packet=_packet(s, u, v, inv), c2=inv.c2))
     return ClassificationTable(surface=s.name, resolution=(nu, nv), tol=tol, rows=rows)
-
-
-def second_kind_admissibility_hint(
-    s: SurfaceDef, u: float, v: float,
-    probe_radius: float = 1e-3, probes: int = 32, tol: float = 1e-9,
-):
-    """Experimental: probe whether a second kind lightlike point looks
-    admissible (approachable by first kind lightlike points).
-
-    Walks a small circle of probes, keeps those that classify lightlike,
-    and reports whether any is first kind.  This is sampling evidence
-    only -- a True result exhibits nearby first kind points, a False
-    result cannot refute their existence.
-    """
-    pc = classify(s, u, v, tol)
-    if pc.category is not Category.LIGHTLIKE or pc.kind is not Kind.SECOND:
-        raise WrongClassError("admissibility hint needs a second kind lightlike point")
-    found_first = False
-    lightlike_probes = 0
-    for k in range(probes):
-        ang = 2.0 * math.pi * k / probes
-        uu = u + probe_radius * math.cos(ang)
-        vv = v + probe_radius * math.sin(ang)
-        if not s.domain.contains(uu, vv):
-            continue
-        # snap the probe back onto the locus along the v-direction is not
-        # attempted; a loose tolerance keeps near-locus probes visible
-        probe_pc = classify(s, uu, vv, max(tol, probe_radius * probe_radius))
-        if probe_pc.category is Category.LIGHTLIKE:
-            lightlike_probes += 1
-            if probe_pc.kind is Kind.FIRST:
-                found_first = True
-    return {"admissible_hint": found_first, "lightlike_probes": lightlike_probes}

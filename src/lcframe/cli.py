@@ -17,20 +17,14 @@ from importlib import resources
 from pathlib import Path
 
 from . import catalog
-from .classify import classify_grid, trace_zero_set
-from .curvature import curvature_packet
+from .classify import _fmt, classify_grid, trace_zero_set
+from .curvature import _packet, _singular, curvature_packet
 from .errors import LcframeError
 from .expr import constant_value
 from .limits import ApproachPath, Verdict, boundedness_report, limit_along
-from .surface import SurfaceDef, validate_framed
+from .surface import SurfaceDef, basic_invariants_at, frame_at, validate_framed
 
 __all__ = ["main"]
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
 
 
 def _parse_grid(text):
@@ -258,7 +252,6 @@ def _sphere_reference_rows(s):
     n_v = 16
     vs = [2.0 * math.pi * k / n_v for k in range(n_v)]
     us = [-1.2, -0.6, -0.3, 0.0, 0.35, 0.9, 1.25]
-    from .surface import basic_invariants_at, frame_at
 
     for v in vs:
         for u in us:
@@ -271,7 +264,7 @@ def _sphere_reference_rows(s):
                                     ("g1", inv.g1, 0.0), ("e2", inv.e2, 0.0),
                                     ("f2", inv.f2, 0.5), ("g2", inv.g2, -0.5)):
                 add(name, u, v, val, want)
-            p = curvature_packet(s, u, v)
+            p = _packet(s, u, v, inv)
             add("lambda_til", u, v, p.lambda_til, -math.cos(2.0 * u))
             add("Ktil", u, v, p.Ktil, -math.cos(u))
             add("Htil", u, v, p.Htil, -math.sin(u) ** 2 * math.cos(u))
@@ -287,15 +280,14 @@ def _sphere_reference_rows(s):
 
     for v in (0.5, 2.75):
         for u in (math.pi / 2, -math.pi / 2):
-            p = curvature_packet(s, u, v)
             inv = basic_invariants_at(s, u, v)
+            p = _packet(s, u, v, inv)
             add("pole_Ktil", u, v, p.Ktil, 0.0)
             add("pole_Htil", u, v, p.Htil, 0.0)
             add("pole_kappa_til_1", u, v, p.kappa_til_1, 0.5)
             add("pole_c2u", u, v, inv.c2u, math.sin(u))
             add("pole_c2v", u, v, inv.c2v, 0.0)
-            from .curvature import singular_curvatures
-            sc = singular_curvatures(s, u, v)
+            sc = _singular(inv)
             add("pole_kappa_v_til", u, v, sc.kappa_v_til, 1.0)
             add("pole_mu_c_til", u, v, sc.mu_c_til, 0.0)
             add("pole_mu_Pi_til", u, v, sc.mu_Pi_til, 0.0)

@@ -240,7 +240,11 @@ def _ratio_limit_kappa1(s, u, v):
 def curvature_packet(s: SurfaceDef, u: float, v: float) -> CurvaturePacket:
     """Evaluate the full curvature bundle at a parameter point."""
     s.require_in_domain(u, v)
-    inv = basic_invariants_at(s, u, v)
+    return _packet(s, u, v, basic_invariants_at(s, u, v))
+
+
+def _packet(s, u, v, inv) -> CurvaturePacket:
+    """The curvature bundle at (u, v) built from the point's invariants."""
     Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = _fundamentals(inv)
     c2 = inv.c2
     scale = (Etil, Ltil, Ntil)
@@ -340,9 +344,11 @@ def principal_curvatures(s: SurfaceDef, u: float, v: float):
     modified-frame data; valid at regular points off the lightlike and
     singular loci.  Returns None when undefined or complex.
     """
-    p = curvature_packet(s, u, v)
+    s.require_in_domain(u, v)
+    inv = basic_invariants_at(s, u, v)
+    p = _packet(s, u, v, inv)
     scale = (p.Etil, p.Ltil, p.Ntil)
-    c2 = s.scalar("c2", u, v)
+    c2 = inv.c2
     if p.principal_complex or is_zero(p.lambda_til, *scale) or is_zero(c2, *scale):
         return None
     radicand = max(p.Htil * p.Htil - c2 * p.lambda_til * p.Ktil, 0.0)
@@ -359,7 +365,11 @@ def singular_curvatures(s: SurfaceDef, u: float, v: float) -> SingularCurvatures
     back None with the failure named.
     """
     s.require_in_domain(u, v)
-    inv = basic_invariants_at(s, u, v)
+    return _singular(basic_invariants_at(s, u, v))
+
+
+def _singular(inv) -> SingularCurvatures:
+    """The singular-point curvature scalars built from a point's invariants."""
     Etil, Ftil, _, Ltil, Mtil, Ntil, lam, _, _ = _fundamentals(inv)
     failures = []
 
@@ -416,8 +426,9 @@ def singular_zero_equivalences(
         return ZeroEquivalenceReport(
             applicable=False, reason=f"kind must be first or second, got {kind}",
             kind=kind)
-    p = curvature_packet(s, u, v)
-    sc = singular_curvatures(s, u, v)
+    s.require_in_domain(u, v)
+    inv = basic_invariants_at(s, u, v)
+    p, sc = _packet(s, u, v, inv), _singular(inv)
     scale = (p.Etil, p.Ltil, p.Ntil)
     if "Etil~0" in sc.failures:
         return ZeroEquivalenceReport(applicable=False, reason="Etil~0", kind=kind)
@@ -452,8 +463,9 @@ def bounded_principal_check(
     0 for the second) amounts to N~ != 0; without it the check is
     reported not-applicable.
     """
-    p = curvature_packet(s, u, v)
-    sc = singular_curvatures(s, u, v)
+    s.require_in_domain(u, v)
+    inv = basic_invariants_at(s, u, v)
+    p, sc = _packet(s, u, v, inv), _singular(inv)
     scale = (p.Etil, p.Ltil, p.Ntil)
     if "Etil~0" in sc.failures:
         return BoundedPrincipalReport(applicable=False, reason="Etil~0")

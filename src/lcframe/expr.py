@@ -4,7 +4,7 @@ Surface components are written in this language and differentiated
 symbolically, so every invariant field downstream is built from exact
 analytic derivatives rather than finite differences.
 
-Grammar (see README for the full write-up)::
+Grammar::
 
     expr     := term (('+' | '-') term)*
     term     := unary (('*' | '/') unary)*
@@ -553,6 +553,8 @@ def _eval(e, u, v):
             return getattr(math, e.fn)(x)
         except OverflowError:
             raise EvalDomainError(f"overflow in {e.fn}") from None
+        except ValueError as exc:  # e.g. sin(inf) after 1/u overflowed
+            raise EvalDomainError(str(exc)) from None
     raise ExprError(f"malformed expression node: {e!r}")
 
 

@@ -8,6 +8,10 @@ of the quotient is decided by the order gap: a positive gap gives limit
 zero, a zero gap a finite nonzero limit, a negative gap blow-up.  This
 module estimates those orders and limits from geometric sample
 schedules and reports the matching verdict.
+
+Each sample of a schedule is evaluated once: its invariants give its
+class, then its curvature packet, and every quantity, field and verdict
+along the path is read from those values.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .classify import classify
-from .curvature import curvature_packet
+from .classify import _evaluate, _fmt, classify
+from .curvature import _packet
 from .errors import LcframeError
 from .numerics import loglog_slope, richardson
 from .surface import SurfaceDef, basic_invariants_at
@@ -118,19 +122,6 @@ class ApproachPath:
                 pts.append(tuple(self.curve(r)))
         return pts
 
-    def validated_points(self, s: SurfaceDef, tol: float = 1e-9):
-        """Samples checked in-domain and off every locus."""
-        pts = self.points()
-        for (u, v) in pts:
-            if not s.domain.contains(u, v):
-                raise SampleOutsideDomainError(
-                    f"sample ({u!r}, {v!r}) outside domain of {s.name!r}")
-            pc = classify(s, u, v, tol)
-            if not pc.is_regular:
-                raise QuantityUndefinedError(
-                    f"sample ({u!r}, {v!r}) hit a {pc.category.value} locus")
-        return pts
-
 
 @dataclass(frozen=True)
 class LimitVerdict:
@@ -167,47 +158,48 @@ class OrderEstimate:
     slope_residual: float | None
 
 
-def _quantity_values(s, quantity, pts):
-    values = []
-    for (u, v) in pts:
-        p = curvature_packet(s, u, v)
-        if quantity == "K":
-            val = p.K
-        elif quantity == "H":
-            val = p.H
-        else:  # c2K
-            val = None if p.K is None else s.scalar("c2", u, v) * p.K
-        if val is None:
+def _sample_ray(s, path):
+    """(u, v, invariants, class) of every sample, in schedule order.
+
+    Each sample must lie in the domain and classify regular; the first
+    that does not raises."""
+    samples = []
+    for (u, v) in path.points():
+        if not s.domain.contains(u, v):
+            raise SampleOutsideDomainError(
+                f"sample ({u!r}, {v!r}) outside domain of {s.name!r}")
+        inv, pc = _evaluate(s, u, v)
+        if not pc.is_regular:
             raise QuantityUndefinedError(
-                f"{quantity} undefined at sample ({u!r}, {v!r})")
-        values.append(val)
-    return values
+                f"sample ({u!r}, {v!r}) hit a {pc.category.value} locus")
+        samples.append((u, v, inv, pc))
+    return samples
 
 
-def _field_values(s, name, quantity, pts):
-    out = []
-    for (u, v) in pts:
-        inv = basic_invariants_at(s, u, v)
-        p = curvature_packet(s, u, v)
-        if name == "Ktil":
-            out.append(p.Ktil)
-        elif name == "Htil":
-            out.append(p.Htil)
-        elif name == "lambda_til":
-            out.append(p.lambda_til)
-        elif name == "c2":
-            out.append(inv.c2)
-        elif name == "Gamma":
-            al = abs(p.lambda_til)
-            if quantity == "H":
-                out.append(inv.c2 * al ** 1.5)
-            elif quantity == "c2K":
-                out.append(al ** 2)
-            else:
-                out.append(inv.c2 * al ** 2)
-        else:
-            raise LcframeError(f"order fields are {ORDER_FIELDS}, got {name!r}")
-    return out
+def _with_packets(s, samples):
+    """(invariants, curvature packet) of each sample, from its invariants."""
+    return [(inv, _packet(s, u, v, inv)) for u, v, inv, _ in samples]
+
+
+def _quantity_value(quantity, inv, p):
+    if quantity == "K":
+        return p.K
+    if quantity == "H":
+        return p.H
+    return None if p.K is None else inv.c2 * p.K
+
+
+def _field_value(name, quantity, inv, p):
+    if name == "c2":
+        return inv.c2
+    if name != "Gamma":
+        return getattr(p, name)
+    al = abs(p.lambda_til)
+    if quantity == "H":
+        return inv.c2 * al ** 1.5
+    if quantity == "c2K":
+        return al ** 2
+    return inv.c2 * al ** 2
 
 
 def _fit_order(distances, values):
@@ -241,13 +233,25 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
         raise LcframeError(
             f"limit target must be lightlike or rank-one singular, "
             f"got {tc.category.value} at {path.target}")
-    pts = path.validated_points(s)
+    return _verdict(path, quantity, _with_packets(s, _sample_ray(s, path)))
+
+
+def _verdict(path, quantity, evaluated) -> LimitVerdict:
+    """limit_along's verdict from the evaluated samples of the path."""
     distances = path.distances()
-    values = _quantity_values(s, quantity, pts)
+    values = []
+    for inv, p in evaluated:
+        val = _quantity_value(quantity, inv, p)
+        if val is None:
+            raise QuantityUndefinedError(
+                f"{quantity} undefined at sample ({p.u!r}, {p.v!r})")
+        values.append(val)
 
     num_field = "Htil" if quantity == "H" else "Ktil"
-    l_order, _ = _fit_order(distances, _field_values(s, num_field, quantity, pts))
-    m_order, _ = _fit_order(distances, _field_values(s, "Gamma", quantity, pts))
+    l_order, _ = _fit_order(distances, [_field_value(num_field, quantity, inv, p)
+                                        for inv, p in evaluated])
+    m_order, _ = _fit_order(distances, [_field_value("Gamma", quantity, inv, p)
+                                        for inv, p in evaluated])
 
     mags = [abs(x) for x in values]
     if all(m <= ABS_ZERO for m in mags):
@@ -305,15 +309,20 @@ def vanishing_order(
     """
     if field_name not in ORDER_FIELDS:
         raise LcframeError(f"order fields are {ORDER_FIELDS}, got {field_name!r}")
-    pts = path.validated_points(s)
+    samples = _sample_ray(s, path)
     distances = path.distances()
-    target_value = _field_values(s, field_name, quantity, [path.target])[0]
-    sample_scale = max(abs(x) for x in
-                       _field_values(s, field_name, quantity, [pts[0]])) + 1.0
+    target_inv = basic_invariants_at(s, *path.target)
+    target_value = _field_value(field_name, quantity, target_inv,
+                                _packet(s, *path.target, target_inv))
+    # the target test needs only the first sample's packet; the others
+    # are built once it passes
+    evaluated = _with_packets(s, samples[:1])
+    sample_scale = abs(_field_value(field_name, quantity, *evaluated[0])) + 1.0
     if abs(target_value) > tol * sample_scale:
         raise FieldNonvanishingError(
             f"{field_name} = {target_value!r} does not vanish at {path.target}")
-    values = _field_values(s, field_name, quantity, pts)
+    evaluated += _with_packets(s, samples[1:])
+    values = [_field_value(field_name, quantity, inv, p) for inv, p in evaluated]
     order, resid = _fit_order(distances, values)
     if order is None:
         raise LcframeError(f"cannot fit an order for {field_name} along the path")
@@ -408,10 +417,6 @@ class BoundednessReport:
                     writer.writerow((oc.label, q, k, _fmt(r), _fmt(val)))
 
 
-def _fmt(x):
-    return format(float(x), ".12g")
-
-
 def _fmt_order(x):
     if x is None:
         return "?"
@@ -424,8 +429,7 @@ def _fmt_flag(x):
     return "unknown" if x is None else str(x).lower()
 
 
-def _transversal_direction(s, u, v, category):
-    inv = basic_invariants_at(s, u, v)
+def _transversal_direction(inv, category):
     if category is Category.SINGULAR_1:
         g = (inv.c2u, inv.c2v)
     else:
@@ -449,7 +453,7 @@ def boundedness_report(
     the domain or hit another locus are recorded with the error and
     skipped; the summary uses completed rays only.
     """
-    pc = classify(s, u, v)
+    inv, pc = _evaluate(s, u, v)
     if pc.category not in (Category.LIGHTLIKE, Category.SINGULAR_1):
         raise LcframeError(
             f"boundedness target must be lightlike or rank-one singular, "
@@ -461,7 +465,7 @@ def boundedness_report(
     rays = [(f"fan{i}", (math.cos(2.0 * math.pi * i / directions),
                          math.sin(2.0 * math.pi * i / directions)))
             for i in range(directions)]
-    trans = _transversal_direction(s, u, v, pc.category)
+    trans = _transversal_direction(inv, pc.category)
     if trans is not None:
         rays.append(("transversal+", trans))
         rays.append(("transversal-", (-trans[0], -trans[1])))
@@ -471,22 +475,22 @@ def boundedness_report(
         path = ApproachPath(target=(u, v), direction=direction,
                             r0=r0, count=count)
         try:
-            pts = path.validated_points(s)
+            samples = _sample_ray(s, path)
         except LcframeError as exc:
             report.outcomes.append(DirectionOutcome(
                 label=label, direction=direction, side=None,
                 verdicts={}, error=str(exc)))
             continue
-        sides = {classify(s, *p).category for p in pts}
+        sides = {sample_class.category for *_, sample_class in samples}
         side = sides.pop().value if len(sides) == 1 else None
         verdicts = {}
         error = None
-        for q in quantities:
-            try:
-                verdicts[q] = limit_along(s, path, q)
-            except LcframeError as exc:
-                error = str(exc)
-                break
+        try:
+            evaluated = _with_packets(s, samples)
+            for q in quantities:
+                verdicts[q] = _verdict(path, q, evaluated)
+        except LcframeError as exc:
+            error = str(exc)
         report.outcomes.append(DirectionOutcome(
             label=label, direction=direction, side=side,
             verdicts=verdicts, error=error))

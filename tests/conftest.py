@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from lcframe import catalog
+from lcframe.surface import basic_invariants_at
 
 
 @pytest.fixture(scope="session")
@@ -46,3 +49,22 @@ def flat_plane():
 @pytest.fixture(scope="session")
 def zero_mean_band():
     return catalog.load("zero_mean_band")
+
+
+@pytest.fixture
+def invariant_calls(monkeypatch):
+    """Count basic_invariants_at calls made through any lcframe module.
+
+    Modules import the function by name, so every namespace that binds
+    it is rebound; the returned list holds the running count."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return basic_invariants_at(*args)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "lcframe" or name.startswith("lcframe.")) and \
+                getattr(module, "basic_invariants_at", None) is basic_invariants_at:
+            monkeypatch.setattr(module, "basic_invariants_at", counted)
+    return calls

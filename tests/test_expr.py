@@ -108,6 +108,16 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError):
             evaluate(parse("exp(u)*exp(u)"), 700.0, 0.0)
 
+    def test_function_of_overflowed_argument(self):
+        # 1/u overflows to inf at this subnormal u, and sin(inf) is a
+        # math domain error; both evaluators must report EvalDomainError
+        u = 2.225073858507203e-309
+        e = parse("sin(1/u)")
+        with pytest.raises(EvalDomainError):
+            evaluate(e, u, 0.0)
+        with pytest.raises(EvalDomainError):
+            CompiledField(e, 0).eval(u, 0.0)
+
 
 class TestDifferentiate:
     def test_sin(self):
