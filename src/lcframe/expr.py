@@ -47,6 +47,7 @@ __all__ = [
     "to_source",
     "CompiledField",
     "compile_field",
+    "compile_program",
     "FUNCTION_NAMES",
 ]
 
@@ -299,7 +300,7 @@ class _Parser:
             self.advance()
             sign = -1
         tok = self.peek()
-        if tok[0] != "number" or tok[1] != int(tok[1]):
+        if tok[0] != "number" or not tok[1].is_integer():
             raise ExprSyntaxError(
                 f"power exponent must be an integer literal, got {self._describe(tok)}",
                 self.source, tok[2], expected=("integer",))
@@ -470,20 +471,6 @@ def differentiate(e: Expr, var: str) -> Expr:
     return simplify(_diff(e, var))
 
 
-def is_nonsmooth(e: Expr) -> bool:
-    """True when the tree contains abs or sign (non-smooth at zeros of
-    the argument)."""
-    if isinstance(e, Call):
-        return e.fn in ("abs", "sign") or is_nonsmooth(e.arg)
-    if isinstance(e, Neg):
-        return is_nonsmooth(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return is_nonsmooth(e.left) or is_nonsmooth(e.right)
-    if isinstance(e, Pow):
-        return is_nonsmooth(e.base)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -613,29 +600,8 @@ def _wrap(e, min_prec):
 # Compilation
 
 
-def _emit(e):
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_emit(e.left)} + {_emit(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_emit(e.left)} - {_emit(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_emit(e.left)} * {_emit(e.right)})"
-    if isinstance(e, Div):
-        return f"({_emit(e.left)} / {_emit(e.right)})"
-    if isinstance(e, Pow):
-        # parenthesise the base: Python's ** binds tighter than a
-        # leading minus in a negative literal
-        return f"(({_emit(e.base)}) ** ({e.exponent}))"
-    if isinstance(e, Call):
-        name = "_abs" if e.fn == "abs" else e.fn
-        return f"{name}({_emit(e.arg)})"
-    raise ExprError(f"malformed expression node: {e!r}")
+def _non_finite(value):
+    raise EvalDomainError(f"non-finite result {value!r}")
 
 
 def _guarded_log(x):
@@ -662,73 +628,117 @@ _ENV = {
     "sinh": math.sinh,
     "cosh": math.cosh,
     "sign": _sign,
+    "inf": math.inf,  # repr() of non-finite constants
+    "nan": math.nan,
+    "_isfinite": math.isfinite,
+    "_non_finite": _non_finite,
 }
+
+_INFIX = {Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})", Div: "({} / {})"}
+
+
+def compile_program(trees):
+    """Compile trees into one function (u, v) -> tuple of their values.
+
+    The function is a single expression that computes each distinct
+    subtree once: a subtree is keyed by its code template (constants by
+    repr, so 0.0 and -0.0 stay apart) and its operands' ids, and one
+    used again is bound to a temporary where it is first computed.  So
+    operations run, and fail, in the order of evaluating the trees one
+    after another; each tree is checked finite before the next starts.
+    Every failure is an EvalDomainError.
+    """
+    ids, table, uses = {}, [], []
+
+    def number(e):  # ids in evaluation order: post-order, left first
+        cls = type(e)
+        if cls is Const:
+            key = (repr(e.value),)
+        elif cls is Var:
+            key = (e.name,)
+        elif cls is Pow:  # parenthesised base: ** binds tighter than a leading minus
+            key = (f"(({{}}) ** ({e.exponent}))", number(e.base))
+        elif cls is Call:
+            key = (f"{'_abs' if e.fn == 'abs' else e.fn}({{}})", number(e.arg))
+        elif cls is Neg:
+            key = ("(-{})", number(e.arg))
+        elif cls in _INFIX:
+            key = (_INFIX[cls], number(e.left), number(e.right))
+        else:
+            raise ExprError(f"malformed expression node: {e!r}")
+        n = ids.get(key)
+        if n is None:
+            n = ids[key] = len(table)
+            table.append(key)
+            uses.append(0)
+            for k in key[1:]:  # one use per distinct parent
+                uses[k] += 1
+        return n
+
+    def emit(n):
+        template, *operands = table[n]
+        text = template.format(*map(emit, operands))
+        if uses[n] == 1 or not operands:
+            return text
+        table[n] = (f"_t{n}",)  # read back by every later use
+        return f"(_t{n} := {text})"
+
+    roots = [number(e) for e in trees]
+    for n in roots:
+        uses[n] += 1
+    checked = "".join(f"_r{k} if _isfinite(_r{k} := {emit(n)}) else _non_finite(_r{k}), "
+                      for k, n in enumerate(roots))
+    fn = eval(compile(f"lambda u, v: ({checked})", "<lcframe-program>", "eval"), _ENV)
+
+    def program(u, v):
+        try:
+            return fn(u, v)
+        except ZeroDivisionError:
+            raise EvalDomainError("division by zero") from None
+        except (ValueError, OverflowError) as exc:
+            raise EvalDomainError(str(exc)) from None
+
+    return program
 
 
 class CompiledField:
-    """An expression compiled to a fast closure, together with its table
-    of symbolic partial derivatives up to a requested order.
+    """An expression with its symbolic partial derivatives up to a
+    requested order, each compiled as a one-tree compile_program.
 
     The table is closed under that order: entry (i, j) holds the
-    expression and closure for d^(i+j) / du^i dv^j.
+    expression and program for d^(i+j) / du^i dv^j.
     """
 
-    __slots__ = ("expr", "order", "nonsmooth", "_table")
+    __slots__ = ("expr", "order", "_table")
 
     def __init__(self, expr: Expr, order: int = 0):
         if order < 0:
             raise ExprError("derivative order must be nonnegative")
         self.expr = simplify(expr)
         self.order = order
-        self.nonsmooth = is_nonsmooth(self.expr)
-        self._table = {}
-        self._build_table()
-
-    def _build_table(self):
         exprs = {(0, 0): self.expr}
-        for i in range(1, self.order + 1):
+        for i in range(1, order + 1):
             exprs[(i, 0)] = differentiate(exprs[(i - 1, 0)], "u")
-        for i in range(0, self.order + 1):
-            for j in range(1, self.order + 1 - i):
+        for i in range(0, order + 1):
+            for j in range(1, order + 1 - i):
                 exprs[(i, j)] = differentiate(exprs[(i, j - 1)], "v")
-        for key, ex in exprs.items():
-            self._table[key] = (ex, _compile_closure(ex))
+        self._table = {key: (ex, compile_program([ex])) for key, ex in exprs.items()}
 
-    def derivative_expr(self, du: int, dv: int) -> Expr:
+    def _entry(self, du, dv):
         try:
-            return self._table[(du, dv)][0]
+            return self._table[(du, dv)]
         except KeyError:
             raise ExprError(
                 f"derivative ({du},{dv}) beyond compiled order {self.order}") from None
+
+    def derivative_expr(self, du: int, dv: int) -> Expr:
+        return self._entry(du, dv)[0]
 
     def eval(self, u: float, v: float) -> float:
         return self.eval_derivative(0, 0, u, v)
 
     def eval_derivative(self, du: int, dv: int, u: float, v: float) -> float:
-        try:
-            fn = self._table[(du, dv)][1]
-        except KeyError:
-            raise ExprError(
-                f"derivative ({du},{dv}) beyond compiled order {self.order}") from None
-        try:
-            value = fn(u, v)
-        except EvalDomainError:
-            raise
-        except ZeroDivisionError:
-            raise EvalDomainError("division by zero") from None
-        except (ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc)) from None
-        if not math.isfinite(value):
-            raise EvalDomainError(f"non-finite result {value!r}")
-        return value
-
-    def __call__(self, u: float, v: float) -> float:
-        return self.eval_derivative(0, 0, u, v)
-
-
-def _compile_closure(expr):
-    src = f"lambda u, v: {_emit(expr)}"
-    return eval(compile(src, "<lcframe-field>", "eval"), _ENV)
+        return self._entry(du, dv)[1](u, v)[0]
 
 
 def compile_field(source_or_expr, order: int = 0) -> CompiledField:

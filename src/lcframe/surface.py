@@ -17,6 +17,10 @@ partials of a1, b1, c1, c2 that the classification predicates need.
 All of these are exact symbolic derivatives of the defining inner
 products, so sign tests on them are noise-free.
 
+The twenty trees compile into one program (expr.compile_program) that
+computes each shared subexpression once; basic_invariants_at calls it.
+lam~ = -4 a1 b1 and c2, whose zero sets are traced, compile on their own.
+
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
 """
@@ -24,11 +28,12 @@ proportional to m.  That condition is validated, not normalised.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import LcframeError
 from .expr import (
-    Add, CompiledField, Const, Mul, Neg, Sub, constant_value, parse, simplify,
+    Add, CompiledField, Const, Mul, Neg, Sub, compile_field, compile_program,
+    constant_value, differentiate, simplify,
 )
 from .minkowski import LVec3, pseudo_dot, wedge
 
@@ -160,7 +165,11 @@ def _half(e):
 
 
 class SurfaceDef:
-    """Compiled surface triple with its symbolic invariant fields.
+    """Compiled surface triple with its symbolic invariant program.
+
+    X, v, w and m are CompiledFields with derivative tables, the twenty
+    BasicInvariants fields are one program evaluated in one call, and
+    scalar_field gives the traced fields lambda_til and c2.
 
     Instances are immutable after construction; every per-point
     evaluation is pure, so a SurfaceDef may be shared freely across
@@ -178,23 +187,16 @@ class SurfaceDef:
         if not isinstance(domain, DomainBox):
             domain = DomainBox(*domain)
         self.domain = domain
-        self.x = tuple(self._compile(s, self.X_ORDER) for s in x_sources)
-        self.frame_v = tuple(self._compile(s, self.FRAME_ORDER) for s in v_sources)
-        self.frame_w = tuple(self._compile(s, self.FRAME_ORDER) for s in w_sources)
+        self.x = tuple(compile_field(s, self.X_ORDER) for s in x_sources)
+        self.frame_v = tuple(compile_field(s, self.FRAME_ORDER) for s in v_sources)
+        self.frame_w = tuple(compile_field(s, self.FRAME_ORDER) for s in w_sources)
         if len(self.x) != 3 or len(self.frame_v) != 3 or len(self.frame_w) != 3:
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
-        self._build_invariant_fields()
+        self._build_invariant_program()
 
-    @staticmethod
-    def _compile(source, order):
-        if isinstance(source, CompiledField):
-            return source
-        expr = parse(source) if isinstance(source, str) else source
-        return CompiledField(expr, order)
+    # -- construction of the symbolic invariant program -----------------
 
-    # -- construction of the symbolic invariant table -------------------
-
-    def _build_invariant_fields(self):
+    def _build_invariant_program(self):
         xu = tuple(f.derivative_expr(1, 0) for f in self.x)
         xv = tuple(f.derivative_expr(0, 1) for f in self.x)
         fv = tuple(f.expr for f in self.frame_v)
@@ -222,29 +224,25 @@ class SurfaceDef:
             "g2": _half(_pdot_expr(fv_v, m)),
         }
         scalars = {k: simplify(v) for k, v in base.items()}
-        partials = {}
         for name in ("a1", "b1", "c1", "c2"):
-            field = CompiledField(scalars[name], 1)
-            partials[name + "u"] = field.derivative_expr(1, 0)
-            partials[name + "v"] = field.derivative_expr(0, 1)
-        scalars.update(partials)
-        scalars["lambda_til"] = simplify(
-            Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
-        self._scalar_fields = {k: CompiledField(v, 0) for k, v in scalars.items()}
+            tree = simplify(scalars[name])
+            scalars[name + "u"] = differentiate(tree, "u")
+            scalars[name + "v"] = differentiate(tree, "v")
+        # simplify once more: it is not idempotent on derivative trees
+        self._invariant_program = compile_program(
+            [simplify(scalars[f.name]) for f in fields(BasicInvariants)])
+        lambda_til = simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
+        self._trace_fields = {"lambda_til": CompiledField(lambda_til, 0),
+                              "c2": CompiledField(scalars["c2"], 0)}
 
     # -- point evaluation ------------------------------------------------
 
-    def scalar(self, name: str, u: float, v: float) -> float:
-        return self._scalar_fields[name].eval(u, v)
-
     def scalar_field(self, name: str) -> CompiledField:
-        return self._scalar_fields[name]
+        """The compiled field lambda_til or c2, whose zero sets are traced."""
+        return self._trace_fields[name]
 
     def _vec(self, fields, du, dv, u, v):
         return LVec3(*(f.eval_derivative(du, dv, u, v) for f in fields))
-
-    def position(self, u, v) -> LVec3:
-        return self._vec(self.x, 0, 0, u, v)
 
     def x_u(self, u, v) -> LVec3:
         return self._vec(self.x, 1, 0, u, v)
@@ -335,17 +333,7 @@ def frame_at(s: SurfaceDef, u: float, v: float) -> LightconeFrame:
 def basic_invariants_at(s: SurfaceDef, u: float, v: float) -> BasicInvariants:
     """Evaluate the twelve frame coefficients and their tracked partials."""
     s.require_in_domain(u, v)
-    g = s.scalar
-    return BasicInvariants(
-        a1=g("a1", u, v), b1=g("b1", u, v), c1=g("c1", u, v),
-        a2=g("a2", u, v), b2=g("b2", u, v), c2=g("c2", u, v),
-        e1=g("e1", u, v), f1=g("f1", u, v), g1=g("g1", u, v),
-        e2=g("e2", u, v), f2=g("f2", u, v), g2=g("g2", u, v),
-        a1u=g("a1u", u, v), a1v=g("a1v", u, v),
-        b1u=g("b1u", u, v), b1v=g("b1v", u, v),
-        c1u=g("c1u", u, v), c1v=g("c1v", u, v),
-        c2u=g("c2u", u, v), c2v=g("c2v", u, v),
-    )
+    return BasicInvariants(*s._invariant_program(u, v))
 
 
 def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedValidationReport:

@@ -4,6 +4,7 @@ from lcframe.classify import (
     classify, classify_grid, line_of_curvature_test, null_vector,
 )
 from lcframe.curvature import curvature_packet
+from lcframe.surface import basic_invariants_at
 from lcframe.taxonomy import Kind
 
 POLE = (math.pi / 2, 1.0)
@@ -19,7 +20,7 @@ class TestClassifyGrid:
         for row in classify_grid(mixed_bowl, (9, 8)).rows:
             assert row.point_class == classify(mixed_bowl, row.u, row.v)
             assert row.packet == curvature_packet(mixed_bowl, row.u, row.v)
-            assert row.c2 == mixed_bowl.scalar("c2", row.u, row.v)
+            assert row.c2 == basic_invariants_at(mixed_bowl, row.u, row.v).c2
 
 
 class TestSpherePole:

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -61,3 +62,16 @@ def test_limits_single_quantity(capsys):
     assert main(["limits", "sphere", "--at", "pi/2,1", "--quantity", "K"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "transversal-: K: nonzero value=1" in lines
+
+
+def test_non_finite_component_is_an_error(tmp_path, capsys):
+    surf = tmp_path / "huge.surf"
+    surf.write_text(json.dumps({
+        "name": "huge",
+        "X": ["1e200*1e200*u", "cos(u)*sin(v)", "cos(u)*cos(v)"],
+        "v": ["1", "sin(v)", "cos(v)"],
+        "w": ["1", "-sin(v)", "-cos(v)"],
+        "domain": {"u": ["-pi/2", "pi/2"], "v": ["0", "2*pi"]},
+    }), encoding="utf-8")
+    assert main(["validate", str(surf), "--grid", "4x4"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

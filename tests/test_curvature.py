@@ -34,8 +34,8 @@ def regular_points(s, rng, n, spacelike=None, margin=0.05):
     while len(pts) < n:
         u = rng.uniform(s.domain.u_min, s.domain.u_max)
         v = rng.uniform(s.domain.v_min, s.domain.v_max)
-        lam = s.scalar("lambda_til", u, v)
-        c2 = s.scalar("c2", u, v)
+        lam = s.scalar_field("lambda_til").eval(u, v)
+        c2 = basic_invariants_at(s, u, v).c2
         if abs(lam) < margin or abs(c2) < margin:
             continue
         if spacelike is True and lam <= 0:
@@ -192,9 +192,10 @@ class TestCoefficientExpansions:
             u = rng.uniform(s.domain.u_min, s.domain.u_max)
             v = rng.uniform(s.domain.v_min, s.domain.v_max)
             xu = s.x_u(u, v)
-            c1 = s.scalar("c1", u, v)
+            c1 = basic_invariants_at(s, u, v).c1
             direct = pseudo_dot(xu, xu) * 1.0 - c1 * c1
-            assert abs(direct - s.scalar("lambda_til", u, v)) <= 1e-10 * (1 + abs(direct))
+            lam = s.scalar_field("lambda_til").eval(u, v)
+            assert abs(direct - lam) <= 1e-10 * (1 + abs(direct))
 
 
 class TestDualRouteCurvatures:
@@ -205,7 +206,7 @@ class TestDualRouteCurvatures:
         for (u, v) in regular_points(s, rng, 150):
             p = curvature_packet(s, u, v)
             c = classical_curvatures(s, u, v)
-            c2 = s.scalar("c2", u, v)
+            c2 = basic_invariants_at(s, u, v).c2
             al = abs(p.lambda_til)
             assert rel_close(c.K * c2 * al ** 2, p.Ktil, 1e-8)
             assert rel_close(c.H * c2 * al ** 1.5, p.Htil, 1e-8)
@@ -280,7 +281,7 @@ class TestPrincipalCurvatures:
                 continue
             k_plus, k_minus = ks
             root = math.sqrt(abs(p.lambda_til))
-            c2 = s.scalar("c2", u, v)
+            c2 = basic_invariants_at(s, u, v).c2
             modified = sorted((p.kappa_til_1, p.kappa_til_2))
             classical_scaled = sorted((k_plus * root, k_minus * root))
             for a, b in zip(modified, classical_scaled):
@@ -294,7 +295,7 @@ class TestPrincipalCurvatures:
             p = curvature_packet(mixed_bowl, u, v)
             if p.kappa_til_1 is None:
                 continue
-            c2 = mixed_bowl.scalar("c2", u, v)
+            c2 = basic_invariants_at(mixed_bowl, u, v).c2
             k = p.kappa_til_1
             r = (p.Ltil - k * p.Etil) * p.V1[0] + c2 * (p.Mtil - k * p.Ftil) * p.V1[1]
             assert abs(r) <= 1e-8 * (1 + abs(p.Ltil) + abs(k) * abs(p.Etil))

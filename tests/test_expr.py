@@ -1,16 +1,22 @@
 import math
 import random
+import struct
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcframe.expr import (
-    Add, Call, CompiledField, Const, Div, EvalDomainError, ExprSyntaxError,
+    Add, Call, CompiledField, Const, Div, EvalDomainError, Expr, ExprSyntaxError,
     Mul, Neg, Pow, Sub, UnknownIdentifierError, Var, compile_field,
-    constant_value, differentiate, evaluate, is_nonsmooth, parse, simplify,
+    compile_program, constant_value, differentiate, evaluate, parse, simplify,
     to_source,
 )
+
+
+def same_bits(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b)
 
 
 class TestParse:
@@ -67,6 +73,10 @@ class TestParse:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse("u^1.5")
+
+    def test_infinite_exponent_rejected(self):
+        with pytest.raises(ExprSyntaxError, match="power exponent must be an integer"):
+            parse("u^1e999")
 
     def test_trailing_garbage(self):
         with pytest.raises(ExprSyntaxError):
@@ -133,9 +143,6 @@ class TestDifferentiate:
     def test_abs_derivative_is_sign_and_flagged(self):
         d = differentiate(parse("abs(u)"), "u")
         assert d == Call("sign", Var("u"))
-        assert is_nonsmooth(d)
-        assert not is_nonsmooth(parse("sin(u)"))
-        assert is_nonsmooth(parse("abs(u) + v"))
 
     def test_simplified_derivative_is_stable_under_simplify(self):
         for src in ("sin(u)*cos(v)", "u^3/(1+v^2)", "exp(u)*log(2+v)"):
@@ -226,8 +233,7 @@ class TestRoundTrip:
             with pytest.raises(EvalDomainError):
                 field.eval(u, v)
             return
-        compiled = field.eval(u, v)
-        assert compiled == walked or abs(compiled - walked) <= 1e-12 * (1 + abs(walked))
+        assert same_bits(field.eval(u, v), walked)
 
 
 class TestCompiledField:
@@ -246,10 +252,108 @@ class TestCompiledField:
         assert abs(f.eval_derivative(1, 1, u, v) - math.cos(u) * 2 * v) < 1e-14
         assert abs(f.eval_derivative(2, 0, u, v) + math.sin(u) * v * v) < 1e-14
 
-    def test_nonsmooth_flag(self):
-        assert compile_field("abs(u)").nonsmooth
-        assert not compile_field("sin(u)").nonsmooth
+    @pytest.mark.parametrize("source", ["1/(1e200*1e200)", "u + 1e999 - 1e999"])
+    def test_non_finite_constants(self, source):
+        # folded or literal infinities must compile to values, not names
+        field = compile_field(source)
+        try:
+            walked = evaluate(parse(source), 1.0, 0.0)
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as err:
+                field.eval(1.0, 0.0)
+            assert str(err.value) == str(exc)
+            return
+        assert same_bits(field.eval(1.0, 0.0), walked)
 
     def test_constant_value_rejects_variables(self):
         with pytest.raises(Exception):
             constant_value("2*u")
+
+
+# Lists of trees that share subtrees, by object and by structure, and
+# carry both signed zeros: templates whose slots are filled from a pool.
+signed_leaf = st.one_of(leaf, st.sampled_from([Const(0.0), Const(-0.0)]))
+
+
+@dataclass(frozen=True)
+class Slot(Expr):
+    index: int
+    copy: bool  # fill with an equal tree rather than the pool's object
+
+
+def _fill(e, pool):
+    if isinstance(e, Slot):
+        tree = pool[e.index % len(pool)]
+        return parse(to_source(tree)) if e.copy else tree
+    if isinstance(e, (Const, Var)):
+        return e
+    parts = (getattr(e, f.name) for f in fields(e))
+    return type(e)(*(_fill(x, pool) if isinstance(x, Expr) else x for x in parts))
+
+
+templates = st.recursive(
+    st.one_of(signed_leaf, st.builds(Slot, st.integers(0, 3), st.booleans())),
+    _exprs, max_leaves=6)
+tree_lists = st.tuples(
+    st.lists(st.recursive(signed_leaf, _exprs, max_leaves=8), min_size=1, max_size=4),
+    st.lists(templates, min_size=1, max_size=5),
+).map(lambda pair: [_fill(t, pair[0]) for t in pair[1]])
+
+
+def _first_error(trees, u, v):
+    """Message of the first tree, in list order, that fails alone.
+
+    evaluate decides which trees fail; the message is that of the tree
+    compiled alone, since evaluate words some failures differently."""
+    for e in trees:
+        try:
+            evaluate(e, u, v)
+        except EvalDomainError:
+            with pytest.raises(EvalDomainError) as err:
+                compile_program([e])(u, v)
+            return str(err.value)
+    return None
+
+
+class TestCompileProgram:
+    @settings(max_examples=200)
+    @given(tree_lists, st.floats(-2, 2, allow_nan=False),
+           st.sampled_from([0.0, -0.0, 1.5, -2.0]))
+    def test_matches_tree_walker(self, trees, u, v):
+        program = compile_program(trees)
+        message = _first_error(trees, u, v)
+        if message is not None:
+            with pytest.raises(EvalDomainError) as err:
+                program(u, v)
+            assert str(err.value) == message
+            return
+        values = program(u, v)
+        assert len(values) == len(trees)
+        for e, value in zip(trees, values):
+            assert same_bits(value, evaluate(e, u, v))
+
+    def test_signed_zeros_are_distinct_subtrees(self):
+        trees = [Mul(Call("sin", Const(0.0)), Var("u")),
+                 Mul(Call("sin", Const(-0.0)), Var("u"))]
+        a, b = compile_program(trees)(1.0, 0.0)
+        assert same_bits(a, 0.0) and same_bits(b, -0.0)
+
+    def test_shared_subtree_is_not_computed_early(self):
+        # 1/v is shared with the second tree, but sqrt(u) fails first
+        trees = [parse("sqrt(u) + 1/v"), parse("1/v")]
+        with pytest.raises(EvalDomainError, match="sqrt of a negative argument"):
+            compile_program(trees)(-1.0, 0.0)
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            compile_program(trees)(1.0, 0.0)
+
+    def test_trees_are_checked_finite_in_order(self):
+        trees = [parse("exp(u)*exp(u)"), parse("1/v")]
+        with pytest.raises(EvalDomainError, match="non-finite result inf"):
+            compile_program(trees)(700.0, 0.0)
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            compile_program(trees[::-1])(700.0, 0.0)
+
+    def test_repeated_and_leaf_trees(self):
+        e = parse("sin(u)*v")
+        assert compile_program([e, Var("v"), e, Const(-0.0)])(1.0, 2.0) == (
+            math.sin(1.0) * 2.0, 2.0, math.sin(1.0) * 2.0, -0.0)

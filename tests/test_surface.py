@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import struct
 
 import pytest
 import sympy as sp
@@ -176,7 +177,7 @@ class TestSympyOracle:
                 want = oracle[field_name](u, v)
                 assert abs(got - want) <= 1e-9 * (1 + abs(want)), (
                     name, field_name, u, v, got, want)
-            lam = s.scalar("lambda_til", u, v)
+            lam = s.scalar_field("lambda_til").eval(u, v)
             want = oracle["lambda_til"](u, v)
             assert abs(lam - want) <= 1e-9 * (1 + abs(want))
 
@@ -316,3 +317,16 @@ class TestConstantFrameExample:
     def test_grid_requires_2x2(self, sphere):
         with pytest.raises(LcframeError):
             sphere.domain.grid(1, 5)
+
+
+class TestInvariantProgram:
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_c2_matches_the_traced_field(self, name):
+        # two separate compilations of the same tree
+        s = catalog.load(name)
+        field = s.scalar_field("c2")
+        us, vs = s.domain.grid(9, 9)
+        for u in us:
+            for v in vs:
+                c2 = basic_invariants_at(s, u, v).c2
+                assert struct.pack("<d", c2) == struct.pack("<d", field.eval(u, v)), (u, v)
