@@ -95,7 +95,6 @@ def _evaluate(s, u, v, tol=1e-9):
     """(invariants, class) of one parameter point."""
     if tol <= 0:
         raise LcframeError("classification tolerance must be positive")
-    s.require_in_domain(u, v)
     inv = basic_invariants_at(s, u, v)
     return inv, _classify_from_invariants(inv, tol)
 
@@ -235,9 +234,6 @@ def trace_zero_set(
             crossings[key] = _bisect_edge(f, pa, pb, fa, fb, refine_tol)
         return key
 
-    def has_crossing(fa, fb):
-        return (fa > 0.0) != (fb > 0.0) or fa == 0.0 or fb == 0.0
-
     segments = []
     for i in range(nu - 1):
         for j in range(nv - 1):
@@ -262,16 +258,9 @@ def trace_zero_set(
                     pairs = ((0, 1), (2, 3))
                 else:
                     pairs = ((3, 0), (1, 2))
-            for ea, eb in pairs:
-                keys = []
-                for e in (ea, eb):
-                    key, pa, pb, fa, fb = edge_defs[e]
-                    if not has_crossing(fa, fb):
-                        keys = []
-                        break
-                    keys.append(edge_point(key, pa, pb, fa, fb))
-                if len(keys) == 2 and keys[0] != keys[1]:
-                    segments.append((keys[0], keys[1]))
+            # every pair joins two distinct edges whose corner signs differ
+            for pair in pairs:
+                segments.append(tuple(edge_point(*edge_defs[e]) for e in pair))
 
     return _link_segments(s, field_name, segments, crossings, classify_tol)
 

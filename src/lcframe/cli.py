@@ -66,8 +66,6 @@ def _build_parser():
                             f"({', '.join(catalog.names())})")
         p.add_argument("--grid", type=_parse_grid, default=_parse_grid(grid_default),
                        metavar="WxH", help=f"sample resolution (default {grid_default})")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="zero tolerance for sign tests (default 1e-9)")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current directory)")
 
@@ -78,6 +76,8 @@ def _build_parser():
 
     p = sub.add_parser("classify", help="classify a sample grid to CSV")
     add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="zero tolerance for sign tests (default 1e-9)")
 
     p = sub.add_parser("curvature", help="curvature packets over a grid to CSV")
     add_common(p)
@@ -86,6 +86,8 @@ def _build_parser():
     add_common(p, grid_default="64x64")
     p.add_argument("--field", choices=("lambda_til", "c2"), default="lambda_til")
     p.add_argument("--refine-tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="zero tolerance for classifying vertices (default 1e-9)")
 
     p = sub.add_parser("limits", help="curvature limits at a point")
     p.add_argument("surface")
@@ -184,7 +186,7 @@ def _cmd_curvature(args):
 
 def _cmd_trace(args):
     s = _load_surface(args.surface)
-    polylines = trace_zero_set(s, args.field, args.grid, args.refine_tol)
+    polylines = trace_zero_set(s, args.field, args.grid, args.refine_tol, args.tol)
     args.out.mkdir(parents=True, exist_ok=True)
     out = args.out / f"{s.name}-trace-{args.field}.csv"
     with open(out, "w", encoding="utf-8", newline="") as fh:

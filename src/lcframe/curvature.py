@@ -16,7 +16,8 @@ Gauss and mean curvatures are
     H~ = (c2 L~ G~ - 2 c2 M~ F~ + N~ E~) / 2
 
 and the classical ones, where defined, recover as K = K~ / (c2 |lam~|^2)
-and H = H~ / (c2 |lam~|^(3/2)).
+and H = H~ / (c2 |lam~|^(3/2)).  A packet takes n~ from the invariant
+program; modified_normal and classical_curvatures wedge X_u and m.
 """
 
 from __future__ import annotations
@@ -239,7 +240,6 @@ def _ratio_limit_kappa1(s, u, v):
 
 def curvature_packet(s: SurfaceDef, u: float, v: float) -> CurvaturePacket:
     """Evaluate the full curvature bundle at a parameter point."""
-    s.require_in_domain(u, v)
     return _packet(s, u, v, basic_invariants_at(s, u, v))
 
 
@@ -247,10 +247,13 @@ def _packet(s, u, v, inv) -> CurvaturePacket:
     """The curvature bundle at (u, v) built from the point's invariants."""
     Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = _fundamentals(inv)
     c2 = inv.c2
-    scale = (Etil, Ltil, Ntil)
+    band = ZERO_TOL * _zero_scale(Etil, Ltil, Ntil)
+
+    def zero(x):  # is_zero at this point's scale
+        return abs(x) <= band
 
     K = H = None
-    if not is_zero(c2, *scale) and not is_zero(lam, *scale):
+    if not zero(c2) and not zero(lam):
         K = Ktil / (c2 * abs(lam) ** 2)
         H = Htil / (c2 * abs(lam) ** 1.5)
 
@@ -266,33 +269,31 @@ def _packet(s, u, v, inv) -> CurvaturePacket:
     kappa1 = kappa2 = None
     kappa1_from_limit = False
     kappa2_unbounded = False
+    V2 = None
     if not principal_complex:
         root = math.sqrt(radicand)
         s_h = 1.0 if Htil >= 0.0 else -1.0
         # denominator of largest magnitude gives the bounded branch
         d1 = Htil + s_h * root
         d2 = Htil - s_h * root
-        if is_zero(Ktil, *scale) and is_zero(Htil, *scale):
+        if zero(Ktil) and zero(Htil):
             kappa1 = _ratio_limit_kappa1(s, u, v)
             kappa1_from_limit = kappa1 is not None
             kappa2_unbounded = True
         else:
-            if not is_zero(d1, *scale):
+            if not zero(d1):
                 kappa1 = Ktil / d1
-            if is_zero(d2, *scale):
+            if zero(d2):
                 kappa2_unbounded = True
             else:
                 kappa2 = Ktil / d2
+        if not zero(lam):
+            kappa_bar = d1 / lam  # equals c2 * kappa_til_2
+            V2 = (c2 * (Ntil - kappa_bar * Gtil), -c2 * Mtil + kappa_bar * Ftil)
 
     V1 = None
     if kappa1 is not None:
         V1 = (Ntil - c2 * kappa1 * Gtil, -Mtil + kappa1 * Ftil)
-    V2 = None
-    if not principal_complex and not is_zero(lam, *scale):
-        root = math.sqrt(radicand)
-        s_h = 1.0 if Htil >= 0.0 else -1.0
-        kappa_bar = (Htil + s_h * root) / lam  # equals c2 * kappa_til_2
-        V2 = (c2 * (Ntil - kappa_bar * Gtil), -c2 * Mtil + kappa_bar * Ftil)
 
     return CurvaturePacket(
         u=u, v=v,
@@ -306,7 +307,7 @@ def _packet(s, u, v, inv) -> CurvaturePacket:
         kappa1_from_limit=kappa1_from_limit,
         principal_complex=principal_complex,
         V1=V1, V2=V2,
-        n_til=wedge(s.x_u(u, v), s.frame_vec_m(u, v)),
+        n_til=LVec3(inv.ntil_1, inv.ntil_2, inv.ntil_3),
     )
 
 
@@ -344,13 +345,11 @@ def principal_curvatures(s: SurfaceDef, u: float, v: float):
     modified-frame data; valid at regular points off the lightlike and
     singular loci.  Returns None when undefined or complex.
     """
-    s.require_in_domain(u, v)
     inv = basic_invariants_at(s, u, v)
     p = _packet(s, u, v, inv)
-    scale = (p.Etil, p.Ltil, p.Ntil)
-    c2 = inv.c2
-    if p.principal_complex or is_zero(p.lambda_til, *scale) or is_zero(c2, *scale):
+    if p.principal_complex or p.K is None:  # K is None where c2 or lam~ is ~0
         return None
+    c2 = inv.c2
     radicand = max(p.Htil * p.Htil - c2 * p.lambda_til * p.Ktil, 0.0)
     root = math.sqrt(radicand)
     denom = c2 * p.lambda_til * math.sqrt(abs(p.lambda_til))
@@ -364,7 +363,6 @@ def singular_curvatures(s: SurfaceDef, u: float, v: float) -> SingularCurvatures
     tests on E~, c2v and lam~, and blocks whose preconditions fail come
     back None with the failure named.
     """
-    s.require_in_domain(u, v)
     return _singular(basic_invariants_at(s, u, v))
 
 
@@ -426,7 +424,6 @@ def singular_zero_equivalences(
         return ZeroEquivalenceReport(
             applicable=False, reason=f"kind must be first or second, got {kind}",
             kind=kind)
-    s.require_in_domain(u, v)
     inv = basic_invariants_at(s, u, v)
     p, sc = _packet(s, u, v, inv), _singular(inv)
     scale = (p.Etil, p.Ltil, p.Ntil)
@@ -463,7 +460,6 @@ def bounded_principal_check(
     0 for the second) amounts to N~ != 0; without it the check is
     reported not-applicable.
     """
-    s.require_in_domain(u, v)
     inv = basic_invariants_at(s, u, v)
     p, sc = _packet(s, u, v, inv), _singular(inv)
     scale = (p.Etil, p.Ltil, p.Ntil)

@@ -749,11 +749,12 @@ def compile_field(source_or_expr, order: int = 0) -> CompiledField:
 
 
 def constant_value(source: str) -> float:
-    """Evaluate source that must not mention u or v (domain bounds)."""
+    """Evaluate source that must not mention u or v (domain bounds),
+    compiled so that a fault is worded as at a point."""
     expr = parse(source)
     if _mentions_var(expr):
         raise ExprError(f"expected a constant expression, got {source!r}")
-    return evaluate(expr, 0.0, 0.0)
+    return compile_program([expr])(0.0, 0.0)[0]
 
 
 def _mentions_var(e):

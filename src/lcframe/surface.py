@@ -17,9 +17,10 @@ partials of a1, b1, c1, c2 that the classification predicates need.
 All of these are exact symbolic derivatives of the defining inner
 products, so sign tests on them are noise-free.
 
-The twenty trees compile into one program (expr.compile_program) that
-computes each shared subexpression once; basic_invariants_at calls it.
-lam~ = -4 a1 b1 and c2, whose zero sets are traced, compile on their own.
+The twenty trees and the three components of n~ = X_u ^ m compile into
+one 23-root program (expr.compile_program) that computes each shared
+subexpression once; basic_invariants_at calls it.  lam~ = -4 a1 b1 and
+c2, whose zero sets are traced, compile on their own.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -28,7 +29,8 @@ proportional to m.  That condition is validated, not normalised.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
@@ -93,10 +95,10 @@ class LightconeFrame:
     m: LVec3
 
 
-@dataclass(frozen=True)
-class BasicInvariants:
-    """The twelve frame coefficients and the partials used by the
-    classification sign tests, all at a single point."""
+class BasicInvariants(NamedTuple):
+    """The twelve frame coefficients, the partials used by the
+    classification sign tests and n~ = X_u ^ m, all at a single point,
+    in the invariant program's root order."""
 
     a1: float
     b1: float
@@ -118,6 +120,9 @@ class BasicInvariants:
     c1v: float
     c2u: float
     c2v: float
+    ntil_1: float
+    ntil_2: float
+    ntil_3: float
 
 
 @dataclass(frozen=True)
@@ -167,9 +172,9 @@ def _half(e):
 class SurfaceDef:
     """Compiled surface triple with its symbolic invariant program.
 
-    X, v, w and m are CompiledFields with derivative tables, the twenty
-    BasicInvariants fields are one program evaluated in one call, and
-    scalar_field gives the traced fields lambda_til and c2.
+    X, v, w and m are CompiledFields with derivative tables, the 23
+    BasicInvariants fields (with n~) are one program evaluated in one
+    call, and scalar_field gives the traced fields lambda_til and c2.
 
     Instances are immutable after construction; every per-point
     evaluation is pure, so a SurfaceDef may be shared freely across
@@ -228,9 +233,14 @@ class SurfaceDef:
             tree = simplify(scalars[name])
             scalars[name + "u"] = differentiate(tree, "u")
             scalars[name + "v"] = differentiate(tree, "v")
-        # simplify once more: it is not idempotent on derivative trees
+        # simplify once more: it is not idempotent on derivative trees; n~
+        # stays unsimplified, to run the float operations of
+        # wedge(x_u, frame_vec_m), and comes last, to fail last
+        roots = {name: simplify(tree) for name, tree in scalars.items()}
+        roots.update(zip(("ntil_1", "ntil_2", "ntil_3"),
+                         _wedge_expr(xu, tuple(f.expr for f in self.frame_m))))
         self._invariant_program = compile_program(
-            [simplify(scalars[f.name]) for f in fields(BasicInvariants)])
+            [roots[name] for name in BasicInvariants._fields])
         lambda_til = simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
         self._trace_fields = {"lambda_til": CompiledField(lambda_til, 0),
                               "c2": CompiledField(scalars["c2"], 0)}
@@ -331,9 +341,9 @@ def frame_at(s: SurfaceDef, u: float, v: float) -> LightconeFrame:
 
 
 def basic_invariants_at(s: SurfaceDef, u: float, v: float) -> BasicInvariants:
-    """Evaluate the twelve frame coefficients and their tracked partials."""
+    """Evaluate the frame coefficients, their tracked partials and n~."""
     s.require_in_domain(u, v)
-    return BasicInvariants(*s._invariant_program(u, v))
+    return BasicInvariants._make(s._invariant_program(u, v))
 
 
 def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedValidationReport:

@@ -3,6 +3,7 @@ import sys
 import pytest
 
 from lcframe import catalog
+from lcframe.expr import CompiledField
 from lcframe.surface import basic_invariants_at
 
 
@@ -67,4 +68,19 @@ def invariant_calls(monkeypatch):
         if (name == "lcframe" or name.startswith("lcframe.")) and \
                 getattr(module, "basic_invariants_at", None) is basic_invariants_at:
             monkeypatch.setattr(module, "basic_invariants_at", counted)
+    return calls
+
+
+@pytest.fixture
+def field_evals(monkeypatch):
+    """Count CompiledField.eval_derivative calls (X, v, w, m and the
+    traced fields); the returned list holds the running count."""
+    calls = [0]
+    original = CompiledField.eval_derivative
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(CompiledField, "eval_derivative", counted)
     return calls

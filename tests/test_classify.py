@@ -11,10 +11,12 @@ POLE = (math.pi / 2, 1.0)
 
 
 class TestClassifyGrid:
-    def test_each_point_evaluated_once(self, mixed_bowl, invariant_calls):
+    def test_each_point_evaluated_once(self, mixed_bowl, invariant_calls, field_evals):
         table = classify_grid(mixed_bowl, (17, 16))
         assert len(table.rows) == 17 * 16
         assert invariant_calls[0] == 17 * 16
+        # n~ comes from the invariant program, not from X_u and m fields
+        assert field_evals[0] == 0
 
     def test_rows_match_pointwise_entry_points(self, mixed_bowl):
         for row in classify_grid(mixed_bowl, (9, 8)).rows:

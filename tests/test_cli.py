@@ -48,6 +48,26 @@ def test_trace(tmp_path, capsys, surface, field):
     assert "(0 polylines)" not in capsys.readouterr().out
 
 
+def test_trace_passes_tol_to_vertex_classification(tmp_path):
+    # at --tol 10 every vertex classifies rank-two singular, off the
+    # lightlike locus, so no vertex reports degeneracy
+    args = ["trace", "sphere", "--grid", "16x16", "--out", str(tmp_path)]
+    out = tmp_path / "sphere-trace-lambda_til.csv"
+    assert main(args) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert {row["degenerate"] for row in csv.DictReader(fh)} == {"false"}
+    assert main(args + ["--tol", "10"]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        assert {row["degenerate"] for row in csv.DictReader(fh)} == {""}
+
+
+def test_curvature_has_no_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["curvature", "mixed_bowl", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_limits_report(tmp_path, capsys):
     assert main(["limits", "mixed_bowl", "--at", "1,1", "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [

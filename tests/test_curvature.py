@@ -131,6 +131,17 @@ class TestModifiedNormal:
             alt = fr.v.scaled(-inv.a1) + fr.w.scaled(inv.b1)
             assert (n - alt).max_abs() <= 1e-9 * (1 + n.max_abs())
 
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_packet_normal_is_the_wedge_bit_for_bit(self, name):
+        # the program's n~ roots against minkowski.wedge of X_u and m
+        s = catalog.load(name)
+        us, vs = s.domain.grid(9, 9)
+        for u in us:
+            for v in vs:
+                packet = curvature_packet(s, u, v).n_til
+                direct = modified_normal(s, u, v)
+                assert [x.hex() for x in packet] == [x.hex() for x in direct], (u, v)
+
     def test_proportional_to_unit_normal_at_spacelike_points(self, sphere):
         u, v = 1.1, 0.5  # spacelike band of the sphere
         n = modified_normal(sphere, u, v)

@@ -265,6 +265,14 @@ class TestCompiledField:
             return
         assert same_bits(field.eval(1.0, 0.0), walked)
 
+    @pytest.mark.parametrize("source", ["0^-1", "1e300^2", "exp(1000)"])
+    def test_constant_value_words_faults_like_a_point(self, source):
+        with pytest.raises(EvalDomainError) as at_point:
+            compile_field(source).eval(0.0, 0.0)
+        with pytest.raises(EvalDomainError) as constant:
+            constant_value(source)
+        assert str(constant.value) == str(at_point.value)
+
     def test_constant_value_rejects_variables(self):
         with pytest.raises(Exception):
             constant_value("2*u")

@@ -9,9 +9,10 @@ from lcframe.limits import ApproachPath, boundedness_report, limit_along
 MAX_REPORT_CALLS = 1 + 10 * 12
 
 
-def test_report_evaluates_each_sample_once(mixed_bowl, invariant_calls):
+def test_report_evaluates_each_sample_once(mixed_bowl, invariant_calls, field_evals):
     boundedness_report(mixed_bowl, 1.0, 1.0)
     assert invariant_calls[0] <= MAX_REPORT_CALLS
+    assert field_evals[0] == 0
 
 
 @pytest.mark.parametrize("surface, target", [
