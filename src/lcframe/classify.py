@@ -220,6 +220,8 @@ def trace_zero_set(
         raise LcframeError(f"trace resolution must be at least 8x8, got {nu}x{nv}")
     if refine_tol <= 0:
         raise LcframeError("refinement tolerance must be positive")
+    if classify_tol <= 0:
+        raise LcframeError("classification tolerance must be positive")
     fld = s.scalar_field(field_name)
     f = fld.eval
     us, vs = s.domain.grid(nu, nv)
@@ -459,6 +461,8 @@ def classify_grid(
 
     Rows are emitted u-major then v, so identical configurations yield
     byte-identical CSV output."""
+    if tol <= 0:
+        raise LcframeError("classification tolerance must be positive")
     nu, nv = resolution
     us, vs = s.domain.grid(nu, nv)  # validates >= 2x2
     rows = []

@@ -348,8 +348,18 @@ def _is_const(e, value=None):
     return isinstance(e, Const) and (value is None or e.value == value)
 
 
+def _neg(a):
+    """-a for a simplified a: folds a constant and cancels a negation."""
+    if isinstance(a, Const):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
 def simplify(e: Expr) -> Expr:
-    """Fold literal zeros, ones and constant arithmetic, bottom-up.
+    """Fold literal zeros, ones and constant arithmetic, bottom-up, and
+    cancel double negations.  One pass reaches a fixed point.
 
     No common-subexpression elimination or algebraic rewriting happens
     here; derivative trees stay faithful to the chain rule.
@@ -357,12 +367,7 @@ def simplify(e: Expr) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Neg):
-        a = simplify(e.arg)
-        if isinstance(a, Const):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
+        return _neg(simplify(e.arg))
     if isinstance(e, Add):
         a, b = simplify(e.left), simplify(e.right)
         if _is_const(a, 0.0):
@@ -377,7 +382,7 @@ def simplify(e: Expr) -> Expr:
         if _is_const(b, 0.0):
             return a
         if _is_const(a, 0.0):
-            return Const(-b.value) if isinstance(b, Const) else Neg(b)
+            return _neg(b)
         if isinstance(a, Const) and isinstance(b, Const):
             return Const(a.value - b.value)
         return Sub(a, b)
@@ -390,9 +395,9 @@ def simplify(e: Expr) -> Expr:
         if _is_const(b, 1.0):
             return a
         if _is_const(a, -1.0):
-            return Const(-b.value) if isinstance(b, Const) else Neg(b)
+            return _neg(b)
         if _is_const(b, -1.0):
-            return Const(-a.value) if isinstance(a, Const) else Neg(a)
+            return _neg(a)
         if isinstance(a, Const) and isinstance(b, Const):
             return Const(a.value * b.value)
         return Mul(a, b)

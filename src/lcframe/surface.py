@@ -20,7 +20,9 @@ products, so sign tests on them are noise-free.
 The twenty trees and the three components of n~ = X_u ^ m compile into
 one 23-root program (expr.compile_program) that computes each shared
 subexpression once; basic_invariants_at calls it.  lam~ = -4 a1 b1 and
-c2, whose zero sets are traced, compile on their own.
+c2, whose zero sets are traced, compile on their own.  So do the eight
+vectors read point by point (X_u, X_v, X_uu, X_uv, X_vv and the frame
+legs v, w, m), one 3-root program each; nothing else is compiled.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -34,8 +36,8 @@ from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
-    Add, CompiledField, Const, Mul, Neg, Sub, compile_field, compile_program,
-    constant_value, differentiate, simplify,
+    Add, CompiledField, Const, Mul, Neg, Sub, compile_program, constant_value,
+    differentiate, parse, simplify,
 )
 from .minkowski import LVec3, pseudo_dot, wedge
 
@@ -169,10 +171,17 @@ def _half(e):
     return Mul(Const(0.5), e)
 
 
+def _partials(trees, var):
+    return tuple(differentiate(e, var) for e in trees)
+
+
 class SurfaceDef:
     """Compiled surface triple with its symbolic invariant program.
 
-    X, v, w and m are CompiledFields with derivative tables, the 23
+    The components of X, v and w are parsed and simplified once; the
+    trees the surface evaluates are derived from them symbolically.
+    Each vector accessor (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v,
+    frame_vec_w, frame_vec_m) is one 3-root program, the 23
     BasicInvariants fields (with n~) are one program evaluated in one
     call, and scalar_field gives the traced fields lambda_til and c2.
 
@@ -181,39 +190,27 @@ class SurfaceDef:
     threads.
     """
 
-    #: derivative order compiled for the position components.  Three
-    #: orders are kept so cusp-direction quantities that involve third
-    #: derivatives can be cross-checked numerically.
-    X_ORDER = 3
-    FRAME_ORDER = 1
-
     def __init__(self, name, x_sources, v_sources, w_sources, domain):
         self.name = str(name)
         if not isinstance(domain, DomainBox):
             domain = DomainBox(*domain)
         self.domain = domain
-        self.x = tuple(compile_field(s, self.X_ORDER) for s in x_sources)
-        self.frame_v = tuple(compile_field(s, self.FRAME_ORDER) for s in v_sources)
-        self.frame_w = tuple(compile_field(s, self.FRAME_ORDER) for s in w_sources)
-        if len(self.x) != 3 or len(self.frame_v) != 3 or len(self.frame_w) != 3:
+        x, fv, fw = (tuple(simplify(parse(c) if isinstance(c, str) else c) for c in sources)
+                     for sources in (x_sources, v_sources, w_sources))
+        if len(x) != 3 or len(fv) != 3 or len(fw) != 3:
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
-        self._build_invariant_program()
-
-    # -- construction of the symbolic invariant program -----------------
-
-    def _build_invariant_program(self):
-        xu = tuple(f.derivative_expr(1, 0) for f in self.x)
-        xv = tuple(f.derivative_expr(0, 1) for f in self.x)
-        fv = tuple(f.expr for f in self.frame_v)
-        fw = tuple(f.expr for f in self.frame_w)
-        fv_u = tuple(f.derivative_expr(1, 0) for f in self.frame_v)
-        fv_v = tuple(f.derivative_expr(0, 1) for f in self.frame_v)
-        fw_u = tuple(f.derivative_expr(1, 0) for f in self.frame_w)
-        fw_v = tuple(f.derivative_expr(0, 1) for f in self.frame_w)
-
+        xu, xv = _partials(x, "u"), _partials(x, "v")
         m = tuple(Neg(_half(c)) for c in _wedge_expr(fv, fw))
-        self.frame_m = tuple(CompiledField(c, 1) for c in m)
+        m_simplified = tuple(simplify(c) for c in m)
+        self._vectors = {
+            key: compile_program(trees) for key, trees in (
+                ("x_u", xu), ("x_v", xv), ("x_uu", _partials(xu, "u")),
+                ("x_uv", _partials(xu, "v")), ("x_vv", _partials(xv, "v")),
+                ("v", fv), ("w", fw), ("m", m_simplified))}
 
+        # the invariant program: c1, c2, f and g pair against m unsimplified
+        fv_u, fv_v = _partials(fv, "u"), _partials(fv, "v")
+        fw_u, fw_v = _partials(fw, "u"), _partials(fw, "v")
         base = {
             "a1": Neg(_half(_pdot_expr(xu, fw))),
             "b1": Neg(_half(_pdot_expr(xu, fv))),
@@ -228,22 +225,18 @@ class SurfaceDef:
             "f2": _half(_pdot_expr(fw_v, m)),
             "g2": _half(_pdot_expr(fv_v, m)),
         }
-        scalars = {k: simplify(v) for k, v in base.items()}
-        for name in ("a1", "b1", "c1", "c2"):
-            tree = simplify(scalars[name])
-            scalars[name + "u"] = differentiate(tree, "u")
-            scalars[name + "v"] = differentiate(tree, "v")
-        # simplify once more: it is not idempotent on derivative trees; n~
-        # stays unsimplified, to run the float operations of
+        roots = {k: simplify(v) for k, v in base.items()}
+        for key in ("a1", "b1", "c1", "c2"):
+            roots[key + "u"] = differentiate(roots[key], "u")
+            roots[key + "v"] = differentiate(roots[key], "v")
+        # n~ stays unsimplified, to run the float operations of
         # wedge(x_u, frame_vec_m), and comes last, to fail last
-        roots = {name: simplify(tree) for name, tree in scalars.items()}
-        roots.update(zip(("ntil_1", "ntil_2", "ntil_3"),
-                         _wedge_expr(xu, tuple(f.expr for f in self.frame_m))))
+        roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(xu, m_simplified)))
         self._invariant_program = compile_program(
-            [roots[name] for name in BasicInvariants._fields])
+            [roots[key] for key in BasicInvariants._fields])
         lambda_til = simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
         self._trace_fields = {"lambda_til": CompiledField(lambda_til, 0),
-                              "c2": CompiledField(scalars["c2"], 0)}
+                              "c2": CompiledField(roots["c2"], 0)}
 
     # -- point evaluation ------------------------------------------------
 
@@ -251,38 +244,32 @@ class SurfaceDef:
         """The compiled field lambda_til or c2, whose zero sets are traced."""
         return self._trace_fields[name]
 
-    def _vec(self, fields, du, dv, u, v):
-        return LVec3(*(f.eval_derivative(du, dv, u, v) for f in fields))
+    def _vec(self, name, u, v):
+        return LVec3(*self._vectors[name](u, v))
 
     def x_u(self, u, v) -> LVec3:
-        return self._vec(self.x, 1, 0, u, v)
+        return self._vec("x_u", u, v)
 
     def x_v(self, u, v) -> LVec3:
-        return self._vec(self.x, 0, 1, u, v)
+        return self._vec("x_v", u, v)
 
     def x_uu(self, u, v) -> LVec3:
-        return self._vec(self.x, 2, 0, u, v)
+        return self._vec("x_uu", u, v)
 
     def x_uv(self, u, v) -> LVec3:
-        return self._vec(self.x, 1, 1, u, v)
+        return self._vec("x_uv", u, v)
 
     def x_vv(self, u, v) -> LVec3:
-        return self._vec(self.x, 0, 2, u, v)
+        return self._vec("x_vv", u, v)
 
-    def x_uvv(self, u, v) -> LVec3:
-        return self._vec(self.x, 1, 2, u, v)
+    def frame_vec_v(self, u, v) -> LVec3:
+        return self._vec("v", u, v)
 
-    def x_vvv(self, u, v) -> LVec3:
-        return self._vec(self.x, 0, 3, u, v)
+    def frame_vec_w(self, u, v) -> LVec3:
+        return self._vec("w", u, v)
 
-    def frame_vec_v(self, u, v, du=0, dv=0) -> LVec3:
-        return self._vec(self.frame_v, du, dv, u, v)
-
-    def frame_vec_w(self, u, v, du=0, dv=0) -> LVec3:
-        return self._vec(self.frame_w, du, dv, u, v)
-
-    def frame_vec_m(self, u, v, du=0, dv=0) -> LVec3:
-        return self._vec(self.frame_m, du, dv, u, v)
+    def frame_vec_m(self, u, v) -> LVec3:
+        return self._vec("m", u, v)
 
     def require_in_domain(self, u, v):
         if not self.domain.contains(u, v):

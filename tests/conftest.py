@@ -73,8 +73,9 @@ def invariant_calls(monkeypatch):
 
 @pytest.fixture
 def field_evals(monkeypatch):
-    """Count CompiledField.eval_derivative calls (X, v, w, m and the
-    traced fields); the returned list holds the running count."""
+    """Count CompiledField.eval_derivative calls, which a surface makes
+    only for its traced fields; the returned list holds the running
+    count."""
     calls = [0]
     original = CompiledField.eval_derivative
 

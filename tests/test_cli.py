@@ -61,6 +61,16 @@ def test_trace_passes_tol_to_vertex_classification(tmp_path):
         assert {row["degenerate"] for row in csv.DictReader(fh)} == {""}
 
 
+@pytest.mark.parametrize("args", [
+    ["classify", "sphere", "--grid", "8x8", "--tol", "-1"],
+    ["trace", "flat_plane", "--tol", "0"],
+])
+def test_non_positive_tol_is_an_error(tmp_path, capsys, args):
+    assert main(args + ["--out", str(tmp_path)]) == 1
+    assert "classification tolerance must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curvature_has_no_tol(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["curvature", "mixed_bowl", "--tol", "1e-9"])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -9,7 +10,8 @@ from lcframe.curvature import (
     modified_normal, principal_curvatures, singular_curvatures,
     singular_zero_equivalences,
 )
-from lcframe.minkowski import pseudo_dot, wedge
+from lcframe.expr import compile_field
+from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import basic_invariants_at, frame_at
 from lcframe.taxonomy import Kind
 
@@ -26,6 +28,16 @@ def pnorm(a):
 
 def rel_close(a, b, tol):
     return abs(a - b) <= tol * (1.0 + max(abs(a), abs(b)))
+
+
+def component_fields(s, key, order):
+    """compile_field of each component of X, v or w of a catalog surface."""
+    components = json.loads(catalog.surface_text(s.name))[key]
+    return [compile_field(c, order) for c in components]
+
+
+def derivative(fields, du, dv, u, v):
+    return LVec3(*(f.eval_derivative(du, dv, u, v) for f in fields))
 
 
 def regular_points(s, rng, n, spacelike=None, margin=0.05):
@@ -182,6 +194,7 @@ class TestCoefficientExpansions:
     @pytest.mark.parametrize("name", ["sphere", "twisted_band", "mixed_bowl"])
     def test_second_fundamental_against_second_derivatives(self, name):
         s = catalog.load(name)
+        fv, fw = component_fields(s, "v", 1), component_fields(s, "w", 1)
         rng = random.Random(21)
         for _ in range(150):
             u = rng.uniform(s.domain.u_min, s.domain.u_max)
@@ -189,8 +202,12 @@ class TestCoefficientExpansions:
             p = curvature_packet(s, u, v)
             ntil = p.n_til
             assert rel_close(p.Ltil, pseudo_dot(s.x_uu(u, v), ntil), 1e-8)
-            m_u = s.frame_vec_m(u, v, du=1)
-            m_v = s.frame_vec_m(u, v, dv=1)
+            # m = -(1/2) v^w, so m_u = -(1/2)(v_u^w + v^w_u), likewise m_v
+            fr = frame_at(s, u, v)
+            m_u = (wedge(derivative(fv, 1, 0, u, v), fr.w)
+                   + wedge(fr.v, derivative(fw, 1, 0, u, v))).scaled(-0.5)
+            m_v = (wedge(derivative(fv, 0, 1, u, v), fr.w)
+                   + wedge(fr.v, derivative(fw, 0, 1, u, v))).scaled(-0.5)
             assert rel_close(p.Mtil, pseudo_dot(m_u, ntil), 1e-9)
             assert rel_close(p.Ntil, pseudo_dot(m_v, ntil), 1e-9)
 
@@ -370,11 +387,12 @@ class TestSingularCurvatureScalars:
         cases += [(timelike_trough, u, math.pi / 2) for u in (-0.5, 0.2)]
         for s, u, v in cases:
             sc = singular_curvatures(s, u, v)
+            x = component_fields(s, "X", 3)
             xu = s.x_u(u, v)
             xuu = s.x_uu(u, v)
             xvv = s.x_vv(u, v)
-            xuvv = s.x_uvv(u, v)
-            xvvv = s.x_vvv(u, v)
+            xuvv = derivative(x, 1, 2, u, v)
+            xvvv = derivative(x, 0, 3, u, v)
             ntil = modified_normal(s, u, v)
             n_unit = ntil.scaled(1.0 / pnorm(ntil))
             norm_xu = pnorm(xu)

@@ -4,7 +4,7 @@ import struct
 from dataclasses import dataclass, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcframe.expr import (
@@ -222,6 +222,13 @@ class TestRoundTrip:
     @given(expr_trees)
     def test_print_parse_round_trip(self, e):
         assert parse(to_source(e)) == e
+
+    @settings(max_examples=300)
+    @given(expr_trees)
+    @example(Mul(Const(-1.0), Neg(Var("u"))))
+    def test_simplify_is_idempotent(self, e):
+        once = simplify(e)
+        assert simplify(once) == once
 
     @settings(max_examples=200)
     @given(expr_trees, st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False))

@@ -6,8 +6,9 @@ import struct
 import pytest
 import sympy as sp
 
-from lcframe import catalog
+from lcframe import catalog, expr, surface
 from lcframe.errors import LcframeError
+from lcframe.expr import compile_program
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
     DomainBox, SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at,
@@ -330,3 +331,21 @@ class TestInvariantProgram:
             for v in vs:
                 c2 = basic_invariants_at(s, u, v).c2
                 assert struct.pack("<d", c2) == struct.pack("<d", field.eval(u, v)), (u, v)
+
+    def test_compiles_only_what_it_evaluates(self, monkeypatch):
+        # per surface: 8 vector accessors, the invariant program, 2
+        # traced fields and 4 domain bounds
+        calls = [0]
+
+        def counted(trees):
+            calls[0] += 1
+            return compile_program(trees)
+
+        monkeypatch.setattr(expr, "compile_program", counted)
+        monkeypatch.setattr(surface, "compile_program", counted)
+        counts = {}
+        for name in catalog.names():
+            calls[0] = 0
+            SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
+            counts[name] = calls[0]
+        assert counts == {name: 15 for name in catalog.names()}
