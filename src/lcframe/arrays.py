@@ -1,0 +1,385 @@
+"""Grids as arrays: the invariant program, packets and classes over
+blocks of points.
+
+classify_grid and the curvature CSV evaluate a grid of at least
+classify.ARRAY_MIN_POINTS points here, BLOCK points at a time in
+row-major order.  Per block, one call of the surface's array program
+gives the 23 invariants as arrays; curvature._fundamentals runs on them
+unchanged, and the branches of curvature._packet and the predicates of
+classify._classify_from_invariants run as numpy masks.  Only this
+module imports numpy, and lcframe imports it only for such a grid.
+
+The values are bit-identical to the point loop by construction: numpy
+computes only the operations IEEE 754 rounds exactly (+ - * /,
+negation, abs and sqrt), and every other function (sin, cos, tan, exp,
+log, sinh, cosh, powers and hypot) is the same math or Python function
+applied per element.
+
+numpy does not raise, so a fault mask is kept instead.  It is set
+wherever the point loop would raise: at a zero divisor, a guarded log
+or sqrt, a per-element call that raises, a non-finite root, a point
+outside the domain, and a 0/0 limit sample that
+curvature._ratio_limit_kappa1 would reach.  The grid still fails as a
+whole: at the first faulted point in row-major order the point program
+runs and raises the point loop's own error.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import partial
+
+import numpy as np
+
+from .classify import _FMT
+from .curvature import (
+    LIMIT_OFFSETS, ZERO_TOL, CurvaturePacket, _fundamentals, curvature_packet,
+)
+from .errors import LcframeError
+from .expr import SCALAR, NumberEnv
+from .minkowski import LVec3
+from .numerics import richardson
+from .taxonomy import Category, Kind, LightlikeBranch, PointClass
+
+__all__ = ["ARRAY", "BLOCK", "Block", "grid_blocks", "CLASSES", "texts", "write_grid_csv"]
+
+#: Points per block: enough to amortise the per-call Python, few enough
+#: that one block's column strings stay small.
+BLOCK = 1024
+
+_FAULTS = (ArithmeticError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# The array number environment of expr.compile_program
+
+
+def _each(bad, fn, x):
+    """fn applied per element as the point program applies it; an
+    element where it raises is marked in bad.  A scalar x (a constant
+    subtree) faults every point."""
+    if np.ndim(x) == 0:
+        try:
+            return fn(float(x))
+        except _FAULTS:
+            bad |= True
+            return math.nan
+    xs = x.tolist()
+    try:
+        return np.fromiter(map(fn, xs), float, len(xs))
+    except _FAULTS:
+        out = np.empty(len(xs))
+        for i, xi in enumerate(xs):
+            try:
+                out[i] = fn(xi)
+            except _FAULTS:
+                out[i] = math.nan
+                bad[i] = True
+        return out
+
+
+def _elementwise(fn):
+    return lambda bad, x: _each(bad, fn, x)
+
+
+def _div(bad, a, b):
+    bad |= b == 0.0
+    return np.divide(a, b)
+
+
+def _sqrt(bad, x):
+    bad |= x < 0.0
+    return np.sqrt(x)
+
+
+def _root(bad, x):
+    x = np.broadcast_to(x, bad.shape)
+    bad |= ~np.isfinite(x)
+    return x
+
+
+def _array_program(fn):
+    def program(u, v):
+        bad = np.zeros(len(u), bool)
+        with np.errstate(all="ignore"):
+            values = fn(u, v, bad)
+        return values, bad
+
+    return program
+
+
+#: Arrays of points: the program takes arrays u and v and returns
+#: (tuple of root arrays, fault mask).  A faulted point's values are
+#: meaningless.
+ARRAY = NumberEnv(
+    namespace={
+        "__builtins__": {},
+        "inf": math.inf,
+        "nan": math.nan,
+        "_div": _div,
+        "_pow": lambda bad, x, n: _each(bad, partial(pow, exp=n), x),
+        "_root": _root,
+        "sqrt": _sqrt,
+        "_abs": lambda bad, x: np.abs(x),
+        "sign": lambda bad, x: (x > 0.0) * 1.0 - (x < 0.0) * 1.0,
+        # math.log raises exactly where the point program's guard does
+        **{name: _elementwise(getattr(math, name))
+           for name in ("sin", "cos", "tan", "exp", "log", "sinh", "cosh")},
+    },
+    templates={**SCALAR.templates, "/": "_div(_bad, {0}, {1})",
+               "pow": "_pow(_bad, {0}, {p})", "call": "{p}(_bad, {0})"},
+    root="_root(_bad, {text}), ",
+    params="u, v, _bad",
+    wrap=_array_program,
+)
+
+
+# ---------------------------------------------------------------------------
+# Packets over a block
+
+
+def _pymax(first, *rest):
+    """max() of the builtin, per element: a later value wins only where
+    it is greater, so a NaN stays or loses exactly as it does there."""
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def _each_where(bad, where, fn, x):
+    """fn per element where `where` holds (NaN elsewhere); faults go to bad."""
+    out = np.full(len(x), math.nan)
+    idx = np.flatnonzero(where)
+    faults = np.zeros(len(idx), bool)
+    out[idx] = _each(faults, fn, x[idx])
+    bad[idx] |= faults
+    return out
+
+
+def _zero_band(Etil, Ltil, Ntil):
+    """ZERO_TOL * curvature._zero_scale(Etil, Ltil, Ntil)."""
+    return ZERO_TOL * (1.0 + _pymax(np.abs(Etil), np.abs(Ltil), np.abs(Ntil)))
+
+
+def _ratio_limits(s, u, v, bad):
+    """curvature._ratio_limit_kappa1 at every point: (value, defined).
+
+    The six samples of all points are one array-program call; a sample
+    the point loop would reach and that faults marks its point in bad.
+    """
+    steps = [(direction, delta) for direction in (-1.0, 1.0) for delta in LIMIT_OFFSETS]
+    uu = np.concatenate([u + direction * delta for direction, delta in steps])
+    vv = np.tile(v, len(steps))
+    inv, faults = s.invariant_arrays(uu, vv)
+    f = _fundamentals(inv)
+    Ktil, Htil = f[7], f[8]
+    usable = ~(np.abs(Htil) <= _zero_band(f[0], f[3], f[5]))
+    inside = s.domain.contains(uu, vv)
+    ratio = Ktil / (2.0 * Htil)
+    n, per = len(u), len(LIMIT_OFFSETS)
+    estimates, complete = [], []
+    for d in range(2):
+        alive = np.ones(n, bool)
+        values = []
+        for k in range(d * per, (d + 1) * per):
+            part = slice(k * n, (k + 1) * n)
+            reached = alive & inside[part]
+            bad |= reached & faults[part]
+            alive = reached & ~faults[part] & usable[part]
+            values.append(ratio[part])
+        # offsets shrink by 0.1, coarsest first
+        estimates.append(richardson(values, 0.1, levels=2))
+        complete.append(alive)
+    # sum(estimates) starts from the integer 0, which turns -0.0 into 0.0
+    first = 0.0 + np.where(complete[0], estimates[0], estimates[1])
+    both = complete[0] & complete[1]
+    total = np.where(both, first + estimates[1], first)
+    return total / np.where(both, 2.0, 1.0), complete[0] | complete[1]
+
+
+class Block:
+    """Curvature packets of up to BLOCK consecutive grid points.
+
+    `start` is the first point's row-major index, `u` and `v` the
+    points, `inv` their BasicInvariants of arrays and `columns` the
+    packet fields, named as in the curvature CSV.  `defined` maps each
+    column that a packet may leave None to where it is set.
+    """
+
+    __slots__ = ("start", "u", "v", "inv", "columns", "defined", "flags", "codes")
+
+    def __init__(self, s, start, u, v, tol=None):
+        self.start, self.u, self.v = start, u, v
+        self.inv, bad = s.invariant_arrays(u, v)
+        bad |= ~s.domain.contains(u, v)
+        with np.errstate(all="ignore"):
+            self._packets(s, bad)
+            # with a tolerance, the classes as indices into CLASSES
+            self.codes = None if tol is None else _class_codes(self.inv, tol)
+        if bad.any():
+            i = int(np.argmax(bad))
+            curvature_packet(s, float(u[i]), float(v[i]))  # raises the point loop's error
+            raise LcframeError(
+                f"array evaluation faulted at ({u[i]!r}, {v[i]!r}) where the point loop does not")
+
+    def _packets(self, s, bad):
+        """The branches of curvature._packet as masks."""
+        inv = self.inv
+        Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = _fundamentals(inv)
+        c2 = inv.c2
+        band = _zero_band(Etil, Ltil, Ntil)
+
+        def zero(x):
+            return np.abs(x) <= band
+
+        has_kh = ~zero(c2) & ~zero(lam)
+        al = np.abs(lam)
+        K = Ktil / (c2 * _each_where(bad, has_kh, partial(pow, exp=2), al))
+        H = Htil / (c2 * _each_where(bad, has_kh, partial(pow, exp=1.5), al))
+
+        radicand = Htil * Htil - c2 * lam * Ktil
+        rad_scale = ZERO_TOL * (1.0 + Htil * Htil + np.abs(c2 * lam * Ktil))
+        negative = radicand < 0.0
+        clipped = negative & (radicand >= -rad_scale)
+        principal_complex = negative & ~clipped
+        real = ~principal_complex
+        root = np.sqrt(np.where(clipped, 0.0, radicand))
+        s_h = np.where(Htil >= 0.0, 1.0, -1.0)
+        d1 = Htil + s_h * root
+        d2 = Htil - s_h * root
+        limit = real & zero(Ktil) & zero(Htil)
+        branch = real & ~limit
+        kappa1 = Ktil / d1
+        has_k1 = branch & ~zero(d1)
+        has_k2 = branch & ~zero(d2)
+        if limit.any():
+            idx = np.flatnonzero(limit)
+            faults = np.zeros(len(idx), bool)
+            kappa1[idx], has_k1[idx] = _ratio_limits(s, self.u[idx], self.v[idx], faults)
+            bad[idx] |= faults
+        kappa_bar = d1 / lam  # equals c2 * kappa_til_2
+        has_v2 = real & ~zero(lam)
+
+        self.columns = {
+            "Etil": Etil, "Ftil": Ftil, "Gtil": np.full(len(c2), Gtil),
+            "Ltil": Ltil, "Mtil": Mtil, "Ntil": Ntil, "lambda_til": lam,
+            "Ktil": Ktil, "Htil": Htil, "K": K, "H": H,
+            "kappa_til_1": kappa1, "kappa_til_2": Ktil / d2,
+            "V1_u": Ntil - c2 * kappa1 * Gtil, "V1_v": -Mtil + kappa1 * Ftil,
+            "V2_u": c2 * (Ntil - kappa_bar * Gtil), "V2_v": -c2 * Mtil + kappa_bar * Ftil,
+            "ntil_1": inv.ntil_1, "ntil_2": inv.ntil_2, "ntil_3": inv.ntil_3,
+        }
+        self.defined = {"K": has_kh, "H": has_kh, "kappa_til_1": has_k1,
+                        "kappa_til_2": has_k2, "V1_u": has_k1, "V1_v": has_k1,
+                        "V2_u": has_v2, "V2_v": has_v2}
+        self.flags = {"kappa_til_2_unbounded": limit | (branch & zero(d2)),
+                      "kappa1_from_limit": limit & has_k1,
+                      "principal_complex": principal_complex}
+
+    def packets(self):
+        """The block's CurvaturePackets, equal to the point loop's."""
+        cols = {name: values.tolist() for name, values in self.columns.items()}
+        for name, where in self.defined.items():
+            for i in np.flatnonzero(~where).tolist():
+                cols[name][i] = None
+        flags = {name: where.tolist() for name, where in self.flags.items()}
+        out = []
+        for i, (u, v) in enumerate(zip(self.u.tolist(), self.v.tolist())):
+            c = {name: values[i] for name, values in cols.items()}
+            out.append(CurvaturePacket(
+                u=u, v=v,
+                Etil=c["Etil"], Ftil=c["Ftil"], Gtil=c["Gtil"],
+                Ltil=c["Ltil"], Mtil=c["Mtil"], Ntil=c["Ntil"],
+                lambda_til=c["lambda_til"], Ktil=c["Ktil"], Htil=c["Htil"],
+                K=c["K"], H=c["H"],
+                kappa_til_1=c["kappa_til_1"], kappa_til_2=c["kappa_til_2"],
+                kappa_til_2_unbounded=flags["kappa_til_2_unbounded"][i],
+                kappa1_from_limit=flags["kappa1_from_limit"][i],
+                principal_complex=flags["principal_complex"][i],
+                V1=None if c["V1_u"] is None else (c["V1_u"], c["V1_v"]),
+                V2=None if c["V2_u"] is None else (c["V2_u"], c["V2_v"]),
+                n_til=LVec3(c["ntil_1"], c["ntil_2"], c["ntil_3"]),
+            ))
+        return out
+
+    def texts(self, name):
+        """Column `name` formatted, with "" where the packet has None."""
+        return texts(self.columns[name], self.defined.get(name))
+
+
+def texts(values, defined=None):
+    """Each value formatted as the CSVs format it, "" where `defined`
+    is False."""
+    out = list(map(_FMT, values.tolist()))
+    if defined is not None:
+        for i in np.flatnonzero(~defined).tolist():
+            out[i] = ""
+    return out
+
+
+def grid_blocks(s, us, vs, tol=None):
+    """The Blocks of the grid us x vs in row-major order (u outer),
+    classified at tol when it is given.
+
+    Each block is evaluated when it is reached, so the first block with
+    a faulted point raises the point loop's error."""
+    nv = len(vs)
+    u_all = np.repeat(np.asarray(us, float), nv)
+    v_all = np.tile(np.asarray(vs, float), len(us))
+    for start in range(0, len(u_all), BLOCK):
+        stop = start + BLOCK
+        yield Block(s, start, u_all[start:stop], v_all[start:stop], tol)
+
+
+def write_grid_csv(fh, us, vs, blocks, columns):
+    """Write one CSV line per point of `blocks`: u and v, each formatted
+    once per grid line, then the text columns that columns(block) gives."""
+    nv = len(vs)
+    u_texts, v_texts = list(map(_FMT, us)), list(map(_FMT, vs))
+    for block in blocks:
+        uv = [f"{u_texts[k // nv]},{v_texts[k % nv]}"
+              for k in range(block.start, block.start + len(block.u))]
+        fh.write("\n".join(map(",".join, zip(uv, *columns(block)))) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Classes over a block
+
+_KINDS = (Kind.INDETERMINATE, Kind.FIRST, Kind.SECOND)
+
+#: Every PointClass the classifier returns, indexed by _class_codes.
+CLASSES = (
+    PointClass(Category.SPACELIKE),
+    PointClass(Category.TIMELIKE),
+    PointClass(Category.SINGULAR_2),
+    *(PointClass(Category.SINGULAR_1, degenerate=kind is Kind.INDETERMINATE, kind=kind)
+      for kind in _KINDS),
+    *(PointClass(Category.LIGHTLIKE, lightlike_branch=branch,
+                 degenerate=kind is Kind.INDETERMINATE, kind=kind)
+      for branch in (LightlikeBranch.L1, LightlikeBranch.L2) for kind in _KINDS),
+)
+
+
+def _hypot(x, y):
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
+
+
+def _class_codes(inv, tol):
+    """classify._classify_from_invariants per point, as indices into CLASSES."""
+
+    def kind(degenerate, decider):  # an index into _KINDS
+        return np.where(degenerate, 0, np.where(np.abs(decider) > tol, 1, 2))
+
+    a1_zero = np.abs(inv.a1) <= tol
+    b1_zero = np.abs(inv.b1) <= tol
+    # the vanishing factor's differential and transversality (L1 where a1 ~ 0)
+    differential = _hypot(np.where(a1_zero, inv.a1u, inv.b1u),
+                          np.where(a1_zero, inv.a1v, inv.b1v))
+    transversal = np.where(a1_zero, inv.a1u * inv.c2 - inv.a1v * inv.c1,
+                           inv.b1u * inv.c2 - inv.b1v * inv.c1)
+    lam = -4.0 * inv.a1 * inv.b1
+    return np.select(
+        [_hypot(inv.a1, inv.b1) <= tol, np.abs(inv.c2) <= tol, a1_zero != b1_zero],
+        [2, 3 + kind(_hypot(inv.c2u, inv.c2v) <= tol, inv.c2v),
+         6 + 3 * b1_zero + kind(differential <= tol, transversal)],
+        np.where(lam > 0.0, 0, 1))

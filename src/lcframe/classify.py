@@ -16,13 +16,20 @@ Each entry point evaluates the invariants once per point; the class,
 the curvature packet and the singular curvature scalars at that point
 are all derived from that one evaluation.
 
+classify_grid evaluates a grid of ARRAY_MIN_POINTS (4096) points or
+more as arrays, 1024 points per block (lcframe.arrays), with the same
+values, rows and CSV bytes as the point loop and the same error at the
+same first failing point.  Smaller grids, the demo's among them, stay
+on the point loop: importing numpy costs 0.06-0.07 s and about 12 MB,
+more than arrays save below that size.  Every float an artifact prints
+goes through _FMT, '%.12g' (equal to format(x, '.12g')).
+
 Loci are traced as zero sets of lam~ (lightlike locus) or c2 (rank-one
 singular locus) by marching squares with bisection refinement.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -51,6 +58,15 @@ CSV_HEADER = ("u", "v", "category", "sub", "kind", "degenerate",
               "lambda_til", "c2", "Ktil", "Htil", "K", "H", "kappa_til_1")
 
 TRACEABLE_FIELDS = ("lambda_til", "c2")
+
+#: Grids with at least this many points are evaluated as arrays
+#: (lcframe.arrays); smaller ones point by point, as importing numpy
+#: costs more than the arrays save there.
+ARRAY_MIN_POINTS = 4096
+
+#: The one float format of every artifact: format(x, ".12g"), also for
+#: signed zeros and subnormals, as a bound method that maps quickly.
+_FMT = "%.12g".__mod__
 
 _BISECT_MAX_ITER = 30
 
@@ -93,7 +109,7 @@ def _classify_from_invariants(inv: BasicInvariants, tol: float) -> PointClass:
 
 def _evaluate(s, u, v, tol=1e-9):
     """(invariants, class) of one parameter point."""
-    if tol <= 0:
+    if not (tol > 0):
         raise LcframeError("classification tolerance must be positive")
     inv = basic_invariants_at(s, u, v)
     return inv, _classify_from_invariants(inv, tol)
@@ -218,9 +234,9 @@ def trace_zero_set(
     nu, nv = resolution
     if nu < 8 or nv < 8:
         raise LcframeError(f"trace resolution must be at least 8x8, got {nu}x{nv}")
-    if refine_tol <= 0:
+    if not (refine_tol > 0):
         raise LcframeError("refinement tolerance must be positive")
-    if classify_tol <= 0:
+    if not (classify_tol > 0):
         raise LcframeError("classification tolerance must be positive")
     fld = s.scalar_field(field_name)
     f = fld.eval
@@ -420,38 +436,76 @@ class ClassificationRow:
     c2: float
 
 
-@dataclass
 class ClassificationTable:
-    """Row-major (u outer, v inner) classification of a sample grid."""
+    """Row-major (u outer, v inner) classification of a sample grid.
 
-    surface: str
-    resolution: tuple
-    tol: float
-    rows: list
+    A grid of ARRAY_MIN_POINTS points or more keeps its arrays.Blocks:
+    `rows` is built from them when first read, and write_csv formats
+    them a block at a time without building rows.
+    """
+
+    def __init__(self, surface, resolution, tol, rows=None, grid=None, blocks=None):
+        self.surface = surface
+        self.resolution = tuple(resolution)
+        self.tol = tol
+        self._rows = rows
+        self._grid = grid  # (us, vs) of the blocks
+        self._blocks = blocks
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            from .arrays import CLASSES
+
+            self._rows = [
+                ClassificationRow(u=p.u, v=p.v, point_class=CLASSES[code], packet=p, c2=c2)
+                for block in self._blocks
+                for p, code, c2 in zip(block.packets(), block.codes.tolist(),
+                                       block.inv.c2.tolist())]
+        return self._rows
 
     def write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in self.rows:
-            pc, p = row.point_class, row.packet
-            writer.writerow([
-                _fmt(row.u), _fmt(row.v),
-                pc.category.value,
-                pc.lightlike_branch.value if pc.lightlike_branch else "",
-                pc.kind.value if pc.kind else "",
-                "" if pc.degenerate is None else str(pc.degenerate).lower(),
-                _fmt(p.lambda_til),
-                _fmt(row.c2),
-                _fmt(p.Ktil), _fmt(p.Htil),
-                _fmt(p.K), _fmt(p.H),
-                _fmt(p.kappa_til_1),
-            ])
+        fh.write(",".join(CSV_HEADER) + "\n")
+        if self._blocks is None:
+            for row in self._rows:
+                p = row.packet
+                fh.write(",".join((
+                    _fmt(row.u), _fmt(row.v), _class_text(row.point_class),
+                    _fmt(p.lambda_til), _fmt(row.c2), _fmt(p.Ktil), _fmt(p.Htil),
+                    _fmt(p.K), _fmt(p.H), _fmt(p.kappa_til_1))) + "\n")
+            return
+        from .arrays import CLASSES, texts, write_grid_csv
+
+        class_texts = [_class_text(pc) for pc in CLASSES]
+        write_grid_csv(fh, *self._grid, self._blocks, lambda block: (
+            [class_texts[code] for code in block.codes.tolist()],
+            block.texts("lambda_til"), texts(block.inv.c2),
+            *map(block.texts, ("Ktil", "Htil", "K", "H", "kappa_til_1"))))
+
+
+def _class_text(pc):
+    """The category, sub, kind and degenerate fields of a CSV row."""
+    return ",".join((
+        pc.category.value,
+        pc.lightlike_branch.value if pc.lightlike_branch else "",
+        pc.kind.value if pc.kind else "",
+        "" if pc.degenerate is None else str(pc.degenerate).lower()))
 
 
 def _fmt(x):
-    if x is None:
-        return ""
-    return format(float(x), ".12g")
+    return "" if x is None else _FMT(x)
+
+
+def _point_rows(s, us, vs, tol):
+    """The rows of the grid us x vs, one point at a time."""
+    rows = []
+    for u in us:
+        for v in vs:
+            inv = basic_invariants_at(s, u, v)
+            rows.append(ClassificationRow(
+                u=u, v=v, point_class=_classify_from_invariants(inv, tol),
+                packet=_packet(s, u, v, inv), c2=inv.c2))
+    return rows
 
 
 def classify_grid(
@@ -460,16 +514,16 @@ def classify_grid(
     """Classify every point of a closed sample grid.
 
     Rows are emitted u-major then v, so identical configurations yield
-    byte-identical CSV output."""
-    if tol <= 0:
+    byte-identical CSV output.  A grid of ARRAY_MIN_POINTS points or
+    more is evaluated as arrays, with the same values and the same
+    error at the same first failing point."""
+    if not (tol > 0):
         raise LcframeError("classification tolerance must be positive")
     nu, nv = resolution
     us, vs = s.domain.grid(nu, nv)  # validates >= 2x2
-    rows = []
-    for u in us:
-        for v in vs:
-            inv = basic_invariants_at(s, u, v)
-            rows.append(ClassificationRow(
-                u=u, v=v, point_class=_classify_from_invariants(inv, tol),
-                packet=_packet(s, u, v, inv), c2=inv.c2))
-    return ClassificationTable(surface=s.name, resolution=(nu, nv), tol=tol, rows=rows)
+    if nu * nv < ARRAY_MIN_POINTS:
+        return ClassificationTable(s.name, (nu, nv), tol, rows=_point_rows(s, us, vs, tol))
+    from .arrays import grid_blocks
+
+    return ClassificationTable(s.name, (nu, nv), tol, grid=(us, vs),
+                               blocks=list(grid_blocks(s, us, vs, tol)))

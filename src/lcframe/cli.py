@@ -2,9 +2,14 @@
 
 Subcommands: validate, classify, curvature, trace, limits, demo.  All
 CSV output prints floats with 12 significant digits and a '.' decimal
-separator regardless of locale, so identical configurations produce
-byte-identical artifacts.  Exit codes: 0 success, 1 validation or
-comparison failure, 2 usage error.
+separator regardless of locale (classify._FMT, '%.12g', formats every
+one), so identical configurations produce byte-identical artifacts.
+classify and curvature evaluate a grid of 4096 points or more as arrays
+(lcframe.arrays), a block of 1024 points at a time, and write the same
+bytes as the point loop that smaller grids keep; numpy is imported only
+for such a grid, so the demo, trace, limits and validate never load it.
+Exit codes: 0 success, 1 validation or comparison failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import catalog
-from .classify import _fmt, classify_grid, trace_zero_set
+from .classify import ARRAY_MIN_POINTS, _fmt, classify_grid, trace_zero_set
 from .curvature import _packet, _singular, curvature_packet
 from .errors import LcframeError
 from .expr import constant_value
@@ -115,21 +120,31 @@ CURVATURE_HEADER = (
 
 def _write_curvature_csv(s, grid, fh):
     us, vs = s.domain.grid(*grid)
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CURVATURE_HEADER)
+    fh.write(",".join(CURVATURE_HEADER) + "\n")
+    if len(us) * len(vs) < ARRAY_MIN_POINTS:
+        _write_curvature_points(s, us, vs, fh)
+        return
+    from .arrays import grid_blocks, write_grid_csv
+
+    write_grid_csv(fh, us, vs, grid_blocks(s, us, vs),
+                   lambda block: map(block.texts, CURVATURE_HEADER[2:]))
+
+
+def _write_curvature_points(s, us, vs, fh):
+    """The curvature CSV rows of the grid us x vs, one point at a time."""
     for u in us:
+        u_text = _fmt(u)
         for v in vs:
             p = curvature_packet(s, u, v)
             v1 = p.V1 or (None, None)
             v2 = p.V2 or (None, None)
-            writer.writerow([
-                _fmt(u), _fmt(v), _fmt(p.Etil), _fmt(p.Ftil), _fmt(p.Gtil),
+            fh.write(",".join((
+                u_text, _fmt(v), _fmt(p.Etil), _fmt(p.Ftil), _fmt(p.Gtil),
                 _fmt(p.Ltil), _fmt(p.Mtil), _fmt(p.Ntil), _fmt(p.lambda_til),
                 _fmt(p.Ktil), _fmt(p.Htil), _fmt(p.K), _fmt(p.H),
                 _fmt(p.kappa_til_1), _fmt(p.kappa_til_2),
                 _fmt(v1[0]), _fmt(v1[1]), _fmt(v2[0]), _fmt(v2[1]),
-                _fmt(p.n_til.x1), _fmt(p.n_til.x2), _fmt(p.n_til.x3),
-            ])
+                _fmt(p.n_til.x1), _fmt(p.n_til.x2), _fmt(p.n_til.x3))) + "\n")
 
 
 def _write_trace_csv(polylines, fh):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import LcframeError
 
@@ -48,6 +49,8 @@ __all__ = [
     "CompiledField",
     "compile_field",
     "compile_program",
+    "NumberEnv",
+    "SCALAR",
     "FUNCTION_NAMES",
 ]
 
@@ -621,7 +624,7 @@ def _guarded_sqrt(x):
     return math.sqrt(x)
 
 
-_ENV = {
+_SCALAR_NAMESPACE = {
     "__builtins__": {},
     "sin": math.sin,
     "cos": math.cos,
@@ -639,62 +642,8 @@ _ENV = {
     "_non_finite": _non_finite,
 }
 
-_INFIX = {Add: "({} + {})", Sub: "({} - {})", Mul: "({} * {})", Div: "({} / {})"}
 
-
-def compile_program(trees):
-    """Compile trees into one function (u, v) -> tuple of their values.
-
-    The function is a single expression that computes each distinct
-    subtree once: a subtree is keyed by its code template (constants by
-    repr, so 0.0 and -0.0 stay apart) and its operands' ids, and one
-    used again is bound to a temporary where it is first computed.  So
-    operations run, and fail, in the order of evaluating the trees one
-    after another; each tree is checked finite before the next starts.
-    Every failure is an EvalDomainError.
-    """
-    ids, table, uses = {}, [], []
-
-    def number(e):  # ids in evaluation order: post-order, left first
-        cls = type(e)
-        if cls is Const:
-            key = (repr(e.value),)
-        elif cls is Var:
-            key = (e.name,)
-        elif cls is Pow:  # parenthesised base: ** binds tighter than a leading minus
-            key = (f"(({{}}) ** ({e.exponent}))", number(e.base))
-        elif cls is Call:
-            key = (f"{'_abs' if e.fn == 'abs' else e.fn}({{}})", number(e.arg))
-        elif cls is Neg:
-            key = ("(-{})", number(e.arg))
-        elif cls in _INFIX:
-            key = (_INFIX[cls], number(e.left), number(e.right))
-        else:
-            raise ExprError(f"malformed expression node: {e!r}")
-        n = ids.get(key)
-        if n is None:
-            n = ids[key] = len(table)
-            table.append(key)
-            uses.append(0)
-            for k in key[1:]:  # one use per distinct parent
-                uses[k] += 1
-        return n
-
-    def emit(n):
-        template, *operands = table[n]
-        text = template.format(*map(emit, operands))
-        if uses[n] == 1 or not operands:
-            return text
-        table[n] = (f"_t{n}",)  # read back by every later use
-        return f"(_t{n} := {text})"
-
-    roots = [number(e) for e in trees]
-    for n in roots:
-        uses[n] += 1
-    checked = "".join(f"_r{k} if _isfinite(_r{k} := {emit(n)}) else _non_finite(_r{k}), "
-                      for k, n in enumerate(roots))
-    fn = eval(compile(f"lambda u, v: ({checked})", "<lcframe-program>", "eval"), _ENV)
-
+def _scalar_program(fn):
     def program(u, v):
         try:
             return fn(u, v)
@@ -704,6 +653,96 @@ def compile_program(trees):
             raise EvalDomainError(str(exc)) from None
 
     return program
+
+
+class NumberEnv(NamedTuple):
+    """How compile_program spells its program for one kind of number.
+
+    `templates` maps each operation ("neg", "+", "-", "*", "/", "pow",
+    "call") to code in which {0} and {1} stand for the operands and {p}
+    for the exponent or the function name.  `root` spells the k-th root
+    {k} computed by {text}, `params` the lambda's parameters, and `wrap`
+    turns the lambda, evaluated in `namespace`, into the program.
+    """
+
+    namespace: dict
+    templates: dict
+    root: str
+    params: str
+    wrap: object
+
+
+#: Python floats: every root is checked finite before the next starts,
+#: and a fault raises EvalDomainError.
+SCALAR = NumberEnv(
+    namespace=_SCALAR_NAMESPACE,
+    templates={"neg": "(-{0})", "+": "({0} + {1})", "-": "({0} - {1})",
+               "*": "({0} * {1})", "/": "({0} / {1})",
+               # parenthesised base: ** binds tighter than a leading minus
+               "pow": "(({0}) ** ({p}))", "call": "{p}({0})"},
+    root="_r{k} if _isfinite(_r{k} := {text}) else _non_finite(_r{k}), ",
+    params="u, v",
+    wrap=_scalar_program,
+)
+
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def compile_program(trees, env: NumberEnv = SCALAR):
+    """Compile trees into one function (u, v) -> tuple of their values.
+
+    The function is a single expression that computes each distinct
+    subtree once: a subtree is keyed by its operation (constants by
+    repr, so 0.0 and -0.0 stay apart) and its operands' ids, and one
+    used again is bound to a temporary where it is first computed.  So
+    operations run, and fail, in the order of evaluating the trees one
+    after another; each tree is checked finite before the next starts.
+    In the SCALAR environment every failure is an EvalDomainError;
+    another environment spells the same numbering for its own numbers.
+    """
+    ids, table, uses = {}, [], []
+
+    def number(e):  # ids in evaluation order: post-order, left first
+        cls = type(e)
+        if cls is Const:
+            key = (repr(e.value), None)
+        elif cls is Var:
+            key = (e.name, None)
+        elif cls is Pow:
+            key = ("pow", e.exponent, number(e.base))
+        elif cls is Call:
+            key = ("call", "_abs" if e.fn == "abs" else e.fn, number(e.arg))
+        elif cls is Neg:
+            key = ("neg", None, number(e.arg))
+        elif cls in _INFIX:
+            key = (_INFIX[cls], None, number(e.left), number(e.right))
+        else:
+            raise ExprError(f"malformed expression node: {e!r}")
+        n = ids.get(key)
+        if n is None:
+            n = ids[key] = len(table)
+            table.append(key)
+            uses.append(0)
+            for k in key[2:]:  # one use per distinct parent
+                uses[k] += 1
+        return n
+
+    def emit(n):
+        op, p, *operands = table[n]
+        if not operands:  # a literal, a variable or a bound temporary
+            return op
+        text = env.templates[op].format(*map(emit, operands), p=p)
+        if uses[n] == 1:
+            return text
+        table[n] = (f"_t{n}", None)  # read back by every later use
+        return f"(_t{n} := {text})"
+
+    roots = [number(e) for e in trees]
+    for n in roots:
+        uses[n] += 1
+    body = "".join(env.root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
+    code = compile(f"lambda {env.params}: ({body})", "<lcframe-program>", "eval")
+    return env.wrap(eval(code, env.namespace))
 
 
 class CompiledField:

@@ -22,7 +22,11 @@ one 23-root program (expr.compile_program) that computes each shared
 subexpression once; basic_invariants_at calls it.  lam~ = -4 a1 b1 and
 c2, whose zero sets are traced, compile on their own.  So do the eight
 vectors read point by point (X_u, X_v, X_uu, X_uv, X_vv and the frame
-legs v, w, m), one 3-root program each; nothing else is compiled.
+legs v, w, m), one 3-root program each; nothing else is compiled at
+construction.  The invariant program's array form (the same numbering
+in the arrays.ARRAY environment), which large grids evaluate a block of
+points per call, is compiled on first use by invariant_arrays and kept
+on the surface; lcframe imports numpy only then.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -75,8 +79,10 @@ class DomainBox:
                 f"degenerate domain box {self.u_min, self.u_max, self.v_min, self.v_max}")
 
     def contains(self, u: float, v: float, slack: float = 1e-12) -> bool:
-        return (self.u_min - slack <= u <= self.u_max + slack
-                and self.v_min - slack <= v <= self.v_max + slack)
+        """Whether (u, v) lies in the box widened by slack; u and v may
+        also be numpy arrays of points, giving an array of verdicts."""
+        return ((self.u_min - slack <= u) & (u <= self.u_max + slack)
+                & (self.v_min - slack <= v) & (v <= self.v_max + slack))
 
     def grid(self, nu: int, nv: int):
         """Closed sampling: both endpoints of each interval included."""
@@ -185,9 +191,11 @@ class SurfaceDef:
     BasicInvariants fields (with n~) are one program evaluated in one
     call, and scalar_field gives the traced fields lambda_til and c2.
 
-    Instances are immutable after construction; every per-point
-    evaluation is pure, so a SurfaceDef may be shared freely across
-    threads.
+    Instances are immutable after construction, except that the array
+    form of the invariant program is compiled and kept on first use of
+    invariant_arrays (threads racing there compile equal programs, and
+    one is kept); every evaluation is pure, so a SurfaceDef may be
+    shared freely across threads.
     """
 
     def __init__(self, name, x_sources, v_sources, w_sources, domain):
@@ -200,49 +208,43 @@ class SurfaceDef:
         if len(x) != 3 or len(fv) != 3 or len(fw) != 3:
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
         xu, xv = _partials(x, "u"), _partials(x, "v")
-        m = tuple(Neg(_half(c)) for c in _wedge_expr(fv, fw))
-        m_simplified = tuple(simplify(c) for c in m)
+        m = tuple(simplify(Neg(_half(c))) for c in _wedge_expr(fv, fw))
         self._vectors = {
             key: compile_program(trees) for key, trees in (
                 ("x_u", xu), ("x_v", xv), ("x_uu", _partials(xu, "u")),
                 ("x_uv", _partials(xu, "v")), ("x_vv", _partials(xv, "v")),
-                ("v", fv), ("w", fw), ("m", m_simplified))}
-
-        # the invariant program: c1, c2, f and g pair against m unsimplified
-        fv_u, fv_v = _partials(fv, "u"), _partials(fv, "v")
-        fw_u, fw_v = _partials(fw, "u"), _partials(fw, "v")
-        base = {
-            "a1": Neg(_half(_pdot_expr(xu, fw))),
-            "b1": Neg(_half(_pdot_expr(xu, fv))),
-            "c1": _pdot_expr(xu, m),
-            "a2": Neg(_half(_pdot_expr(xv, fw))),
-            "b2": Neg(_half(_pdot_expr(xv, fv))),
-            "c2": _pdot_expr(xv, m),
-            "e1": _half(_pdot_expr(fv, fw_u)),
-            "f1": _half(_pdot_expr(fw_u, m)),
-            "g1": _half(_pdot_expr(fv_u, m)),
-            "e2": _half(_pdot_expr(fv, fw_v)),
-            "f2": _half(_pdot_expr(fw_v, m)),
-            "g2": _half(_pdot_expr(fv_v, m)),
-        }
-        roots = {k: simplify(v) for k, v in base.items()}
-        for key in ("a1", "b1", "c1", "c2"):
-            roots[key + "u"] = differentiate(roots[key], "u")
-            roots[key + "v"] = differentiate(roots[key], "v")
-        # n~ stays unsimplified, to run the float operations of
-        # wedge(x_u, frame_vec_m), and comes last, to fail last
-        roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(xu, m_simplified)))
-        self._invariant_program = compile_program(
-            [roots[key] for key in BasicInvariants._fields])
-        lambda_til = simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
-        self._trace_fields = {"lambda_til": CompiledField(lambda_til, 0),
-                              "c2": CompiledField(roots["c2"], 0)}
+                ("v", fv), ("w", fw), ("m", m))}
+        trees, lambda_til = _invariant_trees(xu, xv, fv, fw, m)
+        self._invariant_program = compile_program(trees)
+        self._trace_fields = {
+            "lambda_til": CompiledField(lambda_til, 0),
+            "c2": CompiledField(trees[BasicInvariants._fields.index("c2")], 0)}
+        # the array program derives its trees again on first use: kept,
+        # they would hold up to a few hundred kB per surface, mostly unused
+        self._tree_inputs = (xu, xv, fv, fw, m)
 
     # -- point evaluation ------------------------------------------------
 
     def scalar_field(self, name: str) -> CompiledField:
         """The compiled field lambda_til or c2, whose zero sets are traced."""
         return self._trace_fields[name]
+
+    def invariant_arrays(self, u, v):
+        """The invariant program over numpy arrays of points.
+
+        Returns (BasicInvariants of arrays, fault mask); the mask is set
+        where basic_invariants_at would raise inside the program (the
+        domain is not checked).  The array program is compiled on first
+        use and kept on the surface.
+        """
+        program = self.__dict__.get("_array_program")
+        if program is None:
+            from .arrays import ARRAY  # imports numpy
+
+            trees = _invariant_trees(*self._tree_inputs)[0]
+            program = self._array_program = compile_program(trees, ARRAY)
+        values, bad = program(u, v)
+        return BasicInvariants._make(values), bad
 
     def _vec(self, name, u, v):
         return LVec3(*self._vectors[name](u, v))
@@ -311,6 +313,38 @@ class SurfaceDef:
         return cls.from_dict(data)
 
 
+def _invariant_trees(xu, xv, fv, fw, m_simplified):
+    """The trees of the BasicInvariants fields, in field order, and of
+    lam~, from X_u, X_v, the frame fields v, w and m = -(1/2) v^w."""
+    # c1, c2, f and g pair against m unsimplified
+    m = tuple(Neg(_half(c)) for c in _wedge_expr(fv, fw))
+    fv_u, fv_v = _partials(fv, "u"), _partials(fv, "v")
+    fw_u, fw_v = _partials(fw, "u"), _partials(fw, "v")
+    base = {
+        "a1": Neg(_half(_pdot_expr(xu, fw))),
+        "b1": Neg(_half(_pdot_expr(xu, fv))),
+        "c1": _pdot_expr(xu, m),
+        "a2": Neg(_half(_pdot_expr(xv, fw))),
+        "b2": Neg(_half(_pdot_expr(xv, fv))),
+        "c2": _pdot_expr(xv, m),
+        "e1": _half(_pdot_expr(fv, fw_u)),
+        "f1": _half(_pdot_expr(fw_u, m)),
+        "g1": _half(_pdot_expr(fv_u, m)),
+        "e2": _half(_pdot_expr(fv, fw_v)),
+        "f2": _half(_pdot_expr(fw_v, m)),
+        "g2": _half(_pdot_expr(fv_v, m)),
+    }
+    roots = {k: simplify(v) for k, v in base.items()}
+    for key in ("a1", "b1", "c1", "c2"):
+        roots[key + "u"] = differentiate(roots[key], "u")
+        roots[key + "v"] = differentiate(roots[key], "v")
+    # n~ stays unsimplified, to run the float operations of
+    # wedge(x_u, frame_vec_m), and comes last, to fail last
+    roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(xu, m_simplified)))
+    lambda_til = simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
+    return [roots[key] for key in BasicInvariants._fields], lambda_til
+
+
 def _bound(value):
     if isinstance(value, (int, float)):
         return float(value)
@@ -341,6 +375,8 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
     The report carries the worst residuals and, on failure, the first
     witness point.
     """
+    if not (tol > 0):
+        raise LcframeError("validation tolerance must be positive")
     nu, nv = grid
     us, vs = s.domain.grid(nu, nv)
     max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0

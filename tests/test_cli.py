@@ -1,10 +1,19 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lcframe
+from lcframe import catalog
 from lcframe.classify import CSV_HEADER
-from lcframe.cli import CURVATURE_HEADER, main, run_demo
+from lcframe.cli import (
+    CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points, main, run_demo,
+)
 
 TRACE_HEADER = ["field", "polyline", "vertex", "u", "v", "residual",
                 "degenerate", "closed"]
@@ -64,11 +73,54 @@ def test_trace_passes_tol_to_vertex_classification(tmp_path):
 @pytest.mark.parametrize("args", [
     ["classify", "sphere", "--grid", "8x8", "--tol", "-1"],
     ["trace", "flat_plane", "--tol", "0"],
+    ["classify", "sphere", "--grid", "8x8", "--tol", "nan"],
+    ["trace", "flat_plane", "--tol", "nan"],
 ])
 def test_non_positive_tol_is_an_error(tmp_path, capsys, args):
     assert main(args + ["--out", str(tmp_path)]) == 1
     assert "classification tolerance must be positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_array_curvature_csv_matches_the_point_loop(name):
+    s = catalog.load(name)
+    arrays, points = io.StringIO(), io.StringIO()
+    _write_curvature_csv(s, (65, 64), arrays)
+    points.write(",".join(CURVATURE_HEADER) + "\n")
+    _write_curvature_points(s, *s.domain.grid(65, 64), points)
+    assert arrays.getvalue() == points.getvalue()
+
+
+def test_array_curvature_csv_fails_as_the_point_loop_does(tmp_path, capsys):
+    surf = tmp_path / "sqrt_u.surf"
+    surf.write_text(json.dumps({
+        "name": "sqrt_u",
+        "X": ["u", "-sqrt(u)*sin(v)", "-sqrt(u)*cos(v)"],
+        "v": ["1", "sin(v)", "cos(v)"], "w": ["1", "-sin(v)", "-cos(v)"],
+        "domain": {"u": ["0", "1"], "v": ["0", "2*pi"]},
+    }), encoding="utf-8")
+    for grid in ("9x8", "65x64"):
+        assert main(["curvature", str(surf), "--grid", grid, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: division by zero\n"
+
+
+def test_small_runs_do_not_import_numpy(tmp_path):
+    # the demo, a limits report and the imports stay on the point loop,
+    # so a process that only runs them never pays for importing numpy
+    code = (
+        "import math, sys\n"
+        "from pathlib import Path\n"
+        "import lcframe, lcframe.cli\n"
+        "from lcframe import catalog\n"
+        "from lcframe.limits import boundedness_report\n"
+        f"assert lcframe.cli.run_demo(Path({str(tmp_path)!r})) == 0\n"
+        "boundedness_report(catalog.load('sphere'), math.pi / 2, 1.0)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(lcframe.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def test_curvature_has_no_tol(capsys):

@@ -3,10 +3,12 @@ import random
 import struct
 from dataclasses import dataclass, fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lcframe.arrays import ARRAY
 from lcframe.expr import (
     Add, Call, CompiledField, Const, Div, EvalDomainError, Expr, ExprSyntaxError,
     Mul, Neg, Pow, Sub, UnknownIdentifierError, Var, compile_field,
@@ -372,3 +374,55 @@ class TestCompileProgram:
         e = parse("sin(u)*v")
         assert compile_program([e, Var("v"), e, Const(-0.0)])(1.0, 2.0) == (
             math.sin(1.0) * 2.0, 2.0, math.sin(1.0) * 2.0, -0.0)
+
+
+# The array program: the same numbering spelled for numpy arrays of
+# points, with a fault mask in place of raising.
+PROGRAM_CALLS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "sign", "sinh", "cosh"]
+
+
+def _program_exprs(children):
+    return st.one_of(_exprs(children),
+                     st.builds(Call, st.sampled_from(PROGRAM_CALLS), children))
+
+
+program_trees = st.lists(st.recursive(signed_leaf, _program_exprs, max_leaves=10),
+                         min_size=1, max_size=3)
+
+
+def _constants(e):
+    if isinstance(e, Const):
+        return [e.value]
+    return [c for f in fields(e) if isinstance(getattr(e, f.name), Expr)
+            for c in _constants(getattr(e, f.name))]
+
+
+class TestArrayProgram:
+    @settings(max_examples=200, deadline=None)
+    @given(program_trees, st.lists(st.floats(-3, 3), max_size=4))
+    # 1/inf and sign(inf) are finite, so only the divisor's mask catches these
+    @example([Div(Const(1.0), Div(Const(1.0), Var("u")))], [])
+    @example([Call("sign", Div(Var("v"), Var("u")))], [])
+    # u * 1e300 * 1e300 overflows without raising; sign(inf - inf) is 0.0
+    @example([Call("sign", Sub(*[Mul(Mul(Var("u"), Const(1e300)), Const(1e300))] * 2))], [])
+    # numpy's exp differs from math.exp in the last bit on a few percent of these
+    @example([Call("exp", Var("u"))], [k / 37.0 for k in range(-111, 112)])
+    def test_matches_the_point_program(self, trees, extra):
+        # a grid over 0, -0, +-1, the trees' constants and their negatives,
+        # so that divisors such as u - c meet exact zeros
+        candidates = [0.0, -0.0, 1.0, -1.0, *extra]
+        for c in (c for e in trees for c in _constants(e)):
+            candidates += [c, -c]
+        values = list({x.hex(): x for x in candidates}.values())
+        u = np.array([a for a in values for _ in values])
+        v = np.array([b for _ in values for b in values])
+        columns, bad = compile_program(trees, ARRAY)(u, v)
+        point = compile_program(trees)
+        for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+            try:
+                want = point(a, b)
+            except EvalDomainError:
+                assert bad[i], (a, b)
+                continue
+            assert not bad[i], (a, b)
+            assert [x.hex() for x in want] == [float(c[i]).hex() for c in columns], (a, b)

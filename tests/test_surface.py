@@ -236,6 +236,14 @@ class TestValidation:
         assert rep.witness[2] in ("a2", "b2")
         assert rep.max_abs_a2 > 1e-3 or rep.max_abs_b2 > 1e-3
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    def test_tolerance_must_be_positive(self, tol):
+        # v = w = (1, 0, 1) pairs to 0, not -2; a NaN tolerance admitted it
+        s = SurfaceDef("degenerate", ["u", "0", "v"], ["1", "0", "1"], ["1", "0", "1"],
+                       DomainBox(0, 1, 0, 1))
+        with pytest.raises(LcframeError, match="validation tolerance must be positive"):
+            validate_framed(s, (4, 4), tol)
+
     def test_all_catalog_surfaces_admitted(self):
         for name in catalog.names():
             rep = validate_framed(catalog.load(name), (12, 12), 1e-8)
