@@ -109,8 +109,8 @@ def _classify_from_invariants(inv: BasicInvariants, tol: float) -> PointClass:
 
 def _evaluate(s, u, v, tol=1e-9):
     """(invariants, class) of one parameter point."""
-    if not (tol > 0):
-        raise LcframeError("classification tolerance must be positive")
+    if not (0 < tol < math.inf):
+        raise LcframeError("classification tolerance must be positive and finite")
     inv = basic_invariants_at(s, u, v)
     return inv, _classify_from_invariants(inv, tol)
 
@@ -234,10 +234,10 @@ def trace_zero_set(
     nu, nv = resolution
     if nu < 8 or nv < 8:
         raise LcframeError(f"trace resolution must be at least 8x8, got {nu}x{nv}")
-    if not (refine_tol > 0):
-        raise LcframeError("refinement tolerance must be positive")
-    if not (classify_tol > 0):
-        raise LcframeError("classification tolerance must be positive")
+    if not (0 < refine_tol < math.inf):
+        raise LcframeError("refinement tolerance must be positive and finite")
+    if not (0 < classify_tol < math.inf):
+        raise LcframeError("classification tolerance must be positive and finite")
     fld = s.scalar_field(field_name)
     f = fld.eval
     us, vs = s.domain.grid(nu, nv)
@@ -517,8 +517,8 @@ def classify_grid(
     byte-identical CSV output.  A grid of ARRAY_MIN_POINTS points or
     more is evaluated as arrays, with the same values and the same
     error at the same first failing point."""
-    if not (tol > 0):
-        raise LcframeError("classification tolerance must be positive")
+    if not (0 < tol < math.inf):
+        raise LcframeError("classification tolerance must be positive and finite")
     nu, nv = resolution
     us, vs = s.domain.grid(nu, nv)  # validates >= 2x2
     if nu * nv < ARRAY_MIN_POINTS:

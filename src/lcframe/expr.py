@@ -4,6 +4,14 @@ Surface components are written in this language and differentiated
 symbolically, so every invariant field downstream is built from exact
 analytic derivatives rather than finite differences.
 
+simplify and differentiate return DAGs: a derivation context (Dag)
+interns every node it builds, so an equal subexpression is one shared
+node, and it memoises both operations per node.  A derivation costs time
+linear in its distinct subexpressions, and compile_program numbers each
+shared node once.  The trees are only shared, not rewritten: the folds
+are literal (zeros, ones, constant arithmetic, double negation), and a
+derivative equals the chain rule's tree with those folds applied.
+
 Grammar::
 
     expr     := term (('+' | '-') term)*
@@ -37,6 +45,7 @@ __all__ = [
     "Div",
     "Pow",
     "Call",
+    "Dag",
     "ExprError",
     "ExprSyntaxError",
     "UnknownIdentifierError",
@@ -347,136 +356,218 @@ def parse(source: str) -> Expr:
 # Simplification (literal zero/one folding only) and differentiation
 
 
-def _is_const(e, value=None):
-    return isinstance(e, Const) and (value is None or e.value == value)
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _neg(a):
-    """-a for a simplified a: folds a constant and cancels a negation."""
-    if isinstance(a, Const):
-        return Const(-a.value)
-    if isinstance(a, Neg):
-        return a.arg
-    return Neg(a)
+def _is_const(e, value):
+    return type(e) is Const and e.value == value
+
+
+class Dag:
+    """A derivation context: simplify and differentiate over one shared DAG.
+
+    Every node the context builds is interned, keyed by its class and its
+    operands' ids (a constant by the repr of its value, so 0.0 and -0.0
+    stay apart), and the table holds each node, so the ids stay valid.
+    A node built by _fold is already simplified and is recorded as its
+    own simplification.  simplify is memoised by node id and
+    differentiate by (node id, variable), and each memo entry holds its
+    node, so that no id is reused while the context lives.  The cost
+    of a derivation is linear in the number of distinct subexpressions
+    it meets, however often they are shared.
+
+    A context only grows: build one per derivation job and drop it.  It
+    is not safe to share between threads.
+    """
+
+    __slots__ = ("_nodes", "_simplified", "_derivatives")
+
+    def __init__(self):
+        self._nodes = {}  # intern key -> node
+        self._simplified = {}  # id(e) -> (simplify(e), e)
+        self._derivatives = {}  # (id(e), var) -> (differentiate(e, var), e)
+
+    def _intern(self, key, cls, *operands, folded=True):
+        node = self._nodes.get(key)
+        if node is None:
+            node = self._nodes[key] = cls(*operands)
+            if folded:
+                self._simplified[id(node)] = (node, node)
+        return node
+
+    def node(self, cls, *operands):
+        """The interned node of Neg or a binary operation over interned
+        operands, as written: no rule is applied, so it may fold later."""
+        return self._intern((cls, *map(id, operands)), cls, *operands, folded=False)
+
+    def const(self, value):
+        return self._intern((Const, repr(value)), Const, value)
+
+    def _fold(self, cls, a, b=None):
+        """The node cls(a[, b]) over simplified operands, with simplify's
+        rules applied at its root: literal zeros, ones and constant
+        arithmetic fold, and a double negation cancels.
+
+        Neg takes (arg,), Pow (base, exponent), Call (fn, arg) and the
+        binary operations (left, right).
+        """
+        if cls is Add:
+            if _is_const(a, 0.0):
+                return b
+            if _is_const(b, 0.0):
+                return a
+            if type(a) is Const and type(b) is Const:
+                return self.const(a.value + b.value)
+        elif cls is Sub:
+            if _is_const(b, 0.0):
+                return a
+            if _is_const(a, 0.0):
+                return self._fold(Neg, b)
+            if type(a) is Const and type(b) is Const:
+                return self.const(a.value - b.value)
+        elif cls is Mul:
+            if _is_const(a, 0.0) or _is_const(b, 0.0):
+                return self.const(0.0)
+            if _is_const(a, 1.0):
+                return b
+            if _is_const(b, 1.0):
+                return a
+            if _is_const(a, -1.0):
+                return self._fold(Neg, b)
+            if _is_const(b, -1.0):
+                return self._fold(Neg, a)
+            if type(a) is Const and type(b) is Const:
+                return self.const(a.value * b.value)
+        elif cls is Div:
+            if _is_const(a, 0.0):
+                return self.const(0.0)
+            if _is_const(b, 1.0):
+                return a
+        elif cls is Neg:
+            if type(a) is Const:
+                return self.const(-a.value)
+            if type(a) is Neg:
+                return a.arg
+            return self._intern((Neg, id(a)), Neg, a)
+        elif cls is Pow:
+            if b == 0:
+                return self.const(1.0)
+            if b == 1:
+                return a
+            return self._intern((Pow, id(a), b), Pow, a, b)
+        elif cls is Call:
+            return self._intern((Call, a, id(b)), Call, a, b)
+        return self._intern((cls, id(a), id(b)), cls, a, b)
+
+    def simplify(self, e: Expr) -> Expr:
+        """simplify(e), interned in this context."""
+        hit = self._simplified.get(id(e))
+        if hit is not None:
+            return hit[0]
+        cls = type(e)
+        if cls is Const:
+            s = self.const(e.value)
+        elif cls is Var:
+            s = self._intern((Var, e.name), Var, e.name)
+        elif cls is Neg:
+            s = self._fold(Neg, self.simplify(e.arg))
+        elif cls is Pow:
+            s = self._fold(Pow, self.simplify(e.base), e.exponent)
+        elif cls is Call:
+            s = self._fold(Call, e.fn, self.simplify(e.arg))
+        elif cls in _INFIX:
+            s = self._fold(cls, self.simplify(e.left), self.simplify(e.right))
+        else:
+            raise ExprError(f"malformed expression node: {e!r}")
+        self._simplified[id(e)] = (s, e)
+        return s
+
+    def differentiate(self, e: Expr, var: str) -> Expr:
+        """differentiate(e, var), interned in this context.
+
+        Each case folds the chain rule's nodes as simplify would fold
+        them, so the result is simplify of the chain rule's tree.
+        """
+        key = (id(e), var)
+        hit = self._derivatives.get(key)
+        if hit is not None:
+            return hit[0]
+        if var not in _VARIABLES:
+            raise ExprError(f"differentiation variable must be 'u' or 'v', got {var!r}")
+        fold, S, D = self._fold, self.simplify, self.differentiate
+        cls = type(e)
+        if cls is Const:
+            d = self.const(0.0)
+        elif cls is Var:
+            d = self.const(1.0 if e.name == var else 0.0)
+        elif cls is Neg:
+            d = fold(Neg, D(e.arg, var))
+        elif cls is Add or cls is Sub:
+            d = fold(cls, D(e.left, var), D(e.right, var))
+        elif cls is Mul or cls is Div:
+            a, b = e.left, e.right
+            # d(ab) = a'b + ab';  d(a/b) = (a'b - ab') / b^2
+            d = fold(Add if cls is Mul else Sub,
+                     fold(Mul, D(a, var), S(b)), fold(Mul, S(a), D(b, var)))
+            if cls is Div:
+                d = fold(Div, d, fold(Pow, S(b), 2))
+        elif cls is Pow:
+            n = e.exponent
+            d = fold(Mul, fold(Mul, self.const(float(n)), fold(Pow, S(e.base), n - 1)),
+                     D(e.base, var))
+        elif cls is Call:
+            d = fold(Mul, self._outer(e.fn, S(e.arg)), D(e.arg, var))
+        else:
+            raise ExprError(f"malformed expression node: {e!r}")
+        self._derivatives[key] = (d, e)
+        return d
+
+    def _outer(self, fn, f):
+        """The derivative of fn at the simplified argument f."""
+        fold = self._fold
+        if fn == "sin":
+            return fold(Call, "cos", f)
+        if fn == "cos":
+            return fold(Neg, fold(Call, "sin", f))
+        if fn == "tan":
+            return fold(Div, self.const(1.0), fold(Pow, fold(Call, "cos", f), 2))
+        if fn == "exp":
+            return fold(Call, "exp", f)
+        if fn == "log":
+            return fold(Div, self.const(1.0), f)
+        if fn == "sqrt":
+            return fold(Div, self.const(0.5), fold(Call, "sqrt", f))
+        if fn == "abs":
+            # non-smooth at the origin of the argument; kept symbolic
+            return fold(Call, "sign", f)
+        if fn == "sinh":
+            return fold(Call, "cosh", f)
+        if fn == "cosh":
+            return fold(Call, "sinh", f)
+        if fn == "sign":
+            return self.const(0.0)  # derivative away from the jump
+        raise ExprError(f"unknown function {fn!r}")
 
 
 def simplify(e: Expr) -> Expr:
     """Fold literal zeros, ones and constant arithmetic, bottom-up, and
     cancel double negations.  One pass reaches a fixed point.
 
-    No common-subexpression elimination or algebraic rewriting happens
-    here; derivative trees stay faithful to the chain rule.
+    The result is a DAG: equal subexpressions are one shared node.  No
+    algebraic rewriting happens here beyond the literal folds, so
+    derivative trees stay faithful to the chain rule.  Runs in a fresh
+    Dag; use one Dag for many related derivations.
     """
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Neg):
-        return _neg(simplify(e.arg))
-    if isinstance(e, Add):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a, 0.0):
-            return b
-        if _is_const(b, 0.0):
-            return a
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(a.value + b.value)
-        return Add(a, b)
-    if isinstance(e, Sub):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(b, 0.0):
-            return a
-        if _is_const(a, 0.0):
-            return _neg(b)
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(a.value - b.value)
-        return Sub(a, b)
-    if isinstance(e, Mul):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a, 0.0) or _is_const(b, 0.0):
-            return Const(0.0)
-        if _is_const(a, 1.0):
-            return b
-        if _is_const(b, 1.0):
-            return a
-        if _is_const(a, -1.0):
-            return _neg(b)
-        if _is_const(b, -1.0):
-            return _neg(a)
-        if isinstance(a, Const) and isinstance(b, Const):
-            return Const(a.value * b.value)
-        return Mul(a, b)
-    if isinstance(e, Div):
-        a, b = simplify(e.left), simplify(e.right)
-        if _is_const(a, 0.0):
-            return Const(0.0)
-        if _is_const(b, 1.0):
-            return a
-        return Div(a, b)
-    if isinstance(e, Pow):
-        a = simplify(e.base)
-        if e.exponent == 0:
-            return Const(1.0)
-        if e.exponent == 1:
-            return a
-        return Pow(a, e.exponent)
-    if isinstance(e, Call):
-        return Call(e.fn, simplify(e.arg))
-    raise ExprError(f"malformed expression node: {e!r}")
-
-
-def _diff(e, var):
-    if isinstance(e, Const):
-        return Const(0.0)
-    if isinstance(e, Var):
-        return Const(1.0 if e.name == var else 0.0)
-    if isinstance(e, Neg):
-        return Neg(_diff(e.arg, var))
-    if isinstance(e, Add):
-        return Add(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Sub):
-        return Sub(_diff(e.left, var), _diff(e.right, var))
-    if isinstance(e, Mul):
-        return Add(Mul(_diff(e.left, var), e.right), Mul(e.left, _diff(e.right, var)))
-    if isinstance(e, Div):
-        num = Sub(Mul(_diff(e.left, var), e.right), Mul(e.left, _diff(e.right, var)))
-        return Div(num, Pow(e.right, 2))
-    if isinstance(e, Pow):
-        return Mul(Mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1)),
-                   _diff(e.base, var))
-    if isinstance(e, Call):
-        g = _diff(e.arg, var)
-        f = e.arg
-        if e.fn == "sin":
-            outer = Call("cos", f)
-        elif e.fn == "cos":
-            outer = Neg(Call("sin", f))
-        elif e.fn == "tan":
-            outer = Div(Const(1.0), Pow(Call("cos", f), 2))
-        elif e.fn == "exp":
-            outer = Call("exp", f)
-        elif e.fn == "log":
-            outer = Div(Const(1.0), f)
-        elif e.fn == "sqrt":
-            outer = Div(Const(0.5), Call("sqrt", f))
-        elif e.fn == "abs":
-            # non-smooth at the origin of the argument; kept symbolic
-            outer = Call("sign", f)
-        elif e.fn == "sinh":
-            outer = Call("cosh", f)
-        elif e.fn == "cosh":
-            outer = Call("sinh", f)
-        elif e.fn == "sign":
-            outer = Const(0.0)  # derivative away from the jump
-        else:
-            raise ExprError(f"unknown function {e.fn!r}")
-        return Mul(outer, g)
-    raise ExprError(f"malformed expression node: {e!r}")
+    return Dag().simplify(e)
 
 
 def differentiate(e: Expr, var: str) -> Expr:
-    """Exact symbolic partial derivative with respect to 'u' or 'v'."""
-    if var not in _VARIABLES:
-        raise ExprError(f"differentiation variable must be 'u' or 'v', got {var!r}")
-    return simplify(_diff(e, var))
+    """Exact symbolic partial derivative with respect to 'u' or 'v'.
+
+    The result equals the chain rule's tree with simplify's literal
+    folds applied, built directly as a shared DAG in a fresh Dag.
+    """
+    return Dag().differentiate(e, var)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +776,6 @@ SCALAR = NumberEnv(
     wrap=_scalar_program,
 )
 
-_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-
 
 def compile_program(trees, env: NumberEnv = SCALAR):
     """Compile trees into one function (u, v) -> tuple of their values.
@@ -701,8 +790,12 @@ def compile_program(trees, env: NumberEnv = SCALAR):
     another environment spells the same numbering for its own numbers.
     """
     ids, table, uses = {}, [], []
+    numbered = {}  # id(node) -> its number: a shared node is keyed once
 
     def number(e):  # ids in evaluation order: post-order, left first
+        n = numbered.get(id(e))
+        if n is not None:
+            return n
         cls = type(e)
         if cls is Const:
             key = (repr(e.value), None)
@@ -725,6 +818,7 @@ def compile_program(trees, env: NumberEnv = SCALAR):
             uses.append(0)
             for k in key[2:]:  # one use per distinct parent
                 uses[k] += 1
+        numbered[id(e)] = n
         return n
 
     def emit(n):

@@ -15,7 +15,10 @@ coefficients of the moving-frame equations
 (and likewise e2, f2, g2 for v-derivatives), together with the first
 partials of a1, b1, c1, c2 that the classification predicates need.
 All of these are exact symbolic derivatives of the defining inner
-products, so sign tests on them are noise-free.
+products, so sign tests on them are noise-free.  All derivations of
+one build share one expr.Dag, so each distinct subexpression is
+simplified and differentiated once; the context is dropped when the
+build returns, and the compiled programs keep no reference to it.
 
 The twenty trees and the three components of n~ = X_u ^ m compile into
 one 23-root program (expr.compile_program) that computes each shared
@@ -25,8 +28,9 @@ vectors read point by point (X_u, X_v, X_uu, X_uv, X_vv and the frame
 legs v, w, m), one 3-root program each; nothing else is compiled at
 construction.  The invariant program's array form (the same numbering
 in the arrays.ARRAY environment), which large grids evaluate a block of
-points per call, is compiled on first use by invariant_arrays and kept
-on the surface; lcframe imports numpy only then.
+points per call, is compiled on first use by invariant_arrays, from
+trees derived again in a context of its own, and kept on the surface;
+lcframe imports numpy only then.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -35,13 +39,14 @@ proportional to m.  That condition is validated, not normalised.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
-    Add, CompiledField, Const, Mul, Neg, Sub, compile_program, constant_value,
-    differentiate, parse, simplify,
+    Add, CompiledField, Const, Dag, Mul, Neg, Sub, compile_program, constant_value,
+    parse,
 )
 from .minkowski import LVec3, pseudo_dot, wedge
 
@@ -164,12 +169,14 @@ def _pdot_expr(a, b):
     return Add(Add(terms[0], terms[1]), terms[2])
 
 
-def _wedge_expr(a, b):
-    """Component expressions of the Lorentzian cross product."""
+def _wedge_expr(dag, a, b):
+    """Component expressions of the Lorentzian cross product of two
+    triples interned in dag, interned there as written (unfolded)."""
+    node = dag.node
     return (
-        Neg(Sub(Mul(a[1], b[2]), Mul(a[2], b[1]))),
-        Sub(Mul(a[2], b[0]), Mul(a[0], b[2])),
-        Sub(Mul(a[0], b[1]), Mul(a[1], b[0])),
+        node(Neg, node(Sub, node(Mul, a[1], b[2]), node(Mul, a[2], b[1]))),
+        node(Sub, node(Mul, a[2], b[0]), node(Mul, a[0], b[2])),
+        node(Sub, node(Mul, a[0], b[1]), node(Mul, a[1], b[0])),
     )
 
 
@@ -177,15 +184,17 @@ def _half(e):
     return Mul(Const(0.5), e)
 
 
-def _partials(trees, var):
-    return tuple(differentiate(e, var) for e in trees)
+def _partials(dag, trees, var):
+    return tuple(dag.differentiate(e, var) for e in trees)
 
 
 class SurfaceDef:
     """Compiled surface triple with its symbolic invariant program.
 
     The components of X, v and w are parsed and simplified once; the
-    trees the surface evaluates are derived from them symbolically.
+    trees the surface evaluates are derived from them symbolically, in
+    one derivation context (expr.Dag) per build that is dropped when
+    the constructor returns.
     Each vector accessor (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v,
     frame_vec_w, frame_vec_m) is one 3-root program, the 23
     BasicInvariants fields (with n~) are one program evaluated in one
@@ -193,9 +202,11 @@ class SurfaceDef:
 
     Instances are immutable after construction, except that the array
     form of the invariant program is compiled and kept on first use of
-    invariant_arrays (threads racing there compile equal programs, and
-    one is kept); every evaluation is pure, so a SurfaceDef may be
-    shared freely across threads.
+    invariant_arrays (threads racing there derive in separate contexts
+    and compile equal programs, and one is kept); no derivation state
+    is shared between builds or kept on the surface, and every
+    evaluation is pure, so surfaces may be built and shared freely
+    across threads.
     """
 
     def __init__(self, name, x_sources, v_sources, w_sources, domain):
@@ -203,18 +214,20 @@ class SurfaceDef:
         if not isinstance(domain, DomainBox):
             domain = DomainBox(*domain)
         self.domain = domain
-        x, fv, fw = (tuple(simplify(parse(c) if isinstance(c, str) else c) for c in sources)
+        dag = Dag()  # every derivation of this build; dropped on return
+        x, fv, fw = (tuple(dag.simplify(parse(c) if isinstance(c, str) else c)
+                           for c in sources)
                      for sources in (x_sources, v_sources, w_sources))
         if len(x) != 3 or len(fv) != 3 or len(fw) != 3:
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
-        xu, xv = _partials(x, "u"), _partials(x, "v")
-        m = tuple(simplify(Neg(_half(c))) for c in _wedge_expr(fv, fw))
+        xu, xv = _partials(dag, x, "u"), _partials(dag, x, "v")
+        m = tuple(dag.simplify(Neg(_half(c))) for c in _wedge_expr(dag, fv, fw))
         self._vectors = {
             key: compile_program(trees) for key, trees in (
-                ("x_u", xu), ("x_v", xv), ("x_uu", _partials(xu, "u")),
-                ("x_uv", _partials(xu, "v")), ("x_vv", _partials(xv, "v")),
+                ("x_u", xu), ("x_v", xv), ("x_uu", _partials(dag, xu, "u")),
+                ("x_uv", _partials(dag, xu, "v")), ("x_vv", _partials(dag, xv, "v")),
                 ("v", fv), ("w", fw), ("m", m))}
-        trees, lambda_til = _invariant_trees(xu, xv, fv, fw, m)
+        trees, lambda_til = _invariant_trees(dag, xu, xv, fv, fw, m)
         self._invariant_program = compile_program(trees)
         self._trace_fields = {
             "lambda_til": CompiledField(lambda_til, 0),
@@ -241,7 +254,7 @@ class SurfaceDef:
         if program is None:
             from .arrays import ARRAY  # imports numpy
 
-            trees = _invariant_trees(*self._tree_inputs)[0]
+            trees = _invariant_trees(Dag(), *self._tree_inputs)[0]
             program = self._array_program = compile_program(trees, ARRAY)
         values, bad = program(u, v)
         return BasicInvariants._make(values), bad
@@ -313,13 +326,18 @@ class SurfaceDef:
         return cls.from_dict(data)
 
 
-def _invariant_trees(xu, xv, fv, fw, m_simplified):
+def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
     """The trees of the BasicInvariants fields, in field order, and of
-    lam~, from X_u, X_v, the frame fields v, w and m = -(1/2) v^w."""
+    lam~, from X_u, X_v, the frame fields v, w and m = -(1/2) v^w,
+    derived in the context dag."""
+    # the inputs may be another context's nodes (invariant_arrays); taken
+    # into dag, no subexpression of the result has two nodes
+    xu, xv, fv, fw, m_simplified = (tuple(map(dag.simplify, vec))
+                                    for vec in (xu, xv, fv, fw, m_simplified))
     # c1, c2, f and g pair against m unsimplified
-    m = tuple(Neg(_half(c)) for c in _wedge_expr(fv, fw))
-    fv_u, fv_v = _partials(fv, "u"), _partials(fv, "v")
-    fw_u, fw_v = _partials(fw, "u"), _partials(fw, "v")
+    m = tuple(Neg(_half(c)) for c in _wedge_expr(dag, fv, fw))
+    fv_u, fv_v = _partials(dag, fv, "u"), _partials(dag, fv, "v")
+    fw_u, fw_v = _partials(dag, fw, "u"), _partials(dag, fw, "v")
     base = {
         "a1": Neg(_half(_pdot_expr(xu, fw))),
         "b1": Neg(_half(_pdot_expr(xu, fv))),
@@ -334,14 +352,14 @@ def _invariant_trees(xu, xv, fv, fw, m_simplified):
         "f2": _half(_pdot_expr(fw_v, m)),
         "g2": _half(_pdot_expr(fv_v, m)),
     }
-    roots = {k: simplify(v) for k, v in base.items()}
+    roots = {k: dag.simplify(v) for k, v in base.items()}
     for key in ("a1", "b1", "c1", "c2"):
-        roots[key + "u"] = differentiate(roots[key], "u")
-        roots[key + "v"] = differentiate(roots[key], "v")
+        roots[key + "u"] = dag.differentiate(roots[key], "u")
+        roots[key + "v"] = dag.differentiate(roots[key], "v")
     # n~ stays unsimplified, to run the float operations of
     # wedge(x_u, frame_vec_m), and comes last, to fail last
-    roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(xu, m_simplified)))
-    lambda_til = simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
+    roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(dag, xu, m_simplified)))
+    lambda_til = dag.simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
     return [roots[key] for key in BasicInvariants._fields], lambda_til
 
 
@@ -375,8 +393,8 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
     The report carries the worst residuals and, on failure, the first
     witness point.
     """
-    if not (tol > 0):
-        raise LcframeError("validation tolerance must be positive")
+    if not (0 < tol < math.inf):
+        raise LcframeError("validation tolerance must be positive and finite")
     nu, nv = grid
     us, vs = s.domain.grid(nu, nv)
     max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0

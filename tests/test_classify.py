@@ -96,6 +96,21 @@ class TestTolerances:
         with pytest.raises(Exception, match="refinement tolerance must be positive"):
             trace_zero_set(sphere, "lambda_til", (16, 16), refine_tol=math.nan)
 
+    # an infinite tolerance passed every predicate: classify_grid labelled
+    # all 64 points of the 8x8 sphere grid singular2
+    @pytest.mark.parametrize("call, message", [
+        (lambda s: classify(s, *POLE, tol=math.inf), "classification"),
+        (lambda s: classify_grid(s, (8, 8), math.inf), "classification"),
+        (lambda s: classify_grid(s, (65, 64), math.inf), "classification"),
+        (lambda s: trace_zero_set(s, "lambda_til", (16, 16), classify_tol=math.inf),
+         "classification"),
+        (lambda s: trace_zero_set(s, "lambda_til", (16, 16), refine_tol=math.inf),
+         "refinement"),
+    ], ids=["classify", "grid", "array_grid", "trace_classify_tol", "trace_refine_tol"])
+    def test_infinite_tolerance_is_rejected(self, sphere, call, message):
+        with pytest.raises(Exception, match=f"{message} tolerance must be positive and finite"):
+            call(sphere)
+
 
 @given(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308])))
 def test_fmt_is_format_12g(x):

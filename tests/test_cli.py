@@ -75,10 +75,20 @@ def test_trace_passes_tol_to_vertex_classification(tmp_path):
     ["trace", "flat_plane", "--tol", "0"],
     ["classify", "sphere", "--grid", "8x8", "--tol", "nan"],
     ["trace", "flat_plane", "--tol", "nan"],
+    ["classify", "sphere", "--grid", "8x8", "--tol", "inf"],
+    ["trace", "sphere", "--tol", "inf"],
 ])
 def test_non_positive_tol_is_an_error(tmp_path, capsys, args):
     assert main(args + ["--out", str(tmp_path)]) == 1
     assert "classification tolerance must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0"])
+def test_refine_tol_must_be_positive_and_finite(tmp_path, capsys, value):
+    args = ["trace", "sphere", "--refine-tol", value, "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert "refinement tolerance must be positive and finite" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcframe.arrays import ARRAY
+from lcframe import catalog
 from lcframe.expr import (
-    Add, Call, CompiledField, Const, Div, EvalDomainError, Expr, ExprSyntaxError,
-    Mul, Neg, Pow, Sub, UnknownIdentifierError, Var, compile_field,
-    compile_program, constant_value, differentiate, evaluate, parse, simplify,
-    to_source,
+    Add, Call, CompiledField, Const, Dag, Div, EvalDomainError, Expr,
+    ExprError, ExprSyntaxError, Mul, Neg, Pow, Sub, UnknownIdentifierError,
+    Var, compile_field, compile_program, constant_value, differentiate,
+    evaluate, parse, simplify, to_source,
 )
+from lcframe.surface import _invariant_trees
 
 
 def same_bits(a, b):
@@ -228,9 +230,11 @@ class TestRoundTrip:
     @settings(max_examples=300)
     @given(expr_trees)
     @example(Mul(Const(-1.0), Neg(Var("u"))))
+    @example(Add(Call("sin", Const(0.0)), Call("sin", Const(-0.0))))
     def test_simplify_is_idempotent(self, e):
+        # by source: dataclass == takes 0.0 and -0.0 for equal
         once = simplify(e)
-        assert simplify(once) == once
+        assert to_source(simplify(once)) == to_source(once)
 
     @settings(max_examples=200)
     @given(expr_trees, st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False))
@@ -426,3 +430,205 @@ class TestArrayProgram:
                 continue
             assert not bad[i], (a, b)
             assert [x.hex() for x in want] == [float(c[i]).hex() for c in columns], (a, b)
+
+
+# Reference: the plain chain rule and a recursive simplify over trees, with
+# no sharing.  differentiate(e, var) must equal ref_simplify(ref_diff(e, var))
+# and simplify(e) must equal ref_simplify(e), as source text.
+
+
+def _ref_is_const(e, value=None):
+    return isinstance(e, Const) and (value is None or e.value == value)
+
+
+def _ref_neg(a):
+    if isinstance(a, Const):
+        return Const(-a.value)
+    if isinstance(a, Neg):
+        return a.arg
+    return Neg(a)
+
+
+def ref_simplify(e):
+    if isinstance(e, (Const, Var)):
+        return e
+    if isinstance(e, Neg):
+        return _ref_neg(ref_simplify(e.arg))
+    if isinstance(e, Add):
+        a, b = ref_simplify(e.left), ref_simplify(e.right)
+        if _ref_is_const(a, 0.0):
+            return b
+        if _ref_is_const(b, 0.0):
+            return a
+        if isinstance(a, Const) and isinstance(b, Const):
+            return Const(a.value + b.value)
+        return Add(a, b)
+    if isinstance(e, Sub):
+        a, b = ref_simplify(e.left), ref_simplify(e.right)
+        if _ref_is_const(b, 0.0):
+            return a
+        if _ref_is_const(a, 0.0):
+            return _ref_neg(b)
+        if isinstance(a, Const) and isinstance(b, Const):
+            return Const(a.value - b.value)
+        return Sub(a, b)
+    if isinstance(e, Mul):
+        a, b = ref_simplify(e.left), ref_simplify(e.right)
+        if _ref_is_const(a, 0.0) or _ref_is_const(b, 0.0):
+            return Const(0.0)
+        if _ref_is_const(a, 1.0):
+            return b
+        if _ref_is_const(b, 1.0):
+            return a
+        if _ref_is_const(a, -1.0):
+            return _ref_neg(b)
+        if _ref_is_const(b, -1.0):
+            return _ref_neg(a)
+        if isinstance(a, Const) and isinstance(b, Const):
+            return Const(a.value * b.value)
+        return Mul(a, b)
+    if isinstance(e, Div):
+        a, b = ref_simplify(e.left), ref_simplify(e.right)
+        if _ref_is_const(a, 0.0):
+            return Const(0.0)
+        if _ref_is_const(b, 1.0):
+            return a
+        return Div(a, b)
+    if isinstance(e, Pow):
+        a = ref_simplify(e.base)
+        if e.exponent == 0:
+            return Const(1.0)
+        if e.exponent == 1:
+            return a
+        return Pow(a, e.exponent)
+    if isinstance(e, Call):
+        return Call(e.fn, ref_simplify(e.arg))
+    raise ExprError(f"malformed expression node: {e!r}")
+
+
+_REF_OUTER = {
+    "sin": lambda f: Call("cos", f),
+    "cos": lambda f: Neg(Call("sin", f)),
+    "tan": lambda f: Div(Const(1.0), Pow(Call("cos", f), 2)),
+    "exp": lambda f: Call("exp", f),
+    "log": lambda f: Div(Const(1.0), f),
+    "sqrt": lambda f: Div(Const(0.5), Call("sqrt", f)),
+    "abs": lambda f: Call("sign", f),
+    "sinh": lambda f: Call("cosh", f),
+    "cosh": lambda f: Call("sinh", f),
+    "sign": lambda f: Const(0.0),
+}
+
+
+def ref_diff(e, var):
+    if isinstance(e, Const):
+        return Const(0.0)
+    if isinstance(e, Var):
+        return Const(1.0 if e.name == var else 0.0)
+    if isinstance(e, Neg):
+        return Neg(ref_diff(e.arg, var))
+    if isinstance(e, Add):
+        return Add(ref_diff(e.left, var), ref_diff(e.right, var))
+    if isinstance(e, Sub):
+        return Sub(ref_diff(e.left, var), ref_diff(e.right, var))
+    if isinstance(e, Mul):
+        return Add(Mul(ref_diff(e.left, var), e.right), Mul(e.left, ref_diff(e.right, var)))
+    if isinstance(e, Div):
+        num = Sub(Mul(ref_diff(e.left, var), e.right), Mul(e.left, ref_diff(e.right, var)))
+        return Div(num, Pow(e.right, 2))
+    if isinstance(e, Pow):
+        return Mul(Mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1)),
+                   ref_diff(e.base, var))
+    if isinstance(e, Call):
+        return Mul(_REF_OUTER[e.fn](e.arg), ref_diff(e.arg, var))
+    raise ExprError(f"malformed expression node: {e!r}")
+
+
+def twins(roots):
+    """Node objects reachable from roots whose structure, keyed as
+    compile_program keys it (constants by repr), an earlier object has."""
+    numbers, first, seen, out = {}, {}, {}, []
+
+    def number(e):
+        hit = seen.get(id(e))
+        if hit is not None:
+            return hit[0]
+        if type(e) is Const:
+            key = (Const, repr(e.value))
+        else:
+            key = (type(e), *(number(x) if isinstance(x, Expr) else x
+                              for x in (getattr(e, f.name) for f in fields(e))))
+        n = numbers.setdefault(key, len(numbers))
+        if first.setdefault(n, e) is not e:
+            out.append(e)
+        seen[id(e)] = (n, e)
+        return n
+
+    for e in roots:
+        number(e)
+    return out
+
+
+ALL_CALLS = st.builds(Call, st.sampled_from(sorted(_REF_OUTER)),
+                      st.recursive(signed_leaf, _exprs, max_leaves=4))
+SIGNED_ZERO_SINES = [Add(Call("sin", Const(0.0)), Call("sin", Const(-0.0))),
+                     Mul(Call("sin", Const(-0.0)), Call("sin", Const(0.0)))]
+
+
+class TestDag:
+    @settings(max_examples=300, deadline=None)
+    @given(tree_lists)
+    @example(SIGNED_ZERO_SINES)
+    @example([Pow(Var("u"), 0), Pow(Var("v"), 1), Div(Const(0.0), Const(0.0))])
+    def test_matches_chain_rule_then_simplify(self, trees):
+        dag = Dag()  # shared by every tree and both variables
+        for e in trees:
+            want = to_source(ref_simplify(e))
+            assert to_source(simplify(e)) == want
+            assert to_source(dag.simplify(e)) == want
+            for var in ("u", "v"):
+                want = to_source(ref_simplify(ref_diff(e, var)))
+                assert to_source(differentiate(e, var)) == want
+                assert to_source(dag.differentiate(e, var)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(ALL_CALLS, min_size=1, max_size=3))
+    def test_every_function_matches_the_chain_rule(self, trees):
+        dag = Dag()
+        for e in trees:
+            for var in ("u", "v"):
+                want = to_source(ref_simplify(ref_diff(e, var)))
+                assert to_source(dag.differentiate(e, var)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree_lists)
+    @example(SIGNED_ZERO_SINES)
+    def test_results_share_equal_subexpressions(self, trees):
+        dag = Dag()
+        results = [dag.simplify(e) for e in trees]
+        results += [dag.differentiate(e, var) for e in trees for var in ("u", "v")]
+        assert twins(results) == []
+        for e in trees:
+            assert twins([simplify(e)]) == []
+            assert twins([differentiate(e, "u")]) == []
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_invariant_trees_share_equal_subexpressions(self, name):
+        trees, lambda_til = _invariant_trees(Dag(), *catalog.load(name)._tree_inputs)
+        assert twins(trees + [lambda_til]) == []
+
+    def test_signed_zeros_stay_distinct_nodes(self):
+        e = SIGNED_ZERO_SINES[0]
+        assert to_source(simplify(e)) == "sin(0.0) + sin(-0.0)"
+        dag = Dag()
+        assert dag.simplify(Const(0.0)) is not dag.simplify(Const(-0.0))
+
+    def test_derivatives_are_kept_per_variable(self):
+        dag = Dag()
+        e = parse("u^2*v^3")
+        assert to_source(dag.differentiate(e, "u")) == "2.0*u*v^3"
+        assert to_source(dag.differentiate(e, "v")) == "u^2*(3.0*v^2)"
+
+    def test_bad_variable_is_an_error(self):
+        with pytest.raises(ExprError, match="differentiation variable"):
+            differentiate(Const(1.0), "w")

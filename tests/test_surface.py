@@ -1,14 +1,18 @@
+import gc
 import json
 import math
 import random
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 import sympy as sp
 
 from lcframe import catalog, expr, surface
 from lcframe.errors import LcframeError
-from lcframe.expr import compile_program
+from lcframe.expr import Dag, compile_program
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
     DomainBox, SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at,
@@ -236,9 +240,10 @@ class TestValidation:
         assert rep.witness[2] in ("a2", "b2")
         assert rep.max_abs_a2 > 1e-3 or rep.max_abs_b2 > 1e-3
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
     def test_tolerance_must_be_positive(self, tol):
-        # v = w = (1, 0, 1) pairs to 0, not -2; a NaN tolerance admitted it
+        # v = w = (1, 0, 1) pairs to 0, not -2; a NaN or an infinite
+        # tolerance admitted it
         s = SurfaceDef("degenerate", ["u", "0", "v"], ["1", "0", "1"], ["1", "0", "1"],
                        DomainBox(0, 1, 0, 1))
         with pytest.raises(LcframeError, match="validation tolerance must be positive"):
@@ -357,3 +362,41 @@ class TestInvariantProgram:
             SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
             counts[name] = calls[0]
         assert counts == {name: 15 for name in catalog.names()}
+
+
+def _fresh_catalog_invariants():
+    """float.hex of every invariant of every catalog surface, built
+    afresh, at the points of a 5x5 grid and from the array program."""
+    out = []
+    for name in catalog.names():
+        s = SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
+        us, vs = s.domain.grid(5, 5)
+        points = [(u, v) for u in us for v in vs]
+        for u, v in points:
+            out.append([x.hex() for x in basic_invariants_at(s, u, v)])
+        columns, bad = s.invariant_arrays(*map(np.array, zip(*points)))
+        out.append([float(x).hex() for column in columns for x in column])
+        out.append(bad.tolist())
+    return out
+
+
+def test_parallel_builds_match_a_serial_build():
+    # each build derives in a context of its own: threads building at
+    # once, switching often, must give a serial build's bits
+    serial = _fresh_catalog_invariants()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(lambda _: _fresh_catalog_invariants(), range(4),
+                                    timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
+
+
+def test_no_derivation_context_outlives_a_build():
+    s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
+    s.invariant_arrays(np.array([0.1]), np.array([0.2]))
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Dag)]
