@@ -8,6 +8,9 @@ classify and curvature evaluate a grid of 4096 points or more as arrays
 (lcframe.arrays), a block of 1024 points at a time, and write the same
 bytes as the point loop that smaller grids keep; numpy is imported only
 for such a grid, so the demo, trace, limits and validate never load it.
+The argument parser is built once per process, on the first call of
+main, and reused by every later call; each call parses into a fresh
+namespace, so no option carries over from one call to the next.
 Exit codes: 0 success, 1 validation or comparison failure, 2 usage
 error.
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from importlib import resources
@@ -57,6 +61,7 @@ def _load_surface(spec: str) -> SurfaceDef:
     return SurfaceDef.from_file(spec)
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="lcframe",

@@ -453,6 +453,8 @@ def boundedness_report(
     the domain or hit another locus are recorded with the error and
     skipped; the summary uses completed rays only.
     """
+    if directions < 0:
+        raise LcframeError(f"ray count must be nonnegative, got {directions}")
     inv, pc = _evaluate(s, u, v)
     if pc.category not in (Category.LIGHTLIKE, Category.SINGULAR_1):
         raise LcframeError(

@@ -22,15 +22,16 @@ build returns, and the compiled programs keep no reference to it.
 
 The twenty trees and the three components of n~ = X_u ^ m compile into
 one 23-root program (expr.compile_program) that computes each shared
-subexpression once; basic_invariants_at calls it.  lam~ = -4 a1 b1 and
-c2, whose zero sets are traced, compile on their own.  So do the eight
-vectors read point by point (X_u, X_v, X_uu, X_uv, X_vv and the frame
-legs v, w, m), one 3-root program each; nothing else is compiled at
-construction.  The invariant program's array form (the same numbering
-in the arrays.ARRAY environment), which large grids evaluate a block of
-points per call, is compiled on first use by invariant_arrays, from
-trees derived again in a context of its own, and kept on the surface;
-lcframe imports numpy only then.
+subexpression once; basic_invariants_at calls it.  It is the only
+program compiled at construction, besides the domain bounds.  Every
+other program is compiled on first use, from trees derived again from
+the kept inputs (X_u, X_v, v, w, m) in a context of its own, and kept
+on the surface: the eight vectors read point by point (X_u, X_v, X_uu,
+X_uv, X_vv and the frame legs v, w, m), one 3-root program each; lam~
+= -4 a1 b1 and c2, whose zero sets are traced; and the invariant
+program's array form (the same numbering in the arrays.ARRAY
+environment), which large grids evaluate a block of points per call.
+lcframe imports numpy only for that last one.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -193,20 +194,20 @@ class SurfaceDef:
 
     The components of X, v and w are parsed and simplified once; the
     trees the surface evaluates are derived from them symbolically, in
-    one derivation context (expr.Dag) per build that is dropped when
-    the constructor returns.
-    Each vector accessor (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v,
-    frame_vec_w, frame_vec_m) is one 3-root program, the 23
-    BasicInvariants fields (with n~) are one program evaluated in one
-    call, and scalar_field gives the traced fields lambda_til and c2.
+    a derivation context (expr.Dag) that is dropped when the derivation
+    returns.  Construction compiles the 23 BasicInvariants fields (with
+    n~) into one program evaluated in one call, and nothing else.  Each
+    vector accessor (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v,
+    frame_vec_w, frame_vec_m) is one 3-root program, scalar_field gives
+    the traced fields lambda_til and c2, and invariant_arrays runs the
+    invariant program over arrays; each of these programs is compiled on
+    first use and kept.
 
-    Instances are immutable after construction, except that the array
-    form of the invariant program is compiled and kept on first use of
-    invariant_arrays (threads racing there derive in separate contexts
-    and compile equal programs, and one is kept); no derivation state
-    is shared between builds or kept on the surface, and every
-    evaluation is pure, so surfaces may be built and shared freely
-    across threads.
+    Instances are immutable after construction, except for the programs
+    kept on first use: threads racing there derive in separate contexts
+    and compile equal programs, and one is kept.  No derivation state is
+    shared between builds or kept on the surface, and every evaluation
+    is pure, so surfaces may be built and shared freely across threads.
     """
 
     def __init__(self, name, x_sources, v_sources, w_sources, domain):
@@ -222,45 +223,48 @@ class SurfaceDef:
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
         xu, xv = _partials(dag, x, "u"), _partials(dag, x, "v")
         m = tuple(dag.simplify(Neg(_half(c))) for c in _wedge_expr(dag, fv, fw))
-        self._vectors = {
-            key: compile_program(trees) for key, trees in (
-                ("x_u", xu), ("x_v", xv), ("x_uu", _partials(dag, xu, "u")),
-                ("x_uv", _partials(dag, xu, "v")), ("x_vv", _partials(dag, xv, "v")),
-                ("v", fv), ("w", fw), ("m", m))}
-        trees, lambda_til = _invariant_trees(dag, xu, xv, fv, fw, m)
-        self._invariant_program = compile_program(trees)
-        self._trace_fields = {
-            "lambda_til": CompiledField(lambda_til, 0),
-            "c2": CompiledField(trees[BasicInvariants._fields.index("c2")], 0)}
-        # the array program derives its trees again on first use: kept,
+        self._invariant_program = compile_program(_invariant_trees(dag, xu, xv, fv, fw, m))
+        # every other program derives its trees again on first use: kept,
         # they would hold up to a few hundred kB per surface, mostly unused
         self._tree_inputs = (xu, xv, fv, fw, m)
+        self._programs = {}  # key -> program compiled on first use
+
+    def _compile(self, key):
+        """The program key (a vector accessor's, a traced field's or
+        "arrays"), compiled and kept; threads racing here compile equal
+        programs, and the first one kept is returned to all of them."""
+        if key in _TRACED:
+            program = CompiledField(_traced_tree(Dag(), key, *self._tree_inputs[:4]), 0)
+        elif key == "arrays":
+            from .arrays import ARRAY  # imports numpy
+
+            program = compile_program(_invariant_trees(Dag(), *self._tree_inputs), ARRAY)
+        else:
+            program = compile_program(_vector_trees(key, *self._tree_inputs))
+        return self._programs.setdefault(key, program)
 
     # -- point evaluation ------------------------------------------------
 
     def scalar_field(self, name: str) -> CompiledField:
         """The compiled field lambda_til or c2, whose zero sets are traced."""
-        return self._trace_fields[name]
+        if name not in _TRACED:
+            raise KeyError(name)
+        return self._programs.get(name) or self._compile(name)
 
     def invariant_arrays(self, u, v):
         """The invariant program over numpy arrays of points.
 
         Returns (BasicInvariants of arrays, fault mask); the mask is set
         where basic_invariants_at would raise inside the program (the
-        domain is not checked).  The array program is compiled on first
-        use and kept on the surface.
+        domain is not checked).
         """
-        program = self.__dict__.get("_array_program")
-        if program is None:
-            from .arrays import ARRAY  # imports numpy
-
-            trees = _invariant_trees(Dag(), *self._tree_inputs)[0]
-            program = self._array_program = compile_program(trees, ARRAY)
+        program = self._programs.get("arrays") or self._compile("arrays")
         values, bad = program(u, v)
         return BasicInvariants._make(values), bad
 
     def _vec(self, name, u, v):
-        return LVec3(*self._vectors[name](u, v))
+        program = self._programs.get(name) or self._compile(name)
+        return LVec3(*program(u, v))
 
     def x_u(self, u, v) -> LVec3:
         return self._vec("x_u", u, v)
@@ -326,32 +330,43 @@ class SurfaceDef:
         return cls.from_dict(data)
 
 
-def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
-    """The trees of the BasicInvariants fields, in field order, and of
-    lam~, from X_u, X_v, the frame fields v, w and m = -(1/2) v^w,
-    derived in the context dag."""
-    # the inputs may be another context's nodes (invariant_arrays); taken
-    # into dag, no subexpression of the result has two nodes
-    xu, xv, fv, fw, m_simplified = (tuple(map(dag.simplify, vec))
-                                    for vec in (xu, xv, fv, fw, m_simplified))
+def _taken(dag, *vectors):
+    """The vectors' trees taken into dag: they may be another context's
+    nodes, and once taken no subexpression of a result has two nodes."""
+    return (tuple(map(dag.simplify, vec)) for vec in vectors)
+
+
+def _pairings(dag, xu, xv, fv, fw):
+    """m = -(1/2) v^w and the trees of a1, b1 and c2, all unsimplified,
+    from X_u, X_v and the frame fields v, w interned in dag."""
     # c1, c2, f and g pair against m unsimplified
     m = tuple(Neg(_half(c)) for c in _wedge_expr(dag, fv, fw))
-    fv_u, fv_v = _partials(dag, fv, "u"), _partials(dag, fv, "v")
-    fw_u, fw_v = _partials(dag, fw, "u"), _partials(dag, fw, "v")
-    base = {
+    return m, {
         "a1": Neg(_half(_pdot_expr(xu, fw))),
         "b1": Neg(_half(_pdot_expr(xu, fv))),
+        "c2": _pdot_expr(xv, m),
+    }
+
+
+def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
+    """The trees of the BasicInvariants fields, in field order, from
+    X_u, X_v, the frame fields v, w and m = -(1/2) v^w, derived in the
+    context dag."""
+    xu, xv, fv, fw, m_simplified = _taken(dag, xu, xv, fv, fw, m_simplified)
+    m, base = _pairings(dag, xu, xv, fv, fw)
+    fv_u, fv_v = _partials(dag, fv, "u"), _partials(dag, fv, "v")
+    fw_u, fw_v = _partials(dag, fw, "u"), _partials(dag, fw, "v")
+    base.update({
         "c1": _pdot_expr(xu, m),
         "a2": Neg(_half(_pdot_expr(xv, fw))),
         "b2": Neg(_half(_pdot_expr(xv, fv))),
-        "c2": _pdot_expr(xv, m),
         "e1": _half(_pdot_expr(fv, fw_u)),
         "f1": _half(_pdot_expr(fw_u, m)),
         "g1": _half(_pdot_expr(fv_u, m)),
         "e2": _half(_pdot_expr(fv, fw_v)),
         "f2": _half(_pdot_expr(fw_v, m)),
         "g2": _half(_pdot_expr(fv_v, m)),
-    }
+    })
     roots = {k: dag.simplify(v) for k, v in base.items()}
     for key in ("a1", "b1", "c1", "c2"):
         roots[key + "u"] = dag.differentiate(roots[key], "u")
@@ -359,8 +374,34 @@ def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
     # n~ stays unsimplified, to run the float operations of
     # wedge(x_u, frame_vec_m), and comes last, to fail last
     roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(dag, xu, m_simplified)))
-    lambda_til = dag.simplify(Mul(Const(-4.0), Mul(base["a1"], base["b1"])))
-    return [roots[key] for key in BasicInvariants._fields], lambda_til
+    return [roots[key] for key in BasicInvariants._fields]
+
+
+#: The traced fields, each as a tree over the unsimplified a1, b1 and c2.
+_TRACED = {
+    "lambda_til": lambda base: Mul(Const(-4.0), Mul(base["a1"], base["b1"])),
+    "c2": lambda base: base["c2"],
+}
+
+
+def _traced_tree(dag, name, xu, xv, fv, fw):
+    """The tree of the traced field name, derived in the context dag."""
+    xu, xv, fv, fw = _taken(dag, xu, xv, fv, fw)
+    return dag.simplify(_TRACED[name](_pairings(dag, xu, xv, fv, fw)[1]))
+
+
+#: The second partials of X: which first partial, by which variable.
+_SECOND_PARTIALS = {"x_uu": ("x_u", "u"), "x_uv": ("x_u", "v"), "x_vv": ("x_v", "v")}
+
+
+def _vector_trees(key, xu, xv, fv, fw, m):
+    """The three trees of the vector program key; a second partial of X
+    is derived in a context of its own."""
+    kept = {"x_u": xu, "x_v": xv, "v": fv, "w": fw, "m": m}
+    if key in _SECOND_PARTIALS:
+        first, var = _SECOND_PARTIALS[key]
+        return _partials(Dag(), kept[first], var)
+    return kept[key]
 
 
 def _bound(value):

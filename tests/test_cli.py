@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from lcframe.classify import CSV_HEADER
 from lcframe.cli import (
     CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points, main, run_demo,
 )
+from lcframe.limits import boundedness_report
 
 TRACE_HEADER = ["field", "polyline", "vertex", "u", "v", "residual",
                 "degenerate", "closed"]
@@ -154,6 +156,29 @@ def test_limits_single_quantity(capsys):
     assert main(["limits", "sphere", "--at", "pi/2,1", "--quantity", "K"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "transversal-: K: nonzero value=1" in lines
+
+
+def test_negative_ray_count_is_an_error(capsys):
+    assert main(["limits", "sphere", "--at=pi/2,1", "--directions", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: ray count must be nonnegative, got -3\n"
+    assert captured.out == ""
+
+
+def test_consecutive_calls_carry_no_options_over(tmp_path, capsys):
+    # the parser is built once per process; every call starts from the defaults
+    limits = ["limits", "sphere", "--at", "pi/2,1"]
+    assert main(limits + ["--quantity", "K"]) == 0
+    capsys.readouterr()
+    assert main(limits) == 0
+    full = capsys.readouterr().out
+    assert full == boundedness_report(catalog.load("sphere"), math.pi / 2, 1.0).to_text()
+
+    trace = ["trace", "sphere", "--grid", "16x16"]
+    assert main(trace + ["--field", "c2", "--out", str(tmp_path / "c2")]) == 0
+    assert main(trace + ["--out", str(tmp_path / "default")]) == 0
+    assert [p.name for p in (tmp_path / "default").iterdir()] == [
+        "sphere-trace-lambda_til.csv"]
 
 
 def test_non_finite_component_is_an_error(tmp_path, capsys):

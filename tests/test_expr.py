@@ -16,7 +16,7 @@ from lcframe.expr import (
     Var, compile_field, compile_program, constant_value, differentiate,
     evaluate, parse, simplify, to_source,
 )
-from lcframe.surface import _invariant_trees
+from lcframe.surface import _invariant_trees, _traced_tree
 
 
 def same_bits(a, b):
@@ -614,8 +614,10 @@ class TestDag:
 
     @pytest.mark.parametrize("name", catalog.names())
     def test_invariant_trees_share_equal_subexpressions(self, name):
-        trees, lambda_til = _invariant_trees(Dag(), *catalog.load(name)._tree_inputs)
-        assert twins(trees + [lambda_til]) == []
+        dag, inputs = Dag(), catalog.load(name)._tree_inputs
+        trees = _invariant_trees(dag, *inputs)
+        traced = [_traced_tree(dag, field, *inputs[:4]) for field in ("lambda_til", "c2")]
+        assert twins(trees + traced) == []
 
     def test_signed_zeros_stay_distinct_nodes(self):
         e = SIGNED_ZERO_SINES[0]

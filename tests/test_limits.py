@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lcframe.classify import classify
+from lcframe.errors import LcframeError
 from lcframe.limits import (
     ApproachPath, FieldNonvanishingError, boundedness_report, limit_along,
     vanishing_order,
@@ -33,6 +34,11 @@ def test_report_matches_limit_along(request, surface, target):
         assert oc.side == (sides.pop() if len(sides) == 1 else None)
         for q, verdict in oc.verdicts.items():
             assert limit_along(s, path, q) == verdict
+
+
+def test_negative_ray_count_is_an_error(sphere):
+    with pytest.raises(LcframeError, match="ray count must be nonnegative, got -3"):
+        boundedness_report(sphere, math.pi / 2, 1.0, directions=-3)
 
 
 #: the sphere pole, approached along -d_u, where c2 = -cos u

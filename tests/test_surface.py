@@ -12,7 +12,7 @@ import sympy as sp
 
 from lcframe import catalog, expr, surface
 from lcframe.errors import LcframeError
-from lcframe.expr import Dag, compile_program
+from lcframe.expr import CompiledField, Const, Dag, Mul, compile_program
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
     DomainBox, SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at,
@@ -346,22 +346,114 @@ class TestInvariantProgram:
                 assert struct.pack("<d", c2) == struct.pack("<d", field.eval(u, v)), (u, v)
 
     def test_compiles_only_what_it_evaluates(self, monkeypatch):
-        # per surface: 8 vector accessors, the invariant program, 2
-        # traced fields and 4 domain bounds
+        # per surface: the invariant program and 4 domain bounds at
+        # construction, then one program on the first use of each of the
+        # 8 vector accessors and 2 traced fields, and none after that
         calls = [0]
 
-        def counted(trees):
+        def counted(trees, *env):
             calls[0] += 1
-            return compile_program(trees)
+            return compile_program(trees, *env)
 
         monkeypatch.setattr(expr, "compile_program", counted)
         monkeypatch.setattr(surface, "compile_program", counted)
-        counts = {}
         for name in catalog.names():
             calls[0] = 0
-            SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
-            counts[name] = calls[0]
-        assert counts == {name: 15 for name in catalog.names()}
+            s = SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
+            assert calls[0] == 5, name
+            u, v = s.domain.u_min, s.domain.v_min
+            for use in _every_use(s):
+                before = calls[0]
+                use(u, v)
+                assert calls[0] == before + 1, (name, use)
+                use(u, v)
+                assert calls[0] == before + 1, (name, use)
+            assert calls[0] == 15, name
+
+
+VECTOR_ACCESSORS = ("x_u", "x_v", "x_uu", "x_uv", "x_vv", "frame_vec_v", "frame_vec_w",
+                    "frame_vec_m")
+TRACED_FIELDS = ("lambda_til", "c2")
+
+
+def _every_use(s):
+    """A call (u, v) -> tuple of floats per vector accessor and traced
+    field of s; the first call of each compiles that program."""
+    uses = [getattr(s, accessor) for accessor in VECTOR_ACCESSORS]
+    for field in TRACED_FIELDS:
+        uses.append(lambda u, v, field=field: (s.scalar_field(field).eval(u, v),))
+    return uses
+
+
+def _hex_values(program, s):
+    """float.hex of a program's values at each point of a 9x9 grid on
+    the domain of s, or the fault's text."""
+    us, vs = s.domain.grid(9, 9)
+    out = []
+    for u, v in ((u, v) for u in us for v in vs):
+        try:
+            out.append([x.hex() for x in program(u, v)])
+        except LcframeError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _eager_programs(s):
+    """The 8 vector programs and 2 traced fields of s, derived together
+    in one context, from the surface's kept inputs, and compiled at
+    once, in the order of _every_use."""
+    dag = Dag()
+    xu, xv, fv, fw, m = (tuple(map(dag.simplify, vec)) for vec in s._tree_inputs)
+    vectors = [xu, xv] + [[dag.differentiate(e, var) for e in vec]
+                          for vec, var in ((xu, "u"), (xu, "v"), (xv, "v"))]
+    programs = [compile_program(trees) for trees in vectors + [fv, fw, m]]
+    trees = surface._invariant_trees(dag, xu, xv, fv, fw, m)
+    field = dict(zip(surface.BasicInvariants._fields, trees))
+    lambda_til = dag.simplify(Mul(Const(-4.0), Mul(field["a1"], field["b1"])))
+    for tree in (lambda_til, field["c2"]):
+        compiled = CompiledField(tree, 0)
+        programs.append(lambda u, v, f=compiled: (f.eval(u, v),))
+    return programs
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypatch):
+    sources = []
+
+    def recording(text, filename, mode):
+        sources.append(text)
+        return compile(text, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording, raising=False)
+    s = SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
+    del sources[:]
+    lazy = [_hex_values(use, s) for use in _every_use(s)]
+    lazy_sources = sources[:]
+    del sources[:]
+    eager = [_hex_values(program, s) for program in _eager_programs(s)]
+    assert len(lazy_sources) == 10
+    assert lazy_sources == sources
+    assert lazy == eager
+
+
+def test_threads_compiling_on_first_use_match_a_serial_surface():
+    # threads racing to compile the same programs each derive in a
+    # context of their own and must read a serial surface's bits
+    def values(s):
+        return [_hex_values(use, s) for use in _every_use(s)]
+
+    for name in ("sphere", "twisted_band"):
+        text = json.loads(catalog.surface_text(name))
+        serial = values(SurfaceDef.from_dict(text))
+        shared = SurfaceDef.from_dict(text)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(lambda _: values(shared), range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r == serial for r in results), name
 
 
 def _fresh_catalog_invariants():
@@ -393,6 +485,14 @@ def test_parallel_builds_match_a_serial_build():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == serial for r in results)
+
+
+def test_no_derivation_context_outlives_a_lazy_compile():
+    s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
+    for use in _every_use(s):
+        use(0.1, 0.2)
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, Dag)]
 
 
 def test_no_derivation_context_outlives_a_build():
