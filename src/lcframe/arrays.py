@@ -12,8 +12,15 @@ module imports numpy, and lcframe imports it only for such a grid.
 The values are bit-identical to the point loop by construction: numpy
 computes only the operations IEEE 754 rounds exactly (+ - * /,
 negation, abs and sqrt), and every other function (sin, cos, tan, exp,
-log, sinh, cosh, powers and hypot) is the same math or Python function
-applied per element.
+log, sinh, cosh and powers) is the same math or Python function,
+called once per distinct IEEE bit pattern of its argument in a block
+and scattered back to every element that holds that pattern (hypot is
+called per element).  The same function of the same bits gives the
+same bits, so this changes no output; keying by bits, not by value,
+keeps 0.0 and -0.0 apart, and NaN payloads too.  Surfaces of
+revolution, cones and troughs repeat their values along whole grid
+lines, so most blocks hold few distinct values.  texts formats a CSV
+column the same way: each distinct pattern once per block.
 
 numpy does not raise, so a fault mask is kept instead.  It is set
 wherever the point loop would raise: at a zero divisor, a guarded log
@@ -54,28 +61,39 @@ _FAULTS = (ArithmeticError, ValueError)
 # The array number environment of expr.compile_program
 
 
+def _distinct(x):
+    """The distinct IEEE bit patterns of the array x as floats, and for
+    each element the index of its pattern among them."""
+    bits, inverse = np.unique(np.asarray(x, np.float64).view(np.int64), return_inverse=True)
+    return bits.view(np.float64), inverse
+
+
 def _each(bad, fn, x):
-    """fn applied per element as the point program applies it; an
-    element where it raises is marked in bad.  A scalar x (a constant
-    subtree) faults every point."""
+    """fn applied per element as the point program applies it, called
+    once per distinct bit pattern of x: equal bits give equal results.
+    Every element whose argument raises is marked in bad.  A scalar x
+    (a constant subtree) faults every point."""
     if np.ndim(x) == 0:
         try:
             return fn(float(x))
         except _FAULTS:
             bad |= True
             return math.nan
-    xs = x.tolist()
+    values, inverse = _distinct(x)
+    xs = values.tolist()
     try:
-        return np.fromiter(map(fn, xs), float, len(xs))
+        out = np.fromiter(map(fn, xs), float, len(xs))
     except _FAULTS:
         out = np.empty(len(xs))
+        faulted = np.zeros(len(xs), bool)
         for i, xi in enumerate(xs):
             try:
                 out[i] = fn(xi)
             except _FAULTS:
                 out[i] = math.nan
-                bad[i] = True
-        return out
+                faulted[i] = True
+        bad |= faulted[inverse]
+    return out[inverse]
 
 
 def _elementwise(fn):
@@ -309,8 +327,11 @@ class Block:
 
 def texts(values, defined=None):
     """Each value formatted as the CSVs format it, "" where `defined`
-    is False."""
-    out = list(map(_FMT, values.tolist()))
+    is False.  Each distinct bit pattern is formatted once and its text
+    gathered to every element that holds it; equal bits format equally,
+    so the texts are those of formatting each element."""
+    distinct, inverse = _distinct(values)
+    out = np.array(list(map(_FMT, distinct.tolist())), object).take(inverse).tolist()
     if defined is not None:
         for i in np.flatnonzero(~defined).tolist():
             out[i] = ""

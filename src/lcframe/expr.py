@@ -888,8 +888,12 @@ def compile_field(source_or_expr, order: int = 0) -> CompiledField:
 
 def constant_value(source: str) -> float:
     """Evaluate source that must not mention u or v (domain bounds),
-    compiled so that a fault is worded as at a point."""
+    compiled so that a fault is worded as at a point.  A single
+    constant, which the parser folds most bounds to, is returned as it
+    is, checked finite as the compiled root checks it."""
     expr = parse(source)
+    if type(expr) is Const:
+        return expr.value if math.isfinite(expr.value) else _non_finite(expr.value)
     if _mentions_var(expr):
         raise ExprError(f"expected a constant expression, got {source!r}")
     return compile_program([expr])(0.0, 0.0)[0]

@@ -68,6 +68,17 @@ class TestClassifyGrid:
         assert str(err.value) == "division by zero"
 
     @pytest.mark.parametrize("grid", GRIDS)
+    def test_a_log_fault_on_a_grid_line_fails_the_grid_as_the_point_loop_does(self, grid):
+        # X_u holds log(u), which every point of the first grid line
+        # evaluates at u = 0 before any division by u
+        s = SurfaceDef("u_log_u", ["u", "-u*log(u)*sin(v)", "-u*log(u)*cos(v)"],
+                       ["1", "sin(v)", "cos(v)"], ["1", "-sin(v)", "-cos(v)"],
+                       DomainBox(0.0, 1.0, 0.0, 2 * math.pi))
+        with pytest.raises(EvalDomainError) as err:
+            classify_grid(s, grid)
+        assert str(err.value) == "log of a nonpositive argument"
+
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_a_limit_sample_fault_fails_the_grid(self, grid):
         # a plane, so every point resolves kappa_til_1 by sampling the
         # u-line; the first sample above row 3 is a pole

@@ -286,6 +286,25 @@ class TestCompiledField:
             constant_value(source)
         assert str(constant.value) == str(at_point.value)
 
+    @pytest.mark.parametrize("source", ["0", "-0", "-0.4", "pi", "1e999",
+                                        "0.30000000000000004"])
+    def test_constant_value_of_one_constant_is_the_compiled_root(self, source, monkeypatch):
+        # the parser folds each of these to one Const, which is returned
+        # without compiling a program
+        tree = parse(source)
+        assert type(tree) is Const
+        try:
+            want = compile_program([tree])(0.0, 0.0)[0]
+        except EvalDomainError as exc:
+            want = exc
+        monkeypatch.setattr("lcframe.expr.compile_program", None)
+        if isinstance(want, EvalDomainError):
+            with pytest.raises(EvalDomainError) as err:
+                constant_value(source)
+            assert str(err.value) == str(want)
+        else:
+            assert same_bits(constant_value(source), want)
+
     def test_constant_value_rejects_variables(self):
         with pytest.raises(Exception):
             constant_value("2*u")

@@ -346,9 +346,10 @@ class TestInvariantProgram:
                 assert struct.pack("<d", c2) == struct.pack("<d", field.eval(u, v)), (u, v)
 
     def test_compiles_only_what_it_evaluates(self, monkeypatch):
-        # per surface: the invariant program and 4 domain bounds at
-        # construction, then one program on the first use of each of the
-        # 8 vector accessors and 2 traced fields, and none after that
+        # per surface: the invariant program and each domain bound that is
+        # not a single constant (such as 2*pi) at construction, then one
+        # program on the first use of each of the 8 vector accessors and 2
+        # traced fields, and none after that
         calls = [0]
 
         def counted(trees, *env):
@@ -359,8 +360,11 @@ class TestInvariantProgram:
         monkeypatch.setattr(surface, "compile_program", counted)
         for name in catalog.names():
             calls[0] = 0
-            s = SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
-            assert calls[0] == 5, name
+            data = json.loads(catalog.surface_text(name))
+            s = SurfaceDef.from_dict(data)
+            at_build = 1 + sum(type(expr.parse(bound)) is not Const
+                               for bounds in data["domain"].values() for bound in bounds)
+            assert calls[0] == at_build, name
             u, v = s.domain.u_min, s.domain.v_min
             for use in _every_use(s):
                 before = calls[0]
@@ -368,7 +372,7 @@ class TestInvariantProgram:
                 assert calls[0] == before + 1, (name, use)
                 use(u, v)
                 assert calls[0] == before + 1, (name, use)
-            assert calls[0] == 15, name
+            assert calls[0] == at_build + 10, name
 
 
 VECTOR_ACCESSORS = ("x_u", "x_v", "x_uu", "x_uv", "x_vv", "frame_vec_v", "frame_vec_w",
