@@ -25,7 +25,17 @@ more than arrays save below that size.  Every float an artifact prints
 goes through _FMT, '%.12g' (equal to format(x, '.12g')).
 
 Loci are traced as zero sets of lam~ (lightlike locus) or c2 (rank-one
-singular locus) by marching squares with bisection refinement.
+singular locus) by marching squares with bisection refinement.  The
+field is sampled by its tensor-grid program (expr.compile_grid_program,
+through CompiledField.grid): a value of u alone is computed once per
+grid row, one of v alone once per column, so most operations of these
+fields leave the per-point loop; the samples are bit-identical to the
+point program's, and a fault raises the point loop's first error.  The
+scan turns each row's signs into one int and visits only the cells
+whose corner signs differ (1.6% of the cells of the seed-1
+surface_survey benchmark's 64² traces), in row-major order, so
+segments, vertices and CSV bytes are those of scanning every cell.  Bisection and the saddle centres
+evaluate the point program.  Tracing never imports numpy.
 """
 
 from __future__ import annotations
@@ -192,10 +202,8 @@ def _bisect_edge(f, p0, p1, f0, f1, refine_tol):
 
 
 _SEGMENT_TABLE = {
-    # corner sign pattern (bl, br, tr, tl), True = positive -> edge pairs;
-    # edges are 0 bottom, 1 right, 2 top, 3 left
-    (False, False, False, False): (),
-    (True, True, True, True): (),
+    # corner sign pattern (bl, br, tr, tl), True = positive -> edge pairs
+    # of a mixed cell; edges are 0 bottom, 1 right, 2 top, 3 left
     (True, False, False, False): ((3, 0),),
     (False, True, False, False): ((0, 1),),
     (False, False, True, False): ((1, 2),),
@@ -214,6 +222,69 @@ _SEGMENT_TABLE = {
 }
 
 
+def _mixed_cells(values):
+    """(i, j) of each cell of the value grid whose corners values[i][j],
+    values[i + 1][j], values[i + 1][j + 1] and values[i][j + 1] are not
+    all positive or all not, in row-major order.
+
+    Each row's signs are one int, bit j set where values[i][j] > 0.  A
+    cell is mixed where a corner differs from the one in the next row
+    (x = a ^ b, at column j or j + 1) or its two corners in row i do
+    (a ^ a >> 1); if none of these do, the two in row i + 1 agree too."""
+    columns = [1 << j for j in range(len(values[0]))]
+    inner = columns[-1] - 1  # the cells j = 0 .. nv - 2
+    bits = [sum(bit for bit, x in zip(columns, row) if x > 0.0) for row in values]
+    for i, (a, b) in enumerate(zip(bits, bits[1:])):
+        x = a ^ b
+        mixed = (x | x >> 1 | a ^ a >> 1) & inner
+        while mixed:
+            low = mixed & -mixed
+            yield i, low.bit_length() - 1
+            mixed ^= low
+
+
+def _segments(f, us, vs, values, refine_tol):
+    """Marching squares over the mixed cells of values, the samples of
+    the field f on the grid us x vs: (segments, crossings).
+
+    Each segment joins two edge keys, (i, j, "u") for the edge from
+    grid point (i, j) to (i + 1, j) and (i, j, "v") for the one to
+    (i, j + 1).  crossings maps every key to its crossing refined by
+    bisection, so neighbouring cells share vertices exactly."""
+    crossings = {}
+
+    def edge_point(key, pa, pb, fa, fb):
+        if key not in crossings:
+            crossings[key] = _bisect_edge(f, pa, pb, fa, fb, refine_tol)
+        return key
+
+    segments = []
+    for i, j in _mixed_cells(values):
+        corners = (values[i][j], values[i + 1][j],
+                   values[i + 1][j + 1], values[i][j + 1])
+        pattern = tuple(c > 0.0 for c in corners)
+        pairs = _SEGMENT_TABLE[pattern]
+        pts = ((us[i], vs[j]), (us[i + 1], vs[j]),
+               (us[i + 1], vs[j + 1]), (us[i], vs[j + 1]))
+        edge_defs = (
+            ((i, j, "u"), pts[0], pts[1], corners[0], corners[1]),   # bottom
+            ((i + 1, j, "v"), pts[1], pts[2], corners[1], corners[2]),  # right
+            ((i, j + 1, "u"), pts[3], pts[2], corners[3], corners[2]),  # top
+            ((i, j, "v"), pts[0], pts[3], corners[0], corners[3]),   # left
+        )
+        if pairs is None:
+            # ambiguous saddle: the centre sample picks the pairing
+            centre = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+            if (centre > 0.0) == pattern[0]:
+                pairs = ((0, 1), (2, 3))
+            else:
+                pairs = ((3, 0), (1, 2))
+        # every pair joins two distinct edges whose corner signs differ
+        for pair in pairs:
+            segments.append(tuple(edge_point(*edge_defs[e]) for e in pair))
+    return segments, crossings
+
+
 def trace_zero_set(
     s: SurfaceDef,
     field_name: str,
@@ -223,9 +294,11 @@ def trace_zero_set(
 ) -> list:
     """Trace the zero set of lam~ or c2 over the domain grid.
 
-    Marching squares on the sample grid; every edge crossing is refined
-    by bisection until |field| <= refine_tol (at most 30 halvings), and
-    the resulting segments are linked into polylines.  Returns a list of
+    The field is sampled over the grid by its grid program
+    (CompiledField.grid); marching squares visits only the cells whose
+    corner signs differ, every edge crossing is refined by bisection
+    until |field| <= refine_tol (at most 30 halvings), and the
+    resulting segments are linked into polylines.  Returns a list of
     LocusPolyline, possibly empty.
     """
     if field_name not in TRACEABLE_FIELDS:
@@ -239,47 +312,8 @@ def trace_zero_set(
     if not (0 < classify_tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
     fld = s.scalar_field(field_name)
-    f = fld.eval
     us, vs = s.domain.grid(nu, nv)
-    values = [[f(u, v) for v in vs] for u in us]
-
-    # refined crossing per grid edge, keyed so neighbouring cells share
-    # vertices exactly
-    crossings = {}
-
-    def edge_point(key, pa, pb, fa, fb):
-        if key not in crossings:
-            crossings[key] = _bisect_edge(f, pa, pb, fa, fb, refine_tol)
-        return key
-
-    segments = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            corners = (values[i][j], values[i + 1][j],
-                       values[i + 1][j + 1], values[i][j + 1])
-            pattern = tuple(c > 0.0 for c in corners)
-            pairs = _SEGMENT_TABLE[pattern]
-            if pairs == ():
-                continue
-            pts = ((us[i], vs[j]), (us[i + 1], vs[j]),
-                   (us[i + 1], vs[j + 1]), (us[i], vs[j + 1]))
-            edge_defs = (
-                ((i, j, "u"), pts[0], pts[1], corners[0], corners[1]),   # bottom
-                ((i + 1, j, "v"), pts[1], pts[2], corners[1], corners[2]),  # right
-                ((i, j + 1, "u"), pts[3], pts[2], corners[3], corners[2]),  # top
-                ((i, j, "v"), pts[0], pts[3], corners[0], corners[3]),   # left
-            )
-            if pairs is None:
-                # ambiguous saddle: the centre sample picks the pairing
-                centre = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
-                if (centre > 0.0) == pattern[0]:
-                    pairs = ((0, 1), (2, 3))
-                else:
-                    pairs = ((3, 0), (1, 2))
-            # every pair joins two distinct edges whose corner signs differ
-            for pair in pairs:
-                segments.append(tuple(edge_point(*edge_defs[e]) for e in pair))
-
+    segments, crossings = _segments(fld.eval, us, vs, fld.grid(us, vs), refine_tol)
     return _link_segments(s, field_name, segments, crossings, classify_tol)
 
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 from .errors import LcframeError
@@ -58,6 +60,7 @@ __all__ = [
     "CompiledField",
     "compile_field",
     "compile_program",
+    "compile_grid_program",
     "NumberEnv",
     "SCALAR",
     "FUNCTION_NAMES",
@@ -777,22 +780,22 @@ SCALAR = NumberEnv(
 )
 
 
-def compile_program(trees, env: NumberEnv = SCALAR):
-    """Compile trees into one function (u, v) -> tuple of their values.
+def _numbering(trees):
+    """The value numbering of compile_program: (table, uses, roots).
 
-    The function is a single expression that computes each distinct
-    subtree once: a subtree is keyed by its operation (constants by
-    repr, so 0.0 and -0.0 stay apart) and its operands' ids, and one
-    used again is bound to a temporary where it is first computed.  So
-    operations run, and fail, in the order of evaluating the trees one
-    after another; each tree is checked finite before the next starts.
-    In the SCALAR environment every failure is an EvalDomainError;
-    another environment spells the same numbering for its own numbers.
+    table[n] is the key of value n: (literal or variable name, None), or
+    (operation, exponent or function name, *operand numbers).  Values
+    are numbered in evaluation order, post-order and left first, so
+    every operand precedes its parents.  A subtree is keyed by its
+    operation (constants by repr, so 0.0 and -0.0 stay apart) and its
+    operands' numbers, so equal subtrees are one value.  uses[n] counts
+    the distinct parents of n, plus one per root it is; roots are the
+    trees' values, in order.
     """
     ids, table, uses = {}, [], []
     numbered = {}  # id(node) -> its number: a shared node is keyed once
 
-    def number(e):  # ids in evaluation order: post-order, left first
+    def number(e):
         n = numbered.get(id(e))
         if n is not None:
             return n
@@ -821,22 +824,128 @@ def compile_program(trees, env: NumberEnv = SCALAR):
         numbered[id(e)] = n
         return n
 
-    def emit(n):
-        op, p, *operands = table[n]
-        if not operands:  # a literal, a variable or a bound temporary
-            return op
-        text = env.templates[op].format(*map(emit, operands), p=p)
-        if uses[n] == 1:
-            return text
-        table[n] = (f"_t{n}", None)  # read back by every later use
-        return f"(_t{n} := {text})"
-
     roots = [number(e) for e in trees]
     for n in roots:
         uses[n] += 1
+    return table, uses, roots
+
+
+def _emitter(table, uses, templates, named):
+    """A function n -> the code of value n.  A literal or a variable is
+    itself and a value in named (number -> name) its name; any other
+    value is computed in place, and one with more than one use is bound
+    to _t<n> (and added to named) where it is first computed."""
+
+    def emit(n):
+        name = named.get(n)
+        if name is not None:
+            return name
+        op, p, *operands = table[n]
+        if not operands:
+            return op
+        text = templates[op].format(*map(emit, operands), p=p)
+        if uses[n] == 1:
+            return text
+        named[n] = f"_t{n}"
+        return f"(_t{n} := {text})"
+
+    return emit
+
+
+def compile_program(trees, env: NumberEnv = SCALAR):
+    """Compile trees into one function (u, v) -> tuple of their values.
+
+    The function is a single expression that computes each distinct
+    subtree of _numbering once; one used again is bound to a temporary
+    where it is first computed.  So operations run, and fail, in the
+    order of evaluating the trees one after another; each tree is
+    checked finite before the next starts.  In the SCALAR environment
+    every failure is an EvalDomainError; another environment spells
+    the same numbering for its own numbers.
+    """
+    table, uses, roots = _numbering(trees)
+    emit = _emitter(table, uses, env.templates, {})
     body = "".join(env.root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
     code = compile(f"lambda {env.params}: ({body})", "<lcframe-program>", "eval")
     return env.wrap(eval(code, env.namespace))
+
+
+# What a value of the grid program depends on: bit _U for u, _V for v;
+# a value with both is computed per point.
+_U, _V = 1, 2
+
+
+def compile_grid_program(trees):
+    """Compile trees into one function (us, vs) -> a row per u of the
+    trees' values at each v: rows[i][j] is the tuple the point program
+    compile_program(trees) gives at (us[i], vs[j]), bit for bit.
+
+    The function spells the point program's numbering (_numbering) with
+    the SCALAR operations, but computes each value where its variables
+    change: a value of constants alone once, one of u alone once per
+    row, one of v alone once per column, and every other value once
+    per point, where each tree is checked finite as in the point
+    program.  Every operation gets the operands it gets there, so the
+    values are the same.  Hoisting reorders the operations, so on a
+    fault the point program runs at each point in row-major order and
+    raises the point loop's own first error.
+    """
+    table, uses, roots = _numbering(trees)
+    deps = []
+    for op, _, *operands in table:
+        deps.append(reduce(or_, (deps[k] for k in operands)) if operands
+                    else _U if op == "u" else _V if op == "v" else 0)
+    # the values computed outside the point loop, as _t<n>: each that a
+    # value of other dependencies reads, and each root not computed per
+    # point; a literal or variable is spelled where it is read
+    handed = {k for n, key in enumerate(table) for k in key[2:] if deps[k] != deps[n]}
+    handed.update(n for n in roots if deps[n] != _U | _V)
+    handed = sorted(n for n in handed if len(table[n]) > 2)
+
+    names = {n: f"_t{n}" for n in handed}
+
+    def statements(dep):
+        """The assignments of the handed values that depend on dep, in
+        evaluation order, so each reads values assigned before it."""
+        emit = _emitter(table, uses, SCALAR.templates, dict(names))
+        out = []
+        for n in handed:
+            op, p, *operands = table[n]
+            if deps[n] == dep:
+                out.append(f"_t{n} = {SCALAR.templates[op].format(*map(emit, operands), p=p)}")
+        return out
+
+    columns = ", ".join(["v"] + [names[n] for n in handed if deps[n] == _V]) + ","
+    emit = _emitter(table, uses, SCALAR.templates, dict(names))
+    point = "".join(SCALAR.root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
+    source = "\n".join([
+        "def _grid(us, vs):",
+        *(f"    {line}" for line in statements(0)),
+        "    _columns = []",
+        "    for v in vs:",
+        *(f"        {line}" for line in statements(_V)),
+        f"        _columns.append(({columns}))",
+        "    _rows = []",
+        "    for u in us:",
+        *(f"        {line}" for line in statements(_U)),
+        "        _row = []",
+        f"        for {columns} in _columns:",
+        f"            _row.append(({point}))",
+        "        _rows.append(_row)",
+        "    return _rows",
+    ])
+    namespace = dict(SCALAR.namespace)
+    exec(compile(source, "<lcframe-grid-program>", "exec"), namespace)
+    grid = namespace["_grid"]
+
+    def program(us, vs):
+        try:
+            return grid(us, vs)
+        except (ArithmeticError, ValueError, EvalDomainError):
+            point = compile_program(trees)
+            return [[point(u, v) for v in vs] for u in us]
+
+    return program
 
 
 class CompiledField:
@@ -844,23 +953,29 @@ class CompiledField:
     requested order, each compiled as a one-tree compile_program.
 
     The table is closed under that order: entry (i, j) holds the
-    expression and program for d^(i+j) / du^i dv^j.
+    expression and program for d^(i+j) / du^i dv^j.  The expression is
+    simplified and differentiated in dag, the derivation context it was
+    derived in if one is given, so a tree simplified there is not
+    simplified again.  grid evaluates the expression over a tensor grid
+    with compile_grid_program, compiled on first use.
     """
 
-    __slots__ = ("expr", "order", "_table")
+    __slots__ = ("expr", "order", "_table", "_grid")
 
-    def __init__(self, expr: Expr, order: int = 0):
+    def __init__(self, expr: Expr, order: int = 0, dag: Dag | None = None):
         if order < 0:
             raise ExprError("derivative order must be nonnegative")
-        self.expr = simplify(expr)
+        dag = Dag() if dag is None else dag
+        self.expr = dag.simplify(expr)
         self.order = order
         exprs = {(0, 0): self.expr}
         for i in range(1, order + 1):
-            exprs[(i, 0)] = differentiate(exprs[(i - 1, 0)], "u")
+            exprs[(i, 0)] = dag.differentiate(exprs[(i - 1, 0)], "u")
         for i in range(0, order + 1):
             for j in range(1, order + 1 - i):
-                exprs[(i, j)] = differentiate(exprs[(i, j - 1)], "v")
+                exprs[(i, j)] = dag.differentiate(exprs[(i, j - 1)], "v")
         self._table = {key: (ex, compile_program([ex])) for key, ex in exprs.items()}
+        self._grid = None
 
     def _entry(self, du, dv):
         try:
@@ -877,6 +992,16 @@ class CompiledField:
 
     def eval_derivative(self, du: int, dv: int, u: float, v: float) -> float:
         return self._entry(du, dv)[1](u, v)[0]
+
+    def grid(self, us, vs) -> list:
+        """The expression at every point of the grid us x vs, a row per
+        u: grid(us, vs)[i][j] is eval(us[i], vs[j]), bit for bit, and a
+        fault raises the error that evaluating the points in row-major
+        order raises first."""
+        if self._grid is None:
+            # threads racing here compile equal programs
+            self._grid = compile_grid_program([self.expr])
+        return [[x for x, in row] for row in self._grid(us, vs)]
 
 
 def compile_field(source_or_expr, order: int = 0) -> CompiledField:

@@ -28,10 +28,14 @@ other program is compiled on first use, from trees derived again from
 the kept inputs (X_u, X_v, v, w, m) in a context of its own, and kept
 on the surface: the eight vectors read point by point (X_u, X_v, X_uu,
 X_uv, X_vv and the frame legs v, w, m), one 3-root program each; lam~
-= -4 a1 b1 and c2, whose zero sets are traced; and the invariant
-program's array form (the same numbering in the arrays.ARRAY
-environment), which large grids evaluate a block of points per call.
-lcframe imports numpy only for that last one.
+= -4 a1 b1 and c2, whose zero sets are traced, each an
+expr.CompiledField whose tree is derived and simplified once, in one
+context, and which compiles from that tree its point program and, on
+the first trace, its tensor-grid program; and the invariant program's
+array form (the same numbering in the arrays.ARRAY environment), which
+large grids evaluate a block of points per call.  lcframe imports numpy
+only for that last one.  validate_framed reads the frame legs v and w,
+never m.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -199,9 +203,10 @@ class SurfaceDef:
     n~) into one program evaluated in one call, and nothing else.  Each
     vector accessor (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v,
     frame_vec_w, frame_vec_m) is one 3-root program, scalar_field gives
-    the traced fields lambda_til and c2, and invariant_arrays runs the
-    invariant program over arrays; each of these programs is compiled on
-    first use and kept.
+    the traced fields lambda_til and c2 (a point program, and a grid
+    program compiled on the first CompiledField.grid call), and
+    invariant_arrays runs the invariant program over arrays; each of
+    these programs is compiled on first use and kept.
 
     Instances are immutable after construction, except for the programs
     kept on first use: threads racing there derive in separate contexts
@@ -234,7 +239,8 @@ class SurfaceDef:
         "arrays"), compiled and kept; threads racing here compile equal
         programs, and the first one kept is returned to all of them."""
         if key in _TRACED:
-            program = CompiledField(_traced_tree(Dag(), key, *self._tree_inputs[:4]), 0)
+            dag = Dag()  # the tree is simplified once, here
+            program = CompiledField(_traced_tree(dag, key, *self._tree_inputs[:4]), 0, dag)
         elif key == "arrays":
             from .arrays import ARRAY  # imports numpy
 
@@ -443,13 +449,14 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
 
     for u in us:
         for v in vs:
-            fr = frame_at(s, u, v)
+            s.require_in_domain(u, v)
+            fv, fw = s.frame_vec_v(u, v), s.frame_vec_w(u, v)  # m is not read
             pair_res = max(
-                abs(pseudo_dot(fr.v, fr.v)),
-                abs(pseudo_dot(fr.w, fr.w)),
-                abs(pseudo_dot(fr.v, fr.w) + 2.0),
+                abs(pseudo_dot(fv, fv)),
+                abs(pseudo_dot(fw, fw)),
+                abs(pseudo_dot(fv, fw) + 2.0),
             )
-            scale = 1.0 + max(fr.v.max_abs(), fr.w.max_abs()) ** 2
+            scale = 1.0 + max(fv.max_abs(), fw.max_abs()) ** 2
             max_pair = max(max_pair, pair_res)
             if pair_res > tol * scale and witness is None:
                 witness = (u, v, "lightlike-pair", pair_res)
@@ -467,7 +474,7 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
             max_alpha = max(max_alpha, abs(alpha))
             max_beta = max(max_beta, abs(beta))
             lhs = wedge(s.x_u(u, v), s.x_v(u, v))
-            rhs = fr.v.scaled(alpha) + fr.w.scaled(beta)
+            rhs = fv.scaled(alpha) + fw.scaled(beta)
             res = (lhs - rhs).max_abs()
             wedge_scale = 1.0 + lhs.max_abs()
             max_wedge = max(max_wedge, res)

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lcframe.arrays import ARRAY
-from lcframe import catalog
+from lcframe import catalog, expr
 from lcframe.expr import (
     Add, Call, CompiledField, Const, Dag, Div, EvalDomainError, Expr,
     ExprError, ExprSyntaxError, Mul, Neg, Pow, Sub, UnknownIdentifierError,
-    Var, compile_field, compile_program, constant_value, differentiate,
-    evaluate, parse, simplify, to_source,
+    Var, compile_field, compile_grid_program, compile_program, constant_value,
+    differentiate, evaluate, parse, simplify, to_source,
 )
 from lcframe.surface import _invariant_trees, _traced_tree
 
@@ -397,6 +397,85 @@ class TestCompileProgram:
         e = parse("sin(u)*v")
         assert compile_program([e, Var("v"), e, Const(-0.0)])(1.0, 2.0) == (
             math.sin(1.0) * 2.0, 2.0, math.sin(1.0) * 2.0, -0.0)
+
+
+def _point_loop(program, us, vs):
+    """The program at every point of us x vs in row-major order, as
+    float.hex, or the text of the first error."""
+    try:
+        return [[[x.hex() for x in program(u, v)] for v in vs] for u in us]
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+def _hex_rows(rows):
+    return [[[x.hex() for x in point] for point in row] for row in rows]
+
+
+class TestGridProgram:
+    @settings(max_examples=200, deadline=None)
+    @given(tree_lists,
+           st.lists(st.one_of(st.floats(-2, 2), st.sampled_from([0.0, -0.0])), max_size=4),
+           st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 0.25]), max_size=4))
+    def test_matches_the_point_loop(self, trees, us, vs):
+        want = _point_loop(compile_program(trees), us, vs)
+        grid = compile_grid_program(trees)
+        if isinstance(want, str):
+            with pytest.raises(EvalDomainError) as err:
+                grid(us, vs)
+            assert str(err.value) == want
+        else:
+            assert _hex_rows(grid(us, vs)) == want
+
+    # each pair: the point loop's first fault, and one that a grid
+    # computing constants, columns or rows first would reach before it
+    @pytest.mark.parametrize("source, us, vs, message", [
+        ("log(u) + 1/v", [0.0, 1.0], [1.0, 0.0], "log of a nonpositive argument"),
+        ("1/v + log(u)", [0.0, 1.0], [0.0, 1.0], "division by zero"),
+        ("1/v + log(0.0 - 2.0)", [1.0], [0.0], "division by zero"),
+        ("u/v + sqrt(0.0 - 1.0)", [1.0], [0.0], "division by zero"),
+    ])
+    def test_a_fault_raises_the_point_loop_error(self, source, us, vs, message):
+        tree = parse(source)
+        assert _point_loop(compile_program([tree]), us, vs) == message
+        for grid in (compile_grid_program([tree]), compile_field(tree).grid):
+            with pytest.raises(EvalDomainError) as err:
+                grid(us, vs)
+            assert str(err.value) == message
+
+    def test_computes_each_value_where_its_variables_change(self, monkeypatch):
+        calls = {"sin": 0, "cos": 0, "exp": 0}
+        for name in calls:
+            def counted(x, fn=getattr(math, name), name=name):
+                calls[name] += 1
+                return fn(x)
+
+            monkeypatch.setitem(expr._SCALAR_NAMESPACE, name, counted)
+        tree = parse("sin(u)*cos(v) + exp(1.5)*u*v")
+        us, vs = [0.1 * i for i in range(5)], [0.2 * j for j in range(7)]
+        rows = compile_grid_program([tree])(us, vs)
+        assert calls == {"sin": 5, "cos": 7, "exp": 1}
+        assert _hex_rows(rows) == _point_loop(compile_program([tree]), us, vs)
+
+    def test_empty_grids(self):
+        grid = compile_grid_program([parse("log(u) + 1/v")])
+        assert grid([], [0.0]) == []
+        assert grid([0.0, 1.0], []) == [[], []]
+
+    def test_a_tree_simplified_in_its_context_is_not_simplified_again(self, monkeypatch):
+        dag = Dag()
+        tree = dag.simplify(parse("sin(u)*1 + 0*v - -(-u)"))
+        simplified = []
+        original = Dag.simplify
+
+        def counted(self, e):
+            simplified.append(e)
+            return original(self, e)
+
+        monkeypatch.setattr(Dag, "simplify", counted)
+        field = CompiledField(tree, 0, dag)
+        assert field.expr is tree
+        assert simplified == [tree]  # one memo hit at the root
 
 
 # The array program: the same numbering spelled for numpy arrays of

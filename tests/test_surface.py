@@ -254,6 +254,12 @@ class TestValidation:
             rep = validate_framed(catalog.load(name), (12, 12), 1e-8)
             assert rep.admitted, (name, rep.witness)
 
+    def test_reads_the_frame_legs_v_and_w_only(self):
+        s = SurfaceDef.from_dict(json.loads(catalog.surface_text("mixed_bowl")))
+        assert validate_framed(s, (6, 6), 1e-8).admitted
+        assert "v" in s._programs and "w" in s._programs
+        assert "m" not in s._programs  # frame_vec_m was never compiled
+
 
 class TestSurfaceFiles:
     def test_file_round_trip(self, tmp_path, sphere):
@@ -344,6 +350,20 @@ class TestInvariantProgram:
             for v in vs:
                 c2 = basic_invariants_at(s, u, v).c2
                 assert struct.pack("<d", c2) == struct.pack("<d", field.eval(u, v)), (u, v)
+
+    def test_a_traced_field_is_derived_and_simplified_in_one_context(self, monkeypatch):
+        contexts = []
+        original = Dag.__init__
+
+        def counted(self):
+            contexts.append(self)
+            original(self)
+
+        s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
+        monkeypatch.setattr(Dag, "__init__", counted)
+        for field in TRACED_FIELDS:
+            s.scalar_field(field)
+        assert len(contexts) == len(TRACED_FIELDS)
 
     def test_compiles_only_what_it_evaluates(self, monkeypatch):
         # per surface: the invariant program and each domain bound that is
