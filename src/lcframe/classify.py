@@ -34,8 +34,9 @@ point program's, and a fault raises the point loop's first error.  The
 scan turns each row's signs into one int and visits only the cells
 whose corner signs differ (1.6% of the cells of the seed-1
 surface_survey benchmark's 64² traces), in row-major order, so
-segments, vertices and CSV bytes are those of scanning every cell.  Bisection and the saddle centres
-evaluate the point program.  Tracing never imports numpy.
+segments, vertices and CSV bytes are those of scanning every cell.
+Bisection and the saddle centres call the field's point program
+(CompiledField.program) directly.  Tracing never imports numpy.
 """
 
 from __future__ import annotations
@@ -181,7 +182,8 @@ class LocusPolyline:
 
 
 def _bisect_edge(f, p0, p1, f0, f1, refine_tol):
-    """Refine a sign-change along the segment p0-p1 to |f| <= refine_tol."""
+    """Refine a sign-change along the segment p0-p1 to |f| <= refine_tol;
+    f is the field's point program, (u, v) -> (value,)."""
     if f0 == 0.0:
         return p0, 0.0
     if f1 == 0.0:
@@ -189,7 +191,7 @@ def _bisect_edge(f, p0, p1, f0, f1, refine_tol):
     best_p, best_f = (p0, abs(f0)) if abs(f0) < abs(f1) else (p1, abs(f1))
     for _ in range(_BISECT_MAX_ITER):
         mid = ((p0[0] + p1[0]) / 2.0, (p0[1] + p1[1]) / 2.0)
-        fm = f(*mid)
+        fm, = f(*mid)
         if abs(fm) < best_f:
             best_p, best_f = mid, abs(fm)
         if abs(fm) <= refine_tol:
@@ -244,8 +246,9 @@ def _mixed_cells(values):
 
 
 def _segments(f, us, vs, values, refine_tol):
-    """Marching squares over the mixed cells of values, the samples of
-    the field f on the grid us x vs: (segments, crossings).
+    """Marching squares over the mixed cells of values, the samples on
+    the grid us x vs of the field whose point program, (u, v) ->
+    (value,), is f: (segments, crossings).
 
     Each segment joins two edge keys, (i, j, "u") for the edge from
     grid point (i, j) to (i + 1, j) and (i, j, "v") for the one to
@@ -274,7 +277,7 @@ def _segments(f, us, vs, values, refine_tol):
         )
         if pairs is None:
             # ambiguous saddle: the centre sample picks the pairing
-            centre = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+            centre, = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
             if (centre > 0.0) == pattern[0]:
                 pairs = ((0, 1), (2, 3))
             else:
@@ -313,7 +316,7 @@ def trace_zero_set(
         raise LcframeError("classification tolerance must be positive and finite")
     fld = s.scalar_field(field_name)
     us, vs = s.domain.grid(nu, nv)
-    segments, crossings = _segments(fld.eval, us, vs, fld.grid(us, vs), refine_tol)
+    segments, crossings = _segments(fld.program, us, vs, fld.grid(us, vs), refine_tol)
     return _link_segments(s, field_name, segments, crossings, classify_tol)
 
 

@@ -956,11 +956,12 @@ class CompiledField:
     expression and program for d^(i+j) / du^i dv^j.  The expression is
     simplified and differentiated in dag, the derivation context it was
     derived in if one is given, so a tree simplified there is not
-    simplified again.  grid evaluates the expression over a tensor grid
-    with compile_grid_program, compiled on first use.
+    simplified again.  program is the expression's point program,
+    (u, v) -> (value,), which eval calls.  grid evaluates the expression
+    over a tensor grid with compile_grid_program, compiled on first use.
     """
 
-    __slots__ = ("expr", "order", "_table", "_grid")
+    __slots__ = ("expr", "order", "program", "_table", "_grid")
 
     def __init__(self, expr: Expr, order: int = 0, dag: Dag | None = None):
         if order < 0:
@@ -975,6 +976,7 @@ class CompiledField:
             for j in range(1, order + 1 - i):
                 exprs[(i, j)] = dag.differentiate(exprs[(i, j - 1)], "v")
         self._table = {key: (ex, compile_program([ex])) for key, ex in exprs.items()}
+        self.program = self._table[(0, 0)][1]
         self._grid = None
 
     def _entry(self, du, dv):

@@ -100,11 +100,13 @@ class ApproachPath:
             raise LcframeError("provide exactly one of direction or curve")
         if not 0.0 < self.ratio < 1.0:
             raise LcframeError("schedule ratio must lie in (0, 1)")
-        if self.r0 <= 0.0 or self.count < 4:
-            raise LcframeError("schedule needs r0 > 0 and at least 4 samples")
+        if not 0.0 < self.r0 < math.inf or self.count < 4:
+            raise LcframeError("schedule needs a finite r0 > 0 and at least 4 samples")
         if self.direction is not None:
             du, dv = self.direction
             length = math.hypot(du, dv)
+            if not length < math.inf:  # a component is not finite, or the length overflows
+                raise LcframeError("direction must be finite")
             if length == 0.0:
                 raise LcframeError("direction must be nonzero")
             object.__setattr__(self, "direction", (du / length, dv / length))

@@ -20,22 +20,28 @@ one build share one expr.Dag, so each distinct subexpression is
 simplified and differentiated once; the context is dropped when the
 build returns, and the compiled programs keep no reference to it.
 
-The twenty trees and the three components of n~ = X_u ^ m compile into
-one 23-root program (expr.compile_program) that computes each shared
-subexpression once; basic_invariants_at calls it.  It is the only
-program compiled at construction, besides the domain bounds.  Every
-other program is compiled on first use, from trees derived again from
-the kept inputs (X_u, X_v, v, w, m) in a context of its own, and kept
-on the surface: the eight vectors read point by point (X_u, X_v, X_uu,
-X_uv, X_vv and the frame legs v, w, m), one 3-root program each; lam~
-= -4 a1 b1 and c2, whose zero sets are traced, each an
+The twenty trees and the three components of n~ = X_u ^ m are derived
+at construction and kept, and construction compiles nothing (loading a
+definition compiles each domain bound that is not a single constant).
+Every program is compiled on first use and kept on the surface: from
+the kept trees, the 23-root invariant program (expr.compile_program,
+which computes each shared subexpression once) on the first
+basic_invariants_at, and its array form (the same numbering in the
+arrays.ARRAY environment), which large grids evaluate a block of
+points per call; the eight vectors read point by point (X_u, X_v, X_uu,
+X_uv, X_vv and the frame legs v, w, m), one 3-root program each; and
+lam~ = -4 a1 b1 and c2, whose zero sets are traced, each an
 expr.CompiledField whose tree is derived and simplified once, in one
 context, and which compiles from that tree its point program and, on
-the first trace, its tensor-grid program; and the invariant program's
-array form (the same numbering in the arrays.ARRAY environment), which
-large grids evaluate a block of points per call.  lcframe imports numpy
-only for that last one.  validate_framed reads the frame legs v and w,
-never m.
+the first trace, its tensor-grid program.  The vector programs and
+traced fields derive their trees again from the kept inputs (X_u, X_v,
+v, w, m), in a context of their own.  lcframe imports numpy only for
+the array form.
+
+validate_framed evaluates v, w, X_u, X_v and the invariants a1, b1, a2,
+b2 and c2 over its grid as one tensor-grid program
+(expr.compile_grid_program) and compiles nothing else: neither the
+invariant program nor a vector program, m's among them.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -50,10 +56,10 @@ from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
-    Add, CompiledField, Const, Dag, Mul, Neg, Sub, compile_program, constant_value,
-    parse,
+    Add, CompiledField, Const, Dag, EvalDomainError, Mul, Neg, Sub, compile_grid_program,
+    compile_program, constant_value, parse,
 )
-from .minkowski import LVec3, pseudo_dot, wedge
+from .minkowski import LVec3, wedge
 
 __all__ = [
     "DomainBox",
@@ -68,6 +74,9 @@ __all__ = [
 ]
 
 SIGNATURE = (-1.0, 1.0, 1.0)
+
+#: How far outside its box DomainBox.contains lets a point lie.
+_SLACK = 1e-12
 
 
 class SurfaceFormatError(LcframeError):
@@ -84,23 +93,36 @@ class DomainBox:
     v_max: float
 
     def __post_init__(self):
+        bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
+        widths = (self.u_max - self.u_min, self.v_max - self.v_min)  # grid steps
+        if not all(map(math.isfinite, bounds + widths)):
+            raise SurfaceFormatError(
+                f"domain bounds and their distances must be finite, got {bounds}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise SurfaceFormatError(
                 f"degenerate domain box {self.u_min, self.u_max, self.v_min, self.v_max}")
 
-    def contains(self, u: float, v: float, slack: float = 1e-12) -> bool:
+    def contains(self, u: float, v: float, slack: float = _SLACK) -> bool:
         """Whether (u, v) lies in the box widened by slack; u and v may
         also be numpy arrays of points, giving an array of verdicts."""
         return ((self.u_min - slack <= u) & (u <= self.u_max + slack)
                 & (self.v_min - slack <= v) & (v <= self.v_max + slack))
 
     def grid(self, nu: int, nv: int):
-        """Closed sampling: both endpoints of each interval included."""
+        """Closed sampling: both endpoints of each interval included, and
+        every point inside the box as contains sees it."""
         if nu < 2 or nv < 2:
             raise LcframeError(f"grid resolution must be at least 2x2, got {nu}x{nv}")
-        us = [self.u_min + (self.u_max - self.u_min) * i / (nu - 1) for i in range(nu)]
-        vs = [self.v_min + (self.v_max - self.v_min) * j / (nv - 1) for j in range(nv)]
-        return us, vs
+        return _samples(self.u_min, self.u_max, nu), _samples(self.v_min, self.v_max, nv)
+
+
+def _samples(lo, hi, n):
+    """n evenly spaced samples of [lo, hi], lo + (hi - lo) * i / (n - 1).
+    Far from the origin rounding can carry a sample past a bound by more
+    than contains allows; such a sample is set to that bound, and every
+    other sample is kept as computed."""
+    xs = (lo + (hi - lo) * i / (n - 1) for i in range(n))
+    return [x if lo - _SLACK <= x <= hi + _SLACK else min(max(x, lo), hi) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -194,25 +216,26 @@ def _partials(dag, trees, var):
 
 
 class SurfaceDef:
-    """Compiled surface triple with its symbolic invariant program.
+    """Surface triple with its symbolic invariant trees.
 
-    The components of X, v and w are parsed and simplified once; the
-    trees the surface evaluates are derived from them symbolically, in
-    a derivation context (expr.Dag) that is dropped when the derivation
-    returns.  Construction compiles the 23 BasicInvariants fields (with
-    n~) into one program evaluated in one call, and nothing else.  Each
-    vector accessor (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v,
-    frame_vec_w, frame_vec_m) is one 3-root program, scalar_field gives
-    the traced fields lambda_til and c2 (a point program, and a grid
-    program compiled on the first CompiledField.grid call), and
-    invariant_arrays runs the invariant program over arrays; each of
-    these programs is compiled on first use and kept.
+    The components of X, v and w are parsed and simplified once, and
+    the 23 BasicInvariants fields (with n~) are derived from them
+    symbolically, in a derivation context (expr.Dag) that is dropped
+    when construction returns; the trees are kept.  Construction
+    compiles nothing.  The first basic_invariants_at compiles the
+    invariant trees into one program evaluated in one call, and
+    invariant_arrays compiles them for arrays.  Each vector accessor
+    (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v, frame_vec_w, frame_vec_m)
+    is one 3-root program, and scalar_field gives the traced fields
+    lambda_til and c2 (a point program, and a grid program compiled on
+    the first CompiledField.grid call), each derived again in a context
+    of its own.  Every program is compiled on first use and kept.
 
     Instances are immutable after construction, except for the programs
-    kept on first use: threads racing there derive in separate contexts
-    and compile equal programs, and one is kept.  No derivation state is
-    shared between builds or kept on the surface, and every evaluation
-    is pure, so surfaces may be built and shared freely across threads.
+    kept on first use: threads racing there compile equal programs, and
+    one is kept.  No derivation state is shared between builds or kept
+    on the surface, and every evaluation is pure, so surfaces may be
+    built and shared freely across threads.
     """
 
     def __init__(self, name, x_sources, v_sources, w_sources, domain):
@@ -228,23 +251,29 @@ class SurfaceDef:
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
         xu, xv = _partials(dag, x, "u"), _partials(dag, x, "v")
         m = tuple(dag.simplify(Neg(_half(c))) for c in _wedge_expr(dag, fv, fw))
-        self._invariant_program = compile_program(_invariant_trees(dag, xu, xv, fv, fw, m))
-        # every other program derives its trees again on first use: kept,
-        # they would hold up to a few hundred kB per surface, mostly unused
+        # derived here, where the build's context already holds most of
+        # their subexpressions; compiled on first use
+        self._invariants = _invariant_trees(dag, xu, xv, fv, fw, m)
+        # the vector programs and traced fields derive their trees again on
+        # first use: kept, they would hold up to a few hundred kB per
+        # surface, mostly unused
         self._tree_inputs = (xu, xv, fv, fw, m)
         self._programs = {}  # key -> program compiled on first use
 
     def _compile(self, key):
-        """The program key (a vector accessor's, a traced field's or
-        "arrays"), compiled and kept; threads racing here compile equal
-        programs, and the first one kept is returned to all of them."""
-        if key in _TRACED:
-            dag = Dag()  # the tree is simplified once, here
-            program = CompiledField(_traced_tree(dag, key, *self._tree_inputs[:4]), 0, dag)
+        """The program key (the invariant program's "invariants" or
+        "arrays", a vector accessor's or a traced field's), compiled and
+        kept; threads racing here compile equal programs, and the first
+        one kept is returned to all of them."""
+        if key == "invariants":
+            program = compile_program(self._invariants)
         elif key == "arrays":
             from .arrays import ARRAY  # imports numpy
 
-            program = compile_program(_invariant_trees(Dag(), *self._tree_inputs), ARRAY)
+            program = compile_program(self._invariants, ARRAY)
+        elif key in _TRACED:
+            dag = Dag()  # the tree is simplified once, here
+            program = CompiledField(_traced_tree(dag, key, *self._tree_inputs[:4]), 0, dag)
         else:
             program = compile_program(_vector_trees(key, *self._tree_inputs))
         return self._programs.setdefault(key, program)
@@ -412,7 +441,10 @@ def _vector_trees(key, xu, xv, fv, fw, m):
 
 def _bound(value):
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)  # DomainBox rejects a non-finite one
+        except OverflowError:
+            raise SurfaceFormatError("domain bound too large for a float") from None
     return constant_value(str(value))
 
 
@@ -429,7 +461,12 @@ def frame_at(s: SurfaceDef, u: float, v: float) -> LightconeFrame:
 def basic_invariants_at(s: SurfaceDef, u: float, v: float) -> BasicInvariants:
     """Evaluate the frame coefficients, their tracked partials and n~."""
     s.require_in_domain(u, v)
-    return BasicInvariants._make(s._invariant_program(u, v))
+    program = s._programs.get("invariants") or s._compile("invariants")
+    return BasicInvariants._make(program(u, v))
+
+
+#: The invariants validate_framed reads, in the order it evaluates them.
+_VALIDATED = tuple(BasicInvariants._fields.index(k) for k in ("a1", "b1", "a2", "b2", "c2"))
 
 
 def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedValidationReport:
@@ -438,45 +475,79 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
     Verifies at each grid point that (v, w) is an admissible lightlike
     pair, that a2 and b2 vanish, and that X_u ^ X_v = -a1*c2 v + b1*c2 w.
     The report carries the worst residuals and, on failure, the first
-    witness point.
+    witness point, in row-major order.  A pair residual or its scale
+    that overflows fails the lightlike-pair check at that point, with
+    residual inf.
+
+    v, w, a1, b1, a2, b2, c2, X_u and X_v are evaluated over the grid as
+    one tensor-grid program (expr.compile_grid_program), and each
+    residual is computed from their values with the float operations of
+    pseudo_dot, wedge, LVec3.scaled and LVec3.max_abs.  An evaluation
+    fault, or a residual vector with a non-finite component, raises the
+    error that evaluating those roots and building those vectors point
+    by point raises first.
     """
     if not (0 < tol < math.inf):
         raise LcframeError("validation tolerance must be positive and finite")
     nu, nv = grid
     us, vs = s.domain.grid(nu, nv)
+    xu, xv, fv, fw, _ = s._tree_inputs
+    trees = [*fv, *fw, *(s._invariants[k] for k in _VALIDATED), *xu, *xv]
+    try:
+        rows = compile_grid_program(trees)(us, vs)
+    except EvalDomainError:
+        # evaluated point by point as the residuals read them, so an
+        # earlier point's vector fault is raised before this fault
+        point = compile_program(trees)
+        rows = ((point(u, v) for v in vs) for u in us)
     max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0
     witness = None
+    inf, isfinite = math.inf, math.isfinite
 
-    for u in us:
-        for v in vs:
-            s.require_in_domain(u, v)
-            fv, fw = s.frame_vec_v(u, v), s.frame_vec_w(u, v)  # m is not read
-            pair_res = max(
-                abs(pseudo_dot(fv, fv)),
-                abs(pseudo_dot(fw, fw)),
-                abs(pseudo_dot(fv, fw) + 2.0),
-            )
-            scale = 1.0 + max(fv.max_abs(), fw.max_abs()) ** 2
+    for u, row in zip(us, rows):
+        for v, values in zip(vs, row):
+            (v1, v2, v3, w1, w2, w3, a1, b1, a2, b2, c2,
+             xu1, xu2, xu3, xv1, xv2, xv3) = values
+            vv = -v1 * v1 + v2 * v2 + v3 * v3
+            ww = -w1 * w1 + w2 * w2 + w3 * w3
+            vw = -v1 * w1 + v2 * w2 + v3 * w3
+            try:
+                scale = 1.0 + max(abs(v1), abs(v2), abs(v3), abs(w1), abs(w2), abs(w3)) ** 2
+            except OverflowError:
+                scale = inf
+            if isfinite(vv) and isfinite(ww) and isfinite(vw):
+                pair_res = max(abs(vv), abs(ww), abs(vw + 2.0))
+                pair_failed = pair_res > tol * scale or scale == inf
+            else:
+                pair_res, pair_failed = inf, True
             max_pair = max(max_pair, pair_res)
-            if pair_res > tol * scale and witness is None:
+            if pair_failed and witness is None:
                 witness = (u, v, "lightlike-pair", pair_res)
 
-            inv = basic_invariants_at(s, u, v)
-            max_a2 = max(max_a2, abs(inv.a2))
-            max_b2 = max(max_b2, abs(inv.b2))
-            if abs(inv.a2) > tol and witness is None:
-                witness = (u, v, "a2", inv.a2)
-            if abs(inv.b2) > tol and witness is None:
-                witness = (u, v, "b2", inv.b2)
+            max_a2 = max(max_a2, abs(a2))
+            max_b2 = max(max_b2, abs(b2))
+            if abs(a2) > tol and witness is None:
+                witness = (u, v, "a2", a2)
+            if abs(b2) > tol and witness is None:
+                witness = (u, v, "b2", b2)
 
-            alpha = -inv.a1 * inv.c2
-            beta = inv.b1 * inv.c2
+            alpha = -a1 * c2
+            beta = b1 * c2
             max_alpha = max(max_alpha, abs(alpha))
             max_beta = max(max_beta, abs(beta))
-            lhs = wedge(s.x_u(u, v), s.x_v(u, v))
-            rhs = fv.scaled(alpha) + fw.scaled(beta)
-            res = (lhs - rhs).max_abs()
-            wedge_scale = 1.0 + lhs.max_abs()
+            # lhs = wedge(X_u, X_v), rhs = v.scaled(alpha) + w.scaled(beta)
+            lhs1 = -(xu2 * xv3 - xu3 * xv2)
+            lhs2 = xu3 * xv1 - xu1 * xv3
+            lhs3 = xu1 * xv2 - xu2 * xv1
+            d1 = lhs1 - (alpha * v1 + beta * w1)
+            d2 = lhs2 - (alpha * v2 + beta * w2)
+            d3 = lhs3 - (alpha * v3 + beta * w3)
+            if not (isfinite(d1) and isfinite(d2) and isfinite(d3)):
+                # one of the vectors gets a non-finite component: raise
+                # the error its LVec3 raises
+                _residual_vector(values)
+            res = max(abs(d1), abs(d2), abs(d3))
+            wedge_scale = 1.0 + max(abs(lhs1), abs(lhs2), abs(lhs3))
             max_wedge = max(max_wedge, res)
             if res > tol * wedge_scale and witness is None:
                 witness = (u, v, "wedge-decomposition", res)
@@ -493,3 +564,13 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
         admitted=witness is None,
         witness=witness,
     )
+
+
+def _residual_vector(values):
+    """X_u ^ X_v - (alpha v + beta w) at one point, from the values of
+    validate_framed's roots there, built with LVec3 algebra: a vector
+    with a non-finite component raises LVec3's error."""
+    v1, v2, v3, w1, w2, w3, a1, b1, a2, b2, c2, *tangents = values
+    lhs = wedge(LVec3(*tangents[:3]), LVec3(*tangents[3:]))
+    alpha, beta = -a1 * c2, b1 * c2
+    return lhs - (LVec3(v1, v2, v3).scaled(alpha) + LVec3(w1, w2, w3).scaled(beta))

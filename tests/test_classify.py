@@ -191,7 +191,7 @@ def _ref_segments(f, us, vs, values, refine_tol):
                 ((i, j, "v"), pts[0], pts[3], corners[0], corners[3]),
             )
             if pairs is None:
-                centre = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+                centre, = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
                 if (centre > 0.0) == pattern[0]:
                     pairs = ((0, 1), (2, 3))
                 else:
@@ -217,8 +217,8 @@ class TestTrace:
         us, vs = s.domain.grid(*grid)
         values = [[fld.eval(u, v) for v in vs] for u in us]
         assert fld.grid(us, vs) == values
-        want = _ref_segments(fld.eval, us, vs, values, 1e-9)
-        assert _segments(fld.eval, us, vs, values, 1e-9) == want
+        want = _ref_segments(fld.program, us, vs, values, 1e-9)
+        assert _segments(fld.program, us, vs, values, 1e-9) == want
         assert _trace_csv(trace_zero_set(s, field, grid)) == _trace_csv(
             _link_segments(s, field, *want, 1e-9))
 
@@ -234,9 +234,14 @@ class TestTrace:
         vs = [0.125 * j for j in range(len(values[0]))]
 
         def f(u, v):
-            return math.sin(7.0 * u - 3.0 * v)
+            return (math.sin(7.0 * u - 3.0 * v),)
 
         assert _segments(f, us, vs, values, 1e-3) == _ref_segments(f, us, vs, values, 1e-3)
+
+    def test_bisection_calls_the_point_program(self, mixed_bowl, field_evals):
+        # not CompiledField.eval, whose frames cost more than the program
+        assert trace_zero_set(mixed_bowl, "lambda_til", (16, 16))
+        assert field_evals[0] == 0
 
     @pytest.mark.parametrize("field, message", [
         ("c2", "log of a nonpositive argument"), ("lambda_til", "division by zero")])

@@ -57,3 +57,15 @@ def test_vanishing_order_at_the_sphere_pole(sphere, field):
 def test_vanishing_order_needs_a_vanishing_field(sphere):
     with pytest.raises(FieldNonvanishingError):
         vanishing_order(sphere, POLE_PATH, "lambda_til")
+
+
+@pytest.mark.parametrize("args", [
+    {"r0": math.nan}, {"r0": math.inf},
+    {"direction": (math.nan, 1.0)}, {"direction": (1.0, math.inf)},
+    {"direction": (-math.inf, math.inf)},
+])
+def test_a_non_finite_schedule_is_rejected(args):
+    # each was accepted, and every sample was nan
+    args = {"direction": (1.0, 0.0), **args}
+    with pytest.raises(LcframeError, match="finite"):
+        ApproachPath(target=(0.0, 0.0), **args)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -9,10 +10,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcframe import catalog, expr, surface
+from lcframe.classify import classify_grid
 from lcframe.errors import LcframeError
-from lcframe.expr import CompiledField, Const, Dag, Mul, compile_program
+from lcframe.expr import (
+    Add, CompiledField, Const, Dag, EvalDomainError, Expr, Mul, Var, compile_program, parse,
+)
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
     DomainBox, SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at,
@@ -254,11 +260,186 @@ class TestValidation:
             rep = validate_framed(catalog.load(name), (12, 12), 1e-8)
             assert rep.admitted, (name, rep.witness)
 
-    def test_reads_the_frame_legs_v_and_w_only(self):
+    def test_reads_the_frame_legs_v_and_w_only(self, monkeypatch):
+        # v, w, X_u, X_v and the five invariants read come from one grid
+        # program: no vector program (m among them) and no invariant
+        # point program is compiled
+        filenames = []
+
+        def recording(text, filename, mode):
+            filenames.append(filename)
+            return compile(text, filename, mode)
+
+        monkeypatch.setattr(expr, "compile", recording, raising=False)
         s = SurfaceDef.from_dict(json.loads(catalog.surface_text("mixed_bowl")))
+        del filenames[:]
         assert validate_framed(s, (6, 6), 1e-8).admitted
-        assert "v" in s._programs and "w" in s._programs
-        assert "m" not in s._programs  # frame_vec_m was never compiled
+        assert filenames == ["<lcframe-grid-program>"]
+        assert s._programs == {}
+
+
+def _oracle_validate(s, grid=(16, 16), tol=1e-8):
+    """validate_framed as a loop over the grid points, evaluating each
+    through the surface's vector programs and basic_invariants_at and
+    computing the residuals with LVec3 algebra."""
+    if not (0 < tol < math.inf):
+        raise LcframeError("validation tolerance must be positive and finite")
+    nu, nv = grid
+    us, vs = s.domain.grid(nu, nv)
+    max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0
+    witness = None
+
+    for u in us:
+        for v in vs:
+            s.require_in_domain(u, v)
+            fv, fw = s.frame_vec_v(u, v), s.frame_vec_w(u, v)
+            pair_res = max(
+                abs(pseudo_dot(fv, fv)),
+                abs(pseudo_dot(fw, fw)),
+                abs(pseudo_dot(fv, fw) + 2.0),
+            )
+            scale = 1.0 + max(fv.max_abs(), fw.max_abs()) ** 2
+            max_pair = max(max_pair, pair_res)
+            if pair_res > tol * scale and witness is None:
+                witness = (u, v, "lightlike-pair", pair_res)
+
+            inv = basic_invariants_at(s, u, v)
+            max_a2 = max(max_a2, abs(inv.a2))
+            max_b2 = max(max_b2, abs(inv.b2))
+            if abs(inv.a2) > tol and witness is None:
+                witness = (u, v, "a2", inv.a2)
+            if abs(inv.b2) > tol and witness is None:
+                witness = (u, v, "b2", inv.b2)
+
+            alpha = -inv.a1 * inv.c2
+            beta = inv.b1 * inv.c2
+            max_alpha = max(max_alpha, abs(alpha))
+            max_beta = max(max_beta, abs(beta))
+            lhs = wedge(s.x_u(u, v), s.x_v(u, v))
+            rhs = fv.scaled(alpha) + fw.scaled(beta)
+            res = (lhs - rhs).max_abs()
+            wedge_scale = 1.0 + lhs.max_abs()
+            max_wedge = max(max_wedge, res)
+            if res > tol * wedge_scale and witness is None:
+                witness = (u, v, "wedge-decomposition", res)
+
+    return surface.FramedValidationReport(
+        grid=(nu, nv), tol=tol, max_wedge_residual=max_wedge, max_delta4_residual=max_pair,
+        max_abs_a2=max_a2, max_abs_b2=max_b2, max_abs_alpha=max_alpha,
+        max_abs_beta=max_beta, admitted=witness is None, witness=witness)
+
+
+def _assert_same_report(s, grid, tol):
+    got, want = validate_framed(s, grid, tol), _oracle_validate(s, grid, tol)
+    assert got == want
+    assert repr(got) == repr(want)  # signed zeros too
+    return got
+
+
+def _shifted(e, du, dv):
+    """The tree e with u replaced by u + du and v by v + dv."""
+    if isinstance(e, Var):
+        return Add(e, Const(du if e.name == "u" else dv))
+    if isinstance(e, Const):
+        return e
+    return type(e)(*(_shifted(x, du, dv) if isinstance(x, Expr) else x
+                     for x in (getattr(e, f.name) for f in dataclasses.fields(e))))
+
+
+def _variant(name, c=1.0, du=0.0, dv=0.0):
+    """The catalog surface name with X -> cX and (u, v) -> (u + du, v + dv),
+    on the domain shifted to match."""
+    data = json.loads(catalog.surface_text(name))
+    x, fv, fw = ([_shifted(parse(src), du, dv) for src in data[key]] for key in "Xvw")
+    d = catalog.load(name).domain
+    return SurfaceDef(f"{name}-variant", [Mul(Const(c), e) for e in x], fv, fw,
+                      DomainBox(d.u_min - du, d.u_max - du, d.v_min - dv, d.v_max - dv))
+
+
+class TestValidationMatchesThePointLoop:
+    @pytest.mark.parametrize("tol", [1e-8, 1e-14])
+    @pytest.mark.parametrize("grid", [(12, 12), (16, 16), (5, 7)])
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog(self, name, grid, tol):
+        _assert_same_report(catalog.load(name), grid, tol)
+
+    def test_a_rejecting_tolerance_keeps_the_witness(self):
+        rep = _assert_same_report(catalog.load("mixed_bowl"), (16, 16), 1e-16)
+        assert not rep.admitted
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(catalog.names()), st.floats(-6.0, 6.0),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+           st.sampled_from([(12, 12), (16, 16), (5, 7)]), st.sampled_from([1e-8, 1e-14]))
+    def test_scaled_and_shifted_variants(self, name, log_c, du, dv, grid, tol):
+        _assert_same_report(_variant(name, 10.0 ** log_c, du, dv), grid, tol)
+
+
+#: v = (1, sin v, cos v), w = (1, -sin v, -cos v): an admissible pair.
+SPHERE_FRAME = (["1", "sin(v)", "cos(v)"], ["1", "-sin(v)", "-cos(v)"])
+
+
+def _point_loop_error(s, grid):
+    with pytest.raises(LcframeError) as err:
+        _oracle_validate(s, grid)
+    return str(err.value)
+
+
+class TestValidationFaults:
+    def test_a_fault_raises_the_point_loop_error(self):
+        # at (0.25, 0.75) v takes the sqrt of a negative number and a1
+        # divides by zero, and at (0.5, 0.25) a1 divides by zero: the
+        # point loop meets v's fault first, as it evaluates v before a1
+        # and goes row by row, not column by column
+        s = SurfaceDef(
+            "two_faults",
+            ["u + 1/((u - 0.25)^2 + (v - 0.75)^2) + 1/((u - 0.5)^2 + (v - 0.25)^2)", "0", "v"],
+            ["1", "sqrt(abs(u - 0.25) + abs(v - 0.75) - 0.01)", "1"], ["1", "0", "-1"],
+            DomainBox(0.0, 1.0, 0.0, 1.0))
+        assert _point_loop_error(s, (5, 5)) == "sqrt of a negative argument"
+        with pytest.raises(EvalDomainError, match="^sqrt of a negative argument$"):
+            validate_framed(s, (5, 5))
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            basic_invariants_at(s, 0.5, 0.25)
+
+    def test_a_wedge_overflow_before_a_fault_raises_the_overflow(self):
+        # X_u ^ X_v overflows from the second row on; X_u divides by zero
+        # in the fourth row
+        s = SurfaceDef("wedge_overflow", ["1e200*u^2", "1e200*v + 1/(u - 0.6)", "0"],
+                       *SPHERE_FRAME, DomainBox(0.0, 1.0, 0.0, 1.0))
+        assert _point_loop_error(s, (6, 6)) == "non-finite vector component: inf"
+        with pytest.raises(LcframeError) as err:
+            validate_framed(s, (6, 6))
+        assert str(err.value) == "non-finite vector component: inf"
+
+    def test_a_wedge_overflow_raises_the_point_loop_error(self):
+        s = SurfaceDef("wedge_overflow", ["1e200*u^2", "1e200*v", "0"],
+                       *SPHERE_FRAME, DomainBox(0.0, 1.0, 0.0, 1.0))
+        assert _point_loop_error(s, (6, 6)) == "non-finite vector component: inf"
+        with pytest.raises(LcframeError) as err:
+            validate_framed(s, (6, 6))
+        assert str(err.value) == "non-finite vector component: inf"
+
+    def test_invariants_it_does_not_read_do_not_fail_it(self):
+        # w_u divides by zero at u = 0, so e1, f1 and the partials fault
+        # there, and the point loop fails on its first point; validate
+        # reads none of them, and <v, w> = -2 only at u = 0
+        s = SurfaceDef("w_u_faults", ["u", "-v", "0"],
+                       ["1", "0", "1"], ["1 + sqrt(u)", "0", "-1"],
+                       DomainBox(0.0, 1.0, -1.0, 1.0))
+        assert _point_loop_error(s, (4, 4)) == "division by zero"
+        rep = validate_framed(s, (4, 4))
+        assert rep.witness[:3] == (1 / 3, -1.0, "lightlike-pair")
+
+    def test_large_frame_components_fail_the_pair_check(self):
+        # <v, w> = -2, but <v, v> overflows to inf - inf
+        s = SurfaceDef("large_frame", ["u", "-v", "0"], ["1e160", "0", "1e160"],
+                       ["1e-160", "0", "-1e-160"], DomainBox(-1.0, 1.0, -1.0, 1.0))
+        rep = validate_framed(s, (4, 4))
+        assert not rep.admitted
+        assert rep.witness == (-1.0, -1.0, "lightlike-pair", math.inf)
+        assert rep.max_delta4_residual == math.inf
+        assert rep.max_wedge_residual == 0.0
 
 
 class TestSurfaceFiles:
@@ -339,6 +520,69 @@ class TestConstantFrameExample:
             sphere.domain.grid(1, 5)
 
 
+class TestDomainGrid:
+    def test_far_from_the_origin_every_point_is_inside(self):
+        # lo + (hi - lo) * 185 / 185 rounds to -105912.77454924845, past hi
+        box = DomainBox(-468799.53750686604, -105912.77454924851, 0.0, 1.0)
+        us, vs = box.grid(186, 2)
+        assert us[-1] == box.u_max
+        assert all(box.contains(u, v) for u in us for v in vs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e9, 1e9), st.floats(1e-3, 1e9), st.integers(2, 300))
+    def test_no_point_falls_outside(self, lo, width, n):
+        box = DomainBox(lo, lo + width, lo, lo + width)
+        us, vs = box.grid(n, n)
+        assert all(box.contains(u, u) for u in us)
+        assert us[0] == lo
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_points_inside_stay_where_they_were(self, name):
+        d = catalog.load(name).domain
+        for n in (2, 7, 16, 37, 64, 61, 128, 256):
+            us, vs = d.grid(n, n)
+            assert us == [d.u_min + (d.u_max - d.u_min) * i / (n - 1) for i in range(n)]
+            assert vs == [d.v_min + (d.v_max - d.v_min) * j / (n - 1) for j in range(n)]
+
+    @pytest.mark.parametrize("lo, hi, n, last", [
+        (-0.6308074120837044, 2.974598206220036, 86, 2.9745982062200365),
+        (0.18802547043734447, 62.81769702524314, 136, 62.81769702524315),
+    ])
+    def test_a_point_past_a_bound_within_the_slack_stays(self, lo, hi, n, last):
+        # the last sample rounds past hi, by less than contains allows
+        us, _ = DomainBox(lo, hi, 0.0, 1.0).grid(n, 2)
+        assert hi < us[-1] == last
+
+    def test_validate_and_classify_run_far_from_the_origin(self, tmp_path):
+        s = SurfaceDef("far", ["u", "-v", "0"], ["1", "0", "1"], ["1", "0", "-1"],
+                       DomainBox(-468799.53750686604, -105912.77454924851, 0.0, 1.0))
+        assert validate_framed(s, (186, 2)).admitted
+        assert len(classify_grid(s, (186, 2)).rows) == 372
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, 10 ** 400],
+                             ids=["inf", "-inf", "nan", "10**400"])
+    def test_a_non_finite_bound_is_rejected(self, bound):
+        # JSON reads -Infinity, NaN and 1e999 as floats
+        data = {"name": "x", "X": ["u", "-v", "0"], "v": ["1", "0", "1"],
+                "w": ["1", "0", "-1"], "domain": {"u": [0, 1], "v": [bound, 1]}}
+        with pytest.raises(SurfaceFormatError):
+            SurfaceDef.from_dict(data)
+
+    def test_a_box_too_wide_for_floats_is_rejected(self):
+        # u_max - u_min overflows, and the grid held nan and inf points
+        with pytest.raises(SurfaceFormatError, match="finite"):
+            DomainBox(-1e308, 1e308, 0.0, 1.0)
+
+    def test_a_json_infinity_is_rejected_at_load(self, tmp_path):
+        path = tmp_path / "inf.surf"
+        path.write_text(
+            '{"name": "x", "X": ["u", "-v", "0"], "v": ["1", "0", "1"], '
+            '"w": ["1", "0", "-1"], "domain": {"u": [-Infinity, 1], "v": [0, 1e999]}}',
+            encoding="utf-8")
+        with pytest.raises(SurfaceFormatError, match="finite"):
+            SurfaceDef.from_file(path)
+
+
 class TestInvariantProgram:
     @pytest.mark.parametrize("name", catalog.names())
     def test_c2_matches_the_traced_field(self, name):
@@ -366,10 +610,10 @@ class TestInvariantProgram:
         assert len(contexts) == len(TRACED_FIELDS)
 
     def test_compiles_only_what_it_evaluates(self, monkeypatch):
-        # per surface: the invariant program and each domain bound that is
-        # not a single constant (such as 2*pi) at construction, then one
-        # program on the first use of each of the 8 vector accessors and 2
-        # traced fields, and none after that
+        # per surface: each domain bound that is not a single constant
+        # (such as 2*pi) at construction, then one program on the first
+        # use of the invariants, of each of the 8 vector accessors and of
+        # each of the 2 traced fields, and none after that
         calls = [0]
 
         def counted(trees, *env):
@@ -382,8 +626,8 @@ class TestInvariantProgram:
             calls[0] = 0
             data = json.loads(catalog.surface_text(name))
             s = SurfaceDef.from_dict(data)
-            at_build = 1 + sum(type(expr.parse(bound)) is not Const
-                               for bounds in data["domain"].values() for bound in bounds)
+            at_build = sum(type(expr.parse(bound)) is not Const
+                           for bounds in data["domain"].values() for bound in bounds)
             assert calls[0] == at_build, name
             u, v = s.domain.u_min, s.domain.v_min
             for use in _every_use(s):
@@ -392,7 +636,7 @@ class TestInvariantProgram:
                 assert calls[0] == before + 1, (name, use)
                 use(u, v)
                 assert calls[0] == before + 1, (name, use)
-            assert calls[0] == at_build + 10, name
+            assert calls[0] == at_build + 11, name
 
 
 VECTOR_ACCESSORS = ("x_u", "x_v", "x_uu", "x_uv", "x_vv", "frame_vec_v", "frame_vec_w",
@@ -401,9 +645,11 @@ TRACED_FIELDS = ("lambda_til", "c2")
 
 
 def _every_use(s):
-    """A call (u, v) -> tuple of floats per vector accessor and traced
-    field of s; the first call of each compiles that program."""
-    uses = [getattr(s, accessor) for accessor in VECTOR_ACCESSORS]
+    """A call (u, v) -> tuple of floats for the invariants and per
+    vector accessor and traced field of s; the first call of each
+    compiles that program."""
+    uses = [lambda u, v: basic_invariants_at(s, u, v)]
+    uses += [getattr(s, accessor) for accessor in VECTOR_ACCESSORS]
     for field in TRACED_FIELDS:
         uses.append(lambda u, v, field=field: (s.scalar_field(field).eval(u, v),))
     return uses
@@ -423,15 +669,15 @@ def _hex_values(program, s):
 
 
 def _eager_programs(s):
-    """The 8 vector programs and 2 traced fields of s, derived together
-    in one context, from the surface's kept inputs, and compiled at
-    once, in the order of _every_use."""
+    """The invariant program, the 8 vector programs and the 2 traced
+    fields of s, derived together in one context, from the surface's
+    kept inputs, and compiled at once, in the order of _every_use."""
     dag = Dag()
     xu, xv, fv, fw, m = (tuple(map(dag.simplify, vec)) for vec in s._tree_inputs)
+    trees = surface._invariant_trees(dag, xu, xv, fv, fw, m)
     vectors = [xu, xv] + [[dag.differentiate(e, var) for e in vec]
                           for vec, var in ((xu, "u"), (xu, "v"), (xv, "v"))]
-    programs = [compile_program(trees) for trees in vectors + [fv, fw, m]]
-    trees = surface._invariant_trees(dag, xu, xv, fv, fw, m)
+    programs = [compile_program(trees) for trees in [trees] + vectors + [fv, fw, m]]
     field = dict(zip(surface.BasicInvariants._fields, trees))
     lambda_til = dag.simplify(Mul(Const(-4.0), Mul(field["a1"], field["b1"])))
     for tree in (lambda_til, field["c2"]):
@@ -455,7 +701,7 @@ def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypa
     lazy_sources = sources[:]
     del sources[:]
     eager = [_hex_values(program, s) for program in _eager_programs(s)]
-    assert len(lazy_sources) == 10
+    assert len(lazy_sources) == 11
     assert lazy_sources == sources
     assert lazy == eager
 
