@@ -30,7 +30,9 @@ from .classify import ARRAY_MIN_POINTS, _fmt, classify_grid, trace_zero_set
 from .curvature import _packet, _singular, curvature_packet
 from .errors import LcframeError
 from .expr import constant_value
-from .limits import ApproachPath, Verdict, boundedness_report, limit_along
+from .limits import (
+    ApproachPath, Verdict, _report_quantities, boundedness_report, limit_along,
+)
 from .surface import SurfaceDef, basic_invariants_at, frame_at, validate_framed
 
 __all__ = ["main"]
@@ -220,11 +222,16 @@ def _cmd_limits(args):
     u, v = args.at
     rep = boundedness_report(s, u, v, directions=args.directions)
     if args.quantity:
+        estimated = _report_quantities(rep.category)
+        if args.quantity not in estimated:
+            raise LcframeError(
+                f"{args.quantity} is not estimated at a {rep.category.value} "
+                f"target; a report there estimates {', '.join(estimated)}")
         lines = []
         for oc in rep.outcomes:
             if oc.error is not None:
                 lines.append(f"{oc.label}: error: {oc.error}")
-            elif args.quantity in oc.verdicts:
+            else:
                 ver = oc.verdicts[args.quantity]
                 entry = f"{oc.label}: {args.quantity}: {ver.verdict.value}"
                 if ver.value is not None:

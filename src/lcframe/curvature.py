@@ -243,19 +243,35 @@ def curvature_packet(s: SurfaceDef, u: float, v: float) -> CurvaturePacket:
     return _packet(s, u, v, basic_invariants_at(s, u, v))
 
 
+def _gauss_mean(inv):
+    """(fundamentals, zero band, K, H) at a point, from its invariants.
+
+    The band ZERO_TOL * (1 + max |E~|, |L~|, |N~|) decides every zero
+    test of the packet; K = K~ / (c2 |lam~|^2) and H = H~ / (c2
+    |lam~|^(3/2)) are None unless c2 and lam~ both clear it.  This is
+    all a limits report evaluates per sample, besides the class: no
+    principal curvature, principal vector or n~, and so no
+    kappa_til_1 and no u-line samples of its 0/0 limit.
+    """
+    f = _fundamentals(inv)
+    Etil, _, _, Ltil, _, Ntil, lam, Ktil, Htil = f
+    band = ZERO_TOL * _zero_scale(Etil, Ltil, Ntil)
+    c2 = inv.c2
+    K = H = None
+    if not abs(c2) <= band and not abs(lam) <= band:
+        K = Ktil / (c2 * abs(lam) ** 2)
+        H = Htil / (c2 * abs(lam) ** 1.5)
+    return f, band, K, H
+
+
 def _packet(s, u, v, inv) -> CurvaturePacket:
     """The curvature bundle at (u, v) built from the point's invariants."""
-    Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = _fundamentals(inv)
+    f, band, K, H = _gauss_mean(inv)
+    Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = f
     c2 = inv.c2
-    band = ZERO_TOL * _zero_scale(Etil, Ltil, Ntil)
 
     def zero(x):  # is_zero at this point's scale
         return abs(x) <= band
-
-    K = H = None
-    if not zero(c2) and not zero(lam):
-        K = Ktil / (c2 * abs(lam) ** 2)
-        H = Htil / (c2 * abs(lam) ** 1.5)
 
     radicand = Htil * Htil - c2 * lam * Ktil
     rad_scale = ZERO_TOL * (1.0 + Htil * Htil + abs(c2 * lam * Ktil))

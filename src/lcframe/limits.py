@@ -10,21 +10,28 @@ module estimates those orders and limits from geometric sample
 schedules and reports the matching verdict.
 
 Each sample of a schedule is evaluated once: its invariants give its
-class, then its curvature packet, and every quantity, field and verdict
-along the path is read from those values.
+class, then a sample record of lam~, K~, H~, c2, K and H
+(`curvature._gauss_mean`), and every quantity, field and verdict along
+the path is read from that record.  A report builds no curvature
+packet, so it computes no principal curvature and no kappa_til_1, whose
+0/0 limit would evaluate further points on the u-line of a sample.
+Every ray of a report shares one distance schedule, so its logarithms
+are taken once per report (`numerics.LogAxis`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .classify import _evaluate, _fmt, classify
-from .curvature import _packet
+from .curvature import _gauss_mean
 from .errors import LcframeError
-from .numerics import loglog_slope, richardson
+from .numerics import LogAxis, richardson
 from .surface import SurfaceDef, basic_invariants_at
 from .taxonomy import Category, Kind
 
@@ -178,39 +185,57 @@ def _sample_ray(s, path):
     return samples
 
 
-def _with_packets(s, samples):
-    """(invariants, curvature packet) of each sample, from its invariants."""
-    return [(inv, _packet(s, u, v, inv)) for u, v, inv, _ in samples]
+class _Sample(NamedTuple):
+    """What limits reads of one evaluated point; K and H are None where
+    the classical curvatures are undefined, as in a curvature packet."""
+
+    u: float
+    v: float
+    c2: float
+    lambda_til: float
+    Ktil: float
+    Htil: float
+    K: float | None
+    H: float | None
 
 
-def _quantity_value(quantity, inv, p):
+def _record(u, v, inv):
+    f, _, K, H = _gauss_mean(inv)
+    return _Sample(u, v, inv.c2, f[6], f[7], f[8], K, H)
+
+
+def _records(samples):
+    """The record of each sample, from its invariants."""
+    return [_record(u, v, inv) for u, v, inv, _ in samples]
+
+
+def _quantity_value(quantity, rec):
     if quantity == "K":
-        return p.K
+        return rec.K
     if quantity == "H":
-        return p.H
-    return None if p.K is None else inv.c2 * p.K
+        return rec.H
+    return None if rec.K is None else rec.c2 * rec.K
 
 
-def _field_value(name, quantity, inv, p):
-    if name == "c2":
-        return inv.c2
+def _field_value(name, quantity, rec):
     if name != "Gamma":
-        return getattr(p, name)
-    al = abs(p.lambda_til)
+        return getattr(rec, name)
+    al = abs(rec.lambda_til)
     if quantity == "H":
-        return inv.c2 * al ** 1.5
+        return rec.c2 * al ** 1.5
     if quantity == "c2K":
         return al ** 2
-    return inv.c2 * al ** 2
+    return rec.c2 * al ** 2
 
 
-def _fit_order(distances, values):
-    """(order, slope_residual): log-log slope snapped to a near integer,
-    math.inf for an identically vanishing field."""
+def _fit_order(axis, values):
+    """(order, slope_residual) of values sampled on axis: the log-log
+    slope snapped to a near integer, math.inf for an identically
+    vanishing field."""
     mags = [abs(x) for x in values]
     if all(m <= ABS_ZERO for m in mags):
         return math.inf, 0.0
-    slope, _, resid = loglog_slope(distances, mags)
+    slope, _, resid = axis.slope(mags)
     if slope is None:
         return None, None
     snapped = round(slope)
@@ -235,25 +260,32 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
         raise LcframeError(
             f"limit target must be lightlike or rank-one singular, "
             f"got {tc.category.value} at {path.target}")
-    return _verdict(path, quantity, _with_packets(s, _sample_ray(s, path)))
+    return _verdict(path, LogAxis(path.distances()), quantity,
+                    _records(_sample_ray(s, path)), {})
 
 
-def _verdict(path, quantity, evaluated) -> LimitVerdict:
-    """limit_along's verdict from the evaluated samples of the path."""
-    distances = path.distances()
+def _verdict(path, axis, quantity, records, numerator_orders) -> LimitVerdict:
+    """limit_along's verdict from the records of the path's samples.
+
+    axis is the path's LogAxis.  numerator_orders caches the fitted
+    order of K~ and H~ by field name across the quantities of one path:
+    K and c2*K share the numerator K~."""
+    distances = axis.distances
     values = []
-    for inv, p in evaluated:
-        val = _quantity_value(quantity, inv, p)
+    for rec in records:
+        val = _quantity_value(quantity, rec)
         if val is None:
             raise QuantityUndefinedError(
-                f"{quantity} undefined at sample ({p.u!r}, {p.v!r})")
+                f"{quantity} undefined at sample ({rec.u!r}, {rec.v!r})")
         values.append(val)
 
     num_field = "Htil" if quantity == "H" else "Ktil"
-    l_order, _ = _fit_order(distances, [_field_value(num_field, quantity, inv, p)
-                                        for inv, p in evaluated])
-    m_order, _ = _fit_order(distances, [_field_value("Gamma", quantity, inv, p)
-                                        for inv, p in evaluated])
+    if num_field not in numerator_orders:
+        numerator_orders[num_field] = _fit_order(
+            axis, [getattr(rec, num_field) for rec in records])[0]
+    l_order = numerator_orders[num_field]
+    m_order, _ = _fit_order(axis, [_field_value("Gamma", quantity, rec)
+                                   for rec in records])
 
     mags = [abs(x) for x in values]
     if all(m <= ABS_ZERO for m in mags):
@@ -261,16 +293,16 @@ def _verdict(path, quantity, evaluated) -> LimitVerdict:
             quantity=quantity, verdict=Verdict.ZERO_LIMIT, value=None,
             numerator_order=l_order, denominator_order=m_order,
             slope=None, slope_residual=None,
-            distances=tuple(distances), values=tuple(values),
+            distances=distances, values=tuple(values),
             note="identically zero on the schedule")
 
-    slope, _, resid = loglog_slope(distances, mags)
+    slope, _, resid = axis.slope(mags)
     if slope is None:
         return LimitVerdict(
             quantity=quantity, verdict=Verdict.INCONCLUSIVE, value=None,
             numerator_order=l_order, denominator_order=m_order,
             slope=None, slope_residual=None,
-            distances=tuple(distances), values=tuple(values),
+            distances=distances, values=tuple(values),
             note="could not fit a slope (zeros in the sample sequence)")
 
     if slope >= SLOPE_ZERO:
@@ -293,7 +325,7 @@ def _verdict(path, quantity, evaluated) -> LimitVerdict:
         quantity=quantity, verdict=verdict, value=value,
         numerator_order=l_order, denominator_order=m_order,
         slope=slope, slope_residual=resid,
-        distances=tuple(distances), values=tuple(values),
+        distances=distances, values=tuple(values),
         note=note)
 
 
@@ -313,19 +345,18 @@ def vanishing_order(
         raise LcframeError(f"order fields are {ORDER_FIELDS}, got {field_name!r}")
     samples = _sample_ray(s, path)
     distances = path.distances()
-    target_inv = basic_invariants_at(s, *path.target)
-    target_value = _field_value(field_name, quantity, target_inv,
-                                _packet(s, *path.target, target_inv))
-    # the target test needs only the first sample's packet; the others
+    target_value = _field_value(field_name, quantity, _record(
+        *path.target, basic_invariants_at(s, *path.target)))
+    # the target test needs only the first sample's record; the others
     # are built once it passes
-    evaluated = _with_packets(s, samples[:1])
-    sample_scale = abs(_field_value(field_name, quantity, *evaluated[0])) + 1.0
+    records = _records(samples[:1])
+    sample_scale = abs(_field_value(field_name, quantity, records[0])) + 1.0
     if abs(target_value) > tol * sample_scale:
         raise FieldNonvanishingError(
             f"{field_name} = {target_value!r} does not vanish at {path.target}")
-    evaluated += _with_packets(s, samples[1:])
-    values = [_field_value(field_name, quantity, inv, p) for inv, p in evaluated]
-    order, resid = _fit_order(distances, values)
+    records += _records(samples[1:])
+    values = [_field_value(field_name, quantity, rec) for rec in records]
+    order, resid = _fit_order(LogAxis(distances), values)
     if order is None:
         raise LcframeError(f"cannot fit an order for {field_name} along the path")
     coeff = None
@@ -401,22 +432,41 @@ class BoundednessReport:
                 lines.append(entry)
         lines.append(f"K bounded (evidence): {_fmt_flag(self.k_bounded_evidence)}")
         lines.append(f"H bounded (evidence): {_fmt_flag(self.h_bounded_evidence)}")
-        lines.append(f"K dichotomy: {self.k_dichotomy}")
-        lines.append(f"H dichotomy: {self.h_dichotomy}")
+        lines.append(f"K dichotomy: {_fmt_finding(self.k_dichotomy)}")
+        lines.append(f"H dichotomy: {_fmt_finding(self.h_dichotomy)}")
         lines.append("bounded H implies bounded K: "
-                     f"{self.bounded_mean_implies_bounded_gauss}")
+                     f"{_fmt_finding(self.bounded_mean_implies_bounded_gauss)}")
         return "\n".join(lines) + "\n"
 
     def write_samples_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("direction", "quantity", "k", "distance", "value"))
+        """One CSV row (direction, quantity, k, distance, value) per
+        sample of every verdict of the completed directions, written as
+        csv.writer would with lineterminator "\\n".
+
+        The formatted numbers need no quoting.  The verdicts of one
+        report share one distances tuple, formatted once per report."""
+        lines = ["direction,quantity,k,distance,value\n"]
+        distances = texts = None
         for oc in self.outcomes:
             if oc.error is not None:
                 continue
             for q in sorted(oc.verdicts):
                 ver = oc.verdicts[q]
-                for k, (r, val) in enumerate(zip(ver.distances, ver.values)):
-                    writer.writerow((oc.label, q, k, _fmt(r), _fmt(val)))
+                if ver.distances is not distances:
+                    distances = ver.distances
+                    texts = [f"{k},{_fmt(r)}," for k, r in enumerate(distances)]
+                head = _csv_fields(oc.label, q) + ","
+                lines.extend(head + text + _fmt(val) + "\n"
+                             for text, val in zip(texts, ver.values))
+        fh.write("".join(lines))
+
+
+def _csv_fields(*fields):
+    """fields as one csv.writer row, quoted as it quotes them, without
+    the line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()[:-1]
 
 
 def _fmt_order(x):
@@ -429,6 +479,18 @@ def _fmt_order(x):
 
 def _fmt_flag(x):
     return "unknown" if x is None else str(x).lower()
+
+
+def _fmt_finding(x):
+    """A summary wording; None, with no completed direction, reads as
+    the evidence flags do."""
+    return "unknown" if x is None else x
+
+
+def _report_quantities(category):
+    """The quantities a report estimates at a target of this category:
+    K and H, plus c2*K at a lightlike target."""
+    return ("K", "H", "c2K") if category is Category.LIGHTLIKE else ("K", "H")
 
 
 def _transversal_direction(inv, category):
@@ -462,9 +524,7 @@ def boundedness_report(
         raise LcframeError(
             f"boundedness target must be lightlike or rank-one singular, "
             f"got {pc.category.value} at ({u}, {v})")
-    quantities = ["K", "H"]
-    if pc.category is Category.LIGHTLIKE:
-        quantities.append("c2K")
+    quantities = _report_quantities(pc.category)
 
     rays = [(f"fan{i}", (math.cos(2.0 * math.pi * i / directions),
                          math.sin(2.0 * math.pi * i / directions)))
@@ -475,9 +535,12 @@ def boundedness_report(
         rays.append(("transversal-", (-trans[0], -trans[1])))
 
     report = BoundednessReport(target=(u, v), category=pc.category, kind=pc.kind)
+    axis = None  # every ray shares one schedule
     for label, direction in rays:
         path = ApproachPath(target=(u, v), direction=direction,
                             r0=r0, count=count)
+        if axis is None:
+            axis = LogAxis(path.distances())
         try:
             samples = _sample_ray(s, path)
         except LcframeError as exc:
@@ -490,9 +553,10 @@ def boundedness_report(
         verdicts = {}
         error = None
         try:
-            evaluated = _with_packets(s, samples)
+            records = _records(samples)
+            numerator_orders = {}
             for q in quantities:
-                verdicts[q] = _verdict(path, q, evaluated)
+                verdicts[q] = _verdict(path, axis, q, records, numerator_orders)
         except LcframeError as exc:
             error = str(exc)
         report.outcomes.append(DirectionOutcome(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["richardson", "loglog_slope"]
+__all__ = ["richardson", "loglog_slope", "LogAxis"]
 
 
 def richardson(values, ratio: float, levels: int = 2) -> float:
@@ -37,17 +37,52 @@ def loglog_slope(distances, magnitudes):
     """
     pts = [(math.log(r), math.log(m))
            for r, m in zip(distances, magnitudes) if m > 0.0 and r > 0.0]
-    if len(pts) < 2:
+    xs = [p[0] for p in pts]
+    return _fit(xs, [p[1] for p in pts], sum(xs), sum(x * x for x in xs))
+
+
+class LogAxis:
+    """The log-distance axis of one sample schedule, shared by fits.
+
+    Holds log(distance) of every sample and the sums of the logs and of
+    their squares, so that fitting a sequence with every magnitude
+    positive reuses them.  `slope(magnitudes)` returns exactly
+    `loglog_slope(distances, magnitudes)`: the same sums over the same
+    sequences in the same order.
+    """
+
+    __slots__ = ("distances", "_xs", "_sx", "_sxx")
+
+    def __init__(self, distances):
+        self.distances = tuple(distances)
+        xs = [math.log(r) for r in self.distances] \
+            if all(r > 0.0 for r in self.distances) else None
+        self._xs = xs
+        if xs is not None:
+            self._sx = sum(xs)
+            self._sxx = sum(x * x for x in xs)
+
+    def slope(self, magnitudes):
+        """loglog_slope(self.distances, magnitudes)."""
+        xs = self._xs
+        if xs is None or len(magnitudes) != len(xs) \
+                or not all(m > 0.0 for m in magnitudes):
+            return loglog_slope(self.distances, magnitudes)
+        return _fit(xs, [math.log(m) for m in magnitudes], self._sx, self._sxx)
+
+
+def _fit(xs, ys, sx, sxx):
+    """(slope, intercept, rms_residual) of the points (xs, ys), given
+    sx = sum(xs) and sxx = sum of the squares of xs."""
+    n = len(xs)
+    if n < 2:
         return None, None, None
-    n = len(pts)
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-    sxx = sum(p[0] * p[0] for p in pts)
-    sxy = sum(p[0] * p[1] for p in pts)
+    sy = sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
     denom = n * sxx - sx * sx
     if denom == 0.0:
         return None, None, None
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
-    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in pts)
+    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     return slope, intercept, math.sqrt(rss / n)

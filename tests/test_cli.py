@@ -158,6 +158,42 @@ def test_limits_single_quantity(capsys):
     assert "transversal-: K: nonzero value=1" in lines
 
 
+def test_limits_quantity_the_target_has_not_is_an_error(tmp_path, capsys):
+    # c2*K is estimated at lightlike targets only; at this rank-one
+    # singular point the six completed rays were left out without a word
+    out = tmp_path / "out"
+    assert main(["limits", "flat_plane", "--at", "0,0", "--quantity", "c2K",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: c2K is not estimated at a singular1 target; "
+                            "a report there estimates K, H\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_limits_without_a_completed_ray_reads_unknown(tmp_path, capsys):
+    # a patch at the sphere pole so narrow that every ray fails
+    surf = tmp_path / "pole_patch.surf"
+    surf.write_text(json.dumps({
+        "name": "pole_patch",
+        "X": ["sin(u)", "cos(u)*sin(v)", "cos(u)*cos(v)"],
+        "v": ["1", "sin(v)", "cos(v)"],
+        "w": ["1", "-sin(v)", "-cos(v)"],
+        "domain": {"u": ["pi/2 - 0.05", "pi/2"], "v": ["0.9", "1.1"]},
+    }), encoding="utf-8")
+    assert main(["limits", str(surf), "--at", "pi/2,1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rays = [line for line in lines if line.startswith("direction ")]
+    assert len(rays) == 10 and all(": error: " in line for line in rays)
+    assert lines[-5:] == [
+        "K bounded (evidence): unknown",
+        "H bounded (evidence): unknown",
+        "K dichotomy: unknown",
+        "H dichotomy: unknown",
+        "bounded H implies bounded K: unknown",
+    ]
+
+
 def test_negative_ray_count_is_an_error(capsys):
     assert main(["limits", "sphere", "--at=pi/2,1", "--directions", "-3"]) == 1
     captured = capsys.readouterr()

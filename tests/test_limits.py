@@ -1,22 +1,63 @@
+import csv
+import dataclasses
+import io
 import math
 
 import pytest
 
+from lcframe import catalog
 from lcframe.classify import classify
+from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
 from lcframe.limits import (
-    ApproachPath, FieldNonvanishingError, boundedness_report, limit_along,
-    vanishing_order,
+    ApproachPath, FieldNonvanishingError, Verdict, _record, boundedness_report,
+    limit_along, vanishing_order,
 )
+from lcframe.surface import SurfaceDef, basic_invariants_at
 
 #: one target evaluation plus 10 rays (8 fan, 2 transversal) x 12 samples
 MAX_REPORT_CALLS = 1 + 10 * 12
 
 
-def test_report_evaluates_each_sample_once(mixed_bowl, invariant_calls, field_evals):
-    boundedness_report(mixed_bowl, 1.0, 1.0)
+@pytest.mark.parametrize("surface, target", [
+    ("mixed_bowl", (1.0, 1.0)),
+    # K~ = H~ = 0 everywhere, where a packet would sample the u-line of
+    # each point for the 0/0 limit of kappa_til_1
+    ("flat_plane", (0.0, 1.0)),
+])
+def test_report_evaluates_each_sample_once(request, surface, target,
+                                           invariant_calls, field_evals):
+    boundedness_report(request.getfixturevalue(surface), *target)
     assert invariant_calls[0] <= MAX_REPORT_CALLS
     assert field_evals[0] == 0
+
+
+#: flat_plane reparametrised by u -> u + log(1 + 200 u) / 1000: still a
+#: plane, so K~ = H~ = 0, but no point with u <= -0.005 can be evaluated
+LOG_PLANE = {
+    "name": "log_plane",
+    "X": ["1", "-(u + 0.001*log(1 + 200*u))*sin(v)",
+          "-(u + 0.001*log(1 + 200*u))*cos(v)"],
+    "v": ["1", "sin(v)", "cos(v)"],
+    "w": ["1", "-sin(v)", "-cos(v)"],
+    "domain": {"u": ["-1", "1"], "v": ["0", "2*pi"]},
+}
+
+
+def test_a_report_reads_no_kappa_til_1():
+    # the rays into u > 0 sample points that evaluate, but whose
+    # kappa_til_1 would be resolved from u-line points 1e-2 to the left,
+    # which fault; those rays failed while a report built packets
+    s = SurfaceDef.from_dict(LOG_PLANE)
+    with pytest.raises(LcframeError, match="log of a nonpositive argument"):
+        curvature_packet(s, 0.001, 1.0)
+    outcomes = {oc.label: oc for oc in boundedness_report(s, 0.0, 1.0).outcomes}
+    for label in ("fan0", "fan1", "fan7", "transversal+"):
+        assert outcomes[label].error is None
+        assert {q: ver.verdict for q, ver in outcomes[label].verdicts.items()} == {
+            "K": Verdict.ZERO_LIMIT, "H": Verdict.ZERO_LIMIT}
+    # the rays into u < 0 still reach points that cannot be evaluated
+    assert outcomes["fan4"].error == "log of a nonpositive argument"
 
 
 @pytest.mark.parametrize("surface, target", [
@@ -69,3 +110,95 @@ def test_a_non_finite_schedule_is_rejected(args):
     args = {"direction": (1.0, 0.0), **args}
     with pytest.raises(LcframeError, match="finite"):
         ApproachPath(target=(0.0, 0.0), **args)
+
+
+#: one target on every locus of the catalog, at the positions the
+#: seed-1 locus benchmark draws
+LOCUS_TARGETS = [
+    ("sphere", 1.5707963267948966, 4.721552866410651),
+    ("sphere", -1.5707963267948966, 0.32131037764235426),
+    ("sphere", 0.7853981633974483, 1.532689838160796),
+    ("sphere", -0.7853981633974483, 4.120440164697419),
+    ("mixed_bowl", 1.0, 5.719695331007658),
+    ("mixed_bowl", -1.0, 5.398374683414284),
+    ("twisted_band", 1.6302133146713707, -0.9407227563859728),
+    ("twisted_band", 0.8822929060632738, 0.5093592460309175),
+    ("timelike_trough", 0.011493056799271595, 1.5707963267948966),
+    ("flared_trough", 0.9900030876994876, 1.5707963267948966),
+    ("flared_trough", 0.6277836788097544, 1.5933091292858093),
+    ("parabolic_cone", 0.0, 5.174115701026889),
+    ("cubic_cone", 0.0, 3.4577016021638904),
+    ("flat_plane", 0.0, 0.9342431916558205),
+    ("zero_mean_band", -2.7339478419246572, -1.0),
+    ("zero_mean_band", 1.9355131503725436, 1.0),
+]
+
+
+@pytest.fixture(scope="module")
+def locus_reports():
+    surfaces = {name: catalog.load(name) for name in catalog.names()}
+    return [(surfaces[name], boundedness_report(surfaces[name], u, v))
+            for name, u, v in LOCUS_TARGETS]
+
+
+def ref_write_samples_csv(report, fh):
+    """The samples CSV as csv.writer wrote it row by row: the reference
+    for the one-write spelling."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("direction", "quantity", "k", "distance", "value"))
+    for oc in report.outcomes:
+        if oc.error is not None:
+            continue
+        for q in sorted(oc.verdicts):
+            ver = oc.verdicts[q]
+            for k, (r, val) in enumerate(zip(ver.distances, ver.values)):
+                writer.writerow((oc.label, q, k, "%.12g" % r, "%.12g" % val))
+
+
+def _csv_texts(report):
+    new, ref = io.StringIO(), io.StringIO()
+    report.write_samples_csv(new)
+    ref_write_samples_csv(report, ref)
+    return new.getvalue(), ref.getvalue()
+
+
+def test_samples_csv_matches_csv_writer(locus_reports):
+    assert {name for name, _, _ in LOCUS_TARGETS} == set(catalog.names())
+    rows = 0
+    for _, report in locus_reports:
+        new, ref = _csv_texts(report)
+        assert new == ref
+        rows += new.count("\n") - 1
+    assert rows > 0
+
+
+def test_samples_csv_quotes_labels_as_csv_writer_does(locus_reports):
+    _, report = locus_reports[0]
+    report = dataclasses.replace(report, outcomes=[
+        dataclasses.replace(oc, label=f'{oc.label}, "quoted"')
+        for oc in report.outcomes])
+    new, ref = _csv_texts(report)
+    assert '\n"transversal-, ""quoted""",K,0,0.1,' in new
+    assert new == ref
+
+
+def _bits(x):
+    return None if x is None else float.hex(x)
+
+
+def test_sample_records_match_packets(locus_reports):
+    fields = ("lambda_til", "Ktil", "Htil", "K", "H")
+    checked = 0
+    for s, report in locus_reports:
+        for oc in report.outcomes:
+            if oc.error is not None:
+                continue
+            path = ApproachPath(target=report.target, direction=oc.direction)
+            for u, v in path.points():
+                inv = basic_invariants_at(s, u, v)
+                rec, p = _record(u, v, inv), _packet(s, u, v, inv)
+                assert (rec.u, rec.v, _bits(rec.c2)) == (u, v, _bits(inv.c2))
+                assert [_bits(getattr(rec, f)) for f in fields] == \
+                    [_bits(getattr(p, f)) for f in fields]
+                checked += 1
+    assert checked > 0

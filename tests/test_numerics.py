@@ -1,0 +1,67 @@
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lcframe.numerics import LogAxis, loglog_slope
+
+
+def ref_loglog_slope(distances, magnitudes):
+    """The fit as it was before the sums of log(distance) were shared:
+    the reference both spellings must reproduce bit for bit."""
+    pts = [(math.log(r), math.log(m))
+           for r, m in zip(distances, magnitudes) if m > 0.0 and r > 0.0]
+    if len(pts) < 2:
+        return None, None, None
+    n = len(pts)
+    sx = sum(p[0] for p in pts)
+    sy = sum(p[1] for p in pts)
+    sxx = sum(p[0] * p[0] for p in pts)
+    sxy = sum(p[0] * p[1] for p in pts)
+    denom = n * sxx - sx * sx
+    if denom == 0.0:
+        return None, None, None
+    slope = (n * sxy - sx * sy) / denom
+    intercept = (sy - slope * sx) / n
+    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in pts)
+    return slope, intercept, math.sqrt(rss / n)
+
+
+_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
+          1.7976931348623157e308]
+
+magnitudes = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(min_value=0.0, max_value=1e-300),  # subnormals among them
+    st.floats(min_value=1e290),
+    st.floats(allow_nan=False),
+)
+
+
+def _distances(n):
+    schedules = st.builds(
+        lambda r0, ratio: [r0 * ratio ** k for k in range(n)],
+        st.floats(min_value=1e-300, max_value=1e3),
+        st.floats(min_value=0.01, max_value=0.99))
+    anything = st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(-2.0, 1e3)),
+                        min_size=n, max_size=n)
+    return st.one_of(schedules, anything)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+    _distances(n),
+    st.one_of(st.lists(magnitudes, min_size=n, max_size=n),
+              st.lists(st.floats(min_value=5e-324, max_value=1e300),
+                       min_size=n, max_size=n)))))
+def test_fits_match_the_reference_bit_for_bit(case):
+    distances, mags = case
+    expected = repr(ref_loglog_slope(distances, mags))
+    assert repr(loglog_slope(distances, mags)) == expected
+    assert repr(LogAxis(distances).slope(mags)) == expected
+
+
+def test_an_axis_serves_every_sequence_of_its_schedule():
+    axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
+    for mags in ([2.0 ** -k for k in range(12)], [0.0] + [1.0] * 11, [3.0] * 5):
+        assert repr(axis.slope(mags)) == repr(ref_loglog_slope(axis.distances, mags))
