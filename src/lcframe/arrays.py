@@ -3,9 +3,10 @@ blocks of points.
 
 classify_grid and the curvature CSV evaluate a grid of at least
 classify.ARRAY_MIN_POINTS points here, BLOCK points at a time in
-row-major order.  Per block, one call of the surface's array program
-gives the 23 invariants as arrays; curvature._fundamentals runs on them
-unchanged, and the branches of curvature._packet and the predicates of
+row-major order, and write their CSV lines CHUNK points at a time.  Per
+block, one call of the surface's array program gives the 23 invariants
+as arrays; curvature._fundamentals runs on them unchanged, and the
+branches of curvature._packet and the predicates of
 classify._classify_from_invariants run as numpy masks.  Only this
 module imports numpy, and lcframe imports it only for such a grid.
 
@@ -13,14 +14,14 @@ The values are bit-identical to the point loop by construction: numpy
 computes only the operations IEEE 754 rounds exactly (+ - * /,
 negation, abs and sqrt), and every other function (sin, cos, tan, exp,
 log, sinh, cosh and powers) is the same math or Python function,
-called once per distinct IEEE bit pattern of its argument in a block
+called once per distinct IEEE bit pattern of its argument in a call
 and scattered back to every element that holds that pattern (hypot is
 called per element).  The same function of the same bits gives the
 same bits, so this changes no output; keying by bits, not by value,
 keeps 0.0 and -0.0 apart, and NaN payloads too.  Surfaces of
 revolution, cones and troughs repeat their values along whole grid
 lines, so most blocks hold few distinct values.  texts formats a CSV
-column the same way: each distinct pattern once per block.
+column the same way: each distinct pattern once per chunk.
 
 numpy does not raise, so a fault mask is kept instead.  It is set
 wherever the point loop would raise: at a zero divisor, a guarded log
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -48,13 +50,20 @@ from .minkowski import LVec3
 from .numerics import richardson
 from .taxonomy import Category, Kind, LightlikeBranch, PointClass
 
-__all__ = ["ARRAY", "BLOCK", "Block", "grid_blocks", "CLASSES", "texts", "write_grid_csv"]
+__all__ = ["ARRAY", "BLOCK", "CHUNK", "Block", "grid_blocks", "CLASSES", "texts", "write_grid_csv"]
 
-#: Points per block: enough to amortise the per-call Python, few enough
-#: that one block's column strings stay small.
-BLOCK = 1024
+#: Points per block: enough to amortise numpy's per-call overhead over
+#: the invariant program, the packet masks and the class predicates.
+BLOCK = 4096
+
+#: Points per CSV write: few enough that one chunk's column strings
+#: stay small.
+CHUNK = 1024
 
 _FAULTS = (ArithmeticError, ValueError)
+
+#: The format of _FMT ('%.12g') and a newline.
+_LINE = _FMT.__self__ + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +188,33 @@ def _zero_band(Etil, Ltil, Ntil):
     return ZERO_TOL * (1.0 + _pymax(np.abs(Etil), np.abs(Ltil), np.abs(Ntil)))
 
 
+def _limit_sample(s, u, v):
+    """One sample of curvature._ratio_limit_kappa1 at each point:
+    (Ktil / (2 Htil), where Htil clears the zero band, where the point
+    is inside the domain, fault mask)."""
+    inv, faults = s.invariant_arrays(u, v)
+    f = _fundamentals(inv)
+    usable = ~(np.abs(f[8]) <= _zero_band(f[0], f[3], f[5]))
+    return f[7] / (2.0 * f[8]), usable, s.domain.contains(u, v), faults
+
+
 def _ratio_limits(s, u, v, bad):
     """curvature._ratio_limit_kappa1 at every point: (value, defined).
 
-    The six samples of all points are one array-program call; a sample
-    the point loop would reach and that faults marks its point in bad.
+    Each of the six samples of all points is one array-program call, no
+    larger than the block; a sample the point loop would reach and that
+    faults marks its point in bad.
     """
-    steps = [(direction, delta) for direction in (-1.0, 1.0) for delta in LIMIT_OFFSETS]
-    uu = np.concatenate([u + direction * delta for direction, delta in steps])
-    vv = np.tile(v, len(steps))
-    inv, faults = s.invariant_arrays(uu, vv)
-    f = _fundamentals(inv)
-    Ktil, Htil = f[7], f[8]
-    usable = ~(np.abs(Htil) <= _zero_band(f[0], f[3], f[5]))
-    inside = s.domain.contains(uu, vv)
-    ratio = Ktil / (2.0 * Htil)
-    n, per = len(u), len(LIMIT_OFFSETS)
     estimates, complete = [], []
-    for d in range(2):
-        alive = np.ones(n, bool)
+    for direction in (-1.0, 1.0):
+        alive = np.ones(len(u), bool)
         values = []
-        for k in range(d * per, (d + 1) * per):
-            part = slice(k * n, (k + 1) * n)
-            reached = alive & inside[part]
-            bad |= reached & faults[part]
-            alive = reached & ~faults[part] & usable[part]
-            values.append(ratio[part])
+        for delta in LIMIT_OFFSETS:
+            ratio, usable, inside, faults = _limit_sample(s, u + direction * delta, v)
+            reached = alive & inside
+            bad |= reached & faults
+            alive = reached & ~faults & usable
+            values.append(ratio)
         # offsets shrink by 0.1, coarsest first
         estimates.append(richardson(values, 0.1, levels=2))
         complete.append(alive)
@@ -219,30 +229,30 @@ class Block:
     """Curvature packets of up to BLOCK consecutive grid points.
 
     `start` is the first point's row-major index, `u` and `v` the
-    points, `inv` their BasicInvariants of arrays and `columns` the
-    packet fields, named as in the curvature CSV.  `defined` maps each
-    column that a packet may leave None to where it is set.
+    points and `columns` the packet fields, named as in the curvature
+    CSV, and c2.  `defined` maps each column that a packet may leave
+    None to where it is set.  The other invariants are dropped once the
+    block is built, as a classify grid keeps all its blocks.
     """
 
-    __slots__ = ("start", "u", "v", "inv", "columns", "defined", "flags", "codes")
+    __slots__ = ("start", "u", "v", "columns", "defined", "flags", "codes")
 
     def __init__(self, s, start, u, v, tol=None):
         self.start, self.u, self.v = start, u, v
-        self.inv, bad = s.invariant_arrays(u, v)
+        inv, bad = s.invariant_arrays(u, v)
         bad |= ~s.domain.contains(u, v)
         with np.errstate(all="ignore"):
-            self._packets(s, bad)
+            self._packets(s, inv, bad)
             # with a tolerance, the classes as indices into CLASSES
-            self.codes = None if tol is None else _class_codes(self.inv, tol)
+            self.codes = None if tol is None else _class_codes(inv, tol)
         if bad.any():
             i = int(np.argmax(bad))
             curvature_packet(s, float(u[i]), float(v[i]))  # raises the point loop's error
             raise LcframeError(
                 f"array evaluation faulted at ({u[i]!r}, {v[i]!r}) where the point loop does not")
 
-    def _packets(self, s, bad):
+    def _packets(self, s, inv, bad):
         """The branches of curvature._packet as masks."""
-        inv = self.inv
         Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = _fundamentals(inv)
         c2 = inv.c2
         band = _zero_band(Etil, Ltil, Ntil)
@@ -286,6 +296,7 @@ class Block:
             "V1_u": Ntil - c2 * kappa1 * Gtil, "V1_v": -Mtil + kappa1 * Ftil,
             "V2_u": c2 * (Ntil - kappa_bar * Gtil), "V2_v": -c2 * Mtil + kappa_bar * Ftil,
             "ntil_1": inv.ntil_1, "ntil_2": inv.ntil_2, "ntil_3": inv.ntil_3,
+            "c2": c2,
         }
         self.defined = {"K": has_kh, "H": has_kh, "kappa_til_1": has_k1,
                         "kappa_til_2": has_k2, "V1_u": has_k1, "V1_v": has_k1,
@@ -320,9 +331,11 @@ class Block:
             ))
         return out
 
-    def texts(self, name):
-        """Column `name` formatted, with "" where the packet has None."""
-        return texts(self.columns[name], self.defined.get(name))
+    def texts(self, name, part=slice(None)):
+        """Column `name` at the points `part` formatted, with "" where
+        the packet has None."""
+        defined = self.defined.get(name)
+        return texts(self.columns[name][part], None if defined is None else defined[part])
 
 
 def texts(values, defined=None):
@@ -331,7 +344,10 @@ def texts(values, defined=None):
     gathered to every element that holds it; equal bits format equally,
     so the texts are those of formatting each element."""
     distinct, inverse = _distinct(values)
-    out = np.array(list(map(_FMT, distinct.tolist())), object).take(inverse).tolist()
+    n = len(distinct)
+    # one '%' formats them all; a formatted float holds no newline
+    formatted = ((_LINE * n) % tuple(distinct.tolist())).split("\n")
+    out = np.array(formatted[:n], object).take(inverse).tolist()
     if defined is not None:
         for i in np.flatnonzero(~defined).tolist():
             out[i] = ""
@@ -353,14 +369,24 @@ def grid_blocks(s, us, vs, tol=None):
 
 
 def write_grid_csv(fh, us, vs, blocks, columns):
-    """Write one CSV line per point of `blocks`: u and v, each formatted
-    once per grid line, then the text columns that columns(block) gives."""
+    """Write one CSV line per point of `blocks`, CHUNK points at a time:
+    u and v, each formatted once per grid line, then the text columns
+    that columns(block, part) gives for the block's points `part`."""
     nv = len(vs)
     u_texts, v_texts = list(map(_FMT, us)), list(map(_FMT, vs))
     for block in blocks:
-        uv = [f"{u_texts[k // nv]},{v_texts[k % nv]}"
-              for k in range(block.start, block.start + len(block.u))]
-        fh.write("\n".join(map(",".join, zip(uv, *columns(block)))) + "\n")
+        for lo in range(0, len(block.u), CHUNK):
+            part = slice(lo, min(lo + CHUNK, len(block.u)))
+            # the whole grid lines the chunk's points lie on, cut to them
+            first, offset = divmod(block.start + lo, nv)
+            cut = slice(offset, offset + part.stop - lo)
+            lines = -(-cut.stop // nv)
+            u_col = list(chain.from_iterable(
+                [t] * nv for t in u_texts[first:first + lines]))[cut]
+            v_col = (v_texts * lines)[cut]
+            fh.write("\n".join(map(",".join, zip(u_col, v_col, *columns(block, part))))
+                     + "\n")
+        del block  # freed before the next block is built
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ the curvature packet and the singular curvature scalars at that point
 are all derived from that one evaluation.
 
 classify_grid evaluates a grid of ARRAY_MIN_POINTS (4096) points or
-more as arrays, 1024 points per block (lcframe.arrays), with the same
+more as arrays, 4096 points per block (lcframe.arrays), with the same
 values, rows and CSV bytes as the point loop and the same error at the
 same first failing point.  Smaller grids, the demo's among them, stay
 on the point loop: importing numpy costs 0.06-0.07 s and about 12 MB,
@@ -476,9 +476,10 @@ class ClassificationRow:
 class ClassificationTable:
     """Row-major (u outer, v inner) classification of a sample grid.
 
-    A grid of ARRAY_MIN_POINTS points or more keeps its arrays.Blocks:
-    `rows` is built from them when first read, and write_csv formats
-    them a block at a time without building rows.
+    A grid of ARRAY_MIN_POINTS points or more keeps its arrays.Blocks
+    (arrays.BLOCK points each): `rows` is built from them when first
+    read, and write_csv formats them arrays.CHUNK points at a time
+    without building rows.
     """
 
     def __init__(self, surface, resolution, tol, rows=None, grid=None, blocks=None):
@@ -498,7 +499,7 @@ class ClassificationTable:
                 ClassificationRow(u=p.u, v=p.v, point_class=CLASSES[code], packet=p, c2=c2)
                 for block in self._blocks
                 for p, code, c2 in zip(block.packets(), block.codes.tolist(),
-                                       block.inv.c2.tolist())]
+                                       block.columns["c2"].tolist())]
         return self._rows
 
     def write_csv(self, fh) -> None:
@@ -511,13 +512,13 @@ class ClassificationTable:
                     _fmt(p.lambda_til), _fmt(row.c2), _fmt(p.Ktil), _fmt(p.Htil),
                     _fmt(p.K), _fmt(p.H), _fmt(p.kappa_til_1))) + "\n")
             return
-        from .arrays import CLASSES, texts, write_grid_csv
+        from .arrays import CLASSES, write_grid_csv
 
         class_texts = [_class_text(pc) for pc in CLASSES]
-        write_grid_csv(fh, *self._grid, self._blocks, lambda block: (
-            [class_texts[code] for code in block.codes.tolist()],
-            block.texts("lambda_til"), texts(block.inv.c2),
-            *map(block.texts, ("Ktil", "Htil", "K", "H", "kappa_til_1"))))
+        write_grid_csv(fh, *self._grid, self._blocks, lambda block, part: (
+            [class_texts[code] for code in block.codes[part].tolist()],
+            *(block.texts(name, part)
+              for name in ("lambda_til", "c2", "Ktil", "Htil", "K", "H", "kappa_til_1"))))
 
 
 def _class_text(pc):

@@ -133,8 +133,8 @@ def _write_curvature_csv(s, grid, fh):
         return
     from .arrays import grid_blocks, write_grid_csv
 
-    write_grid_csv(fh, us, vs, grid_blocks(s, us, vs),
-                   lambda block: map(block.texts, CURVATURE_HEADER[2:]))
+    write_grid_csv(fh, us, vs, grid_blocks(s, us, vs), lambda block, part: (
+        block.texts(name, part) for name in CURVATURE_HEADER[2:]))
 
 
 def _write_curvature_points(s, us, vs, fh):

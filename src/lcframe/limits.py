@@ -343,6 +343,8 @@ def vanishing_order(
     """
     if field_name not in ORDER_FIELDS:
         raise LcframeError(f"order fields are {ORDER_FIELDS}, got {field_name!r}")
+    if quantity not in QUANTITIES:
+        raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
     samples = _sample_ray(s, path)
     distances = path.distances()
     target_value = _field_value(field_name, quantity, _record(

@@ -38,7 +38,7 @@ def loglog_slope(distances, magnitudes):
     pts = [(math.log(r), math.log(m))
            for r, m in zip(distances, magnitudes) if m > 0.0 and r > 0.0]
     xs = [p[0] for p in pts]
-    return _fit(xs, [p[1] for p in pts], sum(xs), sum(x * x for x in xs))
+    return _fit(xs, [p[1] for p in pts], _total(xs), _total(x * x for x in xs))
 
 
 class LogAxis:
@@ -59,8 +59,8 @@ class LogAxis:
             if all(r > 0.0 for r in self.distances) else None
         self._xs = xs
         if xs is not None:
-            self._sx = sum(xs)
-            self._sxx = sum(x * x for x in xs)
+            self._sx = _total(xs)
+            self._sxx = _total(x * x for x in xs)
 
     def slope(self, magnitudes):
         """loglog_slope(self.distances, magnitudes)."""
@@ -73,16 +73,28 @@ class LogAxis:
 
 def _fit(xs, ys, sx, sxx):
     """(slope, intercept, rms_residual) of the points (xs, ys), given
-    sx = sum(xs) and sxx = sum of the squares of xs."""
+    sx = _total(xs) and sxx = _total of the squares of xs."""
     n = len(xs)
     if n < 2:
         return None, None, None
-    sy = sum(ys)
-    sxy = sum(x * y for x, y in zip(xs, ys))
+    sy = _total(ys)
+    sxy = _total(x * y for x, y in zip(xs, ys))
     denom = n * sxx - sx * sx
     if denom == 0.0:
         return None, None, None
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
-    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    rss = _total((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     return slope, intercept, math.sqrt(rss / n)
+
+
+def _total(values):
+    """The sum of values, added left to right from 0.0.
+
+    This is what sum() does for floats up to Python 3.11; from 3.12 on
+    sum() compensates its rounding, so fits summed with it would print
+    different digits on different Python versions."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total

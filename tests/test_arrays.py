@@ -1,7 +1,9 @@
 """Per-block evaluation of the array grids: each distinct bit pattern
 of a block is evaluated and formatted once, with the results of
-evaluating and formatting every element."""
+evaluating and formatting every element, and grids that span several
+blocks and chunks write the point loop's CSVs."""
 
+import io
 import math
 import struct
 from functools import partial
@@ -11,8 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcframe.arrays import BLOCK, _each, grid_blocks, texts
-from lcframe.classify import _FMT
+from lcframe import catalog
+from lcframe.arrays import BLOCK, CHUNK, _each, grid_blocks, texts
+from lcframe.classify import _FMT, ClassificationTable, _point_rows, classify_grid
+from lcframe.cli import CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points
+from lcframe.surface import SurfaceDef
 
 
 def bits(x):
@@ -74,11 +79,11 @@ def test_each_matches_the_per_element_map(fn, x, data):
 
 
 def test_each_calls_fn_once_per_distinct_bit_pattern(sphere):
-    # a 128x128 block holds 8 grid lines of u and 128 of v
+    # a 128x128 block holds 32 grid lines of u and 128 of v
     us, vs = sphere.domain.grid(128, 128)
     block = next(grid_blocks(sphere, us, vs))
-    assert len(block.u) == BLOCK
-    for x, distinct in ((block.u, 8), (block.v, 128), (block.inv.c2, None),
+    assert len(block.u) == BLOCK == 4096
+    for x, distinct in ((block.u, 32), (block.v, 128), (block.columns["c2"], None),
                         (block.columns["Ktil"], None)):
         calls = []
 
@@ -101,3 +106,63 @@ def test_integer_arrays_are_read_as_their_values():
     bad = np.zeros(3, bool)
     assert _each(bad, math.log, x).tolist()[0] == math.log(2)
     assert bad.tolist() == [False, True, False]
+
+
+#: Three full blocks and a partial one; block and chunk boundaries fall
+#: inside grid lines.
+SPANNING_GRID = (97, 131)
+
+
+def test_the_spanning_grid_cuts_blocks_and_chunks_mid_line():
+    nu, nv = SPANNING_GRID
+    assert 3 * BLOCK < nu * nv < 4 * BLOCK
+    assert BLOCK % CHUNK == 0 and CHUNK % nv != 0
+
+
+def first_difference(got, want):
+    """(index, got line, wanted line) of the first line where two texts
+    differ, None if they are equal; cheaper to report than a diff of
+    two large CSVs."""
+    if got == want:
+        return None
+    got, want = got.split("\n"), want.split("\n")
+    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    return i, got[i:i + 1], want[i:i + 1]
+
+
+@pytest.mark.parametrize("name", ["flat_plane", "twisted_band", "sphere"])
+def test_csvs_across_blocks_and_chunks_match_the_point_loop(name):
+    # every flat_plane point takes the 0/0 limit path
+    s = catalog.load(name)
+    us, vs = s.domain.grid(*SPANNING_GRID)
+    arrays, points = io.StringIO(), io.StringIO()
+    classify_grid(s, SPANNING_GRID).write_csv(arrays)
+    ClassificationTable(s.name, SPANNING_GRID, 1e-9,
+                        rows=_point_rows(s, us, vs, 1e-9)).write_csv(points)
+    assert first_difference(arrays.getvalue(), points.getvalue()) is None
+    arrays, points = io.StringIO(), io.StringIO()
+    _write_curvature_csv(s, SPANNING_GRID, arrays)
+    points.write(",".join(CURVATURE_HEADER) + "\n")
+    _write_curvature_points(s, us, vs, points)
+    assert first_difference(arrays.getvalue(), points.getvalue()) is None
+
+
+def test_no_array_program_call_exceeds_a_block(flat_plane, monkeypatch):
+    sizes = []
+    original = SurfaceDef.invariant_arrays
+
+    def counted(self, u, v):
+        sizes.append(len(u))
+        return original(self, u, v)
+
+    monkeypatch.setattr(SurfaceDef, "invariant_arrays", counted)
+    nu, nv = SPANNING_GRID
+    blocks = [BLOCK] * 3 + [nu * nv - 3 * BLOCK]
+    # per block: the block's points, then each of the six limit samples
+    # of all of them
+    classify_grid(flat_plane, SPANNING_GRID)
+    assert sizes == [n for n in blocks for _ in range(7)]
+    sizes.clear()
+    _write_curvature_csv(flat_plane, SPANNING_GRID, io.StringIO())
+    assert sizes == [n for n in blocks for _ in range(7)]

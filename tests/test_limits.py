@@ -100,6 +100,14 @@ def test_vanishing_order_needs_a_vanishing_field(sphere):
         vanishing_order(sphere, POLE_PATH, "lambda_til")
 
 
+@pytest.mark.parametrize("field", ["Gamma", "c2"])
+def test_vanishing_order_rejects_an_unknown_quantity(sphere, field):
+    # an unknown quantity was read as K
+    with pytest.raises(LcframeError,
+                       match=r"quantity must be one of \('K', 'H', 'c2K'\), got 'bogus'"):
+        vanishing_order(sphere, POLE_PATH, field, quantity="bogus")
+
+
 @pytest.mark.parametrize("args", [
     {"r0": math.nan}, {"r0": math.inf},
     {"direction": (math.nan, 1.0)}, {"direction": (1.0, math.inf)},

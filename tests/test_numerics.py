@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,13 @@ from hypothesis import strategies as st
 from lcframe.numerics import LogAxis, loglog_slope
 
 
-def ref_loglog_slope(distances, magnitudes):
+def left_to_right(values):
+    """The sum of values added left to right from 0.0, as sum() adds
+    floats before Python 3.12."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def ref_loglog_slope(distances, magnitudes, total=left_to_right):
     """The fit as it was before the sums of log(distance) were shared:
     the reference both spellings must reproduce bit for bit."""
     pts = [(math.log(r), math.log(m))
@@ -14,16 +22,16 @@ def ref_loglog_slope(distances, magnitudes):
     if len(pts) < 2:
         return None, None, None
     n = len(pts)
-    sx = sum(p[0] for p in pts)
-    sy = sum(p[1] for p in pts)
-    sxx = sum(p[0] * p[0] for p in pts)
-    sxy = sum(p[0] * p[1] for p in pts)
+    sx = total(p[0] for p in pts)
+    sy = total(p[1] for p in pts)
+    sxx = total(p[0] * p[0] for p in pts)
+    sxy = total(p[0] * p[1] for p in pts)
     denom = n * sxx - sx * sx
     if denom == 0.0:
         return None, None, None
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
-    rss = sum((y - (slope * x + intercept)) ** 2 for x, y in pts)
+    rss = total((y - (slope * x + intercept)) ** 2 for x, y in pts)
     return slope, intercept, math.sqrt(rss / n)
 
 
@@ -65,3 +73,17 @@ def test_an_axis_serves_every_sequence_of_its_schedule():
     axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
     for mags in ([2.0 ** -k for k in range(12)], [0.0] + [1.0] * 11, [3.0] * 5):
         assert repr(axis.slope(mags)) == repr(ref_loglog_slope(axis.distances, mags))
+
+
+def test_fits_add_left_to_right_on_every_python():
+    # on the default limits schedule the log distances of r^-3 sum
+    # differently left to right and with compensated rounding (sum()
+    # from Python 3.12 on), and so does the fitted slope
+    distances = [0.1 * 0.5 ** k for k in range(12)]
+    mags = [r ** -3 for r in distances]
+    xs = [math.log(r) for r in distances]
+    assert left_to_right(xs) != math.fsum(xs)
+    expected = ref_loglog_slope(distances, mags)
+    assert expected[0] != ref_loglog_slope(distances, mags, math.fsum)[0]
+    assert repr(loglog_slope(distances, mags)) == repr(expected)
+    assert repr(LogAxis(distances).slope(mags)) == repr(expected)
