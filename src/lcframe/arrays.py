@@ -5,10 +5,13 @@ classify_grid and the curvature CSV evaluate a grid of at least
 classify.ARRAY_MIN_POINTS points here, BLOCK points at a time in
 row-major order, and write their CSV lines CHUNK points at a time.  Per
 block, one call of the surface's array program gives the 23 invariants
-as arrays; curvature._fundamentals runs on them unchanged, and the
-branches of curvature._packet and the predicates of
-classify._classify_from_invariants run as numpy masks.  Only this
-module imports numpy, and lcframe imports it only for such a grid.
+as arrays, and the packet (curvature._packet_fields) and the class
+(classify._class_code) are computed from them by the very code the
+point loop runs: that code is written once against a few operations
+(where, not_, max, hypot, sqrt, pow, div), and _ArrayOps spells them
+over arrays as curvature._FLOAT_OPS does over floats.  Every branch
+becomes a mask.  Only this module imports numpy, and lcframe imports it
+only for such a grid.
 
 The values are bit-identical to the point loop by construction: numpy
 computes only the operations IEEE 754 rounds exactly (+ - * /,
@@ -40,17 +43,15 @@ from itertools import chain
 
 import numpy as np
 
-from .classify import _FMT
+from .classify import _FMT, _class_code
 from .curvature import (
-    LIMIT_OFFSETS, ZERO_TOL, CurvaturePacket, _fundamentals, curvature_packet,
+    LIMIT_OFFSETS, _band, _fundamentals, _packet_fields, _packet_record, curvature_packet,
 )
 from .errors import LcframeError
 from .expr import SCALAR, NumberEnv
-from .minkowski import LVec3
 from .numerics import richardson
-from .taxonomy import Category, Kind, LightlikeBranch, PointClass
 
-__all__ = ["ARRAY", "BLOCK", "CHUNK", "Block", "grid_blocks", "CLASSES", "texts", "write_grid_csv"]
+__all__ = ["ARRAY", "BLOCK", "CHUNK", "Block", "grid_blocks", "texts", "write_grid_csv"]
 
 #: Points per block: enough to amortise numpy's per-call overhead over
 #: the invariant program, the packet masks and the class predicates.
@@ -162,7 +163,7 @@ ARRAY = NumberEnv(
 
 
 # ---------------------------------------------------------------------------
-# Packets over a block
+# The operations of the shared decisions over a block
 
 
 def _pymax(first, *rest):
@@ -171,6 +172,10 @@ def _pymax(first, *rest):
     for x in rest:
         first = np.where(x > first, x, first)
     return first
+
+
+def _hypot(x, y):
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
 
 
 def _each_where(bad, where, fn, x):
@@ -183,9 +188,30 @@ def _each_where(bad, where, fn, x):
     return out
 
 
-def _zero_band(Etil, Ltil, Ntil):
-    """ZERO_TOL * curvature._zero_scale(Etil, Ltil, Ntil)."""
-    return ZERO_TOL * (1.0 + _pymax(np.abs(Etil), np.abs(Ltil), np.abs(Ntil)))
+class _ArrayOps:
+    """curvature._FLOAT_OPS over arrays of points.  pow and div compute
+    where their mask holds and mark in the fault mask `bad` each point
+    at which the float operation would raise there."""
+
+    where = staticmethod(np.where)
+    not_ = staticmethod(np.logical_not)
+    max = staticmethod(_pymax)
+    hypot = staticmethod(_hypot)
+    sqrt = staticmethod(np.sqrt)
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def pow(self, x, p, where):
+        return _each_where(self.bad, where, partial(pow, exp=p), x)
+
+    def div(self, a, b, where):
+        self.bad |= where & (b == 0.0)
+        return a / b
+
+
+# ---------------------------------------------------------------------------
+# Packets and classes over a block
 
 
 def _limit_sample(s, u, v):
@@ -194,7 +220,7 @@ def _limit_sample(s, u, v):
     is inside the domain, fault mask)."""
     inv, faults = s.invariant_arrays(u, v)
     f = _fundamentals(inv)
-    usable = ~(np.abs(f[8]) <= _zero_band(f[0], f[3], f[5]))
+    usable = ~(np.abs(f[8]) <= _band(f, _ArrayOps))
     return f[7] / (2.0 * f[8]), usable, s.domain.contains(u, v), faults
 
 
@@ -229,10 +255,13 @@ class Block:
     """Curvature packets of up to BLOCK consecutive grid points.
 
     `start` is the first point's row-major index, `u` and `v` the
-    points and `columns` the packet fields, named as in the curvature
-    CSV, and c2.  `defined` maps each column that a packet may leave
-    None to where it is set.  The other invariants are dropped once the
-    block is built, as a classify grid keeps all its blocks.
+    points; `columns`, `defined` and `flags` are what
+    curvature._packet_fields gives for them: the packet fields, named
+    as in the curvature CSV, and c2; where each field that a packet may
+    leave None is set; and the packet's three flags.  With a tolerance,
+    `codes` holds the classes as indices into classify.CLASSES.  The
+    other invariants are dropped once the block is built, as a classify
+    grid keeps all its blocks.
     """
 
     __slots__ = ("start", "u", "v", "columns", "defined", "flags", "codes")
@@ -241,69 +270,26 @@ class Block:
         self.start, self.u, self.v = start, u, v
         inv, bad = s.invariant_arrays(u, v)
         bad |= ~s.domain.contains(u, v)
+        ops = _ArrayOps(bad)
+
+        def limit(where):
+            kappa1, defined = np.full(len(u), math.nan), np.zeros(len(u), bool)
+            if where.any():
+                idx = np.flatnonzero(where)
+                faults = np.zeros(len(idx), bool)
+                kappa1[idx], defined[idx] = _ratio_limits(s, u[idx], v[idx], faults)
+                bad[idx] |= faults
+            return kappa1, defined
+
         with np.errstate(all="ignore"):
-            self._packets(s, inv, bad)
-            # with a tolerance, the classes as indices into CLASSES
-            self.codes = None if tol is None else _class_codes(inv, tol)
+            self.columns, self.defined, self.flags = _packet_fields(inv, ops, limit)
+            self.columns["Gtil"] = np.full(len(u), self.columns["Gtil"])
+            self.codes = None if tol is None else _class_code(inv, tol, ops)
         if bad.any():
             i = int(np.argmax(bad))
             curvature_packet(s, float(u[i]), float(v[i]))  # raises the point loop's error
             raise LcframeError(
                 f"array evaluation faulted at ({u[i]!r}, {v[i]!r}) where the point loop does not")
-
-    def _packets(self, s, inv, bad):
-        """The branches of curvature._packet as masks."""
-        Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = _fundamentals(inv)
-        c2 = inv.c2
-        band = _zero_band(Etil, Ltil, Ntil)
-
-        def zero(x):
-            return np.abs(x) <= band
-
-        has_kh = ~zero(c2) & ~zero(lam)
-        al = np.abs(lam)
-        K = Ktil / (c2 * _each_where(bad, has_kh, partial(pow, exp=2), al))
-        H = Htil / (c2 * _each_where(bad, has_kh, partial(pow, exp=1.5), al))
-
-        radicand = Htil * Htil - c2 * lam * Ktil
-        rad_scale = ZERO_TOL * (1.0 + Htil * Htil + np.abs(c2 * lam * Ktil))
-        negative = radicand < 0.0
-        clipped = negative & (radicand >= -rad_scale)
-        principal_complex = negative & ~clipped
-        real = ~principal_complex
-        root = np.sqrt(np.where(clipped, 0.0, radicand))
-        s_h = np.where(Htil >= 0.0, 1.0, -1.0)
-        d1 = Htil + s_h * root
-        d2 = Htil - s_h * root
-        limit = real & zero(Ktil) & zero(Htil)
-        branch = real & ~limit
-        kappa1 = Ktil / d1
-        has_k1 = branch & ~zero(d1)
-        has_k2 = branch & ~zero(d2)
-        if limit.any():
-            idx = np.flatnonzero(limit)
-            faults = np.zeros(len(idx), bool)
-            kappa1[idx], has_k1[idx] = _ratio_limits(s, self.u[idx], self.v[idx], faults)
-            bad[idx] |= faults
-        kappa_bar = d1 / lam  # equals c2 * kappa_til_2
-        has_v2 = real & ~zero(lam)
-
-        self.columns = {
-            "Etil": Etil, "Ftil": Ftil, "Gtil": np.full(len(c2), Gtil),
-            "Ltil": Ltil, "Mtil": Mtil, "Ntil": Ntil, "lambda_til": lam,
-            "Ktil": Ktil, "Htil": Htil, "K": K, "H": H,
-            "kappa_til_1": kappa1, "kappa_til_2": Ktil / d2,
-            "V1_u": Ntil - c2 * kappa1 * Gtil, "V1_v": -Mtil + kappa1 * Ftil,
-            "V2_u": c2 * (Ntil - kappa_bar * Gtil), "V2_v": -c2 * Mtil + kappa_bar * Ftil,
-            "ntil_1": inv.ntil_1, "ntil_2": inv.ntil_2, "ntil_3": inv.ntil_3,
-            "c2": c2,
-        }
-        self.defined = {"K": has_kh, "H": has_kh, "kappa_til_1": has_k1,
-                        "kappa_til_2": has_k2, "V1_u": has_k1, "V1_v": has_k1,
-                        "V2_u": has_v2, "V2_v": has_v2}
-        self.flags = {"kappa_til_2_unbounded": limit | (branch & zero(d2)),
-                      "kappa1_from_limit": limit & has_k1,
-                      "principal_complex": principal_complex}
 
     def packets(self):
         """The block's CurvaturePackets, equal to the point loop's."""
@@ -312,24 +298,9 @@ class Block:
             for i in np.flatnonzero(~where).tolist():
                 cols[name][i] = None
         flags = {name: where.tolist() for name, where in self.flags.items()}
-        out = []
-        for i, (u, v) in enumerate(zip(self.u.tolist(), self.v.tolist())):
-            c = {name: values[i] for name, values in cols.items()}
-            out.append(CurvaturePacket(
-                u=u, v=v,
-                Etil=c["Etil"], Ftil=c["Ftil"], Gtil=c["Gtil"],
-                Ltil=c["Ltil"], Mtil=c["Mtil"], Ntil=c["Ntil"],
-                lambda_til=c["lambda_til"], Ktil=c["Ktil"], Htil=c["Htil"],
-                K=c["K"], H=c["H"],
-                kappa_til_1=c["kappa_til_1"], kappa_til_2=c["kappa_til_2"],
-                kappa_til_2_unbounded=flags["kappa_til_2_unbounded"][i],
-                kappa1_from_limit=flags["kappa1_from_limit"][i],
-                principal_complex=flags["principal_complex"][i],
-                V1=None if c["V1_u"] is None else (c["V1_u"], c["V1_v"]),
-                V2=None if c["V2_u"] is None else (c["V2_u"], c["V2_v"]),
-                n_til=LVec3(c["ntil_1"], c["ntil_2"], c["ntil_3"]),
-            ))
-        return out
+        return [_packet_record(u, v, {name: values[i] for name, values in cols.items()},
+                               {name: where[i] for name, where in flags.items()})
+                for i, (u, v) in enumerate(zip(self.u.tolist(), self.v.tolist()))]
 
     def texts(self, name, part=slice(None)):
         """Column `name` at the points `part` formatted, with "" where
@@ -387,46 +358,3 @@ def write_grid_csv(fh, us, vs, blocks, columns):
             fh.write("\n".join(map(",".join, zip(u_col, v_col, *columns(block, part))))
                      + "\n")
         del block  # freed before the next block is built
-
-
-# ---------------------------------------------------------------------------
-# Classes over a block
-
-_KINDS = (Kind.INDETERMINATE, Kind.FIRST, Kind.SECOND)
-
-#: Every PointClass the classifier returns, indexed by _class_codes.
-CLASSES = (
-    PointClass(Category.SPACELIKE),
-    PointClass(Category.TIMELIKE),
-    PointClass(Category.SINGULAR_2),
-    *(PointClass(Category.SINGULAR_1, degenerate=kind is Kind.INDETERMINATE, kind=kind)
-      for kind in _KINDS),
-    *(PointClass(Category.LIGHTLIKE, lightlike_branch=branch,
-                 degenerate=kind is Kind.INDETERMINATE, kind=kind)
-      for branch in (LightlikeBranch.L1, LightlikeBranch.L2) for kind in _KINDS),
-)
-
-
-def _hypot(x, y):
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), float, len(x))
-
-
-def _class_codes(inv, tol):
-    """classify._classify_from_invariants per point, as indices into CLASSES."""
-
-    def kind(degenerate, decider):  # an index into _KINDS
-        return np.where(degenerate, 0, np.where(np.abs(decider) > tol, 1, 2))
-
-    a1_zero = np.abs(inv.a1) <= tol
-    b1_zero = np.abs(inv.b1) <= tol
-    # the vanishing factor's differential and transversality (L1 where a1 ~ 0)
-    differential = _hypot(np.where(a1_zero, inv.a1u, inv.b1u),
-                          np.where(a1_zero, inv.a1v, inv.b1v))
-    transversal = np.where(a1_zero, inv.a1u * inv.c2 - inv.a1v * inv.c1,
-                           inv.b1u * inv.c2 - inv.b1v * inv.c1)
-    lam = -4.0 * inv.a1 * inv.b1
-    return np.select(
-        [_hypot(inv.a1, inv.b1) <= tol, np.abs(inv.c2) <= tol, a1_zero != b1_zero],
-        [2, 3 + kind(_hypot(inv.c2u, inv.c2v) <= tol, inv.c2v),
-         6 + 3 * b1_zero + kind(differential <= tol, transversal)],
-        np.where(lam > 0.0, 0, 1))

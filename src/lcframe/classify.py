@@ -14,7 +14,10 @@ first partials:
 
 Each entry point evaluates the invariants once per point; the class,
 the curvature packet and the singular curvature scalars at that point
-are all derived from that one evaluation.
+are all derived from that one evaluation.  The predicates are written
+once, in _class_code, which returns an index into CLASSES and runs on
+the floats of a point (curvature._FLOAT_OPS) and on the arrays of a
+block (arrays._ArrayOps) alike.
 
 classify_grid evaluates a grid of ARRAY_MIN_POINTS (4096) points or
 more as arrays, 4096 points per block (lcframe.arrays), with the same
@@ -44,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .curvature import CurvaturePacket, _packet, _singular, is_zero
+from .curvature import _FLOAT_OPS, CurvaturePacket, _packet, _singular, is_zero
 from .errors import LcframeError
 from .minkowski import pseudo_dot
 from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
@@ -86,36 +89,40 @@ class WrongClassError(LcframeError):
     """An operation was asked about a point of the wrong class."""
 
 
-def _classify_from_invariants(inv: BasicInvariants, tol: float) -> PointClass:
-    if math.hypot(inv.a1, inv.b1) <= tol:
-        return PointClass(Category.SINGULAR_2)
-    if abs(inv.c2) <= tol:
-        degenerate = math.hypot(inv.c2u, inv.c2v) <= tol
-        if degenerate:
-            kind = Kind.INDETERMINATE
-        else:
-            kind = Kind.FIRST if abs(inv.c2v) > tol else Kind.SECOND
-        return PointClass(Category.SINGULAR_1, degenerate=degenerate, kind=kind)
+_KINDS = (Kind.INDETERMINATE, Kind.FIRST, Kind.SECOND)
+
+#: Every PointClass the classifier returns, indexed by _class_code;
+#: the kinds of each locus are in the order of _KINDS.
+CLASSES = (
+    PointClass(Category.SPACELIKE),
+    PointClass(Category.TIMELIKE),
+    PointClass(Category.SINGULAR_2),
+    *(PointClass(Category.SINGULAR_1, degenerate=kind is Kind.INDETERMINATE, kind=kind)
+      for kind in _KINDS),
+    *(PointClass(Category.LIGHTLIKE, lightlike_branch=branch,
+                 degenerate=kind is Kind.INDETERMINATE, kind=kind)
+      for branch in (LightlikeBranch.L1, LightlikeBranch.L2) for kind in _KINDS),
+)
+
+
+def _class_code(inv: BasicInvariants, tol: float, ops):
+    """The class of a point, or of arrays of points, as an index into
+    CLASSES, from its invariants; ops is curvature._FLOAT_OPS or its
+    array twin."""
     a1_zero = abs(inv.a1) <= tol
     b1_zero = abs(inv.b1) <= tol
-    if a1_zero != b1_zero:
-        if a1_zero:
-            branch = LightlikeBranch.L1
-            differential = (inv.a1u, inv.a1v)
-            transversal = inv.a1u * inv.c2 - inv.a1v * inv.c1
-        else:
-            branch = LightlikeBranch.L2
-            differential = (inv.b1u, inv.b1v)
-            transversal = inv.b1u * inv.c2 - inv.b1v * inv.c1
-        degenerate = math.hypot(*differential) <= tol
-        if degenerate:
-            kind = Kind.INDETERMINATE
-        else:
-            kind = Kind.FIRST if abs(transversal) > tol else Kind.SECOND
-        return PointClass(Category.LIGHTLIKE, lightlike_branch=branch,
-                          degenerate=degenerate, kind=kind)
+    singular = abs(inv.c2) <= tol
+    # the differential that decides degeneracy and the value that decides
+    # the kind: dc2 and c2v on the singular locus, the vanishing factor's
+    # differential and transversality on the lightlike one (L1 where a1 ~ 0)
+    du = ops.where(singular, inv.c2u, ops.where(a1_zero, inv.a1u, inv.b1u))
+    dv = ops.where(singular, inv.c2v, ops.where(a1_zero, inv.a1v, inv.b1v))
+    decider = ops.where(singular, inv.c2v, du * inv.c2 - dv * inv.c1)
+    kind = ops.where(ops.hypot(du, dv) <= tol, 0, ops.where(abs(decider) > tol, 1, 2))
     lam = -4.0 * inv.a1 * inv.b1
-    return PointClass(Category.SPACELIKE if lam > 0.0 else Category.TIMELIKE)
+    return ops.where(ops.hypot(inv.a1, inv.b1) <= tol, 2, ops.where(
+        singular, 3 + kind, ops.where(
+            a1_zero != b1_zero, 6 + 3 * b1_zero + kind, ops.where(lam > 0.0, 0, 1))))
 
 
 def _evaluate(s, u, v, tol=1e-9):
@@ -123,7 +130,7 @@ def _evaluate(s, u, v, tol=1e-9):
     if not (0 < tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
     inv = basic_invariants_at(s, u, v)
-    return inv, _classify_from_invariants(inv, tol)
+    return inv, CLASSES[_class_code(inv, tol, _FLOAT_OPS)]
 
 
 def classify(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> PointClass:
@@ -493,8 +500,6 @@ class ClassificationTable:
     @property
     def rows(self) -> list:
         if self._rows is None:
-            from .arrays import CLASSES
-
             self._rows = [
                 ClassificationRow(u=p.u, v=p.v, point_class=CLASSES[code], packet=p, c2=c2)
                 for block in self._blocks
@@ -512,7 +517,7 @@ class ClassificationTable:
                     _fmt(p.lambda_til), _fmt(row.c2), _fmt(p.Ktil), _fmt(p.Htil),
                     _fmt(p.K), _fmt(p.H), _fmt(p.kappa_til_1))) + "\n")
             return
-        from .arrays import CLASSES, write_grid_csv
+        from .arrays import write_grid_csv
 
         class_texts = [_class_text(pc) for pc in CLASSES]
         write_grid_csv(fh, *self._grid, self._blocks, lambda block, part: (
@@ -541,7 +546,7 @@ def _point_rows(s, us, vs, tol):
         for v in vs:
             inv = basic_invariants_at(s, u, v)
             rows.append(ClassificationRow(
-                u=u, v=v, point_class=_classify_from_invariants(inv, tol),
+                u=u, v=v, point_class=CLASSES[_class_code(inv, tol, _FLOAT_OPS)],
                 packet=_packet(s, u, v, inv), c2=inv.c2))
     return rows
 

@@ -5,9 +5,10 @@ CSV output prints floats with 12 significant digits and a '.' decimal
 separator regardless of locale (classify._FMT, '%.12g', formats every
 one), so identical configurations produce byte-identical artifacts.
 classify and curvature evaluate a grid of 4096 points or more as arrays
-(lcframe.arrays), a block of 1024 points at a time, and write the same
-bytes as the point loop that smaller grids keep; numpy is imported only
-for such a grid, so the demo, trace, limits and validate never load it.
+(lcframe.arrays), 4096 points per block and 1024 points per CSV write,
+and write the same bytes as the point loop that smaller grids keep;
+numpy is imported only for such a grid, so the demo, trace, limits and
+validate never load it.
 The argument parser is built once per process, on the first call of
 main, and reused by every later call; each call parses into a fresh
 namespace, so no option carries over from one call to the next.

@@ -18,12 +18,19 @@ Gauss and mean curvatures are
 and the classical ones, where defined, recover as K = K~ / (c2 |lam~|^2)
 and H = H~ / (c2 |lam~|^(3/2)).  A packet takes n~ from the invariant
 program; modified_normal and classical_curvatures wedge X_u and m.
+
+The zero band, the K/H decision and the packet's branches are written
+once (_gauss_mean, _packet_fields) against a few operations: on floats
+they are _FLOAT_OPS, and lcframe.arrays runs the same functions on the
+arrays of a block with their numpy twins.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import LcframeError
 from .minkowski import LVec3, pseudo_dot, wedge
@@ -206,6 +213,28 @@ def _fundamentals(inv: BasicInvariants):
     return Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil
 
 
+def _band(f, ops):
+    """The zero band of a point's fundamentals f: ZERO_TOL * (1 + max
+    |E~|, |L~|, |N~|), the value of is_zero's bound at E~, L~, N~."""
+    return ZERO_TOL * (1.0 + ops.max(abs(f[0]), abs(f[3]), abs(f[5])))
+
+
+#: The operations of the shared decisions (_gauss_mean, _packet_fields,
+#: classify._class_code) on floats.  where and not_ decide; pow and div
+#: compute only where their mask holds (NaN elsewhere), so an untaken
+#: branch never faults, and a fault raises as plain float code does.
+#: lcframe.arrays spells the same operations over numpy arrays.
+_FLOAT_OPS = SimpleNamespace(
+    where=lambda cond, a, b: a if cond else b,
+    not_=operator.not_,
+    max=max,
+    hypot=math.hypot,
+    sqrt=math.sqrt,
+    pow=lambda x, p, where: x ** p if where else math.nan,
+    div=lambda a, b, where: a / b if where else math.nan,
+)
+
+
 def _ratio_limit_kappa1(s, u, v):
     """Directional limit of K~ / (2 H~) along the u-parameter line.
 
@@ -223,10 +252,9 @@ def _ratio_limit_kappa1(s, u, v):
             if not s.domain.contains(uu, v):
                 values = []
                 break
-            inv = basic_invariants_at(s, uu, v)
-            f = _fundamentals(inv)
+            f = _fundamentals(basic_invariants_at(s, uu, v))
             Ktil, Htil = f[7], f[8]
-            if is_zero(Htil, f[0], f[3], f[5]):
+            if abs(Htil) <= _band(f, _FLOAT_OPS):
                 values = []
                 break
             values.append(Ktil / (2.0 * Htil))
@@ -243,30 +271,39 @@ def curvature_packet(s: SurfaceDef, u: float, v: float) -> CurvaturePacket:
     return _packet(s, u, v, basic_invariants_at(s, u, v))
 
 
-def _gauss_mean(inv):
-    """(fundamentals, zero band, K, H) at a point, from its invariants.
+def _gauss_mean(inv, ops):
+    """(fundamentals, zero band, has K and H, K, H) at a point, or at
+    arrays of points, from its invariants.
 
-    The band ZERO_TOL * (1 + max |E~|, |L~|, |N~|) decides every zero
-    test of the packet; K = K~ / (c2 |lam~|^2) and H = H~ / (c2
-    |lam~|^(3/2)) are None unless c2 and lam~ both clear it.  This is
-    all a limits report evaluates per sample, besides the class: no
-    principal curvature, principal vector or n~, and so no
-    kappa_til_1 and no u-line samples of its 0/0 limit.
+    The band (_band) decides every zero test of the packet; K = K~ /
+    (c2 |lam~|^2) and H = H~ / (c2 |lam~|^(3/2)) are defined only where
+    c2 and lam~ both clear it.  This is all a limits report evaluates
+    per sample, besides the class: no principal curvature, principal
+    vector or n~, and so no kappa_til_1 and no u-line samples of its
+    0/0 limit.
     """
     f = _fundamentals(inv)
-    Etil, _, _, Ltil, _, Ntil, lam, Ktil, Htil = f
-    band = ZERO_TOL * _zero_scale(Etil, Ltil, Ntil)
-    c2 = inv.c2
-    K = H = None
-    if not abs(c2) <= band and not abs(lam) <= band:
-        K = Ktil / (c2 * abs(lam) ** 2)
-        H = Htil / (c2 * abs(lam) ** 1.5)
-    return f, band, K, H
+    band = _band(f, ops)
+    c2, lam = inv.c2, f[6]
+    has_kh = ops.not_(abs(c2) <= band) & ops.not_(abs(lam) <= band)
+    al = abs(lam)
+    K = ops.div(f[7], c2 * ops.pow(al, 2, has_kh), has_kh)
+    H = ops.div(f[8], c2 * ops.pow(al, 1.5, has_kh), has_kh)
+    return f, band, has_kh, K, H
 
 
-def _packet(s, u, v, inv) -> CurvaturePacket:
-    """The curvature bundle at (u, v) built from the point's invariants."""
-    f, band, K, H = _gauss_mean(inv)
+def _packet_fields(inv, ops, limit):
+    """The packet of a point, or of arrays of points, from its
+    invariants: (values, defined, flags).
+
+    values holds the curvature CSV's columns and c2; defined maps each
+    value a packet may leave None to where it is set; flags holds
+    kappa_til_2_unbounded, kappa1_from_limit and principal_complex.
+    limit(where) gives (value, defined) of the u-line limit of
+    kappa_til_1 (_ratio_limit_kappa1) and is asked only where `where`
+    holds: where K~ and H~ both vanish.
+    """
+    f, band, has_kh, K, H = _gauss_mean(inv, ops)
     Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = f
     c2 = inv.c2
 
@@ -275,56 +312,73 @@ def _packet(s, u, v, inv) -> CurvaturePacket:
 
     radicand = Htil * Htil - c2 * lam * Ktil
     rad_scale = ZERO_TOL * (1.0 + Htil * Htil + abs(c2 * lam * Ktil))
-    principal_complex = False
-    if radicand < 0.0:
-        if radicand >= -rad_scale:
-            radicand = 0.0
-        else:
-            principal_complex = True
+    negative = radicand < 0.0
+    # a negative radicand within rad_scale of zero is clipped to zero
+    principal_complex = negative & ops.not_(radicand >= -rad_scale)
+    real = ops.not_(principal_complex)
+    root = ops.sqrt(ops.where(negative, 0.0, radicand))
+    s_h = ops.where(Htil >= 0.0, 1.0, -1.0)
+    # denominator of largest magnitude gives the bounded branch
+    d1 = Htil + s_h * root
+    d2 = Htil - s_h * root
+    at_limit = real & zero(Ktil) & zero(Htil)
+    branch = real & ops.not_(at_limit)
+    has_k1 = branch & ops.not_(zero(d1))
+    has_k2 = branch & ops.not_(zero(d2))
+    from_limit, has_limit = limit(at_limit)
+    kappa1 = ops.where(at_limit, from_limit, ops.div(Ktil, d1, has_k1))
+    has_k1 = has_k1 | has_limit
+    has_v2 = real & ops.not_(zero(lam))
+    kappa_bar = ops.div(d1, lam, has_v2)  # equals c2 * kappa_til_2
 
-    kappa1 = kappa2 = None
-    kappa1_from_limit = False
-    kappa2_unbounded = False
-    V2 = None
-    if not principal_complex:
-        root = math.sqrt(radicand)
-        s_h = 1.0 if Htil >= 0.0 else -1.0
-        # denominator of largest magnitude gives the bounded branch
-        d1 = Htil + s_h * root
-        d2 = Htil - s_h * root
-        if zero(Ktil) and zero(Htil):
-            kappa1 = _ratio_limit_kappa1(s, u, v)
-            kappa1_from_limit = kappa1 is not None
-            kappa2_unbounded = True
-        else:
-            if not zero(d1):
-                kappa1 = Ktil / d1
-            if zero(d2):
-                kappa2_unbounded = True
-            else:
-                kappa2 = Ktil / d2
-        if not zero(lam):
-            kappa_bar = d1 / lam  # equals c2 * kappa_til_2
-            V2 = (c2 * (Ntil - kappa_bar * Gtil), -c2 * Mtil + kappa_bar * Ftil)
+    values = {
+        "Etil": Etil, "Ftil": Ftil, "Gtil": Gtil,
+        "Ltil": Ltil, "Mtil": Mtil, "Ntil": Ntil, "lambda_til": lam,
+        "Ktil": Ktil, "Htil": Htil, "K": K, "H": H,
+        "kappa_til_1": kappa1, "kappa_til_2": ops.div(Ktil, d2, has_k2),
+        "V1_u": Ntil - c2 * kappa1 * Gtil, "V1_v": -Mtil + kappa1 * Ftil,
+        "V2_u": c2 * (Ntil - kappa_bar * Gtil), "V2_v": -c2 * Mtil + kappa_bar * Ftil,
+        "ntil_1": inv.ntil_1, "ntil_2": inv.ntil_2, "ntil_3": inv.ntil_3,
+        "c2": c2,
+    }
+    defined = {"K": has_kh, "H": has_kh, "kappa_til_1": has_k1,
+               "kappa_til_2": has_k2, "V1_u": has_k1, "V1_v": has_k1,
+               "V2_u": has_v2, "V2_v": has_v2}
+    flags = {"kappa_til_2_unbounded": at_limit | (branch & zero(d2)),
+             "kappa1_from_limit": at_limit & has_limit,
+             "principal_complex": principal_complex}
+    return values, defined, flags
 
-    V1 = None
-    if kappa1 is not None:
-        V1 = (Ntil - c2 * kappa1 * Gtil, -Mtil + kappa1 * Ftil)
 
+def _packet_record(u, v, c, flags) -> CurvaturePacket:
+    """The CurvaturePacket of one point's _packet_fields: its values c,
+    None where not defined, and its flags."""
     return CurvaturePacket(
         u=u, v=v,
-        Etil=Etil, Ftil=Ftil, Gtil=Gtil,
-        Ltil=Ltil, Mtil=Mtil, Ntil=Ntil,
-        lambda_til=lam, Ktil=Ktil, Htil=Htil,
-        K=K, H=H,
-        kappa_til_1=kappa1,
-        kappa_til_2=kappa2,
-        kappa_til_2_unbounded=kappa2_unbounded,
-        kappa1_from_limit=kappa1_from_limit,
-        principal_complex=principal_complex,
-        V1=V1, V2=V2,
-        n_til=LVec3(inv.ntil_1, inv.ntil_2, inv.ntil_3),
+        Etil=c["Etil"], Ftil=c["Ftil"], Gtil=c["Gtil"],
+        Ltil=c["Ltil"], Mtil=c["Mtil"], Ntil=c["Ntil"],
+        lambda_til=c["lambda_til"], Ktil=c["Ktil"], Htil=c["Htil"],
+        K=c["K"], H=c["H"],
+        kappa_til_1=c["kappa_til_1"], kappa_til_2=c["kappa_til_2"],
+        V1=None if c["V1_u"] is None else (c["V1_u"], c["V1_v"]),
+        V2=None if c["V2_u"] is None else (c["V2_u"], c["V2_v"]),
+        n_til=LVec3(c["ntil_1"], c["ntil_2"], c["ntil_3"]),
+        **flags,
     )
+
+
+def _packet(s, u, v, inv) -> CurvaturePacket:
+    """The curvature bundle at (u, v) built from the point's invariants."""
+
+    def limit(where):
+        kappa1 = _ratio_limit_kappa1(s, u, v) if where else None
+        return (math.nan, False) if kappa1 is None else (kappa1, True)
+
+    values, defined, flags = _packet_fields(inv, _FLOAT_OPS, limit)
+    for name, where in defined.items():
+        if not where:
+            values[name] = None
+    return _packet_record(u, v, values, flags)
 
 
 def classical_curvatures(s: SurfaceDef, u: float, v: float) -> ClassicalCurvatures:
@@ -474,8 +528,11 @@ def bounded_principal_check(
 
     The cuspidal hypothesis (kappa_c~ != 0 for the first kind, mu_c~ !=
     0 for the second) amounts to N~ != 0; without it the check is
-    reported not-applicable.
+    reported not-applicable, as is a kind other than first or second.
     """
+    if kind not in (Kind.FIRST, Kind.SECOND):
+        return BoundedPrincipalReport(
+            applicable=False, reason=f"kind must be first or second, got {kind}")
     inv = basic_invariants_at(s, u, v)
     p, sc = _packet(s, u, v, inv), _singular(inv)
     scale = (p.Etil, p.Ltil, p.Ntil)

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .classify import _evaluate, _fmt, classify
-from .curvature import _gauss_mean
+from .curvature import _FLOAT_OPS, _gauss_mean
 from .errors import LcframeError
 from .numerics import LogAxis, richardson
 from .surface import SurfaceDef, basic_invariants_at
@@ -200,7 +200,9 @@ class _Sample(NamedTuple):
 
 
 def _record(u, v, inv):
-    f, _, K, H = _gauss_mean(inv)
+    f, _, has_kh, K, H = _gauss_mean(inv, _FLOAT_OPS)
+    if not has_kh:
+        K = H = None
     return _Sample(u, v, inv.c2, f[6], f[7], f[8], K, H)
 
 

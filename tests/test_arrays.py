@@ -1,7 +1,8 @@
 """Per-block evaluation of the array grids: each distinct bit pattern
 of a block is evaluated and formatted once, with the results of
-evaluating and formatting every element, and grids that span several
-blocks and chunks write the point loop's CSVs."""
+evaluating and formatting every element; grids that span several
+blocks and chunks write the point loop's CSVs; and the class and packet
+decisions, written once, decide alike on floats and on arrays."""
 
 import io
 import math
@@ -14,10 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcframe import catalog
-from lcframe.arrays import BLOCK, CHUNK, _each, grid_blocks, texts
-from lcframe.classify import _FMT, ClassificationTable, _point_rows, classify_grid
+from lcframe.arrays import BLOCK, CHUNK, _ArrayOps, _each, grid_blocks, texts
+from lcframe.classify import (
+    _FMT, CLASSES, ClassificationTable, _class_code, _point_rows, classify_grid,
+)
 from lcframe.cli import CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points
-from lcframe.surface import SurfaceDef
+from lcframe.curvature import _FLOAT_OPS, ZERO_TOL, _fundamentals, _packet_fields
+from lcframe.surface import BasicInvariants, SurfaceDef
 
 
 def bits(x):
@@ -166,3 +170,117 @@ def test_no_array_program_call_exceeds_a_block(flat_plane, monkeypatch):
     sizes.clear()
     _write_curvature_csv(flat_plane, SPANNING_GRID, io.StringIO())
     assert sizes == [n for n in blocks for _ in range(7)]
+
+
+# ---------------------------------------------------------------------------
+# The class and packet decisions on floats and on arrays
+
+TOL = 1e-9
+
+
+def invariants(**values):
+    """BasicInvariants that are zero but for `values`."""
+    return BasicInvariants(*[0.0] * len(BasicInvariants._fields))._replace(**values)
+
+
+#: One point of each class of CLASSES, in its order, then a timelike
+#: point whose negative radicand is clipped to zero and one whose
+#: principal curvatures are complex (M~ = 2 g1 with H~ = 0), and a
+#: spacelike point where |lam~|^2 overflows, so that K faults.
+LANDMARKS = (
+    invariants(a1=1.0, b1=-1.0, c2=1.0, a1u=1.0, g2=0.5),  # K~ = 2, H~ = 3
+    invariants(a1=1.0, b1=1.0, c2=1.0),
+    invariants(c2=1.0),
+    invariants(a1=1.0, b1=-1.0),
+    invariants(a1=1.0, b1=-1.0, c2v=1.0),
+    invariants(a1=1.0, b1=-1.0, c2u=1.0),
+    invariants(b1=1.0, c2=1.0),
+    invariants(b1=1.0, c2=1.0, a1u=1.0),
+    invariants(b1=1.0, c2=1.0, a1v=1.0),
+    invariants(a1=1.0, c2=1.0),
+    invariants(a1=1.0, c2=1.0, b1u=1.0),
+    invariants(a1=1.0, c2=1.0, b1v=1.0),
+    invariants(a1=1.0, b1=1.0, c2=1.0, g1=5e-7),
+    invariants(a1=1.0, b1=1.0, c2=1.0, g1=0.5),
+    invariants(a1=1e80, b1=-1e80, c2=1e300),
+)
+
+
+def stub_limit(inv, ops):
+    """A stand-in for the u-line limit of kappa_til_1, spelled alike for
+    floats and arrays: c1 where it is asked, defined where c1 > 0."""
+    return lambda where: (ops.where(where, inv.c1, math.nan), where & (inv.c1 > 0.0))
+
+
+def radicand(inv):
+    f = _fundamentals(inv)
+    return f[8] * f[8] - inv.c2 * f[6] * f[7]
+
+
+def assert_forms_agree(points):
+    """The class code, and every packet value where it is defined, each
+    defined-mask and each flag, agree bit for bit between the float form
+    of each point and the array form of all of them; the float form
+    raises exactly where the array form marks a fault."""
+    n = len(points)
+    arrays = BasicInvariants(*(np.array(column, float) for column in zip(*points)))
+    bad = np.zeros(n, bool)
+    ops = _ArrayOps(bad)
+    with np.errstate(all="ignore"):
+        codes = _class_code(arrays, TOL, ops).tolist()
+        values, defined, flags = _packet_fields(arrays, ops, stub_limit(arrays, ops))
+    for i, inv in enumerate(points):
+        assert _class_code(inv, TOL, _FLOAT_OPS) == codes[i], inv
+        try:
+            f_values, f_defined, f_flags = _packet_fields(
+                inv, _FLOAT_OPS, stub_limit(inv, _FLOAT_OPS))
+        except (ArithmeticError, ValueError):
+            assert bad[i], inv
+            continue
+        assert not bad[i], inv
+        assert f_defined == {name: bool(where[i]) for name, where in defined.items()}, inv
+        assert f_flags == {name: bool(where[i]) for name, where in flags.items()}, inv
+        for name, x in f_values.items():
+            if f_defined.get(name, True):
+                y = float(np.broadcast_to(values[name], n)[i])
+                assert float.hex(x) == float.hex(y), (name, inv)
+
+
+def test_landmarks_reach_every_class_radicand_branch_and_fault():
+    assert [_class_code(inv, TOL, _FLOAT_OPS) for inv in LANDMARKS[:12]] == \
+        list(range(len(CLASSES))) == list(range(12))
+    clipped, complex_, overflows = LANDMARKS[12:]
+    for inv, is_complex in ((clipped, False), (complex_, True)):
+        flags = _packet_fields(inv, _FLOAT_OPS, stub_limit(inv, _FLOAT_OPS))[2]
+        assert radicand(inv) < 0.0 and flags["principal_complex"] is is_complex
+    with pytest.raises(OverflowError):
+        _packet_fields(overflows, _FLOAT_OPS, stub_limit(overflows, _FLOAT_OPS))
+    assert_forms_agree(LANDMARKS)
+
+
+#: Where the decisions turn, with both neighbours of each: the class
+#: tolerance and the smallest zero band (ZERO_TOL), twice them, their
+#: square roots (so that products land near them), ordinary values, and
+#: magnitudes whose squares and powers 1.5 overflow; both zeros.
+EDGES = [0.0, -0.0] + [
+    sign * y
+    for x in (TOL, ZERO_TOL, 2 * TOL, math.sqrt(TOL), 0.25, 1.0, 1e80, 1e160, 1e300)
+    for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))
+    for sign in (1.0, -1.0)]
+
+coefficients = st.one_of(st.sampled_from(EDGES), st.floats(-2.0, 2.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+#: Invariants drawn whole, or a landmark with a few of them redrawn.
+drawn_invariants = st.one_of(
+    st.builds(BasicInvariants, *[coefficients] * len(BasicInvariants._fields)),
+    st.builds(lambda base, changes: base._replace(**changes), st.sampled_from(LANDMARKS),
+              st.dictionaries(st.sampled_from(BasicInvariants._fields), coefficients,
+                              max_size=4)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(drawn_invariants, min_size=1, max_size=16))
+def test_float_and_array_forms_agree(points):
+    assert_forms_agree(points)

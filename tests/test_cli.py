@@ -11,7 +11,7 @@ import pytest
 
 import lcframe
 from lcframe import catalog
-from lcframe.classify import CSV_HEADER
+from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER
 from lcframe.cli import (
     CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points, main, run_demo,
 )
@@ -118,16 +118,24 @@ def test_array_curvature_csv_fails_as_the_point_loop_does(tmp_path, capsys):
 
 
 def test_small_runs_do_not_import_numpy(tmp_path):
-    # the demo, a limits report and the imports stay on the point loop,
-    # so a process that only runs them never pays for importing numpy
+    # the demo, a limits report, validate, grids below ARRAY_MIN_POINTS
+    # and the imports stay on the point loop, so a process that only runs
+    # them never pays for importing numpy
+    grid = "63x64"
+    assert 63 * 64 < ARRAY_MIN_POINTS
     code = (
         "import math, sys\n"
         "from pathlib import Path\n"
         "import lcframe, lcframe.cli\n"
         "from lcframe import catalog\n"
         "from lcframe.limits import boundedness_report\n"
-        f"assert lcframe.cli.run_demo(Path({str(tmp_path)!r})) == 0\n"
+        f"out = Path({str(tmp_path)!r})\n"
+        "assert lcframe.cli.run_demo(out / 'demo') == 0\n"
         "boundedness_report(catalog.load('sphere'), math.pi / 2, 1.0)\n"
+        "for args in (['validate', 'mixed_bowl'],\n"
+        f"             ['classify', 'mixed_bowl', '--grid', {grid!r}, '--out', str(out)],\n"
+        f"             ['curvature', 'mixed_bowl', '--grid', {grid!r}, '--out', str(out)]):\n"
+        "    assert lcframe.cli.main(args) == 0, args\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
     env = dict(os.environ, PYTHONPATH=str(Path(lcframe.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env,

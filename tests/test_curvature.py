@@ -493,3 +493,10 @@ class TestBoundedPrincipal:
         rep = bounded_principal_check(sphere, math.pi / 2, 1.0, Kind.SECOND)
         assert not rep.applicable
         assert rep.reason == "Ntil~0"
+
+    @pytest.mark.parametrize("kind", [Kind.INDETERMINATE, None, "bogus"])
+    def test_kind_must_be_first_or_second(self, sphere, kind):
+        # the pole is second kind; any other kind is refused, not read as second
+        rep = bounded_principal_check(sphere, math.pi / 2, 1.0, kind)
+        assert not rep.applicable
+        assert rep.reason == f"kind must be first or second, got {kind}"
