@@ -12,6 +12,13 @@ validate never load it.
 The argument parser is built once per process, on the first call of
 main, and reused by every later call; each call parses into a fresh
 namespace, so no option carries over from one call to the next.
+Built surfaces are shared across the calls of main in one process too:
+they are keyed by the exact .surf text (a catalog surface's or a file's,
+so a rewritten file is built again), at most 16 are kept, least
+recently used first out, and each keeps the programs it compiled.  This
+relies on SurfaceDef being immutable apart from those programs.  The
+library loaders (SurfaceDef.from_file, from_dict, catalog.load) still
+build a fresh surface on every call.
 Exit codes: 0 success, 1 validation or comparison failure, 2 usage
 error.
 """
@@ -21,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import json
 import math
 import sys
 from importlib import resources
@@ -34,7 +42,9 @@ from .expr import constant_value
 from .limits import (
     ApproachPath, Verdict, _report_quantities, boundedness_report, limit_along,
 )
-from .surface import SurfaceDef, basic_invariants_at, frame_at, validate_framed
+from .surface import (
+    SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at, validate_framed,
+)
 
 __all__ = ["main"]
 
@@ -60,8 +70,23 @@ def _parse_point(text):
 
 def _load_surface(spec: str) -> SurfaceDef:
     if spec in catalog.names():
-        return catalog.load(spec)
-    return SurfaceDef.from_file(spec)
+        return _surface_from_text(catalog.surface_text(spec))
+    # the messages of SurfaceDef.from_file
+    try:
+        text = Path(spec).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SurfaceFormatError(f"cannot read surface file {spec}: {exc}") from None
+    try:
+        return _surface_from_text(text)
+    except json.JSONDecodeError as exc:
+        raise SurfaceFormatError(f"surface file {spec} is not valid JSON: {exc}") from None
+
+
+@functools.lru_cache(maxsize=16)
+def _surface_from_text(text: str) -> SurfaceDef:
+    """The surface of a .surf text, built once per process while it is
+    among the 16 most recently used; a build that raises is not kept."""
+    return SurfaceDef.from_dict(json.loads(text))
 
 
 @functools.cache

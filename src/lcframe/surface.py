@@ -235,7 +235,9 @@ class SurfaceDef:
     kept on first use: threads racing there compile equal programs, and
     one is kept.  No derivation state is shared between builds or kept
     on the surface, and every evaluation is pure, so surfaces may be
-    built and shared freely across threads.
+    built and shared freely across threads.  The command line relies on
+    this: it shares each built surface across the calls of cli.main in
+    one process.
     """
 
     def __init__(self, name, x_sources, v_sources, w_sources, domain):

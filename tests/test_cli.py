@@ -13,9 +13,11 @@ import lcframe
 from lcframe import catalog
 from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER
 from lcframe.cli import (
-    CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points, main, run_demo,
+    CURVATURE_HEADER, _load_surface, _surface_from_text, _write_curvature_csv,
+    _write_curvature_points, main, run_demo,
 )
 from lcframe.limits import boundedness_report
+from lcframe.surface import SurfaceDef, SurfaceFormatError
 
 TRACE_HEADER = ["field", "polyline", "vertex", "u", "v", "residual",
                 "degenerate", "closed"]
@@ -225,7 +227,7 @@ def test_consecutive_calls_carry_no_options_over(tmp_path, capsys):
         "sphere-trace-lambda_til.csv"]
 
 
-def test_non_finite_component_is_an_error(tmp_path, capsys):
+def test_non_finite_component_is_an_error(tmp_path, capsys, builds):
     surf = tmp_path / "huge.surf"
     surf.write_text(json.dumps({
         "name": "huge",
@@ -234,5 +236,147 @@ def test_non_finite_component_is_an_error(tmp_path, capsys):
         "w": ["1", "-sin(v)", "-cos(v)"],
         "domain": {"u": ["-pi/2", "pi/2"], "v": ["0", "2*pi"]},
     }), encoding="utf-8")
-    assert main(["validate", str(surf), "--grid", "4x4"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    errors = []
+    for _ in range(2):  # the second call fails on the surface the first built
+        assert main(["validate", str(surf), "--grid", "4x4"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: ") and errors[1] == errors[0]
+    assert builds == ["huge"]
+
+
+# ---------------------------------------------------------------------------
+# Built surfaces shared across calls of main, keyed by their .surf text
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Starts from an empty surface cache and lists the name of every
+    SurfaceDef built (or attempted) while the test runs."""
+    _surface_from_text.cache_clear()
+    names = []
+    init = SurfaceDef.__init__
+
+    def counted(self, name, *args, **kwargs):
+        names.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(SurfaceDef, "__init__", counted)
+    yield names
+    _surface_from_text.cache_clear()
+
+
+def test_repeated_calls_build_each_text_once(tmp_path, capsys, builds):
+    # a catalog name and a file holding its text share one surface
+    copy = tmp_path / "copy.surf"
+    copy.write_text(catalog.surface_text("sphere"), encoding="utf-8")
+    for spec in ("sphere", str(copy), "sphere"):
+        assert main(["validate", spec, "--grid", "4x4"]) == 0
+    assert main(["limits", "sphere", "--at=pi/2,1", "--quantity", "K"]) == 0
+    assert builds == ["sphere"]
+
+
+def test_a_rewritten_file_is_built_again(tmp_path, capsys, builds):
+    surf = tmp_path / "surface.surf"
+    for name in ("sphere", "mixed_bowl", "sphere"):
+        surf.write_text(catalog.surface_text(name), encoding="utf-8")
+        assert main(["validate", str(surf), "--grid", "4x4"]) == 0
+        assert f"surface: {name}" in capsys.readouterr().out.splitlines()
+    assert builds == ["sphere", "mixed_bowl"]
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read surface file "),
+    ('{"name": "cut", ', "is not valid JSON: "),
+], ids=["missing", "not-json"])
+def test_unreadable_files_keep_the_loader_errors(tmp_path, capsys, builds,
+                                                content, message):
+    surf = tmp_path / "surface.surf"
+    if content is not None:
+        surf.write_text(content, encoding="utf-8")
+    with pytest.raises(SurfaceFormatError) as exc:
+        SurfaceDef.from_file(str(surf))
+    assert message in str(exc.value)
+    for _ in range(2):
+        assert main(["validate", str(surf)]) == 1
+        assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    assert builds == []
+
+
+def test_a_build_that_raises_raises_again(tmp_path, capsys, builds):
+    surf = tmp_path / "broken.surf"
+    surf.write_text(json.dumps({
+        "name": "broken",
+        "X": ["u +", "cos(u)*sin(v)", "cos(u)*cos(v)"],
+        "v": ["1", "sin(v)", "cos(v)"], "w": ["1", "-sin(v)", "-cos(v)"],
+        "domain": {"u": ["-pi/2", "pi/2"], "v": ["0", "2*pi"]},
+    }), encoding="utf-8")
+    errors = []
+    for _ in range(2):
+        assert main(["validate", str(surf), "--grid", "4x4"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: unexpected end of input") and errors[1] == errors[0]
+    assert builds == ["broken", "broken"]
+
+
+def test_the_seventeenth_text_evicts_the_least_recently_used(tmp_path, builds):
+    data = json.loads(catalog.surface_text("mixed_bowl"))
+    paths = []
+    for k in range(17):
+        path = tmp_path / f"s{k}.surf"
+        path.write_text(json.dumps(dict(data, name=f"s{k}")), encoding="utf-8")
+        paths.append(str(path))
+    first = [_load_surface(p) for p in paths[:16]]
+    assert _load_surface(paths[0]) is first[0]  # s1 is now the least recent
+    assert _load_surface(paths[16]).name == "s16"
+    assert _surface_from_text.cache_info().currsize == 16
+    assert _load_surface(paths[0]) is first[0]
+    assert builds == [f"s{k}" for k in range(17)]
+    assert _load_surface(paths[1]) is not first[1]
+    assert builds[17:] == ["s1"]
+
+
+def test_library_loaders_still_build_fresh(tmp_path, capsys, builds):
+    surf = tmp_path / "sphere.surf"
+    surf.write_text(catalog.surface_text("sphere"), encoding="utf-8")
+    assert main(["validate", "sphere", "--grid", "4x4"]) == 0
+    loaded = [catalog.load("sphere"), catalog.load("sphere"),
+              SurfaceDef.from_file(surf), SurfaceDef.from_file(surf)]
+    assert len({id(s) for s in loaded + [_load_surface(str(surf))]}) == 5
+    assert all(s._programs == {} for s in loaded)
+    assert builds == ["sphere"] * 5
+
+
+#: One target on a locus per surface that has a documented one here.
+LIMITS_AT = {"sphere": "pi/2,1", "mixed_bowl": "1,1"}
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_warm_surfaces_write_what_cold_ones_write(tmp_path, monkeypatch, capsys,
+                                                  builds, name):
+    # every command on one surface, each once on a freshly built surface
+    # and once on the surface the earlier calls built and compiled; the
+    # grids run the point loop (17x16) and the arrays (65x64)
+    calls = [["validate", name]]
+    for grid in ("17x16", "65x64"):
+        calls += [["classify", name, "--grid", grid], ["curvature", name, "--grid", grid]]
+    for field in ("lambda_til", "c2"):
+        calls.append(["trace", name, "--field", field, "--grid", "24x24"])
+    if name in LIMITS_AT:
+        calls.append(["limits", name, f"--at={LIMITS_AT[name]}"])
+    results = {}
+    for warmth in ("cold", "warm"):
+        run = tmp_path / warmth
+        run.mkdir()
+        monkeypatch.chdir(run)
+        printed = []
+        for k, argv in enumerate(calls):
+            if warmth == "cold":
+                _surface_from_text.cache_clear()
+            out = [] if argv[0] == "validate" else ["--out", f"out/{k}"]
+            printed.append((main(argv + out), capsys.readouterr()))
+        files = {p.relative_to(run).as_posix(): p.read_bytes()
+                 for p in sorted(run.rglob("*")) if p.is_file()}
+        results[warmth] = printed, files
+        assert builds == [name] * len(calls)  # the warm pass builds nothing
+    assert len(results["cold"][1]) == len(calls) - 1 + (name in LIMITS_AT)
+    assert results["warm"] == results["cold"]
