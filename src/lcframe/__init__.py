@@ -9,6 +9,12 @@ the modified frame {X_u, m, n~}, a full point taxonomy (spacelike /
 timelike / lightlike / singular with kind and degeneracy), traced
 lightlike and singular loci, and numeric limit analysis of the Gauss
 and mean curvature near those loci.
+
+`lcframe.classify` is the function `classify`: importing it here
+shadows the submodule of the same name, so `import lcframe.classify as
+m` binds the function too.  The module is `sys.modules["lcframe.classify"]`
+(or `importlib.import_module("lcframe.classify")`); `from
+lcframe.classify import CLASSES` reads it as usual.
 """
 
 from .errors import LcframeError

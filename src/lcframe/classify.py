@@ -125,12 +125,17 @@ def _class_code(inv: BasicInvariants, tol: float, ops):
             a1_zero != b1_zero, 6 + 3 * b1_zero + kind, ops.where(lam > 0.0, 0, 1))))
 
 
+def _class_of(inv, tol=1e-9):
+    """The class of one point from its invariants."""
+    return CLASSES[_class_code(inv, tol, _FLOAT_OPS)]
+
+
 def _evaluate(s, u, v, tol=1e-9):
     """(invariants, class) of one parameter point."""
     if not (0 < tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
     inv = basic_invariants_at(s, u, v)
-    return inv, CLASSES[_class_code(inv, tol, _FLOAT_OPS)]
+    return inv, _class_of(inv, tol)
 
 
 def classify(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> PointClass:
@@ -546,7 +551,7 @@ def _point_rows(s, us, vs, tol):
         for v in vs:
             inv = basic_invariants_at(s, u, v)
             rows.append(ClassificationRow(
-                u=u, v=v, point_class=CLASSES[_class_code(inv, tol, _FLOAT_OPS)],
+                u=u, v=v, point_class=_class_of(inv, tol),
                 packet=_packet(s, u, v, inv), c2=inv.c2))
     return rows
 

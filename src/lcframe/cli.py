@@ -43,7 +43,7 @@ from .limits import (
     ApproachPath, Verdict, _report_quantities, boundedness_report, limit_along,
 )
 from .surface import (
-    SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at, validate_framed,
+    SurfaceDef, _file_error, basic_invariants_at, frame_at, validate_framed,
 )
 
 __all__ = ["main"]
@@ -71,15 +71,15 @@ def _parse_point(text):
 def _load_surface(spec: str) -> SurfaceDef:
     if spec in catalog.names():
         return _surface_from_text(catalog.surface_text(spec))
-    # the messages of SurfaceDef.from_file
+    # the errors of SurfaceDef.from_file
     try:
         text = Path(spec).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SurfaceFormatError(f"cannot read surface file {spec}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _file_error(spec, exc) from None
     try:
         return _surface_from_text(text)
     except json.JSONDecodeError as exc:
-        raise SurfaceFormatError(f"surface file {spec} is not valid JSON: {exc}") from None
+        raise _file_error(spec, exc) from None
 
 
 @functools.lru_cache(maxsize=16)

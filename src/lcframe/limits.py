@@ -9,6 +9,21 @@ zero, a zero gap a finite nonzero limit, a negative gap blow-up.  This
 module estimates those orders and limits from geometric sample
 schedules and reports the matching verdict.
 
+The verdict of a quantity along a path, in the order it is decided:
+- every sample of the quantity is at most ABS_ZERO: limit zero;
+- the numerator order l is infinite (every K~ or H~ sample is at most
+  ABS_ZERO, the numerator vanishes on the schedule): limit zero,
+  whatever the slope of the samples, which are then rounding noise
+  divided by a vanishing Gamma;
+- otherwise the log-log slope of the samples decides: decay at order
+  >= 1/2 reads as limit zero, growth at order <= -1/2 as unbounded, and
+  a flat sequence as a finite nonzero limit (Richardson-extrapolated)
+  when it converges, inconclusive when it does not or no slope fits.
+The orders l of the numerator and m of Gamma are reported with every
+verdict.  A fit computes its rms residual only where a result keeps it:
+the quantity's own slope and vanishing_order, not the order fits of a
+verdict.
+
 Each sample of a schedule is evaluated once: its invariants give its
 class, then a sample record of lam~, K~, H~, c2, K and H
 (`curvature._gauss_mean`), and every quantity, field and verdict along
@@ -22,17 +37,18 @@ are taken once per report (`numerics.LogAxis`).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .classify import _evaluate, _fmt, classify
+from .classify import _FMT, _class_of, _evaluate, _fmt, classify
 from .curvature import _FLOAT_OPS, _gauss_mean
 from .errors import LcframeError
 from .numerics import LogAxis, richardson
-from .surface import SurfaceDef, basic_invariants_at
+from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
 from .taxonomy import Category, Kind
 
 __all__ = [
@@ -171,13 +187,17 @@ def _sample_ray(s, path):
     """(u, v, invariants, class) of every sample, in schedule order.
 
     Each sample must lie in the domain and classify regular; the first
-    that does not raises."""
+    that does not raises.  The domain is checked here, once, and each
+    sample is one call of the invariant program, classified as
+    classify does."""
+    program = s._program("invariants")
     samples = []
     for (u, v) in path.points():
         if not s.domain.contains(u, v):
             raise SampleOutsideDomainError(
                 f"sample ({u!r}, {v!r}) outside domain of {s.name!r}")
-        inv, pc = _evaluate(s, u, v)
+        inv = BasicInvariants._make(program(u, v))
+        pc = _class_of(inv)
         if not pc.is_regular:
             raise QuantityUndefinedError(
                 f"sample ({u!r}, {v!r}) hit a {pc.category.value} locus")
@@ -211,33 +231,43 @@ def _records(samples):
     return [_record(u, v, inv) for u, v, inv, _ in samples]
 
 
-def _quantity_value(quantity, rec):
+def _quantity_values(quantity, records):
+    """The quantity at each record; the first record where it is
+    undefined raises."""
     if quantity == "K":
-        return rec.K
-    if quantity == "H":
-        return rec.H
-    return None if rec.K is None else rec.c2 * rec.K
+        values = [rec.K for rec in records]
+    elif quantity == "H":
+        values = [rec.H for rec in records]
+    else:
+        values = [None if rec.K is None else rec.c2 * rec.K for rec in records]
+    if None in values:
+        rec = records[values.index(None)]
+        raise QuantityUndefinedError(
+            f"{quantity} undefined at sample ({rec.u!r}, {rec.v!r})")
+    return values
 
 
-def _field_value(name, quantity, rec):
+def _field_values(name, quantity, records):
+    """The order field name at each record; quantity selects Gamma."""
     if name != "Gamma":
-        return getattr(rec, name)
-    al = abs(rec.lambda_til)
+        return [getattr(rec, name) for rec in records]
     if quantity == "H":
-        return rec.c2 * al ** 1.5
+        return [rec.c2 * abs(rec.lambda_til) ** 1.5 for rec in records]
     if quantity == "c2K":
-        return al ** 2
-    return rec.c2 * al ** 2
+        return [abs(rec.lambda_til) ** 2 for rec in records]
+    return [rec.c2 * abs(rec.lambda_til) ** 2 for rec in records]
 
 
-def _fit_order(axis, values):
+def _fit_order(axis, values, residual=False):
     """(order, slope_residual) of values sampled on axis: the log-log
     slope snapped to a near integer, math.inf for an identically
-    vanishing field."""
-    mags = [abs(x) for x in values]
+    vanishing field.  The residual is None unless `residual` is true
+    (0.0 for a vanishing field)."""
+    mags = list(map(abs, values))
+    # not max(mags): a NaN magnitude must fail the test, wherever it is
     if all(m <= ABS_ZERO for m in mags):
         return math.inf, 0.0
-    slope, _, resid = axis.slope(mags)
+    slope, _, resid = axis.slope(mags, residual)
     if slope is None:
         return None, None
     snapped = round(slope)
@@ -250,10 +280,8 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
     """Estimate the limit of K, H or c2*K along an approach path.
 
     The target must classify lightlike or rank-one singular; sample
-    points must be regular.  The verdict comes from the log-log slope of
-    the sampled values: decay at order >= 1/2 reads as limit zero,
-    growth at order <= -1/2 as unbounded, a flat converging sequence as
-    a finite nonzero limit (Richardson-extrapolated).
+    points must be regular.  The verdict follows the rule of the module
+    docstring.
     """
     if quantity not in QUANTITIES:
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
@@ -273,30 +301,30 @@ def _verdict(path, axis, quantity, records, numerator_orders) -> LimitVerdict:
     order of K~ and H~ by field name across the quantities of one path:
     K and c2*K share the numerator K~."""
     distances = axis.distances
-    values = []
-    for rec in records:
-        val = _quantity_value(quantity, rec)
-        if val is None:
-            raise QuantityUndefinedError(
-                f"{quantity} undefined at sample ({rec.u!r}, {rec.v!r})")
-        values.append(val)
+    values = _quantity_values(quantity, records)
 
     num_field = "Htil" if quantity == "H" else "Ktil"
     if num_field not in numerator_orders:
         numerator_orders[num_field] = _fit_order(
-            axis, [getattr(rec, num_field) for rec in records])[0]
+            axis, _field_values(num_field, quantity, records))[0]
     l_order = numerator_orders[num_field]
-    m_order, _ = _fit_order(axis, [_field_value("Gamma", quantity, rec)
-                                   for rec in records])
+    m_order = _fit_order(axis, _field_values("Gamma", quantity, records))[0]
 
-    mags = [abs(x) for x in values]
+    mags = list(map(abs, values))
     if all(m <= ABS_ZERO for m in mags):
+        note = "identically zero on the schedule"
+    elif l_order is math.inf:
+        # the samples are the numerator's rounding noise over a vanishing
+        # Gamma: their slope says nothing about the limit
+        note = f"numerator {num_field} vanishes on the schedule"
+    else:
+        note = None
+    if note is not None:
         return LimitVerdict(
             quantity=quantity, verdict=Verdict.ZERO_LIMIT, value=None,
             numerator_order=l_order, denominator_order=m_order,
             slope=None, slope_residual=None,
-            distances=distances, values=tuple(values),
-            note="identically zero on the schedule")
+            distances=distances, values=tuple(values), note=note)
 
     slope, _, resid = axis.slope(mags)
     if slope is None:
@@ -349,18 +377,18 @@ def vanishing_order(
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
     samples = _sample_ray(s, path)
     distances = path.distances()
-    target_value = _field_value(field_name, quantity, _record(
-        *path.target, basic_invariants_at(s, *path.target)))
+    target_value = _field_values(field_name, quantity, [_record(
+        *path.target, basic_invariants_at(s, *path.target))])[0]
     # the target test needs only the first sample's record; the others
     # are built once it passes
     records = _records(samples[:1])
-    sample_scale = abs(_field_value(field_name, quantity, records[0])) + 1.0
+    sample_scale = abs(_field_values(field_name, quantity, records)[0]) + 1.0
     if abs(target_value) > tol * sample_scale:
         raise FieldNonvanishingError(
             f"{field_name} = {target_value!r} does not vanish at {path.target}")
     records += _records(samples[1:])
-    values = [_field_value(field_name, quantity, rec) for rec in records]
-    order, resid = _fit_order(LogAxis(distances), values)
+    values = _field_values(field_name, quantity, records)
+    order, resid = _fit_order(LogAxis(distances), values, residual=True)
     if order is None:
         raise LcframeError(f"cannot fit an order for {field_name} along the path")
     coeff = None
@@ -448,9 +476,12 @@ class BoundednessReport:
         csv.writer would with lineterminator "\\n".
 
         The formatted numbers need no quoting.  The verdicts of one
-        report share one distances tuple, formatted once per report."""
+        report share one distances tuple, formatted once per report
+        into a template of the rows' "k,distance,value" tails; one '%'
+        formats a verdict's values into it, and each line then gets
+        the verdict's head."""
         lines = ["direction,quantity,k,distance,value\n"]
-        distances = texts = None
+        distances = template = None
         for oc in self.outcomes:
             if oc.error is not None:
                 continue
@@ -458,16 +489,19 @@ class BoundednessReport:
                 ver = oc.verdicts[q]
                 if ver.distances is not distances:
                     distances = ver.distances
-                    texts = [f"{k},{_fmt(r)}," for k, r in enumerate(distances)]
+                    template = "\n".join(f"{k},{_fmt(r)},{_FMT.__self__}"
+                                         for k, r in enumerate(distances))
                 head = _csv_fields(oc.label, q) + ","
-                lines.extend(head + text + _fmt(val) + "\n"
-                             for text, val in zip(texts, ver.values))
+                # a formatted float holds no newline
+                lines.append(head + (template % ver.values).replace("\n", "\n" + head) + "\n")
         fh.write("".join(lines))
 
 
+@functools.lru_cache(maxsize=256)
 def _csv_fields(*fields):
     """fields as one csv.writer row, quoted as it quotes them, without
-    the line terminator."""
+    the line terminator; every report repeats the same direction labels
+    and quantities, so each row is quoted once."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(fields)
     return buf.getvalue()[:-1]

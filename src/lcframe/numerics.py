@@ -1,4 +1,9 @@
-"""Small numerical helpers shared by the curvature and limit modules."""
+"""Small numerical helpers shared by the curvature and limit modules.
+
+loglog_slope and LogAxis.slope share one least-squares fit, _fit: one
+pass over the points sums y and x*y, each left to right from 0.0, and
+the rms residual, a second pass, is computed only when the caller asks
+for it."""
 
 from __future__ import annotations
 
@@ -29,16 +34,20 @@ def richardson(values, ratio: float, levels: int = 2) -> float:
     return level[-1]
 
 
-def loglog_slope(distances, magnitudes):
+def loglog_slope(distances, magnitudes, residual=True):
     """Least-squares slope of log|value| against log(distance).
 
     Returns (slope, intercept, rms_residual).  Zero magnitudes are
     excluded; if fewer than two points remain, returns (None, None, None).
+    The residual is computed only when `residual` is true; otherwise it
+    is None.
     """
-    pts = [(math.log(r), math.log(m))
-           for r, m in zip(distances, magnitudes) if m > 0.0 and r > 0.0]
-    xs = [p[0] for p in pts]
-    return _fit(xs, [p[1] for p in pts], _total(xs), _total(x * x for x in xs))
+    xs, ys = [], []
+    for r, m in zip(distances, magnitudes):
+        if m > 0.0 and r > 0.0:
+            xs.append(math.log(r))
+            ys.append(math.log(m))
+    return _fit(xs, ys, _total(xs), _total(x * x for x in xs), residual)
 
 
 class LogAxis:
@@ -46,9 +55,9 @@ class LogAxis:
 
     Holds log(distance) of every sample and the sums of the logs and of
     their squares, so that fitting a sequence with every magnitude
-    positive reuses them.  `slope(magnitudes)` returns exactly
-    `loglog_slope(distances, magnitudes)`: the same sums over the same
-    sequences in the same order.
+    positive reuses them.  `slope(magnitudes, residual)` returns exactly
+    `loglog_slope(distances, magnitudes, residual)`: the same sums over
+    the same sequences in the same order.
     """
 
     __slots__ = ("distances", "_xs", "_sx", "_sxx")
@@ -62,28 +71,37 @@ class LogAxis:
             self._sx = _total(xs)
             self._sxx = _total(x * x for x in xs)
 
-    def slope(self, magnitudes):
-        """loglog_slope(self.distances, magnitudes)."""
+    def slope(self, magnitudes, residual=True):
+        """loglog_slope(self.distances, magnitudes, residual)."""
         xs = self._xs
         if xs is None or len(magnitudes) != len(xs) \
                 or not all(m > 0.0 for m in magnitudes):
-            return loglog_slope(self.distances, magnitudes)
-        return _fit(xs, [math.log(m) for m in magnitudes], self._sx, self._sxx)
+            return loglog_slope(self.distances, magnitudes, residual)
+        return _fit(xs, list(map(math.log, magnitudes)), self._sx, self._sxx, residual)
 
 
-def _fit(xs, ys, sx, sxx):
+def _fit(xs, ys, sx, sxx, residual):
     """(slope, intercept, rms_residual) of the points (xs, ys), given
-    sx = _total(xs) and sxx = _total of the squares of xs."""
+    sx = _total(xs) and sxx = _total of the squares of xs.
+
+    One pass over the points sums y and x*y, each left to right from
+    0.0, so the sums are those of _total.  A second pass computes the
+    rms residual, and only when `residual` is true; otherwise it is
+    None."""
     n = len(xs)
     if n < 2:
         return None, None, None
-    sy = _total(ys)
-    sxy = _total(x * y for x, y in zip(xs, ys))
+    sy = sxy = 0.0
+    for x, y in zip(xs, ys):
+        sy += y
+        sxy += x * y
     denom = n * sxx - sx * sx
     if denom == 0.0:
         return None, None, None
     slope = (n * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / n
+    if not residual:
+        return slope, intercept, None
     rss = _total((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
     return slope, intercept, math.sqrt(rss / n)
 

@@ -280,13 +280,17 @@ class SurfaceDef:
             program = compile_program(_vector_trees(key, *self._tree_inputs))
         return self._programs.setdefault(key, program)
 
+    def _program(self, key):
+        """The program key, compiled on its first use and kept."""
+        return self._programs.get(key) or self._compile(key)
+
     # -- point evaluation ------------------------------------------------
 
     def scalar_field(self, name: str) -> CompiledField:
         """The compiled field lambda_til or c2, whose zero sets are traced."""
         if name not in _TRACED:
             raise KeyError(name)
-        return self._programs.get(name) or self._compile(name)
+        return self._program(name)
 
     def invariant_arrays(self, u, v):
         """The invariant program over numpy arrays of points.
@@ -295,13 +299,11 @@ class SurfaceDef:
         where basic_invariants_at would raise inside the program (the
         domain is not checked).
         """
-        program = self._programs.get("arrays") or self._compile("arrays")
-        values, bad = program(u, v)
+        values, bad = self._program("arrays")(u, v)
         return BasicInvariants._make(values), bad
 
     def _vec(self, name, u, v):
-        program = self._programs.get(name) or self._compile(name)
-        return LVec3(*program(u, v))
+        return LVec3(*self._program(name)(u, v))
 
     def x_u(self, u, v) -> LVec3:
         return self._vec("x_u", u, v)
@@ -336,6 +338,9 @@ class SurfaceDef:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SurfaceDef":
+        if not isinstance(data, dict):
+            raise SurfaceFormatError(
+                f"a surface must be a JSON object, got {type(data).__name__}")
         try:
             name = data["name"]
             x = data["X"]
@@ -360,11 +365,18 @@ class SurfaceDef:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise SurfaceFormatError(f"cannot read surface file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise SurfaceFormatError(f"surface file {path} is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise _file_error(path, exc) from None
         return cls.from_dict(data)
+
+
+def _file_error(path, exc):
+    """The SurfaceFormatError of a .surf file whose reading raised exc:
+    an OSError, a UnicodeDecodeError or a json.JSONDecodeError."""
+    if isinstance(exc, OSError):
+        return SurfaceFormatError(f"cannot read surface file {path}: {exc}")
+    what = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "valid JSON"
+    return SurfaceFormatError(f"surface file {path} is not {what}: {exc}")
 
 
 def _taken(dag, *vectors):
@@ -463,8 +475,7 @@ def frame_at(s: SurfaceDef, u: float, v: float) -> LightconeFrame:
 def basic_invariants_at(s: SurfaceDef, u: float, v: float) -> BasicInvariants:
     """Evaluate the frame coefficients, their tracked partials and n~."""
     s.require_in_domain(u, v)
-    program = s._programs.get("invariants") or s._compile("invariants")
-    return BasicInvariants._make(program(u, v))
+    return BasicInvariants._make(s._program("invariants")(u, v))
 
 
 #: The invariants validate_framed reads, in the order it evaluates them.

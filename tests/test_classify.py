@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from lcframe.cli import _write_trace_csv
 from lcframe.curvature import curvature_packet
 from lcframe.expr import EvalDomainError
 from lcframe.surface import DomainBox, SurfaceDef, basic_invariants_at
-from lcframe.taxonomy import Kind
+from lcframe.taxonomy import Category, Kind, PointClass
 
 POLE = (math.pi / 2, 1.0)
 
@@ -260,3 +261,14 @@ class TestTrace:
         with pytest.raises(EvalDomainError) as err:
             trace_zero_set(s, field, (8, 9))
         assert str(err.value) == message
+
+
+def test_the_classify_module_is_reached_through_sys_modules():
+    # the package's classify attribute is the function, which shadows the
+    # submodule of the same name; the package docstring says so
+    import lcframe
+
+    module = sys.modules["lcframe.classify"]
+    assert lcframe.classify is module.classify
+    assert module.CLASSES[0] == PointClass(Category.SPACELIKE)
+    assert 'sys.modules["lcframe.classify"]' in lcframe.__doc__

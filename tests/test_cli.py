@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lcframe
 from lcframe import catalog
@@ -300,6 +303,60 @@ def test_unreadable_files_keep_the_loader_errors(tmp_path, capsys, builds,
         assert main(["validate", str(surf)]) == 1
         assert capsys.readouterr() == ("", f"error: {exc.value}\n")
     assert builds == []
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe", "is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    (b"[1,2]", "a surface must be a JSON object, got list"),
+    (b'"sphere"', "a surface must be a JSON object, got str"),
+], ids=["not-utf-8", "list", "string"])
+def test_malformed_files_are_format_errors(tmp_path, capsys, builds, content, message):
+    # each ended in a traceback
+    surf = tmp_path / "surface.surf"
+    surf.write_bytes(content)
+    with pytest.raises(SurfaceFormatError) as exc:
+        SurfaceDef.from_file(str(surf))
+    assert message in str(exc.value)
+    assert main(["validate", str(surf)]) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=12)
+
+SPHERE = json.loads(catalog.surface_text("sphere"))
+
+#: the sphere with one key's value replaced, or given three arbitrary
+#: components
+NEAR_SURFACES = st.one_of(
+    st.builds(lambda key, value: dict(SPHERE, **{key: value}),
+              st.sampled_from(sorted(SPHERE)), JSON_VALUES),
+    st.builds(lambda key, value: dict(SPHERE, **{key: value}),
+              st.sampled_from(["X", "v", "w"]),
+              st.lists(JSON_VALUES | st.sampled_from(["u", "1/0", "sqrt(-u)"]),
+                       min_size=3, max_size=3)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    JSON_VALUES.map(lambda x: json.dumps(x).encode("utf-8")),
+    NEAR_SURFACES.map(lambda x: json.dumps(x).encode("utf-8")),
+))
+def test_validate_reads_any_file_without_a_traceback(tmp_path_factory, content):
+    surf = tmp_path_factory.getbasetemp() / "any.surf"
+    surf.write_bytes(content)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["validate", str(surf)])
+    assert rc in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1 and not out.getvalue():
+        assert err.getvalue().startswith("error: ")
 
 
 def test_a_build_that_raises_raises_again(tmp_path, capsys, builds):

@@ -10,9 +10,11 @@ from lcframe.classify import classify
 from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
 from lcframe.limits import (
-    ApproachPath, FieldNonvanishingError, Verdict, _record, boundedness_report,
-    limit_along, vanishing_order,
+    ABS_ZERO, ApproachPath, FieldNonvanishingError, QuantityUndefinedError, Verdict,
+    _fit_order, _record, _Sample, _verdict, boundedness_report, limit_along,
+    vanishing_order,
 )
+from lcframe.numerics import LogAxis
 from lcframe.surface import SurfaceDef, basic_invariants_at
 
 #: one target evaluation plus 10 rays (8 fan, 2 transversal) x 12 samples
@@ -86,6 +88,12 @@ def test_negative_ray_count_is_an_error(sphere):
 POLE_PATH = ApproachPath(target=(math.pi / 2, 1.0), direction=(-1.0, 0.0))
 
 
+#: the rms residual of each order fit at the pole, in the bits the
+#: three-pass fit computed
+POLE_RESIDUALS = {"c2": "0x1.828bc979dee2ep-12", "Ktil": "0x1.828bc979a8054p-12",
+                  "Htil": "0x1.52a2e2963581ap-9"}
+
+
 @pytest.mark.parametrize("field", ["c2", "Ktil", "Htil"])
 def test_vanishing_order_at_the_sphere_pole(sphere, field):
     # each vanishes like -sin r at distance r from the pole
@@ -93,6 +101,7 @@ def test_vanishing_order_at_the_sphere_pole(sphere, field):
     assert est.field == field
     assert est.order == 1.0 and est.is_integer
     assert abs(est.leading_coefficient + 1.0) <= 1e-6
+    assert float.hex(est.slope_residual) == POLE_RESIDUALS[field]
 
 
 def test_vanishing_order_needs_a_vanishing_field(sphere):
@@ -210,3 +219,44 @@ def test_sample_records_match_packets(locus_reports):
                     [_bits(getattr(p, f)) for f in fields]
                 checked += 1
     assert checked > 0
+
+
+def test_a_vanishing_numerator_gives_limit_zero(zero_mean_band):
+    # H~ = EN - 2FM + GL vanishes identically on zero_mean_band, so H = 0
+    # off the locus; the samples of H are rounding noise in H~ over a
+    # vanishing Gamma, and their slope of about -1.5 read as unbounded
+    report = boundedness_report(zero_mean_band, 0.5, 1.0)
+    assert report.category.value == "lightlike"
+    completed = [oc for oc in report.outcomes if oc.error is None]
+    assert len(completed) == 8
+    for oc in completed:
+        ver = oc.verdicts["H"]
+        assert ver.numerator_order == math.inf
+        assert any(abs(x) > ABS_ZERO for x in ver.values)
+        assert (ver.verdict, ver.slope, ver.note) == (
+            Verdict.ZERO_LIMIT, None, "numerator Htil vanishes on the schedule")
+    lines = report.to_text().splitlines()
+    assert sum(": H: zero l=inf m=" in line for line in lines) == 8
+    assert "H bounded (evidence): true" in lines
+    assert "H dichotomy: exhibited" in lines
+
+
+def test_order_fits_keep_the_residual_only_when_asked():
+    axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
+    values = [3.0 * r ** 2 * (1.0 + r) for r in axis.distances]
+    order, resid = _fit_order(axis, values, residual=True)
+    assert order == 2.0 and resid > 0.0
+    assert _fit_order(axis, values) == (2.0, None)
+    assert _fit_order(axis, [0.0] * 12) == (math.inf, 0.0)
+
+
+def test_the_first_undefined_sample_raises(zero_mean_band):
+    path = ApproachPath(target=(0.5, 1.0), direction=(0.0, 1.0))
+    axis = LogAxis(path.distances())
+    records = [_Sample(u, v, 1.0, 1.0, 1.0, 1.0, None if k in (3, 7) else 1.0, 1.0)
+               for k, (u, v) in enumerate(path.points())]
+    u, v = path.points()[3]
+    for quantity in ("K", "c2K"):
+        with pytest.raises(QuantityUndefinedError) as exc:
+            _verdict(path, axis, quantity, records, {})
+        assert str(exc.value) == f"{quantity} undefined at sample ({u!r}, {v!r})"

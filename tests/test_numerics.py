@@ -87,3 +87,39 @@ def test_fits_add_left_to_right_on_every_python():
     assert expected[0] != ref_loglog_slope(distances, mags, math.fsum)[0]
     assert repr(loglog_slope(distances, mags)) == repr(expected)
     assert repr(LogAxis(distances).slope(mags)) == repr(expected)
+
+
+def _hex(fit):
+    return tuple(None if x is None else float.hex(x) for x in fit)
+
+
+def _outcome(fit, *args):
+    """The fit's bits, or the type of the error it raises."""
+    try:
+        return _hex(fit(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+_SIGNED_EDGES = _EDGES + [-1e300, math.inf, -math.inf, math.nan, -5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 16).flatmap(lambda n: st.tuples(
+    _distances(n),
+    st.lists(st.one_of(st.sampled_from(_SIGNED_EDGES),
+                       st.floats(min_value=0.0, max_value=1e-300),
+                       st.floats(min_value=1e-3, max_value=1e3),
+                       st.floats()),
+             min_size=n, max_size=n))))
+def test_an_axis_fits_as_loglog_slope_with_and_without_the_residual(case):
+    distances, mags = case
+    axis = LogAxis(distances)
+    with_residual = _outcome(loglog_slope, distances, mags)
+    assert _outcome(axis.slope, mags) == with_residual
+    assert _outcome(axis.slope, mags, True) == with_residual
+    without = _outcome(loglog_slope, distances, mags, False)
+    assert _outcome(axis.slope, mags, False) == without
+    if isinstance(with_residual, tuple):
+        # the same slope and intercept; only the residual is left out
+        assert without == with_residual[:2] + (None,)
