@@ -142,8 +142,6 @@ def _array_program(fn):
 ARRAY = NumberEnv(
     namespace={
         "__builtins__": {},
-        "inf": math.inf,
-        "nan": math.nan,
         "_div": _div,
         "_pow": lambda bad, x, n: _each(bad, partial(pow, exp=n), x),
         "_root": _root,

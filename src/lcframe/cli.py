@@ -18,7 +18,11 @@ so a rewritten file is built again), at most 16 are kept, least
 recently used first out, and each keeps the programs it compiled.  This
 relies on SurfaceDef being immutable apart from those programs.  The
 library loaders (SurfaceDef.from_file, from_dict, catalog.load) still
-build a fresh surface on every call.
+build a fresh surface on every call.  Programs share code by shape
+beyond that: a surface's constants are bound parameters of code
+compiled once per process (lcframe.expr), so a surface outside those 16,
+or an image of one under X -> cX or a parameter shift, compiles only
+the shapes no earlier surface had.
 Exit codes: 0 success, 1 validation or comparison failure, 2 usage
 error.
 """
@@ -78,7 +82,8 @@ def _load_surface(spec: str) -> SurfaceDef:
         raise _file_error(spec, exc) from None
     try:
         return _surface_from_text(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # json.loads's errors: SurfaceDef.from_dict raises LcframeErrors
         raise _file_error(spec, exc) from None
 
 

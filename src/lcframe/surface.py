@@ -229,7 +229,12 @@ class SurfaceDef:
     is one 3-root program, and scalar_field gives the traced fields
     lambda_til and c2 (a point program, and a grid program compiled on
     the first CompiledField.grid call), each derived again in a context
-    of its own.  Every program is compiled on first use and kept.
+    of its own.  Every program is compiled on first use and kept; its
+    code is shared with every program of the same shape (expr's
+    compile_program), so another surface whose trees differ from these
+    only in their constants, such as an image under X -> cX or a
+    parameter shift, binds its constants to code compiled once per
+    process.
 
     Instances are immutable after construction, except for the programs
     kept on first use: threads racing there compile equal programs, and
@@ -365,18 +370,23 @@ class SurfaceDef:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise _file_error(path, exc) from None
         return cls.from_dict(data)
 
 
 def _file_error(path, exc):
-    """The SurfaceFormatError of a .surf file whose reading raised exc:
-    an OSError, a UnicodeDecodeError or a json.JSONDecodeError."""
+    """The SurfaceFormatError of a .surf file whose reading or decoding
+    raised exc: an OSError, a UnicodeDecodeError, a json.JSONDecodeError,
+    or the ValueError or RecursionError of JSON beyond the decoder's
+    limits (an integer of more digits than int() converts, nesting
+    deeper than the recursion limit)."""
     if isinstance(exc, OSError):
         return SurfaceFormatError(f"cannot read surface file {path}: {exc}")
-    what = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "valid JSON"
-    return SurfaceFormatError(f"surface file {path} is not {what}: {exc}")
+    if isinstance(exc, (UnicodeDecodeError, json.JSONDecodeError)):
+        what = "UTF-8" if isinstance(exc, UnicodeDecodeError) else "valid JSON"
+        return SurfaceFormatError(f"surface file {path} is not {what}: {exc}")
+    return SurfaceFormatError(f"surface file {path} exceeds a limit of the JSON decoder: {exc}")
 
 
 def _taken(dag, *vectors):

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from lcframe import catalog
+from lcframe import catalog, expr
 from lcframe.expr import CompiledField
 from lcframe.surface import basic_invariants_at
 
@@ -85,3 +85,12 @@ def field_evals(monkeypatch):
 
     monkeypatch.setattr(CompiledField, "eval_derivative", counted)
     return calls
+
+
+@pytest.fixture
+def unshared_code(monkeypatch):
+    """Compile every program afresh: the process-wide map of program
+    codes by shape keeps nothing, so each compile_program and
+    compile_grid_program call compiles its code as if the map were
+    cleared just before it."""
+    monkeypatch.setattr(expr, "_shared_code", expr._shared_code.__wrapped__)

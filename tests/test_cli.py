@@ -19,6 +19,7 @@ from lcframe.cli import (
     CURVATURE_HEADER, _load_surface, _surface_from_text, _write_curvature_csv,
     _write_curvature_points, main, run_demo,
 )
+from lcframe.expr import ExprSyntaxError
 from lcframe.limits import boundedness_report
 from lcframe.surface import SurfaceDef, SurfaceFormatError
 
@@ -309,7 +310,12 @@ def test_unreadable_files_keep_the_loader_errors(tmp_path, capsys, builds,
     (b"\xff\xfe", "is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     (b"[1,2]", "a surface must be a JSON object, got list"),
     (b'"sphere"', "a surface must be a JSON object, got str"),
-], ids=["not-utf-8", "list", "string"])
+    # int() converts at most 4300 digits (since Python 3.10.7 and 3.11);
+    # json.loads raised that ValueError inside the CLI's build
+    (b'{"name": ' + b"7" * 5000 + b"}",
+     "exceeds a limit of the JSON decoder: Exceeds the limit (4300"),
+    (b"[" * 100000, "exceeds a limit of the JSON decoder: maximum recursion depth exceeded"),
+], ids=["not-utf-8", "list", "string", "long-integer", "deep-json"])
 def test_malformed_files_are_format_errors(tmp_path, capsys, builds, content, message):
     # each ended in a traceback
     surf = tmp_path / "surface.surf"
@@ -357,6 +363,34 @@ def test_validate_reads_any_file_without_a_traceback(tmp_path_factory, content):
     assert "Traceback" not in err.getvalue()
     if rc == 1 and not out.getvalue():
         assert err.getvalue().startswith("error: ")
+
+
+def test_an_expression_nested_too_deeply_is_a_syntax_error(tmp_path, capsys, builds):
+    # the parser's RecursionError ended in a traceback; the column is
+    # where the recursion limit was reached, so it depends on the caller
+    surf = tmp_path / "surface.surf"
+    deep = "(" * 5000 + "u" + ")" * 5000
+    surf.write_text(json.dumps(dict(SPHERE, X=[deep, *SPHERE["X"][1:]])), encoding="utf-8")
+    with pytest.raises(ExprSyntaxError, match="^expression nested too deeply at line 1, "):
+        SurfaceDef.from_file(str(surf))
+    assert main(["validate", str(surf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: expression nested too deeply at line 1, column ")
+    assert err.count("\n") == 1
+
+
+def test_a_program_nested_too_deeply_to_compile_is_an_error(tmp_path, capsys, builds):
+    # 120 nested calls parse, but the derivatives of X nest deeper than
+    # Python compiles (200 parentheses): "too many nested parentheses"
+    surf = tmp_path / "surface.surf"
+    deep = "sin(" * 120 + "u" + ")" * 120
+    surf.write_text(json.dumps(dict(SPHERE, X=[deep, *SPHERE["X"][1:]])), encoding="utf-8")
+    assert main(["validate", str(surf)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: expression nested too deeply to compile: ")
+    assert err.count("\n") == 1
 
 
 def test_a_build_that_raises_raises_again(tmp_path, capsys, builds):

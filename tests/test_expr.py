@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -476,6 +477,102 @@ class TestGridProgram:
         field = CompiledField(tree, 0, dag)
         assert field.expr is tree
         assert simplified == [tree]  # one memo hit at the root
+
+
+# Programs of one shape share code, each with its constants bound.  The
+# shapes here use only the operations that evaluate words and orders as
+# the programs do (no Div: evaluate reads the divisor first; no Pow, exp,
+# sinh or cosh: evaluate words their overflow differently).
+SAME_WORDING_CALLS = ["sin", "cos", "tan", "log", "sqrt", "abs"]
+SUBNORMAL = 2.2250738585072014e-308
+BOUND_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-SUBNORMAL, SUBNORMAL, exclude_min=True, exclude_max=True),
+    st.floats(-3, 3),
+)
+shapes = st.recursive(
+    st.sampled_from([Var("u"), Var("v"), Const(1.0)]),
+    lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Neg, children),
+        st.builds(Call, st.sampled_from(SAME_WORDING_CALLS), children),
+    ),
+    max_leaves=8)
+SHAPE_POINTS = [(0.0, -0.0), (1.5, -2.0), (-0.5, 5e-324), (1e300, 2.0)]
+
+
+def _with_constants(e, values):
+    """e with its constants replaced, left to right, by values (cycled)."""
+    values = itertools.cycle(values)
+
+    def fill(x):
+        if isinstance(x, Const):
+            return Const(next(values))
+        if isinstance(x, Var):
+            return x
+        parts = (getattr(x, f.name) for f in fields(x))
+        return type(x)(*(fill(y) if isinstance(y, Expr) else y for y in parts))
+
+    return fill(e)
+
+
+def _walked(tree, u, v):
+    """evaluate's value as float.hex, or the text of its error."""
+    try:
+        return evaluate(tree, u, v).hex()
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+def _run(program, u, v):
+    try:
+        return program(u, v)[0].hex()
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+class TestSharedCode:
+    # the map of codes lives as long as the process, so every example
+    # also meets the codes of the examples before it
+    @settings(max_examples=300, deadline=None)
+    @given(shapes, st.lists(BOUND_CONSTANTS, min_size=1, max_size=8),
+           st.lists(BOUND_CONSTANTS, min_size=1, max_size=8))
+    def test_same_shape_trees_match_the_tree_walker(self, shape, first, second):
+        for tree in (_with_constants(shape, first), _with_constants(shape, second)):
+            point, grid = compile_program([tree]), compile_grid_program([tree])
+            for u, v in SHAPE_POINTS:
+                want = _walked(tree, u, v)
+                assert _run(point, u, v) == want, (tree, u, v)
+                assert _run(lambda u, v: grid([u], [v])[0][0], u, v) == want, (tree, u, v)
+
+    def test_signed_zeros_share_a_shape_and_stay_apart(self, monkeypatch):
+        # 0.0 == -0.0 and both hash alike: keyed by value, one would
+        # take the other's constant
+        expr._shared_code.cache_clear()
+        sources = []
+
+        def recording(text, filename, mode):
+            sources.append(text)
+            return compile(text, filename, mode)
+
+        monkeypatch.setattr(expr, "compile", recording, raising=False)
+        trees = [Mul(Const(0.0), Var("u")), Mul(Const(-0.0), Var("u"))]
+        points = [compile_program([e]) for e in trees]
+        grids = [compile_grid_program([e]) for e in trees]
+        assert len(sources) == 2  # one point code and one grid code
+        assert [p(1.0, 0.0)[0].hex() for p in points] == ["0x0.0p+0", "-0x0.0p+0"]
+        assert [g([1.0], [0.0])[0][0][0].hex() for g in grids] == ["0x0.0p+0", "-0x0.0p+0"]
+        # in one program they are two constants
+        assert [x.hex() for x in compile_program(trees)(1.0, 0.0)] == ["0x0.0p+0", "-0x0.0p+0"]
+
+    def test_a_program_nested_too_deeply_to_compile_is_an_error(self):
+        tree = Var("u")
+        for _ in range(250):
+            tree = Call("sin", tree)
+        with pytest.raises(ExprError, match="^expression nested too deeply to compile: "):
+            compile_program([tree])
 
 
 # The array program: the same numbering spelled for numpy arrays of

@@ -260,7 +260,7 @@ class TestValidation:
             rep = validate_framed(catalog.load(name), (12, 12), 1e-8)
             assert rep.admitted, (name, rep.witness)
 
-    def test_reads_the_frame_legs_v_and_w_only(self, monkeypatch):
+    def test_reads_the_frame_legs_v_and_w_only(self, monkeypatch, unshared_code):
         # v, w, X_u, X_v and the five invariants read come from one grid
         # program: no vector program (m among them) and no invariant
         # point program is compiled
@@ -687,7 +687,8 @@ def _eager_programs(s):
 
 
 @pytest.mark.parametrize("name", catalog.names())
-def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypatch):
+def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypatch,
+                                                                 unshared_code):
     sources = []
 
     def recording(text, filename, mode):
@@ -704,6 +705,68 @@ def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypa
     assert len(lazy_sources) == 11
     assert lazy_sources == sources
     assert lazy == eager
+
+
+def _bowl(scale, shift):
+    """mixed_bowl with X scaled by scale and u shifted by shift, the
+    domain moving with it."""
+    u = f"(u - {shift!r})"
+    width = f"(({u})^2 + 2)/2"
+    return {
+        "name": "bowl",
+        "X": [f"{scale!r}*{u}", f"-{scale!r}*{width}*sin(v)", f"-{scale!r}*{width}*cos(v)"],
+        "v": ["1", "sin(v)", "cos(v)"], "w": ["1", "-sin(v)", "-cos(v)"],
+        "domain": {"u": [f"-2 + {shift!r}", f"2 + {shift!r}"], "v": ["0", "2*pi"]},
+    }
+
+
+def _every_program(s):
+    """A call () -> float.hex of values or a fault's text per program
+    kind of s: each of _every_use, the array program, the traced fields'
+    grid programs and validate_framed's grid program."""
+    us, vs = s.domain.grid(5, 4)
+    at = [lambda use=use: _hex_values(use, s) for use in _every_use(s)]
+    points = np.array([(u, v) for u in us for v in vs]).T
+    at.append(lambda: [float(x).hex() for column in s.invariant_arrays(*points)[0]
+                       for x in column])
+    for field in TRACED_FIELDS:
+        at.append(lambda field=field: [x.hex() for row in s.scalar_field(field).grid(us, vs)
+                                       for x in row])
+    at.append(lambda: repr(validate_framed(s, (5, 4))))
+    return at
+
+
+def test_a_surface_and_its_images_share_every_program(monkeypatch):
+    # X -> 2X and a shift of u change constants only: the images compile
+    # nothing, and run the surface's codes with their own constants
+    expr._shared_code.cache_clear()
+    filenames = []
+
+    def recording(text, filename, mode):
+        filenames.append(filename)
+        return compile(text, filename, mode)
+
+    monkeypatch.setattr(expr, "compile", recording, raising=False)
+    datas = [_bowl(3.0, 0.25), _bowl(6.0, 0.25), _bowl(3.0, 0.75)]
+    shared = []
+    for k, data in enumerate(datas):
+        del filenames[:]
+        s = SurfaceDef.from_dict(data)
+        values = []
+        for kind in _every_program(s):
+            before = len(filenames)
+            values.append(kind())
+            assert len(filenames) - before <= (1 if k == 0 else 0), (k, len(values))
+        assert len(filenames) > 0 if k == 0 else filenames == [], k
+        shared.append(values)
+    # 2X doubles X_u, X_v and the second partials exactly
+    for vec in range(1, 6):
+        assert shared[1][vec] == [[(2.0 * float.fromhex(x)).hex() for x in point]
+                                  for point in shared[0][vec]]
+    # each compiled afresh gives the same bits
+    monkeypatch.setattr(expr, "_shared_code", expr._shared_code.__wrapped__)
+    for data, values in zip(datas, shared):
+        assert [kind() for kind in _every_program(SurfaceDef.from_dict(data))] == values
 
 
 def test_threads_compiling_on_first_use_match_a_serial_surface():
