@@ -38,8 +38,13 @@ scan turns each row's signs into one int and visits only the cells
 whose corner signs differ (1.6% of the cells of the seed-1
 surface_survey benchmark's 64² traces), in row-major order, so
 segments, vertices and CSV bytes are those of scanning every cell.
-Bisection and the saddle centres call the field's point program
-(CompiledField.program) directly.  Tracing never imports numpy.
+Each edge crossing is refined by one of the field's bisection kernels
+(expr.compile_edge_kernels, through CompiledField.edges): generated
+from the field's own numbering, a kernel computes the values of
+constants and of the variable the edge holds once per edge and runs
+every halving in one frame, with the point program's values, stop rule
+and errors bit for bit.  The saddle centres call the field's point
+program (CompiledField.program).  Tracing never imports numpy.
 """
 
 from __future__ import annotations
@@ -81,8 +86,6 @@ ARRAY_MIN_POINTS = 4096
 #: The one float format of every artifact: format(x, ".12g"), also for
 #: signed zeros and subnormals, as a bound method that maps quickly.
 _FMT = "%.12g".__mod__
-
-_BISECT_MAX_ITER = 30
 
 
 class WrongClassError(LcframeError):
@@ -193,28 +196,6 @@ class LocusPolyline:
     closed: bool = False
 
 
-def _bisect_edge(f, p0, p1, f0, f1, refine_tol):
-    """Refine a sign-change along the segment p0-p1 to |f| <= refine_tol;
-    f is the field's point program, (u, v) -> (value,)."""
-    if f0 == 0.0:
-        return p0, 0.0
-    if f1 == 0.0:
-        return p1, 0.0
-    best_p, best_f = (p0, abs(f0)) if abs(f0) < abs(f1) else (p1, abs(f1))
-    for _ in range(_BISECT_MAX_ITER):
-        mid = ((p0[0] + p1[0]) / 2.0, (p0[1] + p1[1]) / 2.0)
-        fm, = f(*mid)
-        if abs(fm) < best_f:
-            best_p, best_f = mid, abs(fm)
-        if abs(fm) <= refine_tol:
-            return mid, abs(fm)
-        if (fm > 0.0) == (f0 > 0.0):
-            p0, f0 = mid, fm
-        else:
-            p1, f1 = mid, fm
-    return best_p, best_f
-
-
 _SEGMENT_TABLE = {
     # corner sign pattern (bl, br, tr, tl), True = positive -> edge pairs
     # of a mixed cell; edges are 0 bottom, 1 right, 2 top, 3 left
@@ -257,46 +238,46 @@ def _mixed_cells(values):
             mixed ^= low
 
 
-def _segments(f, us, vs, values, refine_tol):
+def _segments(fld, us, vs, values, refine_tol):
     """Marching squares over the mixed cells of values, the samples on
-    the grid us x vs of the field whose point program, (u, v) ->
-    (value,), is f: (segments, crossings).
+    the grid us x vs of the CompiledField fld: (segments, crossings).
 
     Each segment joins two edge keys, (i, j, "u") for the edge from
     grid point (i, j) to (i + 1, j) and (i, j, "v") for the one to
     (i, j + 1).  crossings maps every key to its crossing refined by
-    bisection, so neighbouring cells share vertices exactly."""
+    the field's kernel along that edge (CompiledField.edges), so
+    neighbouring cells share vertices exactly."""
+    along_u, along_v = fld.edges()
     crossings = {}
 
-    def edge_point(key, pa, pb, fa, fb):
+    def edge_point(key):
         if key not in crossings:
-            crossings[key] = _bisect_edge(f, pa, pb, fa, fb, refine_tol)
+            i, j, d = key
+            if d == "u":
+                crossings[key] = along_u(vs[j], us[i], us[i + 1],
+                                         values[i][j], values[i + 1][j], refine_tol)
+            else:
+                crossings[key] = along_v(us[i], vs[j], vs[j + 1],
+                                         values[i][j], values[i][j + 1], refine_tol)
         return key
 
     segments = []
     for i, j in _mixed_cells(values):
-        corners = (values[i][j], values[i + 1][j],
-                   values[i + 1][j + 1], values[i][j + 1])
-        pattern = tuple(c > 0.0 for c in corners)
+        pattern = (values[i][j] > 0.0, values[i + 1][j] > 0.0,
+                   values[i + 1][j + 1] > 0.0, values[i][j + 1] > 0.0)
         pairs = _SEGMENT_TABLE[pattern]
-        pts = ((us[i], vs[j]), (us[i + 1], vs[j]),
-               (us[i + 1], vs[j + 1]), (us[i], vs[j + 1]))
-        edge_defs = (
-            ((i, j, "u"), pts[0], pts[1], corners[0], corners[1]),   # bottom
-            ((i + 1, j, "v"), pts[1], pts[2], corners[1], corners[2]),  # right
-            ((i, j + 1, "u"), pts[3], pts[2], corners[3], corners[2]),  # top
-            ((i, j, "v"), pts[0], pts[3], corners[0], corners[3]),   # left
-        )
+        # bottom, right, top, left
+        edges = ((i, j, "u"), (i + 1, j, "v"), (i, j + 1, "u"), (i, j, "v"))
         if pairs is None:
             # ambiguous saddle: the centre sample picks the pairing
-            centre, = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+            centre, = fld.program((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
             if (centre > 0.0) == pattern[0]:
                 pairs = ((0, 1), (2, 3))
             else:
                 pairs = ((3, 0), (1, 2))
         # every pair joins two distinct edges whose corner signs differ
         for pair in pairs:
-            segments.append(tuple(edge_point(*edge_defs[e]) for e in pair))
+            segments.append(tuple(edge_point(edges[e]) for e in pair))
     return segments, crossings
 
 
@@ -311,10 +292,11 @@ def trace_zero_set(
 
     The field is sampled over the grid by its grid program
     (CompiledField.grid); marching squares visits only the cells whose
-    corner signs differ, every edge crossing is refined by bisection
-    until |field| <= refine_tol (at most 30 halvings), and the
-    resulting segments are linked into polylines.  Returns a list of
-    LocusPolyline, possibly empty.
+    corner signs differ, every edge crossing is refined by the field's
+    bisection kernel along that edge until |field| <= refine_tol (at
+    most expr.HALVINGS halvings, else the point of least |field| seen),
+    and the resulting segments are linked into polylines.  Returns a
+    list of LocusPolyline, possibly empty.
     """
     if field_name not in TRACEABLE_FIELDS:
         raise LcframeError(
@@ -328,7 +310,7 @@ def trace_zero_set(
         raise LcframeError("classification tolerance must be positive and finite")
     fld = s.scalar_field(field_name)
     us, vs = s.domain.grid(nu, nv)
-    segments, crossings = _segments(fld.program, us, vs, fld.grid(us, vs), refine_tol)
+    segments, crossings = _segments(fld, us, vs, fld.grid(us, vs), refine_tol)
     return _link_segments(s, field_name, segments, crossings, classify_tol)
 
 

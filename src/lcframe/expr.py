@@ -12,14 +12,25 @@ shared node once.  The trees are only shared, not rewritten: the folds
 are literal (zeros, ones, constant arithmetic, double negation), and a
 derivative equals the chain rule's tree with those folds applied.
 
-compile_program and compile_grid_program share code by shape.  A
-program's shape is the value numbering of its trees with each constant
-abstracted to a parameter _k<i>; the code of a shape is compiled once per
-process (the SHAPES most recently used are kept), and each program is
-that code with its own constants bound to those parameters, which it
-reads as locals.  Trees that differ only in their constants, such as a
-surface's and those of its images under X -> cX, a Lorentz
-transformation or a parameter shift, compile once.
+compile_program, compile_grid_program and compile_edge_kernels share
+code by shape.  A program's shape is the value numbering of its trees
+with each constant abstracted to a parameter _k<i>; the code of a shape
+is compiled once per process (the SHAPES most recently used are kept),
+and each program is that code with its own constants bound to those
+parameters, which it reads as locals.  Trees that differ only in their
+constants, such as a surface's and those of its images under X -> cX,
+a Lorentz transformation or a parameter shift, compile once.
+
+A traced field (CompiledField) numbers its tree once for its three
+programs: the point program; the grid program, which samples the field
+over a tensor grid computing each value where its variables change;
+and two bisection kernels, one per held variable (a u-edge holds v, a
+v-edge holds u), which refine a sign change on an edge in one frame:
+the values of constants and of the held variable once per edge, the
+others at each midpoint, with the point program's values and errors.
+Every entry point that recurses once per tree level (parse, the Dag
+operations, the compile functions) turns input nested too deeply into
+an ExprError.
 
 Grammar::
 
@@ -71,6 +82,9 @@ __all__ = [
     "compile_field",
     "compile_program",
     "compile_grid_program",
+    "compile_edge_kernels",
+    "HALVINGS",
+    "MAX_NESTING",
     "NumberEnv",
     "SCALAR",
     "FUNCTION_NAMES",
@@ -109,6 +123,13 @@ class UnknownIdentifierError(ExprSyntaxError):
 class EvalDomainError(ExprError):
     """Evaluation left the real domain (division by zero, log of a
     nonpositive number, sqrt of a negative number, overflow, ...)."""
+
+
+def _too_deep(what, exc):
+    """The ExprError of a tree nested too deeply for Python to what
+    (simplify, differentiate, compile) it: exc is the RecursionError, or
+    the SyntaxError of too many nested parentheses, that it raised."""
+    return ExprError(f"expression nested too deeply to {what}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +255,27 @@ def _tokenize(source):
     return tokens
 
 
+#: How deeply parentheses, calls and unary minus may nest in source
+#: text.  Deeper input is a syntax error at the first token nested
+#: deeper, so the error depends on the input alone, not on the caller's
+#: stack or the recursion limit.
+MAX_NESTING = 128
+
+
 class _Parser:
     def __init__(self, source):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0
+
+    def enter(self):
+        """Go one nesting level deeper, at the token here; the caller
+        leaves the level by decrementing depth."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError("expression nested too deeply", self.source,
+                                  self.peek()[2])
+        self.depth += 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -299,7 +336,10 @@ class _Parser:
             # "-(expr)" keeps its explicit negation node
             if self.peek()[0] == "number" and self.tokens[self.pos + 1][0] != "^":
                 return Const(-float(self.advance()[1]))
-            return Neg(self.unary())
+            self.enter()
+            e = Neg(self.unary())
+            self.depth -= 1
+            return e
         return self.power()
 
     def power(self):
@@ -340,7 +380,9 @@ class _Parser:
             return Const(float(text))
         if kind == "(":
             self.advance()
+            self.enter()
             e = self.expr()
+            self.depth -= 1
             self.expect(")")
             return e
         if kind == "ident":
@@ -351,7 +393,9 @@ class _Parser:
                 return Const(_CONSTANTS[text])
             if text in FUNCTION_NAMES:
                 self.expect("(")
+                self.enter()
                 arg = self.expr()
+                self.depth -= 1
                 self.expect(")")
                 return Call(text, arg)
             raise UnknownIdentifierError(text, self.source, offset)
@@ -362,13 +406,8 @@ class _Parser:
 
 def parse(source: str) -> Expr:
     """Parse source text into an expression tree.  Nesting deeper than
-    the recursion limit allows is a syntax error at the token reached."""
-    parser = _Parser(source)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ExprSyntaxError("expression nested too deeply", source,
-                              parser.peek()[2]) from None
+    MAX_NESTING is a syntax error at the first token nested deeper."""
+    return _Parser(source).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +519,23 @@ class Dag:
 
     def simplify(self, e: Expr) -> Expr:
         """simplify(e), interned in this context."""
+        try:
+            return self._simplify(e)
+        except RecursionError as exc:
+            raise _too_deep("simplify", exc) from None
+
+    def differentiate(self, e: Expr, var: str) -> Expr:
+        """differentiate(e, var), interned in this context.
+
+        Each case folds the chain rule's nodes as simplify would fold
+        them, so the result is simplify of the chain rule's tree.
+        """
+        try:
+            return self._differentiate(e, var)
+        except RecursionError as exc:
+            raise _too_deep("differentiate", exc) from None
+
+    def _simplify(self, e):
         hit = self._simplified.get(id(e))
         if hit is not None:
             return hit[0]
@@ -489,31 +545,26 @@ class Dag:
         elif cls is Var:
             s = self._intern((Var, e.name), Var, e.name)
         elif cls is Neg:
-            s = self._fold(Neg, self.simplify(e.arg))
+            s = self._fold(Neg, self._simplify(e.arg))
         elif cls is Pow:
-            s = self._fold(Pow, self.simplify(e.base), e.exponent)
+            s = self._fold(Pow, self._simplify(e.base), e.exponent)
         elif cls is Call:
-            s = self._fold(Call, e.fn, self.simplify(e.arg))
+            s = self._fold(Call, e.fn, self._simplify(e.arg))
         elif cls in _INFIX:
-            s = self._fold(cls, self.simplify(e.left), self.simplify(e.right))
+            s = self._fold(cls, self._simplify(e.left), self._simplify(e.right))
         else:
             raise ExprError(f"malformed expression node: {e!r}")
         self._simplified[id(e)] = (s, e)
         return s
 
-    def differentiate(self, e: Expr, var: str) -> Expr:
-        """differentiate(e, var), interned in this context.
-
-        Each case folds the chain rule's nodes as simplify would fold
-        them, so the result is simplify of the chain rule's tree.
-        """
+    def _differentiate(self, e, var):
         key = (id(e), var)
         hit = self._derivatives.get(key)
         if hit is not None:
             return hit[0]
         if var not in _VARIABLES:
             raise ExprError(f"differentiation variable must be 'u' or 'v', got {var!r}")
-        fold, S, D = self._fold, self.simplify, self.differentiate
+        fold, S, D = self._fold, self._simplify, self._differentiate
         cls = type(e)
         if cls is Const:
             d = self.const(0.0)
@@ -794,6 +845,15 @@ SCALAR = NumberEnv(
 )
 
 
+class _Numbering(NamedTuple):
+    """A value numbering of trees, as _numbering gives it."""
+
+    table: tuple
+    uses: tuple
+    roots: tuple
+    constants: tuple
+
+
 def _numbering(trees):
     """The value numbering of compile_program: (table, uses, roots,
     constants).
@@ -809,7 +869,14 @@ def _numbering(trees):
     trees' values, in order.  table, uses and roots are the program's
     shape: trees that differ only in their constants' values have the
     same shape.
+
+    A numbering passed for trees is returned as it is, so that one
+    caller numbers its trees once for all their programs.  A tree nested
+    deeper than Python's recursion limit lets it be numbered is an
+    ExprError.
     """
+    if isinstance(trees, _Numbering):
+        return trees
     ids, table, uses, constants = {}, [], [], []
     numbered = {}  # id(node) -> its number: a shared node is keyed once
 
@@ -846,10 +913,18 @@ def _numbering(trees):
         numbered[id(e)] = n
         return n
 
-    roots = [number(e) for e in trees]
+    try:
+        roots = [number(e) for e in trees]
+    except RecursionError as exc:
+        raise _too_deep("compile", exc) from None
+    finally:
+        # number's cell refers to number: freed by reference counting
+        # once the cycle is cut, its tables do not wait for the cyclic
+        # collector, which rarely runs where few containers are made
+        number = None
     for n in roots:
         uses[n] += 1
-    return tuple(table), tuple(uses), tuple(roots), tuple(constants)
+    return _Numbering(tuple(table), tuple(uses), tuple(roots), tuple(constants))
 
 
 def _emitter(table, uses, templates, named):
@@ -885,11 +960,11 @@ def _shared_code(spell, *shape):
     compiled once per shape while it is among the SHAPES most recently
     used.  Every program of that shape is this code with its own
     constants bound."""
-    source, filename = spell(*shape)
     try:
+        source, filename = spell(*shape)
         module = compile(source, filename, "exec")
-    except (SyntaxError, RecursionError) as exc:  # too many nested parentheses
-        raise ExprError(f"expression nested too deeply to compile: {exc}") from None
+    except (SyntaxError, RecursionError) as exc:  # too many nested parentheses or levels
+        raise _too_deep("compile", exc) from None
     return next(c for c in module.co_consts if isinstance(c, CodeType))
 
 
@@ -924,7 +999,8 @@ def compile_program(trees, env: NumberEnv = SCALAR):
     parameter _k<i>, is compiled once per shape and environment
     (_shared_code), and each program binds its own constants to it.
     The operations and operands are those of the literal spelling, so
-    are the values and the errors.
+    are the values and the errors.  trees may also be their numbering,
+    as every compile function here takes it.
     """
     table, uses, roots, constants = _numbering(trees)
     code = _shared_code(_point_source, table, uses, roots, env.params, env.root,
@@ -933,41 +1009,61 @@ def compile_program(trees, env: NumberEnv = SCALAR):
     return env.wrap(FunctionType(code, env.namespace, None, constants))
 
 
-# What a value of the grid program depends on: bit _U for u, _V for v;
-# a value with both is computed per point.
+#: The exceptions a fault raises inside the code of a SCALAR program,
+#: before any wrapper words it as an EvalDomainError.
+_FAULTS = (ArithmeticError, ValueError, EvalDomainError)
+
+# What a value of a program depends on: bit _U for u, _V for v.
 _U, _V = 1, 2
+
+
+def _deps(table, mask=_U | _V):
+    """The dependencies of each value of table, within mask."""
+    deps = []
+    for op, _, *operands in table:
+        deps.append(reduce(or_, (deps[k] for k in operands)) if operands
+                    else mask & (_U if op == "u" else _V if op == "v" else 0))
+    return deps
+
+
+def _hoisted(table, deps, roots, inner):
+    """The values, in evaluation order, that a program whose innermost
+    loop computes the values of dependencies inner computes outside it,
+    each as _t<n>: each that a value of other dependencies reads, and
+    each root not of inner; a constant or variable is spelled where it
+    is read."""
+    hoisted = {k for n, key in enumerate(table) for k in key[2:] if deps[k] != deps[n]}
+    hoisted.update(n for n in roots if deps[n] != inner)
+    return sorted(n for n in hoisted if len(table[n]) > 2)
+
+
+def _assignments(table, uses, hoisted, names):
+    """The statements _t<n> = ... of the values hoisted, in that order,
+    each reading by name the values of names (number -> name) assigned
+    before it."""
+    emit = _emitter(table, uses, SCALAR.templates, dict(names))
+    out = []
+    for n in hoisted:
+        op, p, *operands = table[n]
+        out.append(f"_t{n} = {SCALAR.templates[op].format(*map(emit, operands), p=p)}")
+    return out
 
 
 def _grid_source(table, uses, roots):
     """The source and file name of compile_grid_program's code for a
     shape."""
-    deps = []
-    for op, _, *operands in table:
-        deps.append(reduce(or_, (deps[k] for k in operands)) if operands
-                    else _U if op == "u" else _V if op == "v" else 0)
-    # the values computed outside the point loop, as _t<n>: each that a
-    # value of other dependencies reads, and each root not computed per
-    # point; a constant or variable is spelled where it is read
-    handed = {k for n, key in enumerate(table) for k in key[2:] if deps[k] != deps[n]}
-    handed.update(n for n in roots if deps[n] != _U | _V)
-    handed = sorted(n for n in handed if len(table[n]) > 2)
-
-    names = {n: f"_t{n}" for n in handed}
+    deps = _deps(table)
+    hoisted = _hoisted(table, deps, roots, _U | _V)
+    names = {n: f"_t{n}" for n in hoisted}
 
     def statements(dep):
-        """The assignments of the handed values that depend on dep, in
-        evaluation order, so each reads values assigned before it."""
-        emit = _emitter(table, uses, SCALAR.templates, dict(names))
-        out = []
-        for n in handed:
-            op, p, *operands = table[n]
-            if deps[n] == dep:
-                out.append(f"_t{n} = {SCALAR.templates[op].format(*map(emit, operands), p=p)}")
-        return out
+        return _assignments(table, uses, [n for n in hoisted if deps[n] == dep], names)
 
-    columns = ", ".join(["v"] + [names[n] for n in handed if deps[n] == _V]) + ","
+    columns = ", ".join(["v"] + [names[n] for n in hoisted if deps[n] == _V]) + ","
     emit = _emitter(table, uses, SCALAR.templates, dict(names))
     point = "".join(SCALAR.root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
+    if len(roots) == 1:
+        point = point.rstrip(", ")  # the value itself, not a 1-tuple
     return "\n".join([
         f"def _grid(us, vs{_constant_params(table)}):",
         *(f"    {line}" for line in statements(0)),
@@ -989,7 +1085,8 @@ def _grid_source(table, uses, roots):
 def compile_grid_program(trees):
     """Compile trees into one function (us, vs) -> a row per u of the
     trees' values at each v: rows[i][j] is the tuple the point program
-    compile_program(trees) gives at (us[i], vs[j]), bit for bit.
+    compile_program(trees) gives at (us[i], vs[j]), bit for bit, or for
+    one tree the value itself, not a 1-tuple.
 
     The function spells the point program's numbering (_numbering) with
     the SCALAR operations, but computes each value where its variables
@@ -1002,40 +1099,131 @@ def compile_grid_program(trees):
     raises the point loop's own first error.  Grid programs share code
     by shape, with their constants bound, as point programs do.
     """
-    table, uses, roots, constants = _numbering(trees)
-    code = _shared_code(_grid_source, table, uses, roots)
-    grid = FunctionType(code, SCALAR.namespace, None, constants)
+    numbering = _numbering(trees)
+    table, uses, roots, constants = numbering
+    grid = FunctionType(_shared_code(_grid_source, table, uses, roots), SCALAR.namespace,
+                        None, constants)
 
     def program(us, vs):
         try:
             return grid(us, vs)
-        except (ArithmeticError, ValueError, EvalDomainError):
-            point = compile_program(trees)
-            return [[point(u, v) for v in vs] for u in us]
+        except _FAULTS:
+            point = compile_program(numbering)
+            rows = [[point(u, v) for v in vs] for u in us]
+            return [[x for x, in row] for row in rows] if len(roots) == 1 else rows
 
     return program
 
 
+#: The most halvings of an edge's bisection.
+HALVINGS = 30
+
+#: The names an edge kernel reads besides those of the SCALAR programs.
+_EDGE_NAMESPACE = {**_SCALAR_NAMESPACE, "_HALVINGS": range(HALVINGS), "_FAULTS": _FAULTS}
+
+
+def _edge_source(table, uses, roots, moving):
+    """The source and file name of compile_edge_kernels' code for a
+    one-root shape, along edges in the variable moving."""
+    held, bit = ("v", _U) if moving == "u" else ("u", _V)
+    deps = _deps(table, bit)
+    hoisted = _hoisted(table, deps, roots, bit)
+    names = {n: f"_t{n}" for n in hoisted}
+    root = _emitter(table, uses, SCALAR.templates, dict(names))(roots[0])
+    ends = ("a, h", "b, h") if moving == "u" else ("h, a", "h, b")
+    return "\n".join([
+        f"def _edge(h, a, b, fa, fb, tol, _point{_constant_params(table)}):",
+        "    if fa == 0.0:",
+        f"        return ({ends[0]}), 0.0",
+        "    if fb == 0.0:",
+        f"        return ({ends[1]}), 0.0",
+        "    if _abs(fa) < _abs(fb):",
+        f"        x, y, best = {ends[0]}, _abs(fa)",
+        "    else:",
+        f"        x, y, best = {ends[1]}, _abs(fb)",
+        # every midpoint holds (h + h) / 2, which is h unless h + h overflows
+        f"    {held} = (h + h) / 2.0",
+        # the first midpoint, where a fault of a value computed once per
+        # edge is raised
+        f"    {moving} = (a + b) / 2.0",
+        "    try:",
+        *(f"        {line}" for line in _assignments(table, uses, hoisted, names)),
+        "        for _ in _HALVINGS:",
+        f"            {moving} = (a + b) / 2.0",
+        f"            if not _isfinite(f := {root}):",
+        "                _non_finite(f)",
+        "            r = _abs(f)",
+        "            if r < best:",
+        "                x, y, best = u, v, r",
+        "            if r <= tol:",
+        "                return (u, v), r",
+        "            if (f > 0.0) == (fa > 0.0):",
+        f"                a, fa = {moving}, f",
+        "            else:",
+        f"                b, fb = {moving}, f",
+        "    except _FAULTS:",
+        "        _point(u, v)  # raises the point program's first error at this midpoint",
+        "        raise",
+        "    return (x, y), best",
+    ]), "<lcframe-edge-kernel>"
+
+
+def compile_edge_kernels(trees):
+    """Compile one tree into its bisection kernels (along_u, along_v):
+    along_u refines a crossing on an edge from (a, h) to (b, h), which
+    holds v = h, and along_v one on an edge from (h, a) to (h, b).
+
+    kernel(h, a, b, fa, fb, tol), with fa and fb the tree's values at
+    the edge's ends, returns (point, |value|): an end where the value is
+    0.0, else the first midpoint where |value| <= tol, halving towards
+    the sign change, else after HALVINGS midpoints the point of least
+    |value| among the ends and the midpoints (the first of equals).
+    The values are the point program's, bit for bit: the code computes
+    the values of constants and of the held variable once per edge and
+    the others at each midpoint, in one frame.  On a fault it calls the
+    tree's point program at that midpoint, so the point program's own
+    first error is raised there.  Kernels share code by shape, with
+    their constants bound, as point programs do.
+    """
+    numbering = _numbering(trees)
+    table, uses, roots, constants = numbering
+    if len(roots) != 1:
+        raise ExprError(f"an edge kernel refines one tree, got {len(roots)}")
+    defaults = (compile_program(numbering), *constants)
+    return tuple(FunctionType(_shared_code(_edge_source, table, uses, roots, moving),
+                              _EDGE_NAMESPACE, None, defaults) for moving in "uv")
+
+
 class CompiledField:
-    """An expression with its symbolic partial derivatives up to a
-    requested order, each compiled as a one-tree compile_program.
+    """A traced field: an expression with its point program, and its
+    grid program and bisection kernels compiled on first use, all three
+    from one numbering of the expression.  SurfaceDef's traced fields
+    are order-0 CompiledFields.  Symbolic partial derivatives up to a
+    requested order are compiled too, each as a one-tree
+    compile_program; only tests ask for an order above 0.
 
     The table is closed under that order: entry (i, j) holds the
     expression and program for d^(i+j) / du^i dv^j.  The expression is
     simplified and differentiated in dag, the derivation context it was
     derived in if one is given, so a tree simplified there is not
-    simplified again.  program is the expression's point program,
-    (u, v) -> (value,), which eval calls.  grid evaluates the expression
-    over a tensor grid with compile_grid_program, compiled on first use.
+    simplified again; a tree passed as simplified (a SurfaceDef's traced
+    fields, simplified in the build's context) is kept as it is.
+    program is the expression's point program, (u, v) -> (value,), which
+    eval calls; grid evaluates the expression over a tensor grid
+    (compile_grid_program), and edges gives its bisection kernels
+    (compile_edge_kernels), which hold no reference to the field.
+    Threads racing to compile grid or edges compile equal programs.
     """
 
-    __slots__ = ("expr", "order", "program", "_table", "_grid")
+    __slots__ = ("expr", "order", "program", "_table", "_numbering", "_grid", "_edges")
 
-    def __init__(self, expr: Expr, order: int = 0, dag: Dag | None = None):
+    def __init__(self, expr: Expr, order: int = 0, dag: Dag | None = None, *,
+                 simplified: bool = False):
         if order < 0:
             raise ExprError("derivative order must be nonnegative")
-        dag = Dag() if dag is None else dag
-        self.expr = dag.simplify(expr)
+        if dag is None and (order or not simplified):  # a context to derive in
+            dag = Dag()
+        self.expr = expr if simplified else dag.simplify(expr)
         self.order = order
         exprs = {(0, 0): self.expr}
         for i in range(1, order + 1):
@@ -1043,9 +1231,11 @@ class CompiledField:
         for i in range(0, order + 1):
             for j in range(1, order + 1 - i):
                 exprs[(i, j)] = dag.differentiate(exprs[(i, j - 1)], "v")
-        self._table = {key: (ex, compile_program([ex])) for key, ex in exprs.items()}
+        self._numbering = _numbering([self.expr])
+        self._table = {key: (ex, compile_program(self._numbering if key == (0, 0) else [ex]))
+                       for key, ex in exprs.items()}
         self.program = self._table[(0, 0)][1]
-        self._grid = None
+        self._grid = self._edges = None
 
     def _entry(self, du, dv):
         try:
@@ -1069,9 +1259,15 @@ class CompiledField:
         fault raises the error that evaluating the points in row-major
         order raises first."""
         if self._grid is None:
-            # threads racing here compile equal programs
-            self._grid = compile_grid_program([self.expr])
-        return [[x for x, in row] for row in self._grid(us, vs)]
+            self._grid = compile_grid_program(self._numbering)
+        return self._grid(us, vs)
+
+    def edges(self) -> tuple:
+        """The expression's bisection kernels (along_u, along_v), as
+        compile_edge_kernels gives them."""
+        if self._edges is None:
+            self._edges = compile_edge_kernels(self._numbering)
+        return self._edges
 
 
 def compile_field(source_or_expr, order: int = 0) -> CompiledField:

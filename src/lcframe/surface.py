@@ -23,6 +23,8 @@ build returns, and the compiled programs keep no reference to it.
 The twenty trees and the three components of n~ = X_u ^ m are derived
 at construction and kept, and construction compiles nothing (loading a
 definition compiles each domain bound that is not a single constant).
+The traced fields are the build's roots too: c2 is the invariant tree,
+and lam~ = -4 a1 b1 is one folded product over the a1 and b1 trees.
 Every program is compiled on first use and kept on the surface: from
 the kept trees, the 23-root invariant program (expr.compile_program,
 which computes each shared subexpression once) on the first
@@ -30,13 +32,12 @@ basic_invariants_at, and its array form (the same numbering in the
 arrays.ARRAY environment), which large grids evaluate a block of
 points per call; the eight vectors read point by point (X_u, X_v, X_uu,
 X_uv, X_vv and the frame legs v, w, m), one 3-root program each; and
-lam~ = -4 a1 b1 and c2, whose zero sets are traced, each an
-expr.CompiledField whose tree is derived and simplified once, in one
-context, and which compiles from that tree its point program and, on
-the first trace, its tensor-grid program.  The vector programs and
-traced fields derive their trees again from the kept inputs (X_u, X_v,
-v, w, m), in a context of their own.  lcframe imports numpy only for
-the array form.
+lam~ and c2, whose zero sets are traced, each an expr.CompiledField
+that numbers its tree once and compiles from that numbering its point
+program and, on the first trace, its tensor-grid program and its
+bisection kernels.  The vector programs derive their trees again from
+the kept inputs (X_u, X_v, v, w, m), in a context of their own.
+lcframe imports numpy only for the array form.
 
 validate_framed evaluates v, w, X_u, X_v and the invariants a1, b1, a2,
 b2 and c2 over its grid as one tensor-grid program
@@ -227,14 +228,15 @@ class SurfaceDef:
     invariant_arrays compiles them for arrays.  Each vector accessor
     (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v, frame_vec_w, frame_vec_m)
     is one 3-root program, and scalar_field gives the traced fields
-    lambda_til and c2 (a point program, and a grid program compiled on
-    the first CompiledField.grid call), each derived again in a context
-    of its own.  Every program is compiled on first use and kept; its
-    code is shared with every program of the same shape (expr's
-    compile_program), so another surface whose trees differ from these
-    only in their constants, such as an image under X -> cX or a
-    parameter shift, binds its constants to code compiled once per
-    process.
+    lambda_til and c2, the build's own roots (c2, and -4 a1 b1 folded
+    over a1 and b1), as CompiledFields: a point program, and a grid
+    program and bisection kernels compiled on the first trace, all
+    from one numbering of the tree.  Every program is compiled on first
+    use and kept; its code is shared with every program of the same
+    shape (expr's compile_program), so another surface whose trees
+    differ from these only in their constants, such as an image under
+    X -> cX or a parameter shift, binds its constants to code compiled
+    once per process.
 
     Instances are immutable after construction, except for the programs
     kept on first use: threads racing there compile equal programs, and
@@ -261,9 +263,14 @@ class SurfaceDef:
         # derived here, where the build's context already holds most of
         # their subexpressions; compiled on first use
         self._invariants = _invariant_trees(dag, xu, xv, fv, fw, m)
-        # the vector programs and traced fields derive their trees again on
-        # first use: kept, they would hold up to a few hundred kB per
-        # surface, mostly unused
+        # the traced fields are the build's roots: c2, and lam~ folded
+        # over a1 and b1, which adds three nodes
+        a1, b1, c2 = (self._invariants[BasicInvariants._fields.index(k)]
+                      for k in ("a1", "b1", "c2"))
+        self._traced = {"lambda_til": dag.simplify(Mul(Const(-4.0), Mul(a1, b1))), "c2": c2}
+        # the vector programs derive their trees again on first use:
+        # kept, they would hold up to a few hundred kB per surface,
+        # mostly unused
         self._tree_inputs = (xu, xv, fv, fw, m)
         self._programs = {}  # key -> program compiled on first use
 
@@ -278,9 +285,8 @@ class SurfaceDef:
             from .arrays import ARRAY  # imports numpy
 
             program = compile_program(self._invariants, ARRAY)
-        elif key in _TRACED:
-            dag = Dag()  # the tree is simplified once, here
-            program = CompiledField(_traced_tree(dag, key, *self._tree_inputs[:4]), 0, dag)
+        elif key in self._traced:
+            program = CompiledField(self._traced[key], simplified=True)
         else:
             program = compile_program(_vector_trees(key, *self._tree_inputs))
         return self._programs.setdefault(key, program)
@@ -293,7 +299,7 @@ class SurfaceDef:
 
     def scalar_field(self, name: str) -> CompiledField:
         """The compiled field lambda_til or c2, whose zero sets are traced."""
-        if name not in _TRACED:
+        if name not in self._traced:
             raise KeyError(name)
         return self._program(name)
 
@@ -389,33 +395,22 @@ def _file_error(path, exc):
     return SurfaceFormatError(f"surface file {path} exceeds a limit of the JSON decoder: {exc}")
 
 
-def _taken(dag, *vectors):
-    """The vectors' trees taken into dag: they may be another context's
-    nodes, and once taken no subexpression of a result has two nodes."""
-    return (tuple(map(dag.simplify, vec)) for vec in vectors)
-
-
-def _pairings(dag, xu, xv, fv, fw):
-    """m = -(1/2) v^w and the trees of a1, b1 and c2, all unsimplified,
-    from X_u, X_v and the frame fields v, w interned in dag."""
-    # c1, c2, f and g pair against m unsimplified
-    m = tuple(Neg(_half(c)) for c in _wedge_expr(dag, fv, fw))
-    return m, {
-        "a1": Neg(_half(_pdot_expr(xu, fw))),
-        "b1": Neg(_half(_pdot_expr(xu, fv))),
-        "c2": _pdot_expr(xv, m),
-    }
-
-
 def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
     """The trees of the BasicInvariants fields, in field order, from
     X_u, X_v, the frame fields v, w and m = -(1/2) v^w, derived in the
-    context dag."""
-    xu, xv, fv, fw, m_simplified = _taken(dag, xu, xv, fv, fw, m_simplified)
-    m, base = _pairings(dag, xu, xv, fv, fw)
+    context dag.  The inputs may be another context's nodes: they are
+    taken into dag first, so no subexpression of a result has two
+    nodes."""
+    xu, xv, fv, fw, m_simplified = (tuple(map(dag.simplify, vec))
+                                    for vec in (xu, xv, fv, fw, m_simplified))
+    # c1, c2, f and g pair against m unsimplified
+    m = tuple(Neg(_half(c)) for c in _wedge_expr(dag, fv, fw))
     fv_u, fv_v = _partials(dag, fv, "u"), _partials(dag, fv, "v")
     fw_u, fw_v = _partials(dag, fw, "u"), _partials(dag, fw, "v")
-    base.update({
+    base = {
+        "a1": Neg(_half(_pdot_expr(xu, fw))),
+        "b1": Neg(_half(_pdot_expr(xu, fv))),
+        "c2": _pdot_expr(xv, m),
         "c1": _pdot_expr(xu, m),
         "a2": Neg(_half(_pdot_expr(xv, fw))),
         "b2": Neg(_half(_pdot_expr(xv, fv))),
@@ -425,7 +420,7 @@ def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
         "e2": _half(_pdot_expr(fv, fw_v)),
         "f2": _half(_pdot_expr(fw_v, m)),
         "g2": _half(_pdot_expr(fv_v, m)),
-    })
+    }
     roots = {k: dag.simplify(v) for k, v in base.items()}
     for key in ("a1", "b1", "c1", "c2"):
         roots[key + "u"] = dag.differentiate(roots[key], "u")
@@ -434,19 +429,6 @@ def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
     # wedge(x_u, frame_vec_m), and comes last, to fail last
     roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(dag, xu, m_simplified)))
     return [roots[key] for key in BasicInvariants._fields]
-
-
-#: The traced fields, each as a tree over the unsimplified a1, b1 and c2.
-_TRACED = {
-    "lambda_til": lambda base: Mul(Const(-4.0), Mul(base["a1"], base["b1"])),
-    "c2": lambda base: base["c2"],
-}
-
-
-def _traced_tree(dag, name, xu, xv, fv, fw):
-    """The tree of the traced field name, derived in the context dag."""
-    xu, xv, fv, fw = _taken(dag, xu, xv, fv, fw)
-    return dag.simplify(_TRACED[name](_pairings(dag, xu, xv, fv, fw)[1]))
 
 
 #: The second partials of X: which first partial, by which variable.

@@ -1,0 +1,29 @@
+"""Reference implementations that the tests compare lcframe against."""
+
+from lcframe.expr import HALVINGS
+
+
+def bisect_edge(f, p0, p1, f0, f1, refine_tol):
+    """Refine a sign change along the segment p0-p1 to |f| <= refine_tol,
+    halving at most HALVINGS times, as each step was first written; f is
+    the field's point program, (u, v) -> (value,), and f0, f1 its values
+    at p0, p1.  Returns (point, |value|): an end where the value is 0.0,
+    the first midpoint within refine_tol, or else the point of least
+    |value| seen."""
+    if f0 == 0.0:
+        return p0, 0.0
+    if f1 == 0.0:
+        return p1, 0.0
+    best_p, best_f = (p0, abs(f0)) if abs(f0) < abs(f1) else (p1, abs(f1))
+    for _ in range(HALVINGS):
+        mid = ((p0[0] + p1[0]) / 2.0, (p0[1] + p1[1]) / 2.0)
+        fm, = f(*mid)
+        if abs(fm) < best_f:
+            best_p, best_f = mid, abs(fm)
+        if abs(fm) <= refine_tol:
+            return mid, abs(fm)
+        if (fm > 0.0) == (f0 > 0.0):
+            p0, f0 = mid, fm
+        else:
+            p1, f1 = mid, fm
+    return best_p, best_f

@@ -19,7 +19,7 @@ from lcframe.cli import (
     CURVATURE_HEADER, _load_surface, _surface_from_text, _write_curvature_csv,
     _write_curvature_points, main, run_demo,
 )
-from lcframe.expr import ExprSyntaxError
+from lcframe.expr import MAX_NESTING, ExprSyntaxError
 from lcframe.limits import boundedness_report
 from lcframe.surface import SurfaceDef, SurfaceFormatError
 
@@ -366,8 +366,7 @@ def test_validate_reads_any_file_without_a_traceback(tmp_path_factory, content):
 
 
 def test_an_expression_nested_too_deeply_is_a_syntax_error(tmp_path, capsys, builds):
-    # the parser's RecursionError ended in a traceback; the column is
-    # where the recursion limit was reached, so it depends on the caller
+    # the parser's RecursionError ended in a traceback
     surf = tmp_path / "surface.surf"
     deep = "(" * 5000 + "u" + ")" * 5000
     surf.write_text(json.dumps(dict(SPHERE, X=[deep, *SPHERE["X"][1:]])), encoding="utf-8")
@@ -378,6 +377,36 @@ def test_an_expression_nested_too_deeply_is_a_syntax_error(tmp_path, capsys, bui
     assert out == ""
     assert err.startswith("error: expression nested too deeply at line 1, column ")
     assert err.count("\n") == 1
+
+
+def test_the_nesting_error_depends_on_the_input_alone(tmp_path, capsys, builds):
+    # it was worded where Python's recursion limit was reached, so its
+    # column moved with the caller's stack depth and with the limit
+    surf = tmp_path / "surface.surf"
+    deep = "(" * 5000 + "u" + ")" * 5000
+    surf.write_text(json.dumps(dict(SPHERE, X=[deep, *SPHERE["X"][1:]])), encoding="utf-8")
+    # at the first token nested deeper than MAX_NESTING, the "(" after
+    # the first MAX_NESTING + 1 of them
+    want = (f"expression nested too deeply at line 1, column {MAX_NESTING + 2} "
+            f"(offset {MAX_NESTING + 1})")
+
+    def load(depth=0):
+        return load(depth - 1) if depth else SurfaceDef.from_file(str(surf))
+
+    for depth in (0, 60):
+        with pytest.raises(ExprSyntaxError) as err:
+            load(depth)
+        assert str(err.value) == want
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 5000)
+    try:
+        with pytest.raises(ExprSyntaxError) as err:
+            SurfaceDef.from_file(str(surf))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert str(err.value) == want
+    assert main(["validate", str(surf)]) == 1
+    assert capsys.readouterr() == ("", f"error: {want}\n")
 
 
 def test_a_program_nested_too_deeply_to_compile_is_an_error(tmp_path, capsys, builds):

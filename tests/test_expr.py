@@ -14,10 +14,11 @@ from lcframe import catalog, expr
 from lcframe.expr import (
     Add, Call, CompiledField, Const, Dag, Div, EvalDomainError, Expr,
     ExprError, ExprSyntaxError, Mul, Neg, Pow, Sub, UnknownIdentifierError,
-    Var, compile_field, compile_grid_program, compile_program, constant_value,
-    differentiate, evaluate, parse, simplify, to_source,
+    Var, compile_edge_kernels, compile_field, compile_grid_program, compile_program,
+    constant_value, differentiate, evaluate, parse, simplify, to_source,
 )
-from lcframe.surface import _invariant_trees, _traced_tree
+from lcframe.surface import BasicInvariants
+from oracles import bisect_edge
 
 
 def same_bits(a, b):
@@ -409,8 +410,11 @@ def _point_loop(program, us, vs):
         return str(exc)
 
 
-def _hex_rows(rows):
-    return [[[x.hex() for x in point] for point in row] for row in rows]
+def _hex_rows(rows, trees):
+    """float.hex of the values at each point of a grid program's rows;
+    a one-tree program gives the value itself, not a 1-tuple."""
+    return [[[x.hex() for x in ((point,) if len(trees) == 1 else point)] for point in row]
+            for row in rows]
 
 
 class TestGridProgram:
@@ -426,7 +430,7 @@ class TestGridProgram:
                 grid(us, vs)
             assert str(err.value) == want
         else:
-            assert _hex_rows(grid(us, vs)) == want
+            assert _hex_rows(grid(us, vs), trees) == want
 
     # each pair: the point loop's first fault, and one that a grid
     # computing constants, columns or rows first would reach before it
@@ -456,7 +460,7 @@ class TestGridProgram:
         us, vs = [0.1 * i for i in range(5)], [0.2 * j for j in range(7)]
         rows = compile_grid_program([tree])(us, vs)
         assert calls == {"sin": 5, "cos": 7, "exp": 1}
-        assert _hex_rows(rows) == _point_loop(compile_program([tree]), us, vs)
+        assert _hex_rows(rows, [tree]) == _point_loop(compile_program([tree]), us, vs)
 
     def test_empty_grids(self):
         grid = compile_grid_program([parse("log(u) + 1/v")])
@@ -545,7 +549,7 @@ class TestSharedCode:
             for u, v in SHAPE_POINTS:
                 want = _walked(tree, u, v)
                 assert _run(point, u, v) == want, (tree, u, v)
-                assert _run(lambda u, v: grid([u], [v])[0][0], u, v) == want, (tree, u, v)
+                assert _run(lambda u, v: (grid([u], [v])[0][0],), u, v) == want, (tree, u, v)
 
     def test_signed_zeros_share_a_shape_and_stay_apart(self, monkeypatch):
         # 0.0 == -0.0 and both hash alike: keyed by value, one would
@@ -563,7 +567,7 @@ class TestSharedCode:
         grids = [compile_grid_program([e]) for e in trees]
         assert len(sources) == 2  # one point code and one grid code
         assert [p(1.0, 0.0)[0].hex() for p in points] == ["0x0.0p+0", "-0x0.0p+0"]
-        assert [g([1.0], [0.0])[0][0][0].hex() for g in grids] == ["0x0.0p+0", "-0x0.0p+0"]
+        assert [g([1.0], [0.0])[0][0].hex() for g in grids] == ["0x0.0p+0", "-0x0.0p+0"]
         # in one program they are two constants
         assert [x.hex() for x in compile_program(trees)(1.0, 0.0)] == ["0x0.0p+0", "-0x0.0p+0"]
 
@@ -625,6 +629,89 @@ class TestArrayProgram:
                 continue
             assert not bad[i], (a, b)
             assert [x.hex() for x in want] == [float(c[i]).hex() for c in columns], (a, b)
+
+
+# The bisection kernels: bit for bit the reference bisection over the
+# point program, or its error, on any edge.  Past 8.99e307 the midpoint
+# of a held coordinate h, (h + h) / 2, is infinite.
+EDGE_COORDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -SUBNORMAL, 1.0, -2.0, 8.99e307, 1.5e308,
+                     -1.7976931348623157e308]),
+    st.floats(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+edge_trees = st.recursive(
+    st.one_of(signed_leaf, st.builds(Const, st.sampled_from([5e-324, -SUBNORMAL, 1e300]))),
+    _program_exprs, max_leaves=10)
+
+
+def _refined(refine):
+    """float.hex of the point and residual refine() returns, or the text
+    of its error."""
+    try:
+        (u, v), residual = refine()
+    except EvalDomainError as exc:
+        return str(exc)
+    return u.hex(), v.hex(), residual.hex()
+
+
+class TestEdgeKernels:
+    # the map of codes lives as long as the process, so every example
+    # also meets the kernels of the examples before it
+    @settings(max_examples=400, deadline=None)
+    @given(edge_trees, EDGE_COORDS, EDGE_COORDS, EDGE_COORDS, EDGE_VALUES, EDGE_VALUES,
+           st.sampled_from([1e-9, 1e-3, 0.5, 1e300]), st.booleans())
+    # the held midpoint overflows: v = inf along u, u = inf along v
+    @example(parse("u - 1/v"), 1.5e308, 0.0, 1.0, -0.5, 0.5, 1e-9, False)
+    # the hoisted 1/v fails first, but the point program's log(u) does
+    @example(parse("log(u) + 1/v"), 0.0, -1.0, 0.5, -1.0, 1.0, 1e-9, False)
+    # subnormal ends and a subnormal held coordinate
+    @example(parse("u*1e300 - v"), 5e-324, -5e-324, 5e-324, -1.0, 1.0, 1e-9, True)
+    def test_match_the_reference_bisection(self, tree, h, a, b, fa, fb, tol, at_ends):
+        point = compile_program([tree])
+        along_u, along_v = compile_edge_kernels([tree])
+        for kernel, p0, p1 in ((along_u, (a, h), (b, h)), (along_v, (h, a), (h, b))):
+            if at_ends:  # the values a grid gives at the ends, if it can
+                try:
+                    (fa, ), (fb, ) = point(*p0), point(*p1)
+                except EvalDomainError:
+                    pass
+            want = _refined(lambda: bisect_edge(point, p0, p1, fa, fb, tol))
+            assert _refined(lambda: kernel(h, a, b, fa, fb, tol)) == want, (p0, p1)
+
+    def test_a_field_compiles_its_kernels_once_and_shares_their_code(self):
+        field = compile_field("sin(u)*v - 0.25")
+        along_u, along_v = field.edges()
+        assert field.edges() == (along_u, along_v)
+        assert along_u.__code__ is compile_edge_kernels([field.expr])[0].__code__
+        assert along_u(1.0, 0.0, 1.0, -0.25, math.sin(1.0) - 0.25, 1e-9) == bisect_edge(
+            field.program, (0.0, 1.0), (1.0, 1.0), -0.25, math.sin(1.0) - 0.25, 1e-9)
+
+    def test_one_tree_only(self):
+        with pytest.raises(ExprError, match="one tree"):
+            compile_edge_kernels([Var("u"), Var("v")])
+
+
+def test_a_tree_nested_too_deeply_for_the_recursion_limit_is_an_error():
+    # built in Python, not parsed, so no parser limit applies; each
+    # entry point recurses once per level
+    tree = Var("u")
+    for _ in range(2000):
+        tree = Neg(tree)
+    for what, run in [
+        ("compile", lambda: compile_program([tree])),
+        ("compile", lambda: compile_grid_program([tree])),
+        ("compile", lambda: compile_edge_kernels([tree])),
+        ("simplify", lambda: Dag().simplify(tree)),
+        ("differentiate", lambda: Dag().differentiate(tree, "v")),
+        ("simplify", lambda: simplify(tree)),
+        ("differentiate", lambda: differentiate(tree, "u")),
+        ("simplify", lambda: CompiledField(tree)),
+    ]:
+        with pytest.raises(ExprError, match=f"^expression nested too deeply to {what}: "):
+            run()
 
 
 # Reference: the plain chain rule and a recursive simplify over trees, with
@@ -809,9 +896,10 @@ class TestDag:
 
     @pytest.mark.parametrize("name", catalog.names())
     def test_invariant_trees_share_equal_subexpressions(self, name):
-        dag, inputs = Dag(), catalog.load(name)._tree_inputs
-        trees = _invariant_trees(dag, *inputs)
-        traced = [_traced_tree(dag, field, *inputs[:4]) for field in ("lambda_til", "c2")]
+        # the traced fields are the build's roots: c2 and lam~ over a1, b1
+        s = catalog.load(name)
+        trees, traced = s._invariants, [s._traced["lambda_til"], s._traced["c2"]]
+        assert traced[1] is trees[BasicInvariants._fields.index("c2")]
         assert twins(trees + traced) == []
 
     def test_signed_zeros_stay_distinct_nodes(self):
