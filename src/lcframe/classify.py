@@ -29,8 +29,10 @@ goes through _FMT, '%.12g' (equal to format(x, '.12g')).
 
 Loci are traced as zero sets of lam~ (lightlike locus) or c2 (rank-one
 singular locus) by marching squares with bisection refinement.  The
-field is sampled by its tensor-grid program (expr.compile_grid_program,
-through CompiledField.grid): a value of u alone is computed once per
+traced field (SurfaceDef.scalar_field, an expr.CompiledField) holds its
+three programs, compiled together from one numbering of its tree.  It
+is sampled by its tensor-grid program (expr.compile_grid_program,
+CompiledField.grid): a value of u alone is computed once per
 grid row, one of v alone once per column, so most operations of these
 fields leave the per-point loop; the samples are bit-identical to the
 point program's, and a fault raises the point loop's first error.  The
@@ -39,7 +41,7 @@ whose corner signs differ (1.6% of the cells of the seed-1
 surface_survey benchmark's 64² traces), in row-major order, so
 segments, vertices and CSV bytes are those of scanning every cell.
 Each edge crossing is refined by one of the field's bisection kernels
-(expr.compile_edge_kernels, through CompiledField.edges): generated
+(expr.compile_edge_kernels, CompiledField.edges): generated
 from the field's own numbering, a kernel computes the values of
 constants and of the variable the edge holds once per edge and runs
 every halving in one frame, with the point program's values, stop rule
@@ -247,7 +249,7 @@ def _segments(fld, us, vs, values, refine_tol):
     (i, j + 1).  crossings maps every key to its crossing refined by
     the field's kernel along that edge (CompiledField.edges), so
     neighbouring cells share vertices exactly."""
-    along_u, along_v = fld.edges()
+    along_u, along_v = fld.edges
     crossings = {}
 
     def edge_point(key):

@@ -137,9 +137,11 @@ def _build_parser():
     p.add_argument("--at", type=_parse_point, required=True, metavar="U,V",
                    help="target point; constant expressions allowed (pi/2,1)")
     p.add_argument("--quantity", choices=("K", "H", "c2K"),
-                   help="single quantity along the locus-transversal "
-                        "direction instead of the full report")
-    p.add_argument("--directions", type=int, default=8)
+                   help="print only this quantity's verdict, one line per "
+                        "ray of the fan, instead of the full report")
+    p.add_argument("--directions", type=int, default=8,
+                   help="equally spaced rays of the fan, besides the two "
+                        "locus-transversal rays (default 8)")
     p.add_argument("--out", type=Path, default=None,
                    help="also write report and per-sample CSV here")
 

@@ -21,13 +21,16 @@ parameters, which it reads as locals.  Trees that differ only in their
 constants, such as a surface's and those of its images under X -> cX,
 a Lorentz transformation or a parameter shift, compile once.
 
-A traced field (CompiledField) numbers its tree once for its three
-programs: the point program; the grid program, which samples the field
-over a tensor grid computing each value where its variables change;
-and two bisection kernels, one per held variable (a u-edge holds v, a
-v-edge holds u), which refine a sign change on an edge in one frame:
-the values of constants and of the held variable once per edge, the
-others at each midpoint, with the point program's values and errors.
+A traced field (CompiledField) is one tree and three programs, all
+compiled when the field is built, from one numbering of the tree: the
+point program; the grid program, which samples the field over a tensor
+grid computing each value where its variables change; and two
+bisection kernels, one per held variable (a u-edge holds v, a v-edge
+holds u), which refine a sign change on an edge in one frame: the
+values of constants and of the held variable once per edge, the others
+at each midpoint, with the point program's values and errors.  A field
+compiles no derivative: derivatives are trees (differentiate), compiled
+like any other.
 Every entry point that recurses once per tree level (parse, the Dag
 operations, the compile functions) turns input nested too deeply into
 an ExprError.
@@ -927,26 +930,33 @@ def _numbering(trees):
     return _Numbering(tuple(table), tuple(uses), tuple(roots), tuple(constants))
 
 
-def _emitter(table, uses, templates, named):
-    """A function n -> the code of value n.  A variable or a constant
+class _Emitter:
+    """A callable n -> the code of value n.  A variable or a constant
     parameter is itself and a value in named (number -> name) its name;
     any other value is computed in place, and one with more than one use
-    is bound to _t<n> (and added to named) where it is first computed."""
+    is bound to _t<n> (and added to named) where it is first computed.
 
-    def emit(n):
-        name = named.get(n)
+    A class, not a closure: a closure that recurses refers to itself
+    through its cell, and each code it spelled would leave that cycle to
+    the cyclic collector."""
+
+    __slots__ = ("table", "uses", "templates", "named")
+
+    def __init__(self, table, uses, templates, named):
+        self.table, self.uses, self.templates, self.named = table, uses, templates, named
+
+    def __call__(self, n):
+        name = self.named.get(n)
         if name is not None:
             return name
-        op, p, *operands = table[n]
+        op, p, *operands = self.table[n]
         if not operands:
             return op
-        text = templates[op].format(*map(emit, operands), p=p)
-        if uses[n] == 1:
+        text = self.templates[op].format(*map(self, operands), p=p)
+        if self.uses[n] == 1:
             return text
-        named[n] = f"_t{n}"
+        self.named[n] = f"_t{n}"
         return f"(_t{n} := {text})"
-
-    return emit
 
 
 #: How many program codes a process keeps, one per shape, least recently
@@ -978,7 +988,7 @@ def _constant_params(table):
 def _point_source(table, uses, roots, params, root, templates):
     """The source and file name of compile_program's code for a shape,
     in the environment of params, root and templates."""
-    emit = _emitter(table, uses, dict(templates), {})
+    emit = _Emitter(table, uses, dict(templates), {})
     body = "".join(root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
     return (f"def _program({params}{_constant_params(table)}):\n    return ({body})",
             "<lcframe-program>")
@@ -1041,7 +1051,7 @@ def _assignments(table, uses, hoisted, names):
     """The statements _t<n> = ... of the values hoisted, in that order,
     each reading by name the values of names (number -> name) assigned
     before it."""
-    emit = _emitter(table, uses, SCALAR.templates, dict(names))
+    emit = _Emitter(table, uses, SCALAR.templates, dict(names))
     out = []
     for n in hoisted:
         op, p, *operands = table[n]
@@ -1060,7 +1070,7 @@ def _grid_source(table, uses, roots):
         return _assignments(table, uses, [n for n in hoisted if deps[n] == dep], names)
 
     columns = ", ".join(["v"] + [names[n] for n in hoisted if deps[n] == _V]) + ","
-    emit = _emitter(table, uses, SCALAR.templates, dict(names))
+    emit = _Emitter(table, uses, SCALAR.templates, dict(names))
     point = "".join(SCALAR.root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
     if len(roots) == 1:
         point = point.rstrip(", ")  # the value itself, not a 1-tuple
@@ -1129,7 +1139,7 @@ def _edge_source(table, uses, roots, moving):
     deps = _deps(table, bit)
     hoisted = _hoisted(table, deps, roots, bit)
     names = {n: f"_t{n}" for n in hoisted}
-    root = _emitter(table, uses, SCALAR.templates, dict(names))(roots[0])
+    root = _Emitter(table, uses, SCALAR.templates, dict(names))(roots[0])
     ends = ("a, h", "b, h") if moving == "u" else ("h, a", "h, b")
     return "\n".join([
         f"def _edge(h, a, b, fa, fb, tol, _point{_constant_params(table)}):",
@@ -1195,86 +1205,40 @@ def compile_edge_kernels(trees):
 
 
 class CompiledField:
-    """A traced field: an expression with its point program, and its
-    grid program and bisection kernels compiled on first use, all three
-    from one numbering of the expression.  SurfaceDef's traced fields
-    are order-0 CompiledFields.  Symbolic partial derivatives up to a
-    requested order are compiled too, each as a one-tree
-    compile_program; only tests ask for an order above 0.
-
-    The table is closed under that order: entry (i, j) holds the
-    expression and program for d^(i+j) / du^i dv^j.  The expression is
-    simplified and differentiated in dag, the derivation context it was
-    derived in if one is given, so a tree simplified there is not
-    simplified again; a tree passed as simplified (a SurfaceDef's traced
-    fields, simplified in the build's context) is kept as it is.
-    program is the expression's point program, (u, v) -> (value,), which
-    eval calls; grid evaluates the expression over a tensor grid
-    (compile_grid_program), and edges gives its bisection kernels
-    (compile_edge_kernels), which hold no reference to the field.
-    Threads racing to compile grid or edges compile equal programs.
+    """A traced field: a tree and its three programs, compiled together
+    from one numbering of the tree as it is given (compile_field
+    simplifies first).  program is the point program, (u, v) -> (value,);
+    grid is the tensor-grid program (compile_grid_program), whose rows
+    hold the values themselves; edges are the bisection kernels
+    (along_u, along_v) of compile_edge_kernels, which hold no reference
+    to the field.  Tracing uses all three on every call, so nothing is
+    left to compile later.
     """
 
-    __slots__ = ("expr", "order", "program", "_table", "_numbering", "_grid", "_edges")
+    __slots__ = ("expr", "program", "grid", "edges")
 
-    def __init__(self, expr: Expr, order: int = 0, dag: Dag | None = None, *,
-                 simplified: bool = False):
-        if order < 0:
-            raise ExprError("derivative order must be nonnegative")
-        if dag is None and (order or not simplified):  # a context to derive in
-            dag = Dag()
-        self.expr = expr if simplified else dag.simplify(expr)
-        self.order = order
-        exprs = {(0, 0): self.expr}
-        for i in range(1, order + 1):
-            exprs[(i, 0)] = dag.differentiate(exprs[(i - 1, 0)], "u")
-        for i in range(0, order + 1):
-            for j in range(1, order + 1 - i):
-                exprs[(i, j)] = dag.differentiate(exprs[(i, j - 1)], "v")
-        self._numbering = _numbering([self.expr])
-        self._table = {key: (ex, compile_program(self._numbering if key == (0, 0) else [ex]))
-                       for key, ex in exprs.items()}
-        self.program = self._table[(0, 0)][1]
-        self._grid = self._edges = None
-
-    def _entry(self, du, dv):
-        try:
-            return self._table[(du, dv)]
-        except KeyError:
-            raise ExprError(
-                f"derivative ({du},{dv}) beyond compiled order {self.order}") from None
-
-    def derivative_expr(self, du: int, dv: int) -> Expr:
-        return self._entry(du, dv)[0]
+    def __init__(self, expr: Expr):
+        numbering = _numbering([expr])
+        self.expr = expr
+        self.program = compile_program(numbering)
+        self.grid = compile_grid_program(numbering)
+        self.edges = compile_edge_kernels(numbering)
 
     def eval(self, u: float, v: float) -> float:
         return self.eval_derivative(0, 0, u, v)
 
     def eval_derivative(self, du: int, dv: int, u: float, v: float) -> float:
-        return self._entry(du, dv)[1](u, v)[0]
-
-    def grid(self, us, vs) -> list:
-        """The expression at every point of the grid us x vs, a row per
-        u: grid(us, vs)[i][j] is eval(us[i], vs[j]), bit for bit, and a
-        fault raises the error that evaluating the points in row-major
-        order raises first."""
-        if self._grid is None:
-            self._grid = compile_grid_program(self._numbering)
-        return self._grid(us, vs)
-
-    def edges(self) -> tuple:
-        """The expression's bisection kernels (along_u, along_v), as
-        compile_edge_kernels gives them."""
-        if self._edges is None:
-            self._edges = compile_edge_kernels(self._numbering)
-        return self._edges
+        """The field at (u, v); a field compiles no derivative, so any
+        order but (0, 0) is an ExprError."""
+        if du or dv:
+            raise ExprError(f"derivative ({du},{dv}) beyond compiled order 0")
+        return self.program(u, v)[0]
 
 
-def compile_field(source_or_expr, order: int = 0) -> CompiledField:
-    """Compile source text (or an existing tree) with derivatives up to
-    the given order."""
+def compile_field(source_or_expr) -> CompiledField:
+    """The traced field of source text (or an existing tree), simplified."""
     expr = parse(source_or_expr) if isinstance(source_or_expr, str) else source_or_expr
-    return CompiledField(expr, order)
+    return CompiledField(simplify(expr))
 
 
 def constant_value(source: str) -> float:
@@ -1285,20 +1249,7 @@ def constant_value(source: str) -> float:
     expr = parse(source)
     if type(expr) is Const:
         return expr.value if math.isfinite(expr.value) else _non_finite(expr.value)
-    if _mentions_var(expr):
+    numbering = _numbering([expr])
+    if _deps(numbering.table)[numbering.roots[0]]:
         raise ExprError(f"expected a constant expression, got {source!r}")
-    return compile_program([expr])(0.0, 0.0)[0]
-
-
-def _mentions_var(e):
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return _mentions_var(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return _mentions_var(e.left) or _mentions_var(e.right)
-    if isinstance(e, Pow):
-        return _mentions_var(e.base)
-    if isinstance(e, Call):
-        return _mentions_var(e.arg)
-    return False
+    return compile_program(numbering)(0.0, 0.0)[0]

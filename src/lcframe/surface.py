@@ -34,9 +34,10 @@ points per call; the eight vectors read point by point (X_u, X_v, X_uu,
 X_uv, X_vv and the frame legs v, w, m), one 3-root program each; and
 lam~ and c2, whose zero sets are traced, each an expr.CompiledField
 that numbers its tree once and compiles from that numbering its point
-program and, on the first trace, its tensor-grid program and its
-bisection kernels.  The vector programs derive their trees again from
-the kept inputs (X_u, X_v, v, w, m), in a context of their own.
+program, its tensor-grid program and its bisection kernels together,
+on the field's first use.  The vector programs derive their trees
+again from the kept inputs (X_u, X_v, v, w, m), in a context of their
+own.
 lcframe imports numpy only for the array form.
 
 validate_framed evaluates v, w, X_u, X_v and the invariants a1, b1, a2,
@@ -229,14 +230,14 @@ class SurfaceDef:
     (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v, frame_vec_w, frame_vec_m)
     is one 3-root program, and scalar_field gives the traced fields
     lambda_til and c2, the build's own roots (c2, and -4 a1 b1 folded
-    over a1 and b1), as CompiledFields: a point program, and a grid
-    program and bisection kernels compiled on the first trace, all
-    from one numbering of the tree.  Every program is compiled on first
-    use and kept; its code is shared with every program of the same
-    shape (expr's compile_program), so another surface whose trees
-    differ from these only in their constants, such as an image under
-    X -> cX or a parameter shift, binds its constants to code compiled
-    once per process.
+    over a1 and b1), as CompiledFields: the tree as the build left
+    it, with its point program, grid program and bisection kernels
+    compiled together from one numbering of it.  Every program is
+    compiled on first use and kept; its code is shared with every
+    program of the same shape (expr's compile_program), so another
+    surface whose trees differ from these only in their constants,
+    such as an image under X -> cX or a parameter shift, binds its
+    constants to code compiled once per process.
 
     Instances are immutable after construction, except for the programs
     kept on first use: threads racing there compile equal programs, and
@@ -286,7 +287,7 @@ class SurfaceDef:
 
             program = compile_program(self._invariants, ARRAY)
         elif key in self._traced:
-            program = CompiledField(self._traced[key], simplified=True)
+            program = CompiledField(self._traced[key])
         else:
             program = compile_program(_vector_trees(key, *self._tree_inputs))
         return self._programs.setdefault(key, program)

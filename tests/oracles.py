@@ -1,6 +1,6 @@
 """Reference implementations that the tests compare lcframe against."""
 
-from lcframe.expr import HALVINGS
+from lcframe.expr import HALVINGS, Dag, compile_program, parse
 
 
 def bisect_edge(f, p0, p1, f0, f1, refine_tol):
@@ -27,3 +27,19 @@ def bisect_edge(f, p0, p1, f0, f1, refine_tol):
         else:
             p1, f1 = mid, fm
     return best_p, best_f
+
+
+def partial_programs(source, order):
+    """The point programs of the partial derivatives of source (text or
+    a tree) up to order: {(du, dv): program}, program the one-tree
+    compile_program of d^(du+dv) source / du^du dv^dv.  One Dag derives
+    them all: the u partials from the simplified tree, and each v
+    partial from the one before it."""
+    dag = Dag()
+    trees = {(0, 0): dag.simplify(parse(source) if isinstance(source, str) else source)}
+    for i in range(1, order + 1):
+        trees[(i, 0)] = dag.differentiate(trees[(i - 1, 0)], "u")
+    for i in range(order + 1):
+        for j in range(1, order + 1 - i):
+            trees[(i, j)] = dag.differentiate(trees[(i, j - 1)], "v")
+    return {key: compile_program([tree]) for key, tree in trees.items()}

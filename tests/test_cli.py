@@ -170,6 +170,13 @@ def test_limits_single_quantity(capsys):
     assert main(["limits", "sphere", "--at", "pi/2,1", "--quantity", "K"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "transversal-: K: nonzero value=1" in lines
+    # one line per ray: the 8 of the fan and the two transversal rays
+    rays = [f"fan{i}" for i in range(8)] + ["transversal+", "transversal-"]
+    assert [line.split(":")[0] for line in lines] == rays
+    assert main(["limits", "sphere", "--at", "pi/2,1", "--quantity", "K",
+                 "--directions", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == rays[:3] + rays[-2:]
 
 
 def test_limits_quantity_the_target_has_not_is_an_error(tmp_path, capsys):

@@ -10,10 +10,10 @@ from lcframe.curvature import (
     modified_normal, principal_curvatures, singular_curvatures,
     singular_zero_equivalences,
 )
-from lcframe.expr import compile_field
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import basic_invariants_at, frame_at
 from lcframe.taxonomy import Kind
+from oracles import partial_programs
 
 
 def det3(z, x, y):
@@ -31,13 +31,14 @@ def rel_close(a, b, tol):
 
 
 def component_fields(s, key, order):
-    """compile_field of each component of X, v or w of a catalog surface."""
+    """The partial programs up to order of each component of X, v or w
+    of a catalog surface (oracles.partial_programs)."""
     components = json.loads(catalog.surface_text(s.name))[key]
-    return [compile_field(c, order) for c in components]
+    return [partial_programs(c, order) for c in components]
 
 
 def derivative(fields, du, dv, u, v):
-    return LVec3(*(f.eval_derivative(du, dv, u, v) for f in fields))
+    return LVec3(*(f[(du, dv)](u, v)[0] for f in fields))
 
 
 def regular_points(s, rng, n, spacelike=None, margin=0.05):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import json
@@ -614,31 +615,47 @@ class TestInvariantProgram:
     def test_compiles_only_what_it_evaluates(self, monkeypatch):
         # per surface: each domain bound that is not a single constant
         # (such as 2*pi) at construction, then one program on the first
-        # use of the invariants, of each of the 8 vector accessors and of
-        # each of the 2 traced fields, and none after that
-        calls = [0]
+        # use of the invariants and of each of the 8 vector accessors,
+        # and on the first use of each of the 2 traced fields its point,
+        # grid and edge programs together (the edge kernels compile a
+        # point program of their own, which words a fault), and none
+        # after that
+        calls = collections.Counter()
 
-        def counted(trees, *env):
-            calls[0] += 1
-            return compile_program(trees, *env)
+        def counting(compile_fn):
+            def counted(*args):
+                calls[compile_fn.__name__] += 1
+                return compile_fn(*args)
 
-        monkeypatch.setattr(expr, "compile_program", counted)
-        monkeypatch.setattr(surface, "compile_program", counted)
+            return counted
+
+        for compile_fn in (compile_program, expr.compile_grid_program,
+                           expr.compile_edge_kernels):
+            counted = counting(compile_fn)
+            monkeypatch.setattr(expr, compile_fn.__name__, counted)
+            monkeypatch.setattr(surface, compile_fn.__name__, counted, raising=False)
+        traced_field = {"compile_program": 2, "compile_grid_program": 1,
+                        "compile_edge_kernels": 1}
         for name in catalog.names():
-            calls[0] = 0
+            calls.clear()
             data = json.loads(catalog.surface_text(name))
             s = SurfaceDef.from_dict(data)
             at_build = sum(type(expr.parse(bound)) is not Const
                            for bounds in data["domain"].values() for bound in bounds)
-            assert calls[0] == at_build, name
+            assert calls == collections.Counter(compile_program=at_build), name
             u, v = s.domain.u_min, s.domain.v_min
-            for use in _every_use(s):
-                before = calls[0]
+            uses = _every_use(s)
+            for k, use in enumerate(uses):
+                before = calls.copy()
                 use(u, v)
-                assert calls[0] == before + 1, (name, use)
+                first = calls - before
+                assert first == (traced_field if k >= len(uses) - len(TRACED_FIELDS)
+                                 else {"compile_program": 1}), (name, use)
                 use(u, v)
-                assert calls[0] == before + 1, (name, use)
-            assert calls[0] == at_build + 11, name
+                assert calls - before == first, (name, use)
+            assert calls == collections.Counter(compile_program=at_build + 13,
+                                                compile_grid_program=2,
+                                                compile_edge_kernels=2), name
 
 
 VECTOR_ACCESSORS = ("x_u", "x_v", "x_uu", "x_uv", "x_vv", "frame_vec_v", "frame_vec_w",
@@ -683,7 +700,7 @@ def _eager_programs(s):
     field = dict(zip(surface.BasicInvariants._fields, trees))
     lambda_til = dag.simplify(Mul(Const(-4.0), Mul(field["a1"], field["b1"])))
     for tree in (lambda_til, field["c2"]):
-        compiled = CompiledField(tree, 0)
+        compiled = CompiledField(tree)
         programs.append(lambda u, v, f=compiled: (f.eval(u, v),))
     return programs
 
@@ -704,7 +721,9 @@ def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypa
     lazy_sources = sources[:]
     del sources[:]
     eager = [_hex_values(program, s) for program in _eager_programs(s)]
-    assert len(lazy_sources) == 11
+    # the invariant and 8 vector programs, then per traced field its
+    # point, grid and edge programs (the kernels' own point program too)
+    assert len(lazy_sources) == 9 + 2 * 5
     assert lazy_sources == sources
     assert lazy == eager
 
@@ -750,6 +769,12 @@ def test_a_surface_and_its_images_share_every_program(monkeypatch):
 
     monkeypatch.setattr(expr, "compile", recording, raising=False)
     datas = [_bowl(3.0, 0.25), _bowl(6.0, 0.25), _bowl(3.0, 0.75)]
+    # the first use of a traced field compiles its point program, its
+    # grid program and its two edge kernels together; any other kind of
+    # program compiles at most one code
+    traced = range(1 + len(VECTOR_ACCESSORS), 1 + len(VECTOR_ACCESSORS) + len(TRACED_FIELDS))
+    field_codes = collections.Counter({"<lcframe-program>": 1, "<lcframe-grid-program>": 1,
+                                       "<lcframe-edge-kernel>": 2})
     shared = []
     for k, data in enumerate(datas):
         del filenames[:]
@@ -758,7 +783,11 @@ def test_a_surface_and_its_images_share_every_program(monkeypatch):
         for kind in _every_program(s):
             before = len(filenames)
             values.append(kind())
-            assert len(filenames) - before <= (1 if k == 0 else 0), (k, len(values))
+            new = collections.Counter(filenames[before:])
+            if k or len(values) - 1 not in traced:
+                assert sum(new.values()) <= (1 if k == 0 else 0), (k, len(values))
+            else:
+                assert new <= field_codes, (k, len(values))
         assert len(filenames) > 0 if k == 0 else filenames == [], k
         shared.append(values)
     # 2X doubles X_u, X_v and the second partials exactly
