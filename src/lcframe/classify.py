@@ -28,30 +28,27 @@ more than arrays save below that size.  Every float an artifact prints
 goes through _FMT, '%.12g' (equal to format(x, '.12g')).
 
 Loci are traced as zero sets of lam~ (lightlike locus) or c2 (rank-one
-singular locus) by marching squares with bisection refinement.  The
-traced field (SurfaceDef.scalar_field, an expr.CompiledField) holds its
-three programs, compiled together from one numbering of its tree.  It
-is sampled by its tensor-grid program (expr.compile_grid_program,
-CompiledField.grid): a value of u alone is computed once per
-grid row, one of v alone once per column, so most operations of these
-fields leave the per-point loop; the samples are bit-identical to the
-point program's, and a fault raises the point loop's first error.  The
-scan turns each row's signs into one int and visits only the cells
-whose corner signs differ (1.6% of the cells of the seed-1
-surface_survey benchmark's 64² traces), in row-major order, so
-segments, vertices and CSV bytes are those of scanning every cell.
+singular locus) by marching squares with bisection refinement, from
+the field's programs in the surface's table (SurfaceDef.program).  Its
+grid program (expr.compile_grid_program) samples the field computing a
+value of u alone once per grid row and one of v alone once per column,
+bit-identical to the point program, and a fault raises the point
+loop's first error.  The scan turns each row's signs into one int and
+visits only the cells whose corner signs differ (1.6% of the cells of
+the seed-1 surface_survey benchmark's 64² traces), in row-major order,
+so segments, vertices and CSV bytes are those of scanning every cell.
 Each edge crossing is refined by one of the field's bisection kernels
-(expr.compile_edge_kernels, CompiledField.edges): generated
-from the field's own numbering, a kernel computes the values of
-constants and of the variable the edge holds once per edge and runs
-every halving in one frame, with the point program's values, stop rule
-and errors bit for bit.  The saddle centres call the field's point
-program (CompiledField.program).  Tracing never imports numpy.
+(expr.compile_edge_kernels), which run every halving in one frame with
+the point program's values, stop rule and errors bit for bit; the
+saddle centres call the point program.  A vertex is classified from a
+program of the ten roots _class_code reads, not the 23 invariants.
+Tracing never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .curvature import _FLOAT_OPS, CurvaturePacket, _packet, _singular, is_zero
@@ -128,6 +125,10 @@ def _class_code(inv: BasicInvariants, tol: float, ops):
     return ops.where(ops.hypot(inv.a1, inv.b1) <= tol, 2, ops.where(
         singular, 3 + kind, ops.where(
             a1_zero != b1_zero, 6 + 3 * b1_zero + kind, ops.where(lam > 0.0, 0, 1))))
+
+
+#: The roots _class_code reads, the only ones a trace vertex evaluates.
+_ClassRoots = namedtuple("_ClassRoots", "a1 b1 c1 c2 a1u a1v b1u b1v c2u c2v")
 
 
 def _class_of(inv, tol=1e-9):
@@ -240,16 +241,17 @@ def _mixed_cells(values):
             mixed ^= low
 
 
-def _segments(fld, us, vs, values, refine_tol):
-    """Marching squares over the mixed cells of values, the samples on
-    the grid us x vs of the CompiledField fld: (segments, crossings).
+def _segments(point, edges, us, vs, values, refine_tol):
+    """Marching squares over the mixed cells of values, a field's
+    samples on the grid us x vs: (segments, crossings).  point is the
+    field's point program and edges its bisection kernels.
 
     Each segment joins two edge keys, (i, j, "u") for the edge from
     grid point (i, j) to (i + 1, j) and (i, j, "v") for the one to
     (i, j + 1).  crossings maps every key to its crossing refined by
-    the field's kernel along that edge (CompiledField.edges), so
-    neighbouring cells share vertices exactly."""
-    along_u, along_v = fld.edges
+    the kernel along that edge, so neighbouring cells share vertices
+    exactly."""
+    along_u, along_v = edges
     crossings = {}
 
     def edge_point(key):
@@ -272,7 +274,7 @@ def _segments(fld, us, vs, values, refine_tol):
         edges = ((i, j, "u"), (i + 1, j, "v"), (i, j + 1, "u"), (i, j, "v"))
         if pairs is None:
             # ambiguous saddle: the centre sample picks the pairing
-            centre, = fld.program((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+            centre, = point((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
             if (centre > 0.0) == pattern[0]:
                 pairs = ((0, 1), (2, 3))
             else:
@@ -293,7 +295,7 @@ def trace_zero_set(
     """Trace the zero set of lam~ or c2 over the domain grid.
 
     The field is sampled over the grid by its grid program
-    (CompiledField.grid); marching squares visits only the cells whose
+    (SurfaceDef.program); marching squares visits only the cells whose
     corner signs differ, every edge crossing is refined by the field's
     bisection kernel along that edge until |field| <= refine_tol (at
     most expr.HALVINGS halvings, else the point of least |field| seen),
@@ -310,9 +312,10 @@ def trace_zero_set(
         raise LcframeError("refinement tolerance must be positive and finite")
     if not (0 < classify_tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
-    fld = s.scalar_field(field_name)
+    point, grid, edges = (s.program((field_name,), schedule)
+                          for schedule in ("point", "grid", "edges"))
     us, vs = s.domain.grid(nu, nv)
-    segments, crossings = _segments(fld, us, vs, fld.grid(us, vs), refine_tol)
+    segments, crossings = _segments(point, edges, us, vs, grid(us, vs), refine_tol)
     return _link_segments(s, field_name, segments, crossings, classify_tol)
 
 
@@ -369,12 +372,14 @@ def _link_segments(s, field_name, segments, crossings, classify_tol):
     for chain, closed in polylines:
         if len(chain) < 2:
             continue
+        program = s.program(_ClassRoots._fields)
         poly = LocusPolyline(field=field_name, closed=closed)
         for key in chain:
             (u, v), residual = crossings[key]
             poly.vertices.append((u, v))
             poly.residuals.append(residual)
-            pc = classify(s, u, v, classify_tol)
+            pc = CLASSES[_class_code(_ClassRoots._make(program(u, v)), classify_tol,
+                                     _FLOAT_OPS)]
             poly.degenerate.append(
                 pc.degenerate if pc.category is expected else None)
         out.append(poly)

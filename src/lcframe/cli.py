@@ -39,12 +39,12 @@ from importlib import resources
 from pathlib import Path
 
 from . import catalog
-from .classify import ARRAY_MIN_POINTS, _fmt, classify_grid, trace_zero_set
+from .classify import ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _fmt, classify_grid, trace_zero_set
 from .curvature import _packet, _singular, curvature_packet
 from .errors import LcframeError
 from .expr import constant_value
 from .limits import (
-    ApproachPath, Verdict, _report_quantities, boundedness_report, limit_along,
+    QUANTITIES, ApproachPath, Verdict, _report_quantities, boundedness_report, limit_along,
 )
 from .surface import (
     SurfaceDef, _file_error, basic_invariants_at, frame_at, validate_framed,
@@ -102,20 +102,21 @@ def _build_parser():
                     "classification, curvature fields, locus tracing and "
                     "curvature limits.")
     sub = parser.add_subparsers(dest="command", required=True)
+    surface_help = f"surface file (.surf) or bundled catalog name ({', '.join(catalog.names())})"
 
     def add_common(p, grid_default="32x32"):
-        p.add_argument("surface",
-                       help="surface file (.surf) or bundled catalog name "
-                            f"({', '.join(catalog.names())})")
+        p.add_argument("surface", help=surface_help)
         p.add_argument("--grid", type=_parse_grid, default=_parse_grid(grid_default),
                        metavar="WxH", help=f"sample resolution (default {grid_default})")
         p.add_argument("--out", type=Path, default=Path("."),
                        help="output directory (default: current directory)")
 
     p = sub.add_parser("validate", help="check the framed-surface conditions")
-    p.add_argument("surface")
-    p.add_argument("--grid", type=_parse_grid, default=(16, 16), metavar="WxH")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("surface", help=surface_help)
+    p.add_argument("--grid", type=_parse_grid, default=(16, 16), metavar="WxH",
+                   help="sample resolution of the checks (default 16x16)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="tolerance of the residual checks (default 1e-8)")
 
     p = sub.add_parser("classify", help="classify a sample grid to CSV")
     add_common(p)
@@ -127,16 +128,19 @@ def _build_parser():
 
     p = sub.add_parser("trace", help="trace the zero set of lambda_til or c2")
     add_common(p, grid_default="64x64")
-    p.add_argument("--field", choices=("lambda_til", "c2"), default="lambda_til")
-    p.add_argument("--refine-tol", type=float, default=1e-9)
+    p.add_argument("--field", choices=TRACEABLE_FIELDS, default="lambda_til",
+                   help="lambda_til for the lightlike locus, c2 for the rank-one "
+                        "singular locus (default lambda_til)")
+    p.add_argument("--refine-tol", type=float, default=1e-9,
+                   help="bisection stops where |field| <= this (default 1e-9)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="zero tolerance for classifying vertices (default 1e-9)")
 
     p = sub.add_parser("limits", help="curvature limits at a point")
-    p.add_argument("surface")
+    p.add_argument("surface", help=surface_help)
     p.add_argument("--at", type=_parse_point, required=True, metavar="U,V",
                    help="target point; constant expressions allowed (pi/2,1)")
-    p.add_argument("--quantity", choices=("K", "H", "c2K"),
+    p.add_argument("--quantity", choices=QUANTITIES,
                    help="print only this quantity's verdict, one line per "
                         "ray of the fan, instead of the full report")
     p.add_argument("--directions", type=int, default=8,
@@ -147,7 +151,8 @@ def _build_parser():
 
     p = sub.add_parser("demo", help="run the bundled sphere pipeline and "
                                     "compare against the golden artifacts")
-    p.add_argument("--out", type=Path, default=Path("demo-out"))
+    p.add_argument("--out", type=Path, default=Path("demo-out"),
+                   help="output directory (default demo-out)")
     return parser
 
 

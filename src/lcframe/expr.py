@@ -21,16 +21,16 @@ parameters, which it reads as locals.  Trees that differ only in their
 constants, such as a surface's and those of its images under X -> cX,
 a Lorentz transformation or a parameter shift, compile once.
 
-A traced field (CompiledField) is one tree and three programs, all
-compiled when the field is built, from one numbering of the tree: the
-point program; the grid program, which samples the field over a tensor
-grid computing each value where its variables change; and two
-bisection kernels, one per held variable (a u-edge holds v, a v-edge
-holds u), which refine a sign change on an edge in one frame: the
-values of constants and of the held variable once per edge, the others
-at each midpoint, with the point program's values and errors.  A field
-compiles no derivative: derivatives are trees (differentiate), compiled
-like any other.
+A tree has three kinds of program, each compiled from its numbering:
+the point program; the grid program, which samples the trees over a
+tensor grid computing each value where its variables change; and, for
+one tree, two bisection kernels, one per held variable (a u-edge holds
+v, a v-edge holds u), which refine a sign change on an edge in one
+frame with the point program's values and errors, calling that point
+program only on a fault.  A surface keeps the programs of its roots in
+one table (surface.SurfaceDef.program); CompiledField bundles the
+three for a standalone tree.  Derivatives are trees (differentiate),
+compiled like any other.
 Every entry point that recurses once per tree level (parse, the Dag
 operations, the compile functions) turns input nested too deeply into
 an ExprError.
@@ -1178,7 +1178,7 @@ def _edge_source(table, uses, roots, moving):
     ]), "<lcframe-edge-kernel>"
 
 
-def compile_edge_kernels(trees):
+def compile_edge_kernels(trees, point):
     """Compile one tree into its bisection kernels (along_u, along_v):
     along_u refines a crossing on an edge from (a, h) to (b, h), which
     holds v = h, and along_v one on an edge from (h, a) to (h, b).
@@ -1193,26 +1193,26 @@ def compile_edge_kernels(trees):
     the others at each midpoint, in one frame.  On a fault it calls the
     tree's point program at that midpoint, so the point program's own
     first error is raised there.  Kernels share code by shape, with
-    their constants bound, as point programs do.
+    their constants bound, as point programs do.  point is the tree's
+    point program, compile_program(trees); the kernels call it only on
+    a fault and compile none of their own.
     """
-    numbering = _numbering(trees)
-    table, uses, roots, constants = numbering
+    table, uses, roots, constants = _numbering(trees)
     if len(roots) != 1:
         raise ExprError(f"an edge kernel refines one tree, got {len(roots)}")
-    defaults = (compile_program(numbering), *constants)
     return tuple(FunctionType(_shared_code(_edge_source, table, uses, roots, moving),
-                              _EDGE_NAMESPACE, None, defaults) for moving in "uv")
+                              _EDGE_NAMESPACE, None, (point, *constants)) for moving in "uv")
 
 
 class CompiledField:
-    """A traced field: a tree and its three programs, compiled together
-    from one numbering of the tree as it is given (compile_field
-    simplifies first).  program is the point program, (u, v) -> (value,);
-    grid is the tensor-grid program (compile_grid_program), whose rows
-    hold the values themselves; edges are the bisection kernels
-    (along_u, along_v) of compile_edge_kernels, which hold no reference
-    to the field.  Tracing uses all three on every call, so nothing is
-    left to compile later.
+    """A standalone field: a tree and its three programs, compiled
+    together from one numbering of the tree as it is given
+    (compile_field simplifies first).  program is the point program,
+    (u, v) -> (value,); grid is the tensor-grid program
+    (compile_grid_program), whose rows hold the values themselves;
+    edges are the bisection kernels (along_u, along_v) of
+    compile_edge_kernels, which call program on a fault.  A surface
+    builds none: it keeps its programs in SurfaceDef.program.
     """
 
     __slots__ = ("expr", "program", "grid", "edges")
@@ -1222,7 +1222,7 @@ class CompiledField:
         self.expr = expr
         self.program = compile_program(numbering)
         self.grid = compile_grid_program(numbering)
-        self.edges = compile_edge_kernels(numbering)
+        self.edges = compile_edge_kernels(numbering, self.program)
 
     def eval(self, u: float, v: float) -> float:
         return self.eval_derivative(0, 0, u, v)

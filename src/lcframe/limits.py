@@ -190,7 +190,7 @@ def _sample_ray(s, path):
     that does not raises.  The domain is checked here, once, and each
     sample is one call of the invariant program, classified as
     classify does."""
-    program = s._program("invariants")
+    program = s.program(BasicInvariants._fields)
     samples = []
     for (u, v) in path.points():
         if not s.domain.contains(u, v):

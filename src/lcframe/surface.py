@@ -20,30 +20,18 @@ one build share one expr.Dag, so each distinct subexpression is
 simplified and differentiated once; the context is dropped when the
 build returns, and the compiled programs keep no reference to it.
 
-The twenty trees and the three components of n~ = X_u ^ m are derived
-at construction and kept, and construction compiles nothing (loading a
+Construction derives and keeps one table of trees by root name: the
+23 BasicInvariants fields (the twenty coefficients and partials, and
+n~ = X_u ^ m), lam~ = -4 a1 b1 folded over the a1 and b1 trees, and
+the vectors X_u, X_v, v, w and m.  It compiles nothing (loading a
 definition compiles each domain bound that is not a single constant).
-The traced fields are the build's roots too: c2 is the invariant tree,
-and lam~ = -4 a1 b1 is one folded product over the a1 and b1 trees.
-Every program is compiled on first use and kept on the surface: from
-the kept trees, the 23-root invariant program (expr.compile_program,
-which computes each shared subexpression once) on the first
-basic_invariants_at, and its array form (the same numbering in the
-arrays.ARRAY environment), which large grids evaluate a block of
-points per call; the eight vectors read point by point (X_u, X_v, X_uu,
-X_uv, X_vv and the frame legs v, w, m), one 3-root program each; and
-lam~ and c2, whose zero sets are traced, each an expr.CompiledField
-that numbers its tree once and compiles from that numbering its point
-program, its tensor-grid program and its bisection kernels together,
-on the field's first use.  The vector programs derive their trees
-again from the kept inputs (X_u, X_v, v, w, m), in a context of their
-own.
-lcframe imports numpy only for the array form.
-
-validate_framed evaluates v, w, X_u, X_v and the invariants a1, b1, a2,
-b2 and c2 over its grid as one tensor-grid program
-(expr.compile_grid_program) and compiles nothing else: neither the
-invariant program nor a vector program, m's among them.
+SurfaceDef.program(roots, schedule) is the one compile route: a
+program of the roots a consumer reads, on the point, arrays, grid or
+edges schedule, compiled on first use and kept.  basic_invariants_at
+reads all 23 invariants, validate_framed v, w, a1, b1, a2, b2, c2,
+X_u and X_v over its grid, a trace its field alone and the ten roots
+its vertex classes read.  lcframe imports numpy only for the arrays
+schedule.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -58,8 +46,8 @@ from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
-    Add, CompiledField, Const, Dag, EvalDomainError, Mul, Neg, Sub, compile_grid_program,
-    compile_program, constant_value, parse,
+    Add, Const, Dag, EvalDomainError, Mul, Neg, Sub, compile_edge_kernels,
+    compile_grid_program, compile_program, constant_value, parse,
 )
 from .minkowski import LVec3, wedge
 
@@ -218,26 +206,19 @@ def _partials(dag, trees, var):
 
 
 class SurfaceDef:
-    """Surface triple with its symbolic invariant trees.
+    """Surface triple with its table of trees and of programs.
 
     The components of X, v and w are parsed and simplified once, and
-    the 23 BasicInvariants fields (with n~) are derived from them
-    symbolically, in a derivation context (expr.Dag) that is dropped
-    when construction returns; the trees are kept.  Construction
-    compiles nothing.  The first basic_invariants_at compiles the
-    invariant trees into one program evaluated in one call, and
-    invariant_arrays compiles them for arrays.  Each vector accessor
-    (x_u, x_v, x_uu, x_uv, x_vv, frame_vec_v, frame_vec_w, frame_vec_m)
-    is one 3-root program, and scalar_field gives the traced fields
-    lambda_til and c2, the build's own roots (c2, and -4 a1 b1 folded
-    over a1 and b1), as CompiledFields: the tree as the build left
-    it, with its point program, grid program and bisection kernels
-    compiled together from one numbering of it.  Every program is
-    compiled on first use and kept; its code is shared with every
-    program of the same shape (expr's compile_program), so another
-    surface whose trees differ from these only in their constants,
-    such as an image under X -> cX or a parameter shift, binds its
-    constants to code compiled once per process.
+    every root a program may read is derived from them in a derivation
+    context (expr.Dag) that is dropped when construction returns.  The
+    trees are kept by root name: the BasicInvariants fields,
+    lambda_til, and x_u, x_v, v, w and m, three trees each; x_uu, x_uv
+    and x_vv are derived, in a context of their own, when a program
+    first reads them.  program(roots, schedule) compiles the roots a
+    consumer reads on first use and keeps the program under (roots,
+    schedule).  Its code is shared with every program of the same shape
+    (expr.compile_program), so an image under X -> cX or a parameter
+    shift binds its constants to code compiled once per process.
 
     Instances are immutable after construction, except for the programs
     kept on first use: threads racing there compile equal programs, and
@@ -262,47 +243,50 @@ class SurfaceDef:
         xu, xv = _partials(dag, x, "u"), _partials(dag, x, "v")
         m = tuple(dag.simplify(Neg(_half(c))) for c in _wedge_expr(dag, fv, fw))
         # derived here, where the build's context already holds most of
-        # their subexpressions; compiled on first use
-        self._invariants = _invariant_trees(dag, xu, xv, fv, fw, m)
-        # the traced fields are the build's roots: c2, and lam~ folded
-        # over a1 and b1, which adds three nodes
-        a1, b1, c2 = (self._invariants[BasicInvariants._fields.index(k)]
-                      for k in ("a1", "b1", "c2"))
-        self._traced = {"lambda_til": dag.simplify(Mul(Const(-4.0), Mul(a1, b1))), "c2": c2}
-        # the vector programs derive their trees again on first use:
-        # kept, they would hold up to a few hundred kB per surface,
-        # mostly unused
-        self._tree_inputs = (xu, xv, fv, fw, m)
-        self._programs = {}  # key -> program compiled on first use
+        # their subexpressions; compiled on first use.  lam~ is folded
+        # over the a1 and b1 trees, which adds three nodes
+        roots = _invariant_trees(dag, xu, xv, fv, fw, m)
+        roots["lambda_til"] = dag.simplify(Mul(Const(-4.0), Mul(roots["a1"], roots["b1"])))
+        # root name -> its trees: one for a scalar, three for a vector
+        self._trees = {k: (tree,) for k, tree in roots.items()}
+        self._trees.update(x_u=xu, x_v=xv, v=fv, w=fw, m=m)
+        self._programs = {}  # (roots, schedule) -> program compiled on first use
 
-    def _compile(self, key):
-        """The program key (the invariant program's "invariants" or
-        "arrays", a vector accessor's or a traced field's), compiled and
-        kept; threads racing here compile equal programs, and the first
-        one kept is returned to all of them."""
-        if key == "invariants":
-            program = compile_program(self._invariants)
-        elif key == "arrays":
+    def program(self, roots: tuple, schedule: str = "point"):
+        """The program of roots, a tuple of root names, compiled on its
+        first use and kept; a vector name stands for its 3 components.
+
+        schedule "point" gives compile_program's (u, v) -> tuple of
+        values, "arrays" the same over numpy arrays (arrays.ARRAY),
+        "grid" compile_grid_program's tensor-grid program, and "edges"
+        compile_edge_kernels' bisection kernels of one root, which call
+        its point program on a fault.  Threads racing here compile equal
+        programs, and the first one kept is returned to all of them."""
+        program = self._programs.get((roots, schedule))
+        if program is not None:
+            return program
+        trees = []
+        for name in roots:
+            if name in _SECOND_PARTIALS:
+                first, var = _SECOND_PARTIALS[name]
+                trees += _partials(Dag(), self._trees[first], var)
+            else:
+                trees += self._trees[name]
+        if schedule == "point":
+            program = compile_program(trees)
+        elif schedule == "arrays":
             from .arrays import ARRAY  # imports numpy
 
-            program = compile_program(self._invariants, ARRAY)
-        elif key in self._traced:
-            program = CompiledField(self._traced[key])
+            program = compile_program(trees, ARRAY)
+        elif schedule == "grid":
+            program = compile_grid_program(trees)
+        elif schedule == "edges":
+            program = compile_edge_kernels(trees, self.program(roots))
         else:
-            program = compile_program(_vector_trees(key, *self._tree_inputs))
-        return self._programs.setdefault(key, program)
-
-    def _program(self, key):
-        """The program key, compiled on its first use and kept."""
-        return self._programs.get(key) or self._compile(key)
+            raise ValueError(f"unknown program schedule {schedule!r}")
+        return self._programs.setdefault((roots, schedule), program)
 
     # -- point evaluation ------------------------------------------------
-
-    def scalar_field(self, name: str) -> CompiledField:
-        """The compiled field lambda_til or c2, whose zero sets are traced."""
-        if name not in self._traced:
-            raise KeyError(name)
-        return self._program(name)
 
     def invariant_arrays(self, u, v):
         """The invariant program over numpy arrays of points.
@@ -311,11 +295,11 @@ class SurfaceDef:
         where basic_invariants_at would raise inside the program (the
         domain is not checked).
         """
-        values, bad = self._program("arrays")(u, v)
+        values, bad = self.program(BasicInvariants._fields, "arrays")(u, v)
         return BasicInvariants._make(values), bad
 
     def _vec(self, name, u, v):
-        return LVec3(*self._program(name)(u, v))
+        return LVec3(*self.program((name,))(u, v))
 
     def x_u(self, u, v) -> LVec3:
         return self._vec("x_u", u, v)
@@ -397,7 +381,7 @@ def _file_error(path, exc):
 
 
 def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
-    """The trees of the BasicInvariants fields, in field order, from
+    """The trees of the BasicInvariants fields, by name, from
     X_u, X_v, the frame fields v, w and m = -(1/2) v^w, derived in the
     context dag.  The inputs may be another context's nodes: they are
     taken into dag first, so no subexpression of a result has two
@@ -429,21 +413,11 @@ def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
     # n~ stays unsimplified, to run the float operations of
     # wedge(x_u, frame_vec_m), and comes last, to fail last
     roots.update(zip(("ntil_1", "ntil_2", "ntil_3"), _wedge_expr(dag, xu, m_simplified)))
-    return [roots[key] for key in BasicInvariants._fields]
+    return roots
 
 
 #: The second partials of X: which first partial, by which variable.
 _SECOND_PARTIALS = {"x_uu": ("x_u", "u"), "x_uv": ("x_u", "v"), "x_vv": ("x_v", "v")}
-
-
-def _vector_trees(key, xu, xv, fv, fw, m):
-    """The three trees of the vector program key; a second partial of X
-    is derived in a context of its own."""
-    kept = {"x_u": xu, "x_v": xv, "v": fv, "w": fw, "m": m}
-    if key in _SECOND_PARTIALS:
-        first, var = _SECOND_PARTIALS[key]
-        return _partials(Dag(), kept[first], var)
-    return kept[key]
 
 
 def _bound(value):
@@ -468,11 +442,11 @@ def frame_at(s: SurfaceDef, u: float, v: float) -> LightconeFrame:
 def basic_invariants_at(s: SurfaceDef, u: float, v: float) -> BasicInvariants:
     """Evaluate the frame coefficients, their tracked partials and n~."""
     s.require_in_domain(u, v)
-    return BasicInvariants._make(s._program("invariants")(u, v))
+    return BasicInvariants._make(s.program(BasicInvariants._fields)(u, v))
 
 
-#: The invariants validate_framed reads, in the order it evaluates them.
-_VALIDATED = tuple(BasicInvariants._fields.index(k) for k in ("a1", "b1", "a2", "b2", "c2"))
+#: The roots validate_framed reads, in the order it evaluates them.
+_FRAMED_ROOTS = ("v", "w", "a1", "b1", "a2", "b2", "c2", "x_u", "x_v")
 
 
 def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedValidationReport:
@@ -497,14 +471,12 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
         raise LcframeError("validation tolerance must be positive and finite")
     nu, nv = grid
     us, vs = s.domain.grid(nu, nv)
-    xu, xv, fv, fw, _ = s._tree_inputs
-    trees = [*fv, *fw, *(s._invariants[k] for k in _VALIDATED), *xu, *xv]
     try:
-        rows = compile_grid_program(trees)(us, vs)
+        rows = s.program(_FRAMED_ROOTS, "grid")(us, vs)
     except EvalDomainError:
         # evaluated point by point as the residuals read them, so an
         # earlier point's vector fault is raised before this fault
-        point = compile_program(trees)
+        point = s.program(_FRAMED_ROOTS)
         rows = ((point(u, v) for v in vs) for u in us)
     max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0
     witness = None

@@ -73,9 +73,9 @@ def invariant_calls(monkeypatch):
 
 @pytest.fixture
 def field_evals(monkeypatch):
-    """Count CompiledField.eval_derivative calls, which a surface makes
-    only for its traced fields; the returned list holds the running
-    count."""
+    """Count CompiledField.eval_derivative calls, which no surface
+    makes: its traced fields are programs of its own table.  The
+    returned list holds the running count."""
     calls = [0]
     original = CompiledField.eval_derivative
 

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from lcframe import catalog
 from lcframe.classify import (
-    ClassificationTable, _fmt, _link_segments, _point_rows, _segments,
+    TRACEABLE_FIELDS, ClassificationTable, _fmt, _link_segments, _point_rows, _segments,
     classify, classify_grid, line_of_curvature_test, null_vector, trace_zero_set,
 )
 from lcframe.cli import _write_trace_csv
 from lcframe.curvature import curvature_packet
 from lcframe.expr import EvalDomainError, compile_field
 from oracles import bisect_edge
-from lcframe.surface import DomainBox, SurfaceDef, basic_invariants_at
+from lcframe.surface import BasicInvariants, DomainBox, SurfaceDef, basic_invariants_at
 from lcframe.taxonomy import Category, Kind, PointClass
 
 POLE = (math.pi / 2, 1.0)
@@ -216,12 +216,13 @@ class TestTrace:
     @pytest.mark.parametrize("name", catalog.names())
     def test_matches_the_all_cells_scan(self, name, field, grid):
         s = catalog.load(name)
-        fld = s.scalar_field(field)
+        point, grid_program, edges = (s.program((field,), schedule)
+                                      for schedule in ("point", "grid", "edges"))
         us, vs = s.domain.grid(*grid)
-        values = [[fld.eval(u, v) for v in vs] for u in us]
-        assert fld.grid(us, vs) == values
-        want = _ref_segments(fld.program, us, vs, values, 1e-9)
-        assert _segments(fld, us, vs, values, 1e-9) == want
+        values = [[point(u, v)[0] for v in vs] for u in us]
+        assert grid_program(us, vs) == values
+        want = _ref_segments(point, us, vs, values, 1e-9)
+        assert _segments(point, edges, us, vs, values, 1e-9) == want
         assert _trace_csv(trace_zero_set(s, field, grid)) == _trace_csv(
             _link_segments(s, field, *want, 1e-9))
 
@@ -237,7 +238,7 @@ class TestTrace:
         vs = [0.125 * j for j in range(len(values[0]))]
         fld = compile_field("sin(7.0*u - 3.0*v)")
         assert fld.program(0.75, 0.5) == (math.sin(7.0 * 0.75 - 3.0 * 0.5),)
-        assert _segments(fld, us, vs, values, 1e-3) == _ref_segments(
+        assert _segments(fld.program, fld.edges, us, vs, values, 1e-3) == _ref_segments(
             fld.program, us, vs, values, 1e-3)
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -252,6 +253,29 @@ class TestTrace:
         moved = max(abs(x - y) for a, b in zip(*polylines)
                     for p, q in zip(a.vertices, b.vertices) for x, y in zip(p, q))
         assert moved <= 1e-9
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_vertices_are_classified_as_classify_does_without_the_invariants(self, name):
+        # a vertex evaluates only the ten roots its class reads, so a
+        # trace compiles no invariant program, and its flags are still
+        # those of classify at each vertex
+        s = SurfaceDef.from_dict(json.loads(catalog.surface_text(name)))
+        traces = {field: trace_zero_set(s, field, (32, 32)) for field in TRACEABLE_FIELDS}
+        assert (BasicInvariants._fields, "point") not in s._programs
+        expected = {"lambda_til": Category.LIGHTLIKE, "c2": Category.SINGULAR_1}
+        for field, polylines in traces.items():
+            for p in polylines:
+                flags = [pc.degenerate if pc.category is expected[field] else None
+                         for pc in (classify(s, u, v) for u, v in p.vertices)]
+                assert p.degenerate == flags, (field, p.vertices[0])
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: the sphere's c2 is -6.1e-17 on both pole rows u = +-pi/2 and "
+        "never changes sign, so marching squares finds no crossing"))
+    def test_the_sphere_singular_locus_is_traced_on_the_pole_rows(self, sphere):
+        polylines = trace_zero_set(sphere, "c2", (64, 64))
+        assert polylines
+        assert all(abs(abs(u) - math.pi / 2) <= 1e-9 for p in polylines for u, _ in p.vertices)
 
     def test_bisection_calls_the_point_program(self, mixed_bowl, field_evals):
         # not CompiledField.eval, whose frames cost more than the program
@@ -268,9 +292,9 @@ class TestTrace:
                        ["1", "sin(v)", "cos(v)"], ["1", "-sin(v)", "-cos(v)"],
                        DomainBox(0.0, 1.0, -1.0, 1.0))
         us, vs = s.domain.grid(8, 9)
-        fld = s.scalar_field(field)
+        point = s.program((field,))
         with pytest.raises(EvalDomainError) as point_loop:
-            [[fld.eval(u, v) for v in vs] for u in us]
+            [[point(u, v) for v in vs] for u in us]
         assert str(point_loop.value) == message
         with pytest.raises(EvalDomainError) as err:
             trace_zero_set(s, field, (8, 9))

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import lcframe
 from lcframe import catalog
-from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER
+from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER, TRACEABLE_FIELDS
 from lcframe.cli import (
-    CURVATURE_HEADER, _load_surface, _surface_from_text, _write_curvature_csv,
+    CURVATURE_HEADER, _build_parser, _load_surface, _surface_from_text, _write_curvature_csv,
     _write_curvature_points, main, run_demo,
 )
 from lcframe.expr import MAX_NESTING, ExprSyntaxError
-from lcframe.limits import boundedness_report
+from lcframe.limits import QUANTITIES, boundedness_report
 from lcframe.surface import SurfaceDef, SurfaceFormatError
 
 TRACE_HEADER = ["field", "polyline", "vertex", "u", "v", "residual",
@@ -35,6 +35,24 @@ def _header(path):
 
 def test_demo_matches_goldens(tmp_path):
     assert run_demo(tmp_path) == 0
+
+
+def _subcommands():
+    """{name: its argparse parser} of every lcframe subcommand."""
+    action, = (a for a in _build_parser()._actions if a.choices and a.dest == "command")
+    return action.choices
+
+
+def test_every_argument_has_a_help_text():
+    missing = [(name, a.dest) for name, p in _subcommands().items()
+               for a in p._actions if not a.help]
+    assert missing == []
+
+
+def test_choices_come_from_the_library():
+    choices = {(name, a.dest): a.choices for name, p in _subcommands().items()
+               for a in p._actions if a.choices}
+    assert choices == {("trace", "field"): TRACEABLE_FIELDS, ("limits", "quantity"): QUANTITIES}
 
 
 def test_validate(capsys):

@@ -47,7 +47,7 @@ def regular_points(s, rng, n, spacelike=None, margin=0.05):
     while len(pts) < n:
         u = rng.uniform(s.domain.u_min, s.domain.u_max)
         v = rng.uniform(s.domain.v_min, s.domain.v_max)
-        lam = s.scalar_field("lambda_til").eval(u, v)
+        lam = s.program(("lambda_til",))(u, v)[0]
         c2 = basic_invariants_at(s, u, v).c2
         if abs(lam) < margin or abs(c2) < margin:
             continue
@@ -223,7 +223,7 @@ class TestCoefficientExpansions:
             xu = s.x_u(u, v)
             c1 = basic_invariants_at(s, u, v).c1
             direct = pseudo_dot(xu, xu) * 1.0 - c1 * c1
-            lam = s.scalar_field("lambda_til").eval(u, v)
+            lam = s.program(("lambda_til",))(u, v)[0]
             assert abs(direct - lam) <= 1e-10 * (1 + abs(direct))
 
 

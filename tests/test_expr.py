@@ -677,7 +677,7 @@ class TestEdgeKernels:
     @example(parse("u*1e300 - v"), 5e-324, -5e-324, 5e-324, -1.0, 1.0, 1e-9, True)
     def test_match_the_reference_bisection(self, tree, h, a, b, fa, fb, tol, at_ends):
         point = compile_program([tree])
-        along_u, along_v = compile_edge_kernels([tree])
+        along_u, along_v = compile_edge_kernels([tree], point)
         for kernel, p0, p1 in ((along_u, (a, h), (b, h)), (along_v, (h, a), (h, b))):
             if at_ends:  # the values a grid gives at the ends, if it can
                 try:
@@ -690,13 +690,13 @@ class TestEdgeKernels:
     def test_a_field_compiles_its_kernels_once_and_shares_their_code(self):
         field = compile_field("sin(u)*v - 0.25")
         along_u, along_v = field.edges
-        assert along_u.__code__ is compile_edge_kernels([field.expr])[0].__code__
+        assert along_u.__code__ is compile_edge_kernels([field.expr], field.program)[0].__code__
         assert along_u(1.0, 0.0, 1.0, -0.25, math.sin(1.0) - 0.25, 1e-9) == bisect_edge(
             field.program, (0.0, 1.0), (1.0, 1.0), -0.25, math.sin(1.0) - 0.25, 1e-9)
 
     def test_one_tree_only(self):
         with pytest.raises(ExprError, match="one tree"):
-            compile_edge_kernels([Var("u"), Var("v")])
+            compile_edge_kernels([Var("u"), Var("v")], None)
 
 
 def test_compiling_a_new_shape_leaves_no_cyclic_garbage():
@@ -707,9 +707,10 @@ def test_compiling_a_new_shape_leaves_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        for compile_fn in (compile_program, compile_grid_program, compile_edge_kernels):
+        for compile_fn, *point in ((compile_program,), (compile_grid_program,),
+                                   (compile_edge_kernels, None)):
             misses = expr._shared_code.cache_info().misses
-            compile_fn([tree])
+            compile_fn([tree], *point)
             assert expr._shared_code.cache_info().misses > misses, compile_fn.__name__
             assert gc.collect() == 0, compile_fn.__name__
     finally:
@@ -725,7 +726,7 @@ def test_a_tree_nested_too_deeply_for_the_recursion_limit_is_an_error():
     for what, run in [
         ("compile", lambda: compile_program([tree])),
         ("compile", lambda: compile_grid_program([tree])),
-        ("compile", lambda: compile_edge_kernels([tree])),
+        ("compile", lambda: compile_edge_kernels([tree], None)),
         ("simplify", lambda: Dag().simplify(tree)),
         ("differentiate", lambda: Dag().differentiate(tree, "v")),
         ("simplify", lambda: simplify(tree)),
@@ -921,9 +922,8 @@ class TestDag:
     def test_invariant_trees_share_equal_subexpressions(self, name):
         # the traced fields are the build's roots: c2 and lam~ over a1, b1
         s = catalog.load(name)
-        trees, traced = s._invariants, [s._traced["lambda_til"], s._traced["c2"]]
-        assert traced[1] is trees[BasicInvariants._fields.index("c2")]
-        assert twins(trees + traced) == []
+        trees = [tree for k in (*BasicInvariants._fields, "lambda_til") for tree in s._trees[k]]
+        assert twins(trees) == []
 
     def test_signed_zeros_stay_distinct_nodes(self):
         e = SIGNED_ZERO_SINES[0]

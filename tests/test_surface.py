@@ -189,7 +189,7 @@ class TestSympyOracle:
                 want = oracle[field_name](u, v)
                 assert abs(got - want) <= 1e-9 * (1 + abs(want)), (
                     name, field_name, u, v, got, want)
-            lam = s.scalar_field("lambda_til").eval(u, v)
+            lam, = s.program(("lambda_til",))(u, v)
             want = oracle["lambda_til"](u, v)
             assert abs(lam - want) <= 1e-9 * (1 + abs(want))
 
@@ -261,6 +261,28 @@ class TestValidation:
             rep = validate_framed(catalog.load(name), (12, 12), 1e-8)
             assert rep.admitted, (name, rep.witness)
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, pytest.param(1e9, marks=pytest.mark.xfail(
+        strict=True, reason=("ROADMAP item 3: |a2| <= tol is absolute, and a2 has degree 1 in "
+                             "X, so at 1e9*X its rounding noise fails all nine with witness a2")))])
+    def test_catalog_surfaces_are_admitted_under_a_homothety(self, c):
+        rejected = []
+        for name in catalog.names():
+            rep = validate_framed(SurfaceDef.from_dict(_scaled(name, c)))
+            if not rep.admitted:
+                rejected.append((name, rep.witness))
+        assert rejected == []
+
+    @pytest.mark.parametrize("c", [1.0, 1e-6, pytest.param(1e-9, marks=pytest.mark.xfail(
+        strict=True, reason=("ROADMAP item 3: |a2| <= tol is absolute, so at 1e-9*X a2 = "
+                             "0.25*c (max 2.5e-10) passes it and the surface is admitted")))])
+    def test_a_surface_that_is_not_framed_is_rejected_under_a_homothety(self, c):
+        # X1 = u + 0.5*v tilts the v-tangent off m: max |a2| = 0.25*c
+        data = _scaled("mixed_bowl", c)
+        data["X"][0] = f"{c!r}*(u + 0.5*v)"
+        rep = validate_framed(SurfaceDef.from_dict(data))
+        assert not rep.admitted
+        assert rep.witness[2] == "a2"
+
     def test_reads_the_frame_legs_v_and_w_only(self, monkeypatch, unshared_code):
         # v, w, X_u, X_v and the five invariants read come from one grid
         # program: no vector program (m among them) and no invariant
@@ -276,7 +298,16 @@ class TestValidation:
         del filenames[:]
         assert validate_framed(s, (6, 6), 1e-8).admitted
         assert filenames == ["<lcframe-grid-program>"]
-        assert s._programs == {}
+        assert list(s._programs) == [(surface._FRAMED_ROOTS, "grid")]
+        # kept on the surface: validating again compiles nothing
+        assert validate_framed(s, (5, 7), 1e-8).admitted
+        assert filenames == ["<lcframe-grid-program>"]
+
+
+def _scaled(name, c):
+    """The definition of the catalog surface name with X -> c*X."""
+    data = json.loads(catalog.surface_text(name))
+    return dict(data, X=[f"{c!r}*({x})" for x in data["X"]])
 
 
 def _oracle_validate(s, grid=(16, 16), tol=1e-8):
@@ -587,14 +618,14 @@ class TestDomainGrid:
 class TestInvariantProgram:
     @pytest.mark.parametrize("name", catalog.names())
     def test_c2_matches_the_traced_field(self, name):
-        # two separate compilations of the same tree
+        # two programs of the same tree: c2 among the invariants and alone
         s = catalog.load(name)
-        field = s.scalar_field("c2")
+        field = s.program(("c2",))
         us, vs = s.domain.grid(9, 9)
         for u in us:
             for v in vs:
                 c2 = basic_invariants_at(s, u, v).c2
-                assert struct.pack("<d", c2) == struct.pack("<d", field.eval(u, v)), (u, v)
+                assert struct.pack("<d", c2) == struct.pack("<d", *field(u, v)), (u, v)
 
     def test_a_traced_field_is_derived_and_simplified_in_one_context(self, monkeypatch):
         # the build's: the traced fields are its roots, and compiling
@@ -609,7 +640,8 @@ class TestInvariantProgram:
         monkeypatch.setattr(Dag, "__init__", counted)
         s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
         for field in TRACED_FIELDS:
-            s.scalar_field(field)
+            for schedule in ("point", "grid", "edges"):
+                s.program((field,), schedule)
         assert len(contexts) == 1
 
     def test_compiles_only_what_it_evaluates(self, monkeypatch):
@@ -617,8 +649,8 @@ class TestInvariantProgram:
         # (such as 2*pi) at construction, then one program on the first
         # use of the invariants and of each of the 8 vector accessors,
         # and on the first use of each of the 2 traced fields its point,
-        # grid and edge programs together (the edge kernels compile a
-        # point program of their own, which words a fault), and none
+        # grid and edge programs (the edge kernels call the field's point
+        # program on a fault and compile none of their own), and none
         # after that
         calls = collections.Counter()
 
@@ -634,7 +666,7 @@ class TestInvariantProgram:
             counted = counting(compile_fn)
             monkeypatch.setattr(expr, compile_fn.__name__, counted)
             monkeypatch.setattr(surface, compile_fn.__name__, counted, raising=False)
-        traced_field = {"compile_program": 2, "compile_grid_program": 1,
+        traced_field = {"compile_program": 1, "compile_grid_program": 1,
                         "compile_edge_kernels": 1}
         for name in catalog.names():
             calls.clear()
@@ -653,7 +685,7 @@ class TestInvariantProgram:
                                  else {"compile_program": 1}), (name, use)
                 use(u, v)
                 assert calls - before == first, (name, use)
-            assert calls == collections.Counter(compile_program=at_build + 13,
+            assert calls == collections.Counter(compile_program=at_build + 11,
                                                 compile_grid_program=2,
                                                 compile_edge_kernels=2), name
 
@@ -666,11 +698,16 @@ TRACED_FIELDS = ("lambda_til", "c2")
 def _every_use(s):
     """A call (u, v) -> tuple of floats for the invariants and per
     vector accessor and traced field of s; the first call of each
-    compiles that program."""
+    compiles that program, and a traced field's its point, grid and
+    edge programs, as trace_zero_set does."""
     uses = [lambda u, v: basic_invariants_at(s, u, v)]
     uses += [getattr(s, accessor) for accessor in VECTOR_ACCESSORS]
     for field in TRACED_FIELDS:
-        uses.append(lambda u, v, field=field: (s.scalar_field(field).eval(u, v),))
+        def traced(u, v, roots=(field,)):
+            point, _, _ = (s.program(roots, schedule) for schedule in ("point", "grid", "edges"))
+            return point(u, v)
+
+        uses.append(traced)
     return uses
 
 
@@ -692,12 +729,13 @@ def _eager_programs(s):
     fields of s, derived together in one context, from the surface's
     kept inputs, and compiled at once, in the order of _every_use."""
     dag = Dag()
-    xu, xv, fv, fw, m = (tuple(map(dag.simplify, vec)) for vec in s._tree_inputs)
-    trees = surface._invariant_trees(dag, xu, xv, fv, fw, m)
+    xu, xv, fv, fw, m = (tuple(map(dag.simplify, s._trees[k]))
+                         for k in ("x_u", "x_v", "v", "w", "m"))
+    field = surface._invariant_trees(dag, xu, xv, fv, fw, m)
+    trees = [field[k] for k in surface.BasicInvariants._fields]
     vectors = [xu, xv] + [[dag.differentiate(e, var) for e in vec]
                           for vec, var in ((xu, "u"), (xu, "v"), (xv, "v"))]
     programs = [compile_program(trees) for trees in [trees] + vectors + [fv, fw, m]]
-    field = dict(zip(surface.BasicInvariants._fields, trees))
     lambda_til = dag.simplify(Mul(Const(-4.0), Mul(field["a1"], field["b1"])))
     for tree in (lambda_til, field["c2"]):
         compiled = CompiledField(tree)
@@ -722,8 +760,8 @@ def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypa
     del sources[:]
     eager = [_hex_values(program, s) for program in _eager_programs(s)]
     # the invariant and 8 vector programs, then per traced field its
-    # point, grid and edge programs (the kernels' own point program too)
-    assert len(lazy_sources) == 9 + 2 * 5
+    # point and grid programs and its two edge kernels
+    assert len(lazy_sources) == 9 + 2 * 4
     assert lazy_sources == sources
     assert lazy == eager
 
@@ -751,7 +789,7 @@ def _every_program(s):
     at.append(lambda: [float(x).hex() for column in s.invariant_arrays(*points)[0]
                        for x in column])
     for field in TRACED_FIELDS:
-        at.append(lambda field=field: [x.hex() for row in s.scalar_field(field).grid(us, vs)
+        at.append(lambda field=field: [x.hex() for row in s.program((field,), "grid")(us, vs)
                                        for x in row])
     at.append(lambda: repr(validate_framed(s, (5, 4))))
     return at
