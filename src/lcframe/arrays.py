@@ -9,7 +9,8 @@ as arrays, and the packet (curvature._packet_fields) and the class
 (classify._class_code) are computed from them by the very code the
 point loop runs: that code is written once against a few operations
 (where, not_, max, hypot, sqrt, pow, div), and _ArrayOps spells them
-over arrays as curvature._FLOAT_OPS does over floats.  Every branch
+over arrays, as the point loop's code traced from it
+(straightline.float_code) spells them over floats.  Every branch
 becomes a mask.  Only this module imports numpy, and lcframe imports it
 only for such a grid.
 
@@ -187,9 +188,10 @@ def _each_where(bad, where, fn, x):
 
 
 class _ArrayOps:
-    """curvature._FLOAT_OPS over arrays of points.  pow and div compute
-    where their mask holds and mark in the fault mask `bad` each point
-    at which the float operation would raise there."""
+    """The operations of the shared decisions over arrays of points, as
+    straightline spells them over floats.  pow and div compute where
+    their mask holds and mark in the fault mask `bad` each point at
+    which the float operation would raise there."""
 
     where = staticmethod(np.where)
     not_ = staticmethod(np.logical_not)

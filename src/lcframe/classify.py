@@ -15,9 +15,10 @@ first partials:
 Each entry point evaluates the invariants once per point; the class,
 the curvature packet and the singular curvature scalars at that point
 are all derived from that one evaluation.  The predicates are written
-once, in _class_code, which returns an index into CLASSES and runs on
-the floats of a point (curvature._FLOAT_OPS) and on the arrays of a
-block (arrays._ArrayOps) alike.
+once, in _class_code, which returns an index into CLASSES; it runs on
+the floats of a point as straight-line code traced from it
+(straightline.float_code, compiled on first use) and on the arrays of a
+block with arrays._ArrayOps.
 
 classify_grid evaluates a grid of ARRAY_MIN_POINTS (4096) points or
 more as arrays, 4096 points per block (lcframe.arrays), with the same
@@ -41,19 +42,20 @@ Each edge crossing is refined by one of the field's bisection kernels
 (expr.compile_edge_kernels), which run every halving in one frame with
 the point program's values, stop rule and errors bit for bit; the
 saddle centres call the point program.  A vertex is classified from a
-program of the ten roots _class_code reads, not the 23 invariants.
+program of the ten roots _class_code reads (straightline.roots_read),
+not the 23 invariants.
 Tracing never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .curvature import _FLOAT_OPS, CurvaturePacket, _packet, _singular, is_zero
+from .curvature import CurvaturePacket, _packet, _singular, is_zero
 from .errors import LcframeError
 from .minkowski import pseudo_dot
+from .straightline import float_code, roots_read
 from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
 from .taxonomy import Category, Kind, LightlikeBranch, PointClass
 
@@ -109,8 +111,8 @@ CLASSES = (
 
 def _class_code(inv: BasicInvariants, tol: float, ops):
     """The class of a point, or of arrays of points, as an index into
-    CLASSES, from its invariants; ops is curvature._FLOAT_OPS or its
-    array twin."""
+    CLASSES, from its invariants.  For a point it runs as
+    float_code(_class_code, fields)(roots, tol)."""
     a1_zero = abs(inv.a1) <= tol
     b1_zero = abs(inv.b1) <= tol
     singular = abs(inv.c2) <= tol
@@ -127,21 +129,12 @@ def _class_code(inv: BasicInvariants, tol: float, ops):
             a1_zero != b1_zero, 6 + 3 * b1_zero + kind, ops.where(lam > 0.0, 0, 1))))
 
 
-#: The roots _class_code reads, the only ones a trace vertex evaluates.
-_ClassRoots = namedtuple("_ClassRoots", "a1 b1 c1 c2 a1u a1v b1u b1v c2u c2v")
-
-
-def _class_of(inv, tol=1e-9):
-    """The class of one point from its invariants."""
-    return CLASSES[_class_code(inv, tol, _FLOAT_OPS)]
-
-
 def _evaluate(s, u, v, tol=1e-9):
     """(invariants, class) of one parameter point."""
     if not (0 < tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
     inv = basic_invariants_at(s, u, v)
-    return inv, _class_of(inv, tol)
+    return inv, CLASSES[float_code(_class_code, BasicInvariants._fields)(inv, tol)]
 
 
 def classify(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> PointClass:
@@ -372,14 +365,14 @@ def _link_segments(s, field_name, segments, crossings, classify_tol):
     for chain, closed in polylines:
         if len(chain) < 2:
             continue
-        program = s.program(_ClassRoots._fields)
+        roots = roots_read(_class_code)
+        program, class_code = s.program(roots), float_code(_class_code, roots)
         poly = LocusPolyline(field=field_name, closed=closed)
         for key in chain:
             (u, v), residual = crossings[key]
             poly.vertices.append((u, v))
             poly.residuals.append(residual)
-            pc = CLASSES[_class_code(_ClassRoots._make(program(u, v)), classify_tol,
-                                     _FLOAT_OPS)]
+            pc = CLASSES[class_code(program(u, v), classify_tol)]
             poly.degenerate.append(
                 pc.degenerate if pc.category is expected else None)
         out.append(poly)
@@ -534,13 +527,17 @@ def _fmt(x):
 
 
 def _point_rows(s, us, vs, tol):
-    """The rows of the grid us x vs, one point at a time."""
+    """The rows of the grid us x vs, one point at a time.  The invariant
+    program and the class code are fetched once per grid; the grid's
+    points lie in the domain (DomainBox.grid)."""
+    program = s.program(BasicInvariants._fields)
+    class_code = float_code(_class_code, BasicInvariants._fields)
     rows = []
     for u in us:
         for v in vs:
-            inv = basic_invariants_at(s, u, v)
+            inv = BasicInvariants._make(program(u, v))
             rows.append(ClassificationRow(
-                u=u, v=v, point_class=_class_of(inv, tol),
+                u=u, v=v, point_class=CLASSES[class_code(inv, tol)],
                 packet=_packet(s, u, v, inv), c2=inv.c2))
     return rows
 

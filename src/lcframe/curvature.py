@@ -21,20 +21,20 @@ program; modified_normal and classical_curvatures wedge X_u and m.
 
 The zero band, the K/H decision and the packet's branches are written
 once (_gauss_mean, _packet_fields) against a few operations: on floats
-they are _FLOAT_OPS, and lcframe.arrays runs the same functions on the
-arrays of a block with their numpy twins.
+they run as straight-line code traced from them (straightline.float_code),
+and lcframe.arrays runs the same functions on the arrays of a block with
+the operations' numpy twins.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 from .errors import LcframeError
 from .minkowski import LVec3, pseudo_dot, wedge
 from .numerics import richardson
+from .straightline import float_code
 from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
 from .taxonomy import Kind
 
@@ -219,22 +219,6 @@ def _band(f, ops):
     return ZERO_TOL * (1.0 + ops.max(abs(f[0]), abs(f[3]), abs(f[5])))
 
 
-#: The operations of the shared decisions (_gauss_mean, _packet_fields,
-#: classify._class_code) on floats.  where and not_ decide; pow and div
-#: compute only where their mask holds (NaN elsewhere), so an untaken
-#: branch never faults, and a fault raises as plain float code does.
-#: lcframe.arrays spells the same operations over numpy arrays.
-_FLOAT_OPS = SimpleNamespace(
-    where=lambda cond, a, b: a if cond else b,
-    not_=operator.not_,
-    max=max,
-    hypot=math.hypot,
-    sqrt=math.sqrt,
-    pow=lambda x, p, where: x ** p if where else math.nan,
-    div=lambda a, b, where: a / b if where else math.nan,
-)
-
-
 def _ratio_limit_kappa1(s, u, v):
     """Directional limit of K~ / (2 H~) along the u-parameter line.
 
@@ -254,7 +238,7 @@ def _ratio_limit_kappa1(s, u, v):
                 break
             f = _fundamentals(basic_invariants_at(s, uu, v))
             Ktil, Htil = f[7], f[8]
-            if abs(Htil) <= _band(f, _FLOAT_OPS):
+            if is_zero(Htil, f[0], f[3], f[5]):  # within _band(f)
                 values = []
                 break
             values.append(Ktil / (2.0 * Htil))
@@ -273,7 +257,8 @@ def curvature_packet(s: SurfaceDef, u: float, v: float) -> CurvaturePacket:
 
 def _gauss_mean(inv, ops):
     """(fundamentals, zero band, has K and H, K, H) at a point, or at
-    arrays of points, from its invariants.
+    arrays of points, from its invariants.  For a point it runs as
+    float_code(_gauss_mean, fields)(roots).
 
     The band (_band) decides every zero test of the packet; K = K~ /
     (c2 |lam~|^2) and H = H~ / (c2 |lam~|^(3/2)) are defined only where
@@ -301,7 +286,8 @@ def _packet_fields(inv, ops, limit):
     kappa_til_2_unbounded, kappa1_from_limit and principal_complex.
     limit(where) gives (value, defined) of the u-line limit of
     kappa_til_1 (_ratio_limit_kappa1) and is asked only where `where`
-    holds: where K~ and H~ both vanish.
+    holds: where K~ and H~ both vanish.  For a point it runs as
+    float_code(_packet_fields, fields)(roots, limit).
     """
     f, band, has_kh, K, H = _gauss_mean(inv, ops)
     Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil = f
@@ -374,7 +360,7 @@ def _packet(s, u, v, inv) -> CurvaturePacket:
         kappa1 = _ratio_limit_kappa1(s, u, v) if where else None
         return (math.nan, False) if kappa1 is None else (kappa1, True)
 
-    values, defined, flags = _packet_fields(inv, _FLOAT_OPS, limit)
+    values, defined, flags = float_code(_packet_fields, BasicInvariants._fields)(inv, limit)
     for name, where in defined.items():
         if not where:
             values[name] = None

@@ -24,10 +24,16 @@ verdict.  A fit computes its rms residual only where a result keeps it:
 the quantity's own slope and vanishing_order, not the order fits of a
 verdict.
 
-Each sample of a schedule is evaluated once: its invariants give its
-class, then a sample record of lam~, K~, H~, c2, K and H
-(`curvature._gauss_mean`), and every quantity, field and verdict along
-the path is read from that record.  A report builds no curvature
+Each sample of a schedule is evaluated once, by one program of the 15
+roots its class and its record read (_sample_roots, from the traces of
+`classify._class_code` and `curvature._gauss_mean`): they give its
+class, then a sample record of lam~, K~, H~, c2, K and H, and every
+quantity, field and verdict along the path is read from that record.
+The target of a report, of limit_along and of vanishing_order is
+evaluated by the same program, so limits compiles no invariant program
+of all 23 roots, and a fault in a root it does not read (a2, b2, e2,
+c1u, c1v, n~) fails no sample.  Both decisions run as their compiled
+float code (straightline.float_code).  A report builds no curvature
 packet, so it computes no principal curvature and no kappa_til_1, whose
 0/0 limit would evaluate further points on the u-line of a sample.
 Every ray of a report shares one distance schedule, so its logarithms
@@ -44,11 +50,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .classify import _FMT, _class_of, _evaluate, _fmt, classify
-from .curvature import _FLOAT_OPS, _gauss_mean
+from .classify import _FMT, CLASSES, _class_code, _fmt
+from .curvature import _gauss_mean
 from .errors import LcframeError
 from .numerics import LogAxis, richardson
-from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
+from .straightline import float_code, roots_read
+from .surface import SurfaceDef
 from .taxonomy import Category, Kind
 
 __all__ = [
@@ -183,21 +190,39 @@ class OrderEstimate:
     slope_residual: float | None
 
 
+@functools.cache
+def _sample_roots():
+    """The roots a sample reads, those of its class and of its record,
+    in BasicInvariants order: a1 b1 c1 c2 e1 f1 g1 f2 g2 a1u a1v b1u b1v
+    c2u c2v.  Traced on first use."""
+    return roots_read(_class_code, _gauss_mean)
+
+
+def _target(s, u, v):
+    """(roots, class) of a target, by the samples' program."""
+    s.require_in_domain(u, v)
+    roots = _sample_roots()
+    inv = s.program(roots)(u, v)
+    return inv, CLASSES[float_code(_class_code, roots)(inv, 1e-9)]
+
+
 def _sample_ray(s, path):
-    """(u, v, invariants, class) of every sample, in schedule order.
+    """(u, v, roots, class) of every sample, in schedule order, with the
+    values of _sample_roots() as a tuple.
 
     Each sample must lie in the domain and classify regular; the first
     that does not raises.  The domain is checked here, once, and each
-    sample is one call of the invariant program, classified as
-    classify does."""
-    program = s.program(BasicInvariants._fields)
+    sample is one call of the samples' program, classified as classify
+    does."""
+    roots = _sample_roots()
+    program, class_code = s.program(roots), float_code(_class_code, roots)
     samples = []
     for (u, v) in path.points():
         if not s.domain.contains(u, v):
             raise SampleOutsideDomainError(
                 f"sample ({u!r}, {v!r}) outside domain of {s.name!r}")
-        inv = BasicInvariants._make(program(u, v))
-        pc = _class_of(inv)
+        inv = program(u, v)
+        pc = CLASSES[class_code(inv, 1e-9)]
         if not pc.is_regular:
             raise QuantityUndefinedError(
                 f"sample ({u!r}, {v!r}) hit a {pc.category.value} locus")
@@ -219,16 +244,17 @@ class _Sample(NamedTuple):
     H: float | None
 
 
-def _record(u, v, inv):
-    f, _, has_kh, K, H = _gauss_mean(inv, _FLOAT_OPS)
-    if not has_kh:
-        K = H = None
-    return _Sample(u, v, inv.c2, f[6], f[7], f[8], K, H)
-
-
 def _records(samples):
-    """The record of each sample, from its invariants."""
-    return [_record(u, v, inv) for u, v, inv, _ in samples]
+    """The record of each sample, from the values of its roots."""
+    roots = _sample_roots()
+    gauss_mean, c2_at = float_code(_gauss_mean, roots), roots.index("c2")
+    records = []
+    for u, v, inv, _ in samples:
+        f, _, has_kh, K, H = gauss_mean(inv)
+        if not has_kh:
+            K = H = None
+        records.append(_Sample(u, v, inv[c2_at], f[6], f[7], f[8], K, H))
+    return records
 
 
 def _quantity_values(quantity, records):
@@ -285,7 +311,7 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
     """
     if quantity not in QUANTITIES:
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-    tc = classify(s, *path.target)
+    _, tc = _target(s, *path.target)
     if tc.category not in (Category.LIGHTLIKE, Category.SINGULAR_1):
         raise LcframeError(
             f"limit target must be lightlike or rank-one singular, "
@@ -377,8 +403,8 @@ def vanishing_order(
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
     samples = _sample_ray(s, path)
     distances = path.distances()
-    target_value = _field_values(field_name, quantity, [_record(
-        *path.target, basic_invariants_at(s, *path.target))])[0]
+    target_value = _field_values(field_name, quantity, _records(
+        [(*path.target, _target(s, *path.target)[0], None)]))[0]
     # the target test needs only the first sample's record; the others
     # are built once it passes
     records = _records(samples[:1])
@@ -532,11 +558,14 @@ def _report_quantities(category):
 
 
 def _transversal_direction(inv, category):
+    """The unit gradient of the locus's defining function, c2 or lam~,
+    at a target whose roots are inv (root name -> value); None where it
+    vanishes."""
     if category is Category.SINGULAR_1:
-        g = (inv.c2u, inv.c2v)
+        g = (inv["c2u"], inv["c2v"])
     else:
-        g = (-4.0 * (inv.a1u * inv.b1 + inv.a1 * inv.b1u),
-             -4.0 * (inv.a1v * inv.b1 + inv.a1 * inv.b1v))
+        g = (-4.0 * (inv["a1u"] * inv["b1"] + inv["a1"] * inv["b1u"]),
+             -4.0 * (inv["a1v"] * inv["b1"] + inv["a1"] * inv["b1v"]))
     length = math.hypot(*g)
     if length == 0.0:
         return None
@@ -557,7 +586,7 @@ def boundedness_report(
     """
     if directions < 0:
         raise LcframeError(f"ray count must be nonnegative, got {directions}")
-    inv, pc = _evaluate(s, u, v)
+    inv, pc = _target(s, u, v)
     if pc.category not in (Category.LIGHTLIKE, Category.SINGULAR_1):
         raise LcframeError(
             f"boundedness target must be lightlike or rank-one singular, "
@@ -567,7 +596,7 @@ def boundedness_report(
     rays = [(f"fan{i}", (math.cos(2.0 * math.pi * i / directions),
                          math.sin(2.0 * math.pi * i / directions)))
             for i in range(directions)]
-    trans = _transversal_direction(inv, pc.category)
+    trans = _transversal_direction(dict(zip(_sample_roots(), inv)), pc.category)
     if trans is not None:
         rays.append(("transversal+", trans))
         rays.append(("transversal-", (-trans[0], -trans[1])))

@@ -30,7 +30,8 @@ program of the roots a consumer reads, on the point, arrays, grid or
 edges schedule, compiled on first use and kept.  basic_invariants_at
 reads all 23 invariants, validate_framed v, w, a1, b1, a2, b2, c2,
 X_u and X_v over its grid, a trace its field alone and the ten roots
-its vertex classes read.  lcframe imports numpy only for the arrays
+its vertex classes read, and limits the 15 roots of its samples'
+classes and K/H records.  lcframe imports numpy only for the arrays
 schedule.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
-    Add, Const, Dag, EvalDomainError, Mul, Neg, Sub, compile_edge_kernels,
+    Add, Const, Dag, EvalDomainError, Mul, Neg, Sub, _numbering, compile_edge_kernels,
     compile_grid_program, compile_program, constant_value, parse,
 )
 from .minkowski import LVec3, wedge
@@ -221,10 +222,10 @@ class SurfaceDef:
     shift binds its constants to code compiled once per process.
 
     Instances are immutable after construction, except for the programs
-    kept on first use: threads racing there compile equal programs, and
-    one is kept.  No derivation state is shared between builds or kept
-    on the surface, and every evaluation is pure, so surfaces may be
-    built and shared freely across threads.  The command line relies on
+    and numberings kept on first use: threads racing there compile equal
+    programs, and one is kept.  No derivation state is shared between
+    builds or kept on the surface, and every evaluation is pure, so
+    surfaces may be built and shared freely across threads.  The command line relies on
     this: it shares each built surface across the calls of cli.main in
     one process.
     """
@@ -251,6 +252,7 @@ class SurfaceDef:
         self._trees = {k: (tree,) for k, tree in roots.items()}
         self._trees.update(x_u=xu, x_v=xv, v=fv, w=fw, m=m)
         self._programs = {}  # (roots, schedule) -> program compiled on first use
+        self._numberings = {}  # roots -> the value numbering of their trees
 
     def program(self, roots: tuple, schedule: str = "point"):
         """The program of roots, a tuple of root names, compiled on its
@@ -260,28 +262,34 @@ class SurfaceDef:
         values, "arrays" the same over numpy arrays (arrays.ARRAY),
         "grid" compile_grid_program's tensor-grid program, and "edges"
         compile_edge_kernels' bisection kernels of one root, which call
-        its point program on a fault.  Threads racing here compile equal
-        programs, and the first one kept is returned to all of them."""
+        its point program on a fault.  The trees of roots are numbered
+        once (expr._numbering), and every schedule of roots is compiled
+        from that numbering, which is kept with the programs.  Threads
+        racing here compile equal programs, and the first one kept is
+        returned to all of them."""
         program = self._programs.get((roots, schedule))
         if program is not None:
             return program
-        trees = []
-        for name in roots:
-            if name in _SECOND_PARTIALS:
-                first, var = _SECOND_PARTIALS[name]
-                trees += _partials(Dag(), self._trees[first], var)
-            else:
-                trees += self._trees[name]
+        numbering = self._numberings.get(roots)
+        if numbering is None:
+            trees = []
+            for name in roots:
+                if name in _SECOND_PARTIALS:
+                    first, var = _SECOND_PARTIALS[name]
+                    trees += _partials(Dag(), self._trees[first], var)
+                else:
+                    trees += self._trees[name]
+            numbering = self._numberings.setdefault(roots, _numbering(trees))
         if schedule == "point":
-            program = compile_program(trees)
+            program = compile_program(numbering)
         elif schedule == "arrays":
             from .arrays import ARRAY  # imports numpy
 
-            program = compile_program(trees, ARRAY)
+            program = compile_program(numbering, ARRAY)
         elif schedule == "grid":
-            program = compile_grid_program(trees)
+            program = compile_grid_program(numbering)
         elif schedule == "edges":
-            program = compile_edge_kernels(trees, self.program(roots))
+            program = compile_edge_kernels(numbering, self.program(roots))
         else:
             raise ValueError(f"unknown program schedule {schedule!r}")
         return self._programs.setdefault((roots, schedule), program)

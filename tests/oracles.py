@@ -1,6 +1,28 @@
 """Reference implementations that the tests compare lcframe against."""
 
+import math
+import operator
+from types import SimpleNamespace
+
 from lcframe.expr import HALVINGS, Dag, compile_program, parse
+
+#: The operations of the shared decisions (curvature._gauss_mean,
+#: curvature._packet_fields, classify._class_code) on floats, run as
+#: written: the interpreted form that their compiled float code
+#: (straightline.float_code) must match bit for bit.  where and not_
+#: decide; pow and div compute only where their mask holds (NaN
+#: elsewhere), so an untaken branch never faults, and a fault raises as
+#: plain float code does.  lcframe.arrays spells the same operations
+#: over numpy arrays.
+FLOAT_OPS = SimpleNamespace(
+    where=lambda cond, a, b: a if cond else b,
+    not_=operator.not_,
+    max=max,
+    hypot=math.hypot,
+    sqrt=math.sqrt,
+    pow=lambda x, p, where: x ** p if where else math.nan,
+    div=lambda a, b, where: a / b if where else math.nan,
+)
 
 
 def bisect_edge(f, p0, p1, f0, f1, refine_tol):

@@ -20,8 +20,9 @@ from lcframe.classify import (
     _FMT, CLASSES, ClassificationTable, _class_code, _point_rows, classify_grid,
 )
 from lcframe.cli import CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points
-from lcframe.curvature import _FLOAT_OPS, ZERO_TOL, _fundamentals, _packet_fields
+from lcframe.curvature import ZERO_TOL, _fundamentals, _packet_fields
 from lcframe.surface import BasicInvariants, SurfaceDef
+from oracles import FLOAT_OPS
 
 
 def bits(x):
@@ -230,10 +231,10 @@ def assert_forms_agree(points):
         codes = _class_code(arrays, TOL, ops).tolist()
         values, defined, flags = _packet_fields(arrays, ops, stub_limit(arrays, ops))
     for i, inv in enumerate(points):
-        assert _class_code(inv, TOL, _FLOAT_OPS) == codes[i], inv
+        assert _class_code(inv, TOL, FLOAT_OPS) == codes[i], inv
         try:
             f_values, f_defined, f_flags = _packet_fields(
-                inv, _FLOAT_OPS, stub_limit(inv, _FLOAT_OPS))
+                inv, FLOAT_OPS, stub_limit(inv, FLOAT_OPS))
         except (ArithmeticError, ValueError):
             assert bad[i], inv
             continue
@@ -247,14 +248,14 @@ def assert_forms_agree(points):
 
 
 def test_landmarks_reach_every_class_radicand_branch_and_fault():
-    assert [_class_code(inv, TOL, _FLOAT_OPS) for inv in LANDMARKS[:12]] == \
+    assert [_class_code(inv, TOL, FLOAT_OPS) for inv in LANDMARKS[:12]] == \
         list(range(len(CLASSES))) == list(range(12))
     clipped, complex_, overflows = LANDMARKS[12:]
     for inv, is_complex in ((clipped, False), (complex_, True)):
-        flags = _packet_fields(inv, _FLOAT_OPS, stub_limit(inv, _FLOAT_OPS))[2]
+        flags = _packet_fields(inv, FLOAT_OPS, stub_limit(inv, FLOAT_OPS))[2]
         assert radicand(inv) < 0.0 and flags["principal_complex"] is is_complex
     with pytest.raises(OverflowError):
-        _packet_fields(overflows, _FLOAT_OPS, stub_limit(overflows, _FLOAT_OPS))
+        _packet_fields(overflows, FLOAT_OPS, stub_limit(overflows, FLOAT_OPS))
     assert_forms_agree(LANDMARKS)
 
 

@@ -26,10 +26,23 @@ GRIDS = ((9, 8), (65, 64))
 
 
 class TestClassifyGrid:
-    def test_each_point_evaluated_once(self, mixed_bowl, invariant_calls, field_evals):
+    def test_each_point_evaluated_once(self, mixed_bowl, invariant_calls, field_evals,
+                                       monkeypatch):
+        # the point loop fetches the invariant program once per grid, not
+        # once per point through basic_invariants_at, and calls it once
+        # per point
+        program = mixed_bowl.program(BasicInvariants._fields)
+        calls = [0]
+
+        def counted(u, v):
+            calls[0] += 1
+            return program(u, v)
+
+        monkeypatch.setitem(mixed_bowl._programs, (BasicInvariants._fields, "point"), counted)
         table = classify_grid(mixed_bowl, (17, 16))
         assert len(table.rows) == 17 * 16
-        assert invariant_calls[0] == 17 * 16
+        assert calls[0] == 17 * 16
+        assert invariant_calls[0] == 0
         # n~ comes from the invariant program, not from X_u and m fields
         assert field_evals[0] == 0
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 
 import pytest
@@ -9,13 +10,15 @@ from lcframe import catalog
 from lcframe.classify import classify
 from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
+from lcframe.expr import EvalDomainError
 from lcframe.limits import (
     ABS_ZERO, ApproachPath, FieldNonvanishingError, QuantityUndefinedError, Verdict,
-    _fit_order, _record, _Sample, _verdict, boundedness_report, limit_along,
-    vanishing_order,
+    _fit_order, _records, _Sample, _sample_roots, _verdict, boundedness_report,
+    limit_along, vanishing_order,
 )
 from lcframe.numerics import LogAxis
 from lcframe.surface import SurfaceDef, basic_invariants_at
+from lcframe.taxonomy import Category
 
 #: one target evaluation plus 10 rays (8 fan, 2 transversal) x 12 samples
 MAX_REPORT_CALLS = 1 + 10 * 12
@@ -44,6 +47,47 @@ LOG_PLANE = {
     "w": ["1", "-sin(v)", "-cos(v)"],
     "domain": {"u": ["-1", "1"], "v": ["0", "2*pi"]},
 }
+
+
+def test_limits_compile_one_program_of_the_sample_roots():
+    # a report, limit_along and vanishing_order evaluate their targets
+    # and samples with one 15-root program, and no 23-root one
+    s = SurfaceDef.from_dict(json.loads(catalog.surface_text("sphere")))
+    boundedness_report(s, *POLE_PATH.target)
+    assert list(s._programs) == [(_sample_roots(), "point")]
+    assert len(_sample_roots()) == 15
+    limit_along(s, POLE_PATH, "K")
+    vanishing_order(s, POLE_PATH, "c2")
+    assert list(s._programs) == [(_sample_roots(), "point")]
+
+
+#: A constant lightcone frame v = (1, 1, 0), w = (1, -1, 0), m = (0, 0, 1)
+#: and X_v = (1 / (2 sqrt(v)), 0, 1): the sqrt(v) term enters a2 and b2
+#: alone, roots no limits sample reads.  Lightlike on u = 1, with H~ = 1/2.
+SQRT_SHEAR = {
+    "name": "sqrt_shear",
+    "X": ["u*u/2 + sqrt(v)", "u", "v"],
+    "v": ["1", "1", "0"],
+    "w": ["1", "-1", "0"],
+    "domain": {"u": ["0", "2"], "v": ["-1", "1"]},
+}
+
+
+def test_a_fault_in_a_root_no_sample_reads_fails_no_ray():
+    # the rays into v < 0, and the target at v = 0, failed while limits
+    # evaluated all 23 invariants
+    s = SurfaceDef.from_dict(SQRT_SHEAR)
+    with pytest.raises(EvalDomainError, match="sqrt of a negative argument"):
+        basic_invariants_at(s, 1.0, -0.01)
+    outcomes = {oc.label: oc for oc in boundedness_report(s, 1.0, 0.05).outcomes}
+    for label in ("fan5", "fan7"):
+        assert outcomes[label].error is None
+        assert outcomes[label].verdicts["H"].verdict is Verdict.UNBOUNDED
+    # fan6 runs along the locus
+    assert outcomes["fan6"].error == "sample (1.0, -0.05) hit a lightlike locus"
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        basic_invariants_at(s, 1.0, 0.0)
+    assert boundedness_report(s, 1.0, 0.0).category is Category.LIGHTLIKE
 
 
 def test_a_report_reads_no_kappa_til_1():
@@ -211,9 +255,11 @@ def test_sample_records_match_packets(locus_reports):
             if oc.error is not None:
                 continue
             path = ApproachPath(target=report.target, direction=oc.direction)
+            program = s.program(_sample_roots())
             for u, v in path.points():
                 inv = basic_invariants_at(s, u, v)
-                rec, p = _record(u, v, inv), _packet(s, u, v, inv)
+                rec, = _records([(u, v, program(u, v), None)])
+                p = _packet(s, u, v, inv)
                 assert (rec.u, rec.v, _bits(rec.c2)) == (u, v, _bits(inv.c2))
                 assert [_bits(getattr(rec, f)) for f in fields] == \
                     [_bits(getattr(p, f)) for f in fields]
