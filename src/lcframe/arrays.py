@@ -22,7 +22,9 @@ called once per distinct IEEE bit pattern of its argument in a call
 and scattered back to every element that holds that pattern (hypot is
 called per element).  The same function of the same bits gives the
 same bits, so this changes no output; keying by bits, not by value,
-keeps 0.0 and -0.0 apart, and NaN payloads too.  Surfaces of
+keeps 0.0 and -0.0 apart, and NaN payloads too.  The one exception is
+the sign of a NaN, which the point loop itself does not keep: CPython
+3.11 flips it once it specialises float addition.  Surfaces of
 revolution, cones and troughs repeat their values along whole grid
 lines, so most blocks hold few distinct values.  texts formats a CSV
 column the same way: each distinct pattern once per chunk.

@@ -1095,8 +1095,9 @@ def _grid_source(table, uses, roots):
 def compile_grid_program(trees):
     """Compile trees into one function (us, vs) -> a row per u of the
     trees' values at each v: rows[i][j] is the tuple the point program
-    compile_program(trees) gives at (us[i], vs[j]), bit for bit, or for
-    one tree the value itself, not a 1-tuple.
+    compile_program(trees) gives at (us[i], vs[j]), bit for bit (up to
+    the sign of a NaN, which CPython 3.11 flips once it specialises float
+    addition), or for one tree the value itself, not a 1-tuple.
 
     The function spells the point program's numbering (_numbering) with
     the SCALAR operations, but computes each value where its variables
@@ -1188,14 +1189,15 @@ def compile_edge_kernels(trees, point):
     0.0, else the first midpoint where |value| <= tol, halving towards
     the sign change, else after HALVINGS midpoints the point of least
     |value| among the ends and the midpoints (the first of equals).
-    The values are the point program's, bit for bit: the code computes
-    the values of constants and of the held variable once per edge and
-    the others at each midpoint, in one frame.  On a fault it calls the
-    tree's point program at that midpoint, so the point program's own
-    first error is raised there.  Kernels share code by shape, with
-    their constants bound, as point programs do.  point is the tree's
-    point program, compile_program(trees); the kernels call it only on
-    a fault and compile none of their own.
+    The values are the point program's, bit for bit (up to the sign of
+    a NaN, which CPython 3.11 flips once it specialises float addition):
+    the code computes the values of constants and of the held variable
+    once per edge and the others at each midpoint, in one frame.  On a
+    fault it calls the tree's point program at that midpoint, so the
+    point program's own first error is raised there.  Kernels share code
+    by shape, with their constants bound, as point programs do.  point
+    is the tree's point program, compile_program(trees); the kernels
+    call it only on a fault and compile none of their own.
     """
     table, uses, roots, constants = _numbering(trees)
     if len(roots) != 1:
