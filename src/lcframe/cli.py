@@ -18,11 +18,14 @@ so a rewritten file is built again), at most 16 are kept, least
 recently used first out, and each keeps the programs it compiled.  This
 relies on SurfaceDef being immutable apart from those programs.  The
 library loaders (SurfaceDef.from_file, from_dict, catalog.load) still
-build a fresh surface on every call.  Programs share code by shape
-beyond that: a surface's constants are bound parameters of code
-compiled once per process (lcframe.expr), so a surface outside those 16,
-or an image of one under X -> cX or a parameter shift, compiles only
-the shapes no earlier surface had.
+build a fresh surface on every call.  Surfaces share their derivation
+by shape beyond that: a surface's generic constants are slots bound to
+its values, and the shape of its trees is derived and numbered, and
+each of its programs' code compiled, once per process
+(lcframe.surface, lcframe.expr), so a surface outside those 16, or an
+image of one under X -> cX, a Lorentz map or a parameter shift, parses
+its text and derives, numbers and compiles only what no earlier
+surface of its shape did.
 Exit codes: 0 success, 1 validation or comparison failure, 2 usage
 error.
 """

@@ -21,6 +21,19 @@ parameters, which it reads as locals.  Trees that differ only in their
 constants, such as a surface's and those of its images under X -> cX,
 a Lorentz transformation or a parameter shift, compile once.
 
+A parse with slots shares what comes before the code too: each generic
+constant is a Slot leaf, which no rule folds, so those trees are one
+tree before they are derived, and a surface derives and numbers it once
+per process (surface.SurfaceDef); a numbering's slots are bound to each
+surface's values (_Numbering.bound).  A value computed from constants
+alone, which a literal derivation folds into one constant, is computed
+at run time with the same operation on the same operands, so its bits
+are the same.  Where it is 0.0 or +-1.0, on which the rules fold
+further, _Numbering.folds_further says so, and the surface takes its
+literal derivation for that program.  Shared codes and trees are never
+changed once made, so threads may share them; threads racing on a miss
+make equal ones, and one is kept.
+
 A tree has three kinds of program, each compiled from its numbering:
 the point program; the grid program, which samples the trees over a
 tensor grid computing each value where its variables change; and, for
@@ -54,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import or_
+from operator import add, mul, neg, or_, sub
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
@@ -149,6 +162,21 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+
+    # by repr, as a Dag interns constants: 0.0 and -0.0 are two trees
+    def __eq__(self, other):
+        return type(other) is Const and repr(self.value) == repr(other.value)
+
+    def __hash__(self):
+        return hash(repr(self.value))
+
+
+@dataclass(frozen=True)
+class Slot(Expr):
+    """The index-th generic constant of a parse with slots (parse): a
+    leaf that no rule folds, whose value a program binds."""
+
+    index: int
 
 
 @dataclass(frozen=True)
@@ -265,12 +293,24 @@ def _tokenize(source):
 MAX_NESTING = 128
 
 
+#: The constants a derivation's rules test for (Dag._fold): never a slot.
+_FOLDED_VALUES = (0.0, 1.0, -1.0)
+
+
 class _Parser:
-    def __init__(self, source):
+    def __init__(self, source, slots=None):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0
+        self.slots = slots
+
+    def constant(self, value):
+        """The leaf of a literal value: its Const, or with slots the
+        Slot of a generic value, one per repr."""
+        if self.slots is None or value in _FOLDED_VALUES:
+            return Const(value)
+        return self.slots.setdefault(repr(value), Slot(len(self.slots)))
 
     def enter(self):
         """Go one nesting level deeper, at the token here; the caller
@@ -338,7 +378,7 @@ class _Parser:
             # fold "-3" (a directly negated literal) into a constant;
             # "-(expr)" keeps its explicit negation node
             if self.peek()[0] == "number" and self.tokens[self.pos + 1][0] != "^":
-                return Const(-float(self.advance()[1]))
+                return self.constant(-float(self.advance()[1]))
             self.enter()
             e = Neg(self.unary())
             self.depth -= 1
@@ -380,7 +420,7 @@ class _Parser:
         kind, text, offset = tok
         if kind == "number":
             self.advance()
-            return Const(float(text))
+            return self.constant(float(text))
         if kind == "(":
             self.advance()
             self.enter()
@@ -393,7 +433,7 @@ class _Parser:
             if text in _VARIABLES:
                 return Var(text)
             if text in _CONSTANTS:
-                return Const(_CONSTANTS[text])
+                return self.constant(_CONSTANTS[text])
             if text in FUNCTION_NAMES:
                 self.expect("(")
                 self.enter()
@@ -407,10 +447,17 @@ class _Parser:
             expected=("number", "identifier", "'('", "'-'"))
 
 
-def parse(source: str) -> Expr:
+def parse(source: str, slots: dict | None = None) -> Expr:
     """Parse source text into an expression tree.  Nesting deeper than
-    MAX_NESTING is a syntax error at the first token nested deeper."""
-    return _Parser(source).parse()
+    MAX_NESTING is a syntax error at the first token nested deeper.
+
+    With slots, a dict, each generic constant (a literal or pi, other
+    than the values 0.0, -0.0, 1.0 and -1.0 that a derivation's rules
+    test for; exponents are integers of the tree) is the Slot that slots
+    maps its repr to, added in order of first appearance: equal
+    constants are one Slot, and trees parsed with one dict number their
+    slots together.  The values are float(repr) of slots' keys."""
+    return _Parser(source, slots).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +476,8 @@ class Dag:
 
     Every node the context builds is interned, keyed by its class and its
     operands' ids (a constant by the repr of its value, so 0.0 and -0.0
-    stay apart), and the table holds each node, so the ids stay valid.
+    stay apart; a Slot by its index, and no rule folds a slot), and the
+    table holds each node, so the ids stay valid.
     A node built by _fold is already simplified and is recorded as its
     own simplification.  simplify is memoised by node id and
     differentiate by (node id, variable), and each memo entry holds its
@@ -441,12 +489,29 @@ class Dag:
     is not safe to share between threads.
     """
 
-    __slots__ = ("_nodes", "_simplified", "_derivatives")
+    __slots__ = ("_nodes", "_simplified", "_derivatives", "_slotted")
 
     def __init__(self):
         self._nodes = {}  # intern key -> node
         self._simplified = {}  # id(e) -> (simplify(e), e)
         self._derivatives = {}  # (id(e), var) -> (differentiate(e, var), e)
+        self._slotted = {}  # id(e) -> (whether e is a constant of slots, e)
+
+    def _of_slots(self, e):
+        """Whether e is a Slot, or a neg, +, - or * of Consts and such
+        values with a slot among them: a value the rules fold into one
+        Const once each Slot is a Const."""
+        cls = type(e)
+        if cls is Slot:
+            return True
+        if cls is not Neg and cls is not Add and cls is not Sub and cls is not Mul:
+            return False
+        hit = self._slotted.get(id(e))
+        if hit is None:
+            operands = (e.arg,) if cls is Neg else (e.left, e.right)
+            others = [x for x in operands if type(x) is not Const]
+            hit = self._slotted[id(e)] = (bool(others) and all(map(self._of_slots, others)), e)
+        return hit[0]
 
     def _intern(self, key, cls, *operands, folded=True):
         node = self._nodes.get(key)
@@ -547,6 +612,8 @@ class Dag:
             s = self.const(e.value)
         elif cls is Var:
             s = self._intern((Var, e.name), Var, e.name)
+        elif cls is Slot:
+            s = self._intern((Slot, e.index), Slot, e.index)
         elif cls is Neg:
             s = self._fold(Neg, self._simplify(e.arg))
         elif cls is Pow:
@@ -569,12 +636,14 @@ class Dag:
             raise ExprError(f"differentiation variable must be 'u' or 'v', got {var!r}")
         fold, S, D = self._fold, self._simplify, self._differentiate
         cls = type(e)
-        if cls is Const:
+        if cls is Const or cls is Slot:
             d = self.const(0.0)
         elif cls is Var:
             d = self.const(1.0 if e.name == var else 0.0)
         elif cls is Neg:
-            d = fold(Neg, D(e.arg, var))
+            # a constant of slots differentiates as the Const it stands
+            # for, to 0.0; the chain rule would give -0.0
+            d = self.const(0.0) if self._of_slots(e.arg) else fold(Neg, D(e.arg, var))
         elif cls is Add or cls is Sub:
             d = fold(cls, D(e.left, var), D(e.right, var))
         elif cls is Mul or cls is Div:
@@ -848,6 +917,11 @@ SCALAR = NumberEnv(
 )
 
 
+#: The operations of a numbering that a derivation computes when every
+#: operand is a constant (Dag._fold), as it computes them.
+_FOLDS = {"neg": neg, "+": add, "-": sub, "*": mul}
+
+
 class _Numbering(NamedTuple):
     """A value numbering of trees, as _numbering gives it."""
 
@@ -856,13 +930,55 @@ class _Numbering(NamedTuple):
     roots: tuple
     constants: tuple
 
+    def bound(self, values):
+        """This numbering with each Slot among its constants replaced by
+        values[slot index]: a program of it computes what the trees with
+        those values as Consts compute, though a slot stays a value of
+        its own beside an equal Const."""
+        return self._replace(constants=tuple(values[c.index] if type(c) is Slot else c
+                                             for c in self.constants))
+
+    def folds(self):
+        """The values that a derivation with each slot a Const would
+        have folded into one constant: each neg, +, - or * of constants
+        and such values, with a slot under it, as (n, op, *operands) in
+        evaluation order.  (Div, pow and calls of constants do not fold.)"""
+        slotted = {}  # n -> whether a slot is under constant value n
+        out = []
+        for n, (op, _, *operands) in enumerate(self.table):
+            if not operands:
+                if op not in _VARIABLES:
+                    slotted[n] = type(self.constants[int(op[2:])]) is Slot
+            elif op in _FOLDS and all(k in slotted for k in operands):
+                slotted[n] = any(slotted[k] for k in operands)
+                if slotted[n]:
+                    out.append((n, op, *operands))
+        return tuple(out)
+
+    def folds_further(self, folds):
+        """Whether one of folds (self.folds() of the numbering this one
+        is bound from), computed from this numbering's constants with
+        its own operation, is 0.0, -0.0, 1.0 or -1.0: a constant on
+        which a derivation's rules (Dag._fold) fold further, so that the
+        trees derived with each slot a Const may differ from these."""
+        if not folds:
+            return False
+        values = {n: self.constants[int(op[2:])] for n, (op, _, *operands) in enumerate(self.table)
+                  if not operands and op not in _VARIABLES}
+        for n, op, *operands in folds:
+            values[n] = _FOLDS[op](*map(values.__getitem__, operands))
+            if values[n] in _FOLDED_VALUES:
+                return True
+        return False
+
 
 def _numbering(trees):
     """The value numbering of compile_program: (table, uses, roots,
     constants).
 
     table[n] is the entry of value n: (variable name, None), (_k<i>,
-    None) for the i-th distinct constant, constants[i], or (operation,
+    None) for the i-th distinct constant, constants[i], which is the
+    Slot itself for a slot (_Numbering.bound binds it), or (operation,
     exponent or function name, *operand numbers).  Values are numbered
     in evaluation order, post-order and left first, so every operand
     precedes its parents.  A subtree is keyed by its operation
@@ -890,6 +1006,8 @@ def _numbering(trees):
         cls = type(e)
         if cls is Const:
             key = (repr(e.value), None)
+        elif cls is Slot:
+            key = ("slot", e.index)
         elif cls is Var:
             key = (e.name, None)
         elif cls is Pow:
@@ -905,9 +1023,9 @@ def _numbering(trees):
         n = ids.get(key)
         if n is None:
             n = ids[key] = len(table)
-            if cls is Const:
+            if cls is Const or cls is Slot:
                 table.append((f"_k{len(constants)}", None))
-                constants.append(e.value)
+                constants.append(e.value if cls is Const else e)
             else:
                 table.append(key)
             uses.append(0)

@@ -46,6 +46,7 @@ import csv
 import functools
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -109,6 +110,15 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _require_int(value, what):
+    """Raise the LcframeError of a count that is not an integer, which
+    range() would reject with a TypeError only once it is used."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise LcframeError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ApproachPath:
     """Geometric sample schedule approaching a target point.
@@ -130,6 +140,7 @@ class ApproachPath:
             raise LcframeError("provide exactly one of direction or curve")
         if not 0.0 < self.ratio < 1.0:
             raise LcframeError("schedule ratio must lie in (0, 1)")
+        _require_int(self.count, "sample count")
         if not 0.0 < self.r0 < math.inf or self.count < 4:
             raise LcframeError("schedule needs a finite r0 > 0 and at least 4 samples")
         if self.direction is not None:
@@ -584,6 +595,8 @@ def boundedness_report(
     the domain or hit another locus are recorded with the error and
     skipped; the summary uses completed rays only.
     """
+    _require_int(directions, "ray count")
+    _require_int(count, "sample count")
     if directions < 0:
         raise LcframeError(f"ray count must be nonnegative, got {directions}")
     inv, pc = _target(s, u, v)

@@ -15,24 +15,28 @@ coefficients of the moving-frame equations
 (and likewise e2, f2, g2 for v-derivatives), together with the first
 partials of a1, b1, c1, c2 that the classification predicates need.
 All of these are exact symbolic derivatives of the defining inner
-products, so sign tests on them are noise-free.  All derivations of
-one build share one expr.Dag, so each distinct subexpression is
-simplified and differentiated once; the context is dropped when the
-build returns, and the compiled programs keep no reference to it.
+products, so sign tests on them are noise-free.
 
-Construction derives and keeps one table of trees by root name: the
-23 BasicInvariants fields (the twenty coefficients and partials, and
-n~ = X_u ^ m), lam~ = -4 a1 b1 folded over the a1 and b1 trees, and
-the vectors X_u, X_v, v, w and m.  It compiles nothing (loading a
-definition compiles each domain bound that is not a single constant).
-SurfaceDef.program(roots, schedule) is the one compile route: a
-program of the roots a consumer reads, on the point, arrays, grid or
-edges schedule, compiled on first use and kept.  basic_invariants_at
-reads all 23 invariants, validate_framed v, w, a1, b1, a2, b2, c2,
-X_u and X_v over its grid, a trace its field alone and the ten roots
-its vertex classes read, and limits the 15 roots of its samples'
-classes and K/H records.  lcframe imports numpy only for the arrays
-schedule.
+The derivation belongs to a surface's shape: its component trees with
+each generic constant a slot, which it shares with every surface that
+differs from it only in its constants' values, such as its images
+under X -> cX, a Lorentz transformation or a parameter shift.  A shape
+is derived once per process, in one expr.Dag, so each distinct
+subexpression is simplified and differentiated once; the context is
+dropped when the derivation returns, and neither the shape nor the
+compiled programs keep a reference to it.  It keeps one table of trees
+by root name: the 23 BasicInvariants fields (the twenty coefficients
+and partials, and n~ = X_u ^ m), lam~ = -4 a1 b1 folded over the a1
+and b1 trees, and the vectors X_u, X_v, v, w and m.  A build compiles
+nothing (loading a definition compiles each domain bound that is not a
+single constant).  SurfaceDef.program(roots, schedule) is the one
+compile route: a program of the roots a consumer reads, on the point,
+arrays, grid or edges schedule, with the surface's constants bound,
+compiled on first use and kept.  basic_invariants_at reads all 23
+invariants, validate_framed v, w, a1, b1, a2, b2, c2, X_u and X_v over
+its grid, a trace its field alone and the ten roots its vertex classes
+read, and limits the 15 roots of its samples' classes and K/H records.
+lcframe imports numpy only for the arrays schedule.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -42,13 +46,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import LcframeError
 from .expr import (
-    Add, Const, Dag, EvalDomainError, Mul, Neg, Sub, _numbering, compile_edge_kernels,
-    compile_grid_program, compile_program, constant_value, parse,
+    Add, Const, Dag, EvalDomainError, Expr, ExprError, Mul, Neg, Slot, Sub, Var, _numbering,
+    _too_deep, compile_edge_kernels, compile_grid_program, compile_program, constant_value,
+    parse,
 )
 from .minkowski import LVec3, wedge
 
@@ -207,27 +213,27 @@ def _partials(dag, trees, var):
 
 
 class SurfaceDef:
-    """Surface triple with its table of trees and of programs.
+    """A surface: its name, its domain, its shape and its constants.
 
-    The components of X, v and w are parsed and simplified once, and
-    every root a program may read is derived from them in a derivation
-    context (expr.Dag) that is dropped when construction returns.  The
-    trees are kept by root name: the BasicInvariants fields,
-    lambda_til, and x_u, x_v, v, w and m, three trees each; x_uu, x_uv
-    and x_vv are derived, in a context of their own, when a program
-    first reads them.  program(roots, schedule) compiles the roots a
-    consumer reads on first use and keeps the program under (roots,
-    schedule).  Its code is shared with every program of the same shape
-    (expr.compile_program), so an image under X -> cX or a parameter
-    shift binds its constants to code compiled once per process.
+    The components of X, v and w are parsed with each generic constant
+    a slot (expr.parse), and the shape, the derivation of those trees
+    (_Shape), is looked up in a process-wide table by the trees (_shape)
+    and derived only on a miss.  So a surface and its images under
+    X -> cX, a Lorentz transformation of (X, v, w) or a parameter shift,
+    which differ only in their constants, derive and number their trees
+    once per process.  constants holds the slots' values.
+    program(roots, schedule) binds them to the shape's numbering of
+    roots and compiles the program of the roots a consumer reads on
+    first use, keeping it under (roots, schedule); its code is shared
+    with every program of the same numbering (expr.compile_program).
 
-    Instances are immutable after construction, except for the programs
-    and numberings kept on first use: threads racing there compile equal
-    programs, and one is kept.  No derivation state is shared between
-    builds or kept on the surface, and every evaluation is pure, so
-    surfaces may be built and shared freely across threads.  The command line relies on
-    this: it shares each built surface across the calls of cli.main in
-    one process.
+    A shape is immutable but for the second partials and numberings it
+    fills in on first use, and a surface but for the programs it keeps:
+    threads racing there derive, number or compile equal values, and
+    one is kept (dict.setdefault; the table keeps one shape per key).
+    Every evaluation is pure, so surfaces may be built and shared freely
+    across threads.  The command line relies on this: it shares each
+    built surface across the calls of cli.main in one process.
     """
 
     def __init__(self, name, x_sources, v_sources, w_sources, domain):
@@ -235,24 +241,14 @@ class SurfaceDef:
         if not isinstance(domain, DomainBox):
             domain = DomainBox(*domain)
         self.domain = domain
-        dag = Dag()  # every derivation of this build; dropped on return
-        x, fv, fw = (tuple(dag.simplify(parse(c) if isinstance(c, str) else c)
-                           for c in sources)
-                     for sources in (x_sources, v_sources, w_sources))
-        if len(x) != 3 or len(fv) != 3 or len(fw) != 3:
+        slots = {}  # the repr of each generic constant -> its Slot
+        components = tuple(tuple(_component(c, slots) for c in sources)
+                           for sources in (x_sources, v_sources, w_sources))
+        if any(len(c) != 3 for c in components):
             raise SurfaceFormatError("X, v and w each need exactly 3 components")
-        xu, xv = _partials(dag, x, "u"), _partials(dag, x, "v")
-        m = tuple(dag.simplify(Neg(_half(c))) for c in _wedge_expr(dag, fv, fw))
-        # derived here, where the build's context already holds most of
-        # their subexpressions; compiled on first use.  lam~ is folded
-        # over the a1 and b1 trees, which adds three nodes
-        roots = _invariant_trees(dag, xu, xv, fv, fw, m)
-        roots["lambda_til"] = dag.simplify(Mul(Const(-4.0), Mul(roots["a1"], roots["b1"])))
-        # root name -> its trees: one for a scalar, three for a vector
-        self._trees = {k: (tree,) for k, tree in roots.items()}
-        self._trees.update(x_u=xu, x_v=xv, v=fv, w=fw, m=m)
+        self.shape = _shape(components)
+        self.constants = tuple(map(float, slots))
         self._programs = {}  # (roots, schedule) -> program compiled on first use
-        self._numberings = {}  # roots -> the value numbering of their trees
 
     def program(self, roots: tuple, schedule: str = "point"):
         """The program of roots, a tuple of root names, compiled on its
@@ -262,24 +258,25 @@ class SurfaceDef:
         values, "arrays" the same over numpy arrays (arrays.ARRAY),
         "grid" compile_grid_program's tensor-grid program, and "edges"
         compile_edge_kernels' bisection kernels of one root, which call
-        its point program on a fault.  The trees of roots are numbered
-        once (expr._numbering), and every schedule of roots is compiled
-        from that numbering, which is kept with the programs.  Threads
-        racing here compile equal programs, and the first one kept is
-        returned to all of them."""
+        its point program on a fault.  Every schedule is compiled from
+        the shape's numbering of roots with this surface's constants
+        bound.  Where a constant value of those trees is one that the
+        derivation's rules fold further if its slots are constants (0.0
+        or +-1.0: expr._Numbering.folds_further), the numbering is
+        instead that of the shape of the components with every constant
+        literal, which has no slots, so the values are those of the
+        literal derivation in every case.  Threads racing here compile
+        equal programs, and the first one kept is returned to all of
+        them."""
         program = self._programs.get((roots, schedule))
         if program is not None:
             return program
-        numbering = self._numberings.get(roots)
-        if numbering is None:
-            trees = []
-            for name in roots:
-                if name in _SECOND_PARTIALS:
-                    first, var = _SECOND_PARTIALS[name]
-                    trees += _partials(Dag(), self._trees[first], var)
-                else:
-                    trees += self._trees[name]
-            numbering = self._numberings.setdefault(roots, _numbering(trees))
+        numbering, folds = self.shape.numbering(roots)
+        numbering = numbering.bound(self.constants)
+        if numbering.folds_further(folds):
+            literal = tuple(tuple(_literal(c, self.constants) for c in sources)
+                            for sources in self.shape.components)
+            numbering = _shape(literal).numbering(roots)[0]
         if schedule == "point":
             program = compile_program(numbering)
         elif schedule == "arrays":
@@ -426,6 +423,94 @@ def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
 
 #: The second partials of X: which first partial, by which variable.
 _SECOND_PARTIALS = {"x_uu": ("x_u", "u"), "x_uv": ("x_u", "v"), "x_vv": ("x_v", "v")}
+
+
+class _Shape:
+    """The derivation of a surface's component trees, whose generic
+    constants are slots: every surface whose components parse to these
+    trees shares it, whatever its constants' values.
+
+    Construction derives, in one derivation context (expr.Dag) that is
+    dropped when it returns, one table of trees by root name: the
+    BasicInvariants fields, lambda_til, and x_u, x_v, v, w and m, three
+    trees each.  trees(name) reads it; x_uu, x_uv and x_vv are derived,
+    in a context of their own, when first read.  numbering(roots) is
+    the value numbering of the trees of roots and its folds
+    (expr._Numbering), numbered on first use.  components are the trees
+    it was derived from.
+    """
+
+    __slots__ = ("components", "_trees", "_numberings")
+
+    def __init__(self, components):
+        self.components = components
+        dag = Dag()  # every derivation of this shape; dropped on return
+        x, fv, fw = (tuple(map(dag.simplify, trees)) for trees in components)
+        xu, xv = _partials(dag, x, "u"), _partials(dag, x, "v")
+        m = tuple(dag.simplify(Neg(_half(c))) for c in _wedge_expr(dag, fv, fw))
+        # derived here, where the context already holds most of their
+        # subexpressions.  lam~ is folded over the a1 and b1 trees, which
+        # adds three nodes
+        roots = _invariant_trees(dag, xu, xv, fv, fw, m)
+        roots["lambda_til"] = dag.simplify(Mul(Const(-4.0), Mul(roots["a1"], roots["b1"])))
+        # root name -> its trees: one for a scalar, three for a vector
+        self._trees = {k: (tree,) for k, tree in roots.items()}
+        self._trees.update(x_u=xu, x_v=xv, v=fv, w=fw, m=m)
+        self._numberings = {}  # roots -> (their numbering, its folds)
+
+    def trees(self, name):
+        trees = self._trees.get(name)
+        if trees is None:
+            first, var = _SECOND_PARTIALS[name]
+            trees = self._trees.setdefault(name, _partials(Dag(), self._trees[first], var))
+        return trees
+
+    def numbering(self, roots):
+        hit = self._numberings.get(roots)
+        if hit is None:
+            numbering = _numbering([tree for name in roots for tree in self.trees(name)])
+            hit = self._numberings.setdefault(roots, (numbering, numbering.folds()))
+        return hit
+
+
+#: How many shapes a process keeps, least recently used first out.
+SHAPES = 64
+
+
+@lru_cache(maxsize=SHAPES)
+def _derived(components):
+    return _Shape(components)
+
+
+def _shape(components):
+    """The shape of component trees, derived on a miss of the process's
+    table of the SHAPES most recently used.  The key is the trees, which
+    compare and hash structurally (a constant by repr), so it is formed
+    without deriving; a build that raises is not kept."""
+    try:
+        return _derived(components)
+    except RecursionError as exc:  # hashing or comparing a tree too deep
+        raise _too_deep("simplify", exc) from None
+
+
+def _component(source, slots):
+    """The tree of one component, text parsed with slots."""
+    if isinstance(source, str):
+        return parse(source, slots)
+    if not isinstance(source, Expr):
+        raise ExprError(f"malformed expression node: {source!r}")
+    return source
+
+
+def _literal(e, constants):
+    """The tree e with each Slot the Const of its value in constants."""
+    cls = type(e)
+    if cls is Slot:
+        return Const(constants[e.index])
+    if cls is Const or cls is Var:
+        return e
+    return cls(*(_literal(x, constants) if isinstance(x, Expr) else x
+                 for x in (getattr(e, f.name) for f in fields(e))))
 
 
 def _bound(value):

@@ -922,7 +922,8 @@ class TestDag:
     def test_invariant_trees_share_equal_subexpressions(self, name):
         # the traced fields are the build's roots: c2 and lam~ over a1, b1
         s = catalog.load(name)
-        trees = [tree for k in (*BasicInvariants._fields, "lambda_til") for tree in s._trees[k]]
+        trees = [tree for k in (*BasicInvariants._fields, "lambda_til")
+                 for tree in s.shape.trees(k)]
         assert twins(trees) == []
 
     def test_signed_zeros_stay_distinct_nodes(self):

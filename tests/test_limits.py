@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from lcframe import catalog
+from lcframe import catalog, limits
 from lcframe.classify import classify
 from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
@@ -126,6 +126,19 @@ def test_report_matches_limit_along(request, surface, target):
 def test_negative_ray_count_is_an_error(sphere):
     with pytest.raises(LcframeError, match="ray count must be nonnegative, got -3"):
         boundedness_report(sphere, math.pi / 2, 1.0, directions=-3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda s: ApproachPath(target=(0.0, 0.0), direction=(1.0, 0.0), count=4.5),
+    lambda s: boundedness_report(s, math.pi / 2, 1.0, count=12.0),
+    lambda s: boundedness_report(s, math.pi / 2, 1.0, directions=2.5),
+], ids=["path-count", "report-count", "report-directions"])
+def test_a_count_that_is_not_an_integer_is_an_error(sphere, make, monkeypatch):
+    # each raised range()'s TypeError once the path or report was in use;
+    # now the report fails before it evaluates anything
+    monkeypatch.setattr(limits, "_target", None)
+    with pytest.raises(LcframeError, match=r"count must be an integer, got (4\.5|12\.0|2\.5)"):
+        make(sphere)
 
 
 #: the sphere pole, approached along -d_u, where c2 = -cos u

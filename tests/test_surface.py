@@ -18,7 +18,8 @@ from lcframe import catalog, expr, surface
 from lcframe.classify import classify_grid
 from lcframe.errors import LcframeError
 from lcframe.expr import (
-    Add, CompiledField, Const, Dag, EvalDomainError, Expr, Mul, Var, compile_program, parse,
+    Add, Const, Dag, EvalDomainError, Expr, Mul, Var, compile_edge_kernels,
+    compile_grid_program, compile_program, parse,
 )
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
@@ -638,6 +639,7 @@ class TestInvariantProgram:
             original(self)
 
         monkeypatch.setattr(Dag, "__init__", counted)
+        surface._derived.cache_clear()  # so that the build derives its shape
         s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
         for field in TRACED_FIELDS:
             for schedule in ("point", "grid", "edges"):
@@ -726,20 +728,29 @@ def _hex_values(program, s):
 
 def _eager_programs(s):
     """The invariant program, the 8 vector programs and the 2 traced
-    fields of s, derived together in one context, from the surface's
-    kept inputs, and compiled at once, in the order of _every_use."""
+    fields of s, derived together in one context, from the trees of its
+    shape's inputs, and compiled at once with its constants bound, in
+    the order of _every_use."""
     dag = Dag()
-    xu, xv, fv, fw, m = (tuple(map(dag.simplify, s._trees[k]))
+    xu, xv, fv, fw, m = (tuple(map(dag.simplify, s.shape.trees(k)))
                          for k in ("x_u", "x_v", "v", "w", "m"))
     field = surface._invariant_trees(dag, xu, xv, fv, fw, m)
     trees = [field[k] for k in surface.BasicInvariants._fields]
     vectors = [xu, xv] + [[dag.differentiate(e, var) for e in vec]
                           for vec, var in ((xu, "u"), (xu, "v"), (xv, "v"))]
-    programs = [compile_program(trees) for trees in [trees] + vectors + [fv, fw, m]]
+
+    def bound(trees):
+        return expr._numbering(trees).bound(s.constants)
+
+    programs = [compile_program(bound(trees)) for trees in [trees] + vectors + [fv, fw, m]]
     lambda_til = dag.simplify(Mul(Const(-4.0), Mul(field["a1"], field["b1"])))
     for tree in (lambda_til, field["c2"]):
-        compiled = CompiledField(tree)
-        programs.append(lambda u, v, f=compiled: (f.eval(u, v),))
+        # a traced field's point and grid programs and edge kernels
+        numbering = bound([tree])
+        point = compile_program(numbering)
+        compile_grid_program(numbering)
+        compile_edge_kernels(numbering, point)
+        programs.append(point)
     return programs
 
 
