@@ -20,12 +20,13 @@ relies on SurfaceDef being immutable apart from those programs.  The
 library loaders (SurfaceDef.from_file, from_dict, catalog.load) still
 build a fresh surface on every call.  Surfaces share their derivation
 by shape beyond that: a surface's generic constants are slots bound to
-its values, and the shape of its trees is derived and numbered, and
-each of its programs' code compiled, once per process
-(lcframe.surface, lcframe.expr), so a surface outside those 16, or an
-image of one under X -> cX, a Lorentz map or a parameter shift, parses
-its text and derives, numbers and compiles only what no earlier
-surface of its shape did.
+its values, its texts are parsed once per token key, and the shape of
+its trees is derived and numbered, and each of its programs' code
+compiled, once per process (lcframe.surface, lcframe.expr).  So a
+surface outside those 16, or an image of one under X -> cX, a Lorentz
+map or a parameter shift, reads its constants from its text's tokens
+and parses, derives, numbers and compiles only what no earlier surface
+of its shape did.  A trace CSV is formatted a polyline at a time.
 Exit codes: 0 success, 1 validation or comparison failure, 2 usage
 error.
 """
@@ -39,15 +40,19 @@ import json
 import math
 import sys
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from . import catalog
-from .classify import ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _fmt, classify_grid, trace_zero_set
+from .classify import (
+    _FMT, ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _fmt, classify_grid, trace_zero_set,
+)
 from .curvature import _packet, _singular, curvature_packet
 from .errors import LcframeError
 from .expr import constant_value
 from .limits import (
-    QUANTITIES, ApproachPath, Verdict, _report_quantities, boundedness_report, limit_along,
+    QUANTITIES, ApproachPath, Verdict, _csv_fields, _report_quantities, boundedness_report,
+    limit_along,
 )
 from .surface import (
     SurfaceDef, _file_error, basic_invariants_at, frame_at, validate_framed,
@@ -195,18 +200,27 @@ def _write_curvature_points(s, us, vs, fh):
                 _fmt(p.n_til.x1), _fmt(p.n_til.x2), _fmt(p.n_til.x3))) + "\n")
 
 
+#: A trace row's degenerate column, by the vertex's flag.
+_DEGENERATE = {None: "", True: "true", False: "false"}
+
+
 def _write_trace_csv(polylines, fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(("field", "polyline", "vertex", "u", "v", "residual",
-                     "degenerate", "closed"))
+    """One CSV row (field, polyline, vertex, u, v, residual, degenerate,
+    closed) per vertex of every polyline, as csv.writer writes it with
+    lineterminator "\n".
+
+    The formatted numbers and flags need no quoting, and the field name
+    is quoted as csv.writer quotes it.  A polyline's rows repeat one row
+    template, and one '%' formats its vertices' values into them."""
+    number = _FMT.__self__
+    lines = ["field,polyline,vertex,u,v,residual,degenerate,closed\n"]
     for pid, poly in enumerate(polylines):
-        for k, ((u, v), res, deg) in enumerate(
-                zip(poly.vertices, poly.residuals, poly.degenerate)):
-            writer.writerow((
-                poly.field, pid, k, _fmt(u), _fmt(v), _fmt(res),
-                "" if deg is None else str(deg).lower(),
-                str(poly.closed).lower(),
-            ))
+        row = (f"{_csv_fields(poly.field)},{pid},%d,{number},{number},{number},%s,"
+               f"{str(poly.closed).lower()}\n")
+        rows = [(k, u, v, res, _DEGENERATE[deg]) for k, ((u, v), res, deg)
+                in enumerate(zip(poly.vertices, poly.residuals, poly.degenerate))]
+        lines.append(row * len(rows) % tuple(chain.from_iterable(rows)))
+    fh.write("".join(lines))
 
 
 def _cmd_validate(args):

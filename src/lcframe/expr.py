@@ -19,7 +19,10 @@ is compiled once per process (the SHAPES most recently used are kept),
 and each program is that code with its own constants bound to those
 parameters, which it reads as locals.  Trees that differ only in their
 constants, such as a surface's and those of its images under X -> cX,
-a Lorentz transformation or a parameter shift, compile once.
+a Lorentz transformation or a parameter shift, compile once.  A
+numbering's table and uses compute their hash once (_HashedTuple), and
+the programs of one shape share them, so finding a known shape's code
+hashes no table again.
 
 A parse with slots shares what comes before the code too: each generic
 constant is a Slot leaf, which no rule folds, so those trees are one
@@ -33,6 +36,14 @@ further, _Numbering.folds_further says so, and the surface takes its
 literal derivation for that program.  Shared codes and trees are never
 changed once made, so threads may share them; threads racing on a miss
 make equal ones, and one is kept.
+
+Source text is read by one regular expression (_TOKEN), whose classes
+are those of str.isspace, isdigit, isalpha and isalnum.  A text's token
+key (_token_key) is its tokens with each generic constant its slot
+index, formed without parsing: texts with equal keys parse with slots
+to equal trees, so a table keyed by it reads a known text's constants
+from its tokens and parses only on a miss (surface.SurfaceDef's shapes,
+constant_value's domain bounds).
 
 A tree has three kinds of program, each compiled from its numbering:
 the point program; the grid program, which samples the trees over a
@@ -65,9 +76,11 @@ tan, exp, log, sqrt, abs, sinh, cosh.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import add, mul, neg, or_, sub
+from itertools import compress
+from operator import add, itemgetter, mul, neg, or_, sub
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
@@ -240,49 +253,49 @@ _VARIABLES = ("u", "v")
 
 _TOKEN_OPS = "+-*/^(),"
 
+#: A number: digits and dots, led by a digit or by a dot before a digit,
+#: then an exponent where digits follow e or E and its sign.
+_NUMBER = r"(?:[0-9]|\.(?=[0-9]))[0-9.]*(?:[eE][+-]?[0-9]+)?"
+
+#: One token after any whitespace, as the group: a number, an identifier,
+#: or any other character (an operator, or an error).  \s and \w are
+#: str.isspace and str.isalnum or "_"; the other classes are ASCII, so a
+#: text that is not is read through _classes.
+_TOKEN = re.compile(rf"\s*({_NUMBER}|[A-Za-z_]\w*|\S)")
+
+
+def _classes(source):
+    """source with each character that is not ASCII written as _TOKEN
+    must read it: a digit (str.isdigit) as 0, a letter (str.isalpha) as
+    a, and any other as itself.  Each keeps its offset."""
+    if source.isascii():
+        return source
+    return "".join(c if c.isascii() else "0" if c.isdigit() else "a" if c.isalpha() else c
+                   for c in source)
+
 
 def _tokenize(source):
     tokens = []  # (kind, text_or_value, offset)
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+    classes = _classes(source)
+    # to the last token: trailing whitespace is no token, and matching
+    # it from each of its offsets would take time quadratic in its length
+    for match in _TOKEN.finditer(classes, 0, len(classes.rstrip())):
+        i, j = match.span(1)
+        first, text = classes[i], source[i:j]
+        if first in _TOKEN_OPS:
+            tokens.append((first, first, i))
+        elif first == "_" or first.isalpha():
+            tokens.append(("ident", text, i))
+        elif j - i > 1 or first.isdigit():
             try:
                 value = float(text)
             except ValueError:
                 raise ExprSyntaxError(f"bad number literal {text!r}", source, i) from None
             tokens.append(("number", value, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(("ident", source[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", source, i,
-                              expected=("number", "identifier", "operator"))
-    tokens.append(("end", "", n))
+        else:
+            raise ExprSyntaxError(f"unexpected character {text!r}", source, i,
+                                  expected=("number", "identifier", "operator"))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
@@ -458,6 +471,76 @@ def parse(source: str, slots: dict | None = None) -> Expr:
     constants are one Slot, and trees parsed with one dict number their
     slots together.  The values are float(repr) of slots' keys."""
     return _Parser(source, slots).parse()
+
+
+#: The first characters of a constant token: a number's, and pi's.
+_CONSTANT_FIRST = frozenset("0123456789.p")
+
+#: The tokens after which a minus is unary: each operator but ")", as a
+#: term ends with a number, an identifier or ")" before a binary minus.
+_UNARY_AFTER = frozenset(_TOKEN_OPS) - {")"}
+
+
+def _token_key(source, slots):
+    """The token key of ASCII source text, or None for other text or a
+    bad number literal: its tokens as _tokenize reads them, with each
+    generic constant (a number or pi that parse with slots makes a Slot)
+    its slot index, and each other number the repr of its value: an
+    exponent's, and a constant 0.0, -0.0, 1.0 or -1.0.  A minus that
+    parse folds into the number after it is folded in first, and is no
+    token of the key.  slots, a dict shared by the texts keyed together,
+    maps each generic constant's value to its index, added in order of
+    first appearance; equal values are equal reprs there, as a slot is
+    never 0.0 or -0.0 and a number never NaN.
+
+    Texts with equal keys parse with slots to equal trees whatever their
+    generic constants' values: each token the parser reads, and each
+    decision it takes, is read from the key.  The key is formed without
+    parsing, so a text that does not parse has one too, equal to no key
+    of a text that does."""
+    if not source.isascii():
+        return None
+    # to the last token, as in _tokenize
+    tokens = _TOKEN.findall(source, 0, len(source.rstrip()))
+    folded = []  # the offsets of minuses folded into the numbers after them
+    for i in compress(range(len(tokens)),
+                      map(_CONSTANT_FIRST.__contains__, map(itemgetter(0), tokens))):
+        text = tokens[i]
+        if text == "pi":
+            value = math.pi
+        elif text[0] == "p":
+            continue
+        else:
+            try:
+                value = float(text)
+            except ValueError:
+                return None
+            prev = tokens[i - 1] if i else None
+            if prev == "^" or (prev == "-" or prev == "(") and i > 1 and tokens[i - 2] == "^" or (
+                    prev == "-" and i > 2 and tokens[i - 2] == "(" and tokens[i - 3] == "^"):
+                tokens[i] = repr(value)  # an exponent (^n, ^-n, ^(n) or ^(-n)): an integer
+                continue
+            # parse's fold of a unary minus before a number (_Parser.unary)
+            if prev == "-" and (i == 1 or tokens[i - 2] in _UNARY_AFTER) and (
+                    i + 1 == len(tokens) or tokens[i + 1] != "^"):
+                value = -value
+                folded.append(i - 1)
+        tokens[i] = (repr(value) if value in _FOLDED_VALUES
+                     else slots.setdefault(value, len(slots)))
+    for i in reversed(folded):
+        del tokens[i]
+    return tuple(tokens)
+
+
+class _TokenKey(tuple):
+    """A token key (_token_key) that carries the texts it was formed
+    from, for a table keyed by it to parse them on a miss; it hashes and
+    compares as the tuple alone."""
+
+    def __new__(cls, key, sources):
+        self = super().__new__(cls, key)
+        self.sources = sources
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +1018,8 @@ class _Numbering(NamedTuple):
         values[slot index]: a program of it computes what the trees with
         those values as Consts compute, though a slot stays a value of
         its own beside an equal Const."""
-        return self._replace(constants=tuple(values[c.index] if type(c) is Slot else c
-                                             for c in self.constants))
+        return _Numbering(self.table, self.uses, self.roots,
+                          tuple([values[c.index] if type(c) is Slot else c for c in self.constants]))
 
     def folds(self):
         """The values that a derivation with each slot a Const would
@@ -961,15 +1044,28 @@ class _Numbering(NamedTuple):
         its own operation, is 0.0, -0.0, 1.0 or -1.0: a constant on
         which a derivation's rules (Dag._fold) fold further, so that the
         trees derived with each slot a Const may differ from these."""
-        if not folds:
-            return False
-        values = {n: self.constants[int(op[2:])] for n, (op, _, *operands) in enumerate(self.table)
-                  if not operands and op not in _VARIABLES}
+        table, constants = self.table, self.constants
+        values = {}  # n -> the value of fold n
         for n, op, *operands in folds:
-            values[n] = _FOLDS[op](*map(values.__getitem__, operands))
+            # an operand is a fold before n, or a constant _k<i>
+            values[n] = _FOLDS[op](*(values[k] if k in values else constants[int(table[k][0][2:])]
+                                     for k in operands))
             if values[n] in _FOLDED_VALUES:
                 return True
         return False
+
+
+class _HashedTuple(tuple):
+    """A tuple that computes its hash once: a numbering's table and uses
+    are hashed by every compile of their shape (_shared_code), and the
+    numberings of the surfaces of one shape share them."""
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
 
 
 def _numbering(trees):
@@ -1045,7 +1141,7 @@ def _numbering(trees):
         number = None
     for n in roots:
         uses[n] += 1
-    return _Numbering(tuple(table), tuple(uses), tuple(roots), tuple(constants))
+    return _Numbering(_HashedTuple(table), _HashedTuple(uses), tuple(roots), tuple(constants))
 
 
 class _Emitter:
@@ -1365,11 +1461,36 @@ def constant_value(source: str) -> float:
     """Evaluate source that must not mention u or v (domain bounds),
     compiled so that a fault is worded as at a point.  A single
     constant, which the parser folds most bounds to, is returned as it
-    is, checked finite as the compiled root checks it."""
-    expr = parse(source)
-    if type(expr) is Const:
-        return expr.value if math.isfinite(expr.value) else _non_finite(expr.value)
-    numbering = _numbering([expr])
+    is, checked finite as the compiled root checks it.
+
+    source is looked up by its token key (_token_key) among the SHAPES
+    most recently used, and parsed with slots only on a miss: a text
+    whose tokens differ from an earlier one's only in generic constants
+    reads its values from its tokens and binds them to that text's
+    numbering."""
+    slots = {}
+    key = _token_key(source, slots)
+    if key is None:
+        return _constant(source)(())
+    return _constant_by_tokens(_TokenKey(key, source))(tuple(slots))
+
+
+@lru_cache(maxsize=SHAPES)
+def _constant_by_tokens(key):
+    return _constant(key.sources, {})
+
+
+def _constant(source, slots=None):
+    """values -> the value of the constant expression source parsed with
+    slots, values[i] the value of slot i."""
+    numbering = _numbering([parse(source, slots)])
     if _deps(numbering.table)[numbering.roots[0]]:
         raise ExprError(f"expected a constant expression, got {source!r}")
-    return compile_program(numbering)(0.0, 0.0)[0]
+    if len(numbering.table) == 1:  # one constant, compiled into no program
+
+        def value(values):
+            x, = numbering.bound(values).constants
+            return x if math.isfinite(x) else _non_finite(x)
+
+        return value
+    return lambda values: compile_program(numbering.bound(values))(0.0, 0.0)[0]

@@ -24,19 +24,27 @@ under X -> cX, a Lorentz transformation or a parameter shift.  A shape
 is derived once per process, in one expr.Dag, so each distinct
 subexpression is simplified and differentiated once; the context is
 dropped when the derivation returns, and neither the shape nor the
-compiled programs keep a reference to it.  It keeps one table of trees
-by root name: the 23 BasicInvariants fields (the twenty coefficients
-and partials, and n~ = X_u ^ m), lam~ = -4 a1 b1 folded over the a1
-and b1 trees, and the vectors X_u, X_v, v, w and m.  A build compiles
-nothing (loading a definition compiles each domain bound that is not a
-single constant).  SurfaceDef.program(roots, schedule) is the one
-compile route: a program of the roots a consumer reads, on the point,
-arrays, grid or edges schedule, with the surface's constants bound,
-compiled on first use and kept.  basic_invariants_at reads all 23
-invariants, validate_framed v, w, a1, b1, a2, b2, c2, X_u and X_v over
-its grid, a trace its field alone and the ten roots its vertex classes
-read, and limits the 15 roots of its samples' classes and K/H records.
-lcframe imports numpy only for the arrays schedule.
+compiled programs keep a reference to it.  A build finds its shape by
+the token key of its nine component texts (expr._token_key): their
+tokens, with each generic constant its slot index.  A known key gives
+the shape, and the constants are read from the tokens, so a text is
+parsed only the first time its key is seen; texts whose tokens differ
+but whose trees do not, such as in their parentheses, parse to trees
+that find the shape.
+Domain bounds are keyed the same way (expr.constant_value).  A shape
+keeps one table of trees by root name: the 23 BasicInvariants fields
+(the twenty coefficients and partials, and n~ = X_u ^ m), lam~ = -4 a1
+b1 folded over the a1 and b1 trees, and the vectors X_u, X_v, v, w and
+m.  A build compiles nothing (loading a definition compiles each
+domain bound that is not a single constant).
+SurfaceDef.program(roots, schedule) is the one compile route: a
+program of the roots a consumer reads, on the point, arrays, grid or
+edges schedule, with the surface's constants bound, compiled on first
+use and kept.  basic_invariants_at reads all 23 invariants,
+validate_framed v, w, a1, b1, a2, b2, c2, X_u and X_v over its grid, a
+trace its field alone and the ten roots its vertex classes read, and
+limits the 15 roots of its samples' classes and K/H records.  lcframe
+imports numpy only for the arrays schedule.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -53,8 +61,8 @@ from typing import NamedTuple
 from .errors import LcframeError
 from .expr import (
     Add, Const, Dag, EvalDomainError, Expr, ExprError, Mul, Neg, Slot, Sub, Var, _numbering,
-    _too_deep, compile_edge_kernels, compile_grid_program, compile_program, constant_value,
-    parse,
+    _token_key, _TokenKey, _too_deep, compile_edge_kernels, compile_grid_program,
+    compile_program, constant_value, parse,
 )
 from .minkowski import LVec3, wedge
 
@@ -215,17 +223,22 @@ def _partials(dag, trees, var):
 class SurfaceDef:
     """A surface: its name, its domain, its shape and its constants.
 
-    The components of X, v and w are parsed with each generic constant
-    a slot (expr.parse), and the shape, the derivation of those trees
-    (_Shape), is looked up in a process-wide table by the trees (_shape)
-    and derived only on a miss.  So a surface and its images under
-    X -> cX, a Lorentz transformation of (X, v, w) or a parameter shift,
-    which differ only in their constants, derive and number their trees
-    once per process.  constants holds the slots' values.
+    The components of X, v and w are keyed by their tokens, each generic
+    constant its slot index (expr._token_key), and a process-wide table
+    of keys (_by_tokens) gives the shape of a known key without a parse.
+    On a miss, or for components that are trees or not ASCII text, they
+    are parsed with each generic constant a slot (expr.parse), and the
+    shape, the derivation of those trees (_Shape), is looked up in a
+    table by the trees (_shape) and derived only on a miss there.  So a
+    surface and its images under X -> cX, a Lorentz transformation of
+    (X, v, w) or a parameter shift, which differ only in their
+    constants, parse once per process if written alike, and derive and
+    number their trees once.  constants holds the slots' values.
     program(roots, schedule) binds them to the shape's numbering of
     roots and compiles the program of the roots a consumer reads on
     first use, keeping it under (roots, schedule); its code is shared
-    with every program of the same numbering (expr.compile_program).
+    with every program of the same numbering (expr.compile_program), and
+    found without hashing the numbering again.
 
     A shape is immutable but for the second partials and numberings it
     fills in on first use, and a surface but for the programs it keeps:
@@ -241,12 +254,14 @@ class SurfaceDef:
         if not isinstance(domain, DomainBox):
             domain = DomainBox(*domain)
         self.domain = domain
-        slots = {}  # the repr of each generic constant -> its Slot
-        components = tuple(tuple(_component(c, slots) for c in sources)
-                           for sources in (x_sources, v_sources, w_sources))
-        if any(len(c) != 3 for c in components):
-            raise SurfaceFormatError("X, v and w each need exactly 3 components")
-        self.shape = _shape(components)
+        sources = (x_sources, v_sources, w_sources)
+        slots = {}  # each generic constant -> its slot index
+        key = _texts_key(sources, slots)
+        if key is not None:
+            self.shape = _by_tokens(key)
+        else:
+            slots = {}  # the repr of each generic constant -> its Slot
+            self.shape = _parsed_shape(sources, slots)
         self.constants = tuple(map(float, slots))
         self._programs = {}  # (roots, schedule) -> program compiled on first use
 
@@ -493,6 +508,45 @@ def _shape(components):
         raise _too_deep("simplify", exc) from None
 
 
+def _texts_key(sources, slots):
+    """The token key of the components of X, v and w (expr._token_key),
+    their slots numbered together in slots and the texts carried
+    (expr._TokenKey); or None unless they are nine ASCII texts, three
+    each, with no bad number literal."""
+    if any(type(texts) not in (list, tuple) or len(texts) != 3 for texts in sources):
+        return None
+    key = []
+    for texts in sources:
+        for text in texts:
+            if type(text) is not str:
+                return None
+            tokens = _token_key(text, slots)
+            if tokens is None:
+                return None
+            key.append(tokens)
+    return _TokenKey(key, tuple(map(tuple, sources)))
+
+
+@lru_cache(maxsize=SHAPES)
+def _by_tokens(key):
+    """The shape of the texts key carries (_texts_key), parsed on a miss
+    of the process's table of the SHAPES token keys most recently used.
+    Texts whose tokens differ from these only in their generic constants
+    hit it, and parse and derive nothing; texts whose tokens differ but
+    whose trees do not, such as in their parentheses, miss it and find
+    the shape by their trees."""
+    return _parsed_shape(key.sources, {})
+
+
+def _parsed_shape(sources, slots):
+    """The shape of the components of X, v and w, parsed with slots
+    (_component) and looked up by their trees (_shape)."""
+    components = tuple(tuple(_component(c, slots) for c in texts) for texts in sources)
+    if any(len(c) != 3 for c in components):
+        raise SurfaceFormatError("X, v and w each need exactly 3 components")
+    return _shape(components)
+
+
 def _component(source, slots):
     """The tree of one component, text parsed with slots."""
     if isinstance(source, str):
@@ -514,6 +568,9 @@ def _literal(e, constants):
 
 
 def _bound(value):
+    if isinstance(value, bool):  # an int, but not a number of JSON
+        raise SurfaceFormatError(
+            f"domain bound must be a number or an expression, got {json.dumps(value)}")
     if isinstance(value, (int, float)):
         try:
             return float(value)  # DomainBox rejects a non-finite one

@@ -4,7 +4,7 @@ import math
 import operator
 from types import SimpleNamespace
 
-from lcframe.expr import HALVINGS, Dag, compile_program, parse
+from lcframe.expr import HALVINGS, Dag, ExprSyntaxError, compile_program, parse
 
 #: The operations of the shared decisions (curvature._gauss_mean,
 #: curvature._packet_fields, classify._class_code) on floats, run as
@@ -65,3 +65,53 @@ def partial_programs(source, order):
         for j in range(1, order + 1 - i):
             trees[(i, j)] = dag.differentiate(trees[(i, j - 1)], "v")
     return {key: compile_program([tree]) for key, tree in trees.items()}
+
+
+def tokenize(source):
+    """The tokens of source text, (kind, text or value, offset), read one
+    character at a time with str.isspace, isdigit, isalpha and isalnum,
+    as lcframe.expr first read them; ending in ("end", "", len(source)).
+    Raises the ExprSyntaxError of the first bad character or number
+    literal."""
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*/^(),":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+            j = i
+            while j < n and (source[j].isdigit() or source[j] == "."):
+                j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k].isdigit():
+                    j = k
+                    while j < n and source[j].isdigit():
+                        j += 1
+            text = source[i:j]
+            try:
+                value = float(text)
+            except ValueError:
+                raise ExprSyntaxError(f"bad number literal {text!r}", source, i) from None
+            tokens.append(("number", value, i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            tokens.append(("ident", source[i:j], i))
+            i = j
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", source, i,
+                              expected=("number", "identifier", "operator"))
+    tokens.append(("end", "", n))
+    return tokens

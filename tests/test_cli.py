@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import lcframe
 from lcframe import catalog
-from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER, TRACEABLE_FIELDS
+from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER, TRACEABLE_FIELDS, LocusPolyline, _fmt
 from lcframe.cli import (
     CURVATURE_HEADER, _build_parser, _load_surface, _surface_from_text, _write_curvature_csv,
-    _write_curvature_points, main, run_demo,
+    _write_curvature_points, _write_trace_csv, main, run_demo,
 )
 from lcframe.expr import MAX_NESTING, ExprSyntaxError
 from lcframe.limits import QUANTITIES, boundedness_report
@@ -388,6 +388,51 @@ def test_validate_reads_any_file_without_a_traceback(tmp_path_factory, content):
     assert "Traceback" not in err.getvalue()
     if rc == 1 and not out.getvalue():
         assert err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("bound", [True, False])
+def test_a_boolean_domain_bound_is_a_format_error(tmp_path, capsys, bound):
+    # JSON true and false are ints to Python: "u": [true, 2] was read as
+    # the box from 1.0 to 2.0
+    surf = tmp_path / "surface.surf"
+    surf.write_text(json.dumps(dict(SPHERE, domain={"u": [bound, 2], "v": [0, 1]})),
+                    encoding="utf-8")
+    assert main(["validate", str(surf)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: domain bound must be a number or an expression, got {json.dumps(bound)}\n")
+
+
+def _csv_writer_trace(polylines):
+    """The trace CSV of polylines as csv.writer writes it, a row at a
+    time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    for pid, poly in enumerate(polylines):
+        for k, ((u, v), res, deg) in enumerate(
+                zip(poly.vertices, poly.residuals, poly.degenerate)):
+            writer.writerow((poly.field, pid, k, _fmt(u), _fmt(v), _fmt(res),
+                             "" if deg is None else str(deg).lower(),
+                             str(poly.closed).lower()))
+    return out.getvalue()
+
+
+VERTICES = st.lists(st.tuples(st.floats() | st.just(-0.0), st.floats() | st.just(-0.0),
+                              st.floats(min_value=0.0), st.sampled_from([None, True, False])),
+                    min_size=2, max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(
+    lambda field, vertices, closed: LocusPolyline(
+        field, [(u, v) for u, v, _, _ in vertices], [r for _, _, r, _ in vertices],
+        [d for _, _, _, d in vertices], closed),
+    # a name csv.writer quotes besides the traced fields
+    st.sampled_from(TRACEABLE_FIELDS + ('a,"b"',)), VERTICES, st.booleans()), max_size=6))
+def test_trace_csv_writes_the_bytes_of_csv_writer(polylines):
+    out = io.StringIO()
+    _write_trace_csv(polylines, out)
+    assert out.getvalue() == _csv_writer_trace(polylines)
 
 
 def test_an_expression_nested_too_deeply_is_a_syntax_error(tmp_path, capsys, builds):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+import string
 import struct
 from dataclasses import dataclass, fields
 
@@ -19,7 +20,7 @@ from lcframe.expr import (
     constant_value, differentiate, evaluate, parse, simplify, to_source,
 )
 from lcframe.surface import BasicInvariants
-from oracles import bisect_edge, partial_programs
+from oracles import bisect_edge, partial_programs, tokenize
 
 
 def same_bits(a, b):
@@ -315,6 +316,110 @@ class TestCompiledField:
         for source in ("2*u", "0*u", "v - v", "sin(u)^0 + 1"):
             with pytest.raises(ExprError, match=r"^expected a constant expression, got "):
                 constant_value(source)
+
+
+#: Characters the tokenizer reads with str methods: ASCII, and Unicode
+#: digits, letters, spaces and numerals beside it.  A superscript such
+#: as "²" is a digit to str.isdigit but not to the regular expression
+#: class \d; "½" and "Ⅷ" are alphanumeric but neither digits nor letters.
+TOKEN_CHARS = list(string.printable) + [
+    "²", "³", "¹", "₀", "①", "٣", "𝟘", "½", "Ⅷ", "三", "é", "ª", "ß", "\u00a0", "\u2003",
+    "\u3000", "\x1c", "\x85", "\u0301", "\u200b"]
+
+
+def _tokens_or_error(tokenizer, source):
+    try:
+        return tokenizer(source)
+    except ExprSyntaxError as exc:
+        return str(exc), exc.offset, exc.expected
+
+
+#: Texts whose token keys are compared, each number written N: token
+#: sequences of every operator, variables, pi, a function and an
+#: unknown identifier, and expressions that parse, with unary minuses
+#: before numbers, pi and parentheses, and exponents of each form.
+KEY_TOKENS = st.lists(st.sampled_from(["+", "-", "-", "*", "/", "^", "(", ")", ",", "u", "v",
+                                       "pi", "sin", "e", "N", "N", "N", "N"]),
+                      max_size=14).map(" ".join)
+KEY_EXPRESSIONS = st.recursive(
+    st.sampled_from(["N", "-N", "u", "v", "pi", "-pi"]),
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/", "*-", "- -"]), children)
+        .map(" ".join),
+        children.map("({})".format), children.map("-({})".format),
+        st.tuples(children.map("({})".format), st.sampled_from(["N", "-N", "(N)", "(-N)"]))
+        .map("^".join),
+        children.map("sin({})".format)),
+    max_leaves=8)
+
+#: Edits of a text's tokens at an offset, for a second text near it.
+KEY_EDITS = {
+    "none": lambda tokens, i: tokens,
+    "minus": lambda tokens, i: tokens[:i] + ["-"] + tokens[i:],
+    "drop": lambda tokens, i: tokens[:i] + tokens[i + 1:],
+    "pi": lambda tokens, i: tokens[:i] + ["pi" if tokens[i:i + 1] == ["N"] else "N"]
+    + tokens[i + 1:],
+    "parenthesis": lambda tokens, i: tokens[:i] + ["("] + tokens[i:i + 1] + [")"]
+    + tokens[i + 1:],
+}
+
+#: The numbers written for N: literals that stay Consts, and generic
+#: values of which no two are equal.
+KEY_LITERALS = ["0", "1", "0.0", "1e0", "2"]
+KEY_GENERICS = ["2", "3", "0.5", "1e3", "2.5e-7", "3.141592653589793", "1e999", "7."]
+
+
+class TestTokens:
+    @settings(max_examples=500, deadline=None)
+    @example("1.5e+3*u^-2 - .5e")
+    @example("²+1")
+    @example("u٣ + 1e²")
+    @example("u  \u3000 ")
+    @given(st.one_of(st.text(st.sampled_from(TOKEN_CHARS), max_size=24), st.text(max_size=12)))
+    def test_the_regular_expression_reads_the_tokens_of_the_character_loop(self, source):
+        assert _tokens_or_error(expr._tokenize, source) == _tokens_or_error(tokenize, source)
+
+    @settings(max_examples=500, deadline=None)
+    @example("-N ^ N", ["2", "2"], list(KEY_GENERICS), "drop", 0, True)
+    @example("-N", ["2"], list(KEY_GENERICS), "pi", 1, False)
+    @given(st.one_of(KEY_EXPRESSIONS, KEY_TOKENS),
+           st.lists(st.sampled_from(KEY_LITERALS + KEY_GENERICS), max_size=14),
+           st.permutations(KEY_GENERICS), st.sampled_from(sorted(KEY_EDITS)), st.integers(0, 20),
+           st.booleans())
+    def test_texts_with_equal_token_keys_parse_alike(self, template, numbers, renamed, edit, at,
+                                                     spaced):
+        # a text, and a text with one token edited near it and its
+        # generic numbers renamed one to one: where their keys are
+        # equal, so are their trees
+        written = template.replace("N", " N ").split()
+        numbers = numbers + ["2"] * (len(written) + 1)
+        rename = dict(zip(KEY_GENERICS, renamed))
+        space = " " if spaced else ""
+        texts = []
+        for tokens, names in ((written, {}), (KEY_EDITS[edit](written, at), rename)):
+            filled = iter(numbers)
+            texts.append(space.join(names.get(n, n) for n in (
+                next(filled) if t == "N" else t for t in tokens)))
+        keys, outcomes = [], []
+        for text in texts:
+            key_slots, slots = {}, {}
+            keys.append(expr._token_key(text, key_slots))
+            try:
+                outcomes.append(parse(text, slots))
+            except ExprSyntaxError:
+                outcomes.append(None)
+            else:
+                # the key numbers the slots as the parse does
+                assert keys[-1] is not None
+                assert [repr(value) for value in key_slots] == list(slots)
+        if keys[0] is not None and keys[0] == keys[1]:
+            assert outcomes[0] == outcomes[1]
+
+    def test_signs_that_parse_apart_have_two_keys(self):
+        assert expr._token_key("u*sin(0)", {}) != expr._token_key("u*sin(-0)", {})
+        assert expr._token_key("u^-2", {}) != expr._token_key("u^2", {})
+        # a folded minus is a constant's sign, any other an operation
+        assert expr._token_key("-pi", {}) != expr._token_key("-3", {})
 
 
 # Lists of trees that share subtrees, by object and by structure, and

@@ -209,7 +209,7 @@ def _images(per_surface=4, seed=7):
 
 
 def test_images_derive_and_number_each_shape_once(monkeypatch):
-    calls = {"shapes": 0, "numberings": 0, "differentiate": 0}
+    calls = {"shapes": 0, "numberings": 0, "differentiate": 0, "parse": 0}
 
     def counting(key, original):
         def counted(*args):
@@ -221,7 +221,11 @@ def test_images_derive_and_number_each_shape_once(monkeypatch):
     monkeypatch.setattr(surface, "_Shape", type("_Shape", (surface._Shape,), {
         "__slots__": (), "__init__": counting("shapes", surface._Shape.__init__)}))
     monkeypatch.setattr(surface, "_numbering", counting("numberings", surface._numbering))
+    # the components' parses, and those of the domain bounds
+    monkeypatch.setattr(surface, "parse", counting("parse", surface.parse))
+    monkeypatch.setattr(expr, "parse", counting("parse", expr.parse))
     monkeypatch.setattr(Dag, "differentiate", counting("differentiate", Dag.differentiate))
+    surface._by_tokens.cache_clear()
     surface._derived.cache_clear()
     texts = _images()
     assert len(texts) == 36
@@ -233,11 +237,13 @@ def test_images_derive_and_number_each_shape_once(monkeypatch):
         if k < len(catalog.names()):
             assert calls["shapes"] == before["shapes"] + 1
             assert calls["numberings"] == before["numberings"] + len(ROOT_SETS)
+            assert calls["parse"] >= before["parse"] + 9
         else:
-            # a hit derives and numbers nothing
+            # a hit of the token key parses, derives and numbers nothing
             assert calls == before, k
     assert calls["shapes"] == 9
     assert calls["numberings"] == 9 * len(ROOT_SETS)
+    assert surface._by_tokens.cache_info().misses == 9
     assert surface._derived.cache_info().misses == 9
 
 
@@ -270,6 +276,7 @@ def test_threads_deriving_shapes_at_once_match_a_serial_build():
         return out
 
     serial = values()
+    surface._by_tokens.cache_clear()
     surface._derived.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

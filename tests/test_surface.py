@@ -601,6 +601,14 @@ class TestDomainGrid:
         with pytest.raises(SurfaceFormatError):
             SurfaceDef.from_dict(data)
 
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_a_boolean_bound_is_rejected(self, bound):
+        # JSON reads true and false as bools, which are ints to Python
+        data = {"name": "x", "X": ["u", "-v", "0"], "v": ["1", "0", "1"],
+                "w": ["1", "0", "-1"], "domain": {"u": [bound, 2], "v": [0, 1]}}
+        with pytest.raises(SurfaceFormatError, match="^domain bound must be a number or an"):
+            SurfaceDef.from_dict(data)
+
     def test_a_box_too_wide_for_floats_is_rejected(self):
         # u_max - u_min overflows, and the grid held nan and inf points
         with pytest.raises(SurfaceFormatError, match="finite"):
@@ -639,7 +647,9 @@ class TestInvariantProgram:
             original(self)
 
         monkeypatch.setattr(Dag, "__init__", counted)
-        surface._derived.cache_clear()  # so that the build derives its shape
+        # so that the build derives its shape
+        surface._by_tokens.cache_clear()
+        surface._derived.cache_clear()
         s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
         for field in TRACED_FIELDS:
             for schedule in ("point", "grid", "edges"):
