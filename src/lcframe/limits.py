@@ -24,20 +24,23 @@ verdict.  A fit computes its rms residual only where a result keeps it:
 the quantity's own slope and vanishing_order, not the order fits of a
 verdict.
 
-Each sample of a schedule is evaluated once, by one program of the 15
-roots its class and its record read (_sample_roots, from the traces of
-`classify._class_code` and `curvature._gauss_mean`): they give its
-class, then a sample record of lam~, K~, H~, c2, K and H, and every
-quantity, field and verdict along the path is read from that record.
-The target of a report, of limit_along and of vanishing_order is
-evaluated by the same program, so limits compiles no invariant program
-of all 23 roots, and a fault in a root it does not read (a2, b2, e2,
-c1u, c1v, n~) fails no sample.  Both decisions run as their compiled
-float code (straightline.float_code).  A report builds no curvature
-packet, so it computes no principal curvature and no kappa_til_1, whose
-0/0 limit would evaluate further points on the u-line of a sample.
-Every ray of a report shares one distance schedule, so its logarithms
-are taken once per report (`numerics.LogAxis`).
+Each ray is walked by one ray kernel (_ray_kernel), generated once per
+process from the traces of `classify._class_code` and
+`curvature._gauss_mean` over the 15 roots they read (_sample_roots).
+For each sample in turn it tests the domain, calls the samples' program
+once, decides the class inline, and builds the sample's record of c2,
+lam~, K~, H~, K and H inline; the first sample that leaves the domain
+or does not classify regular raises.  Every quantity, field and verdict
+along the path is read from the ray's records, taken as columns.  The
+target of a report, of limit_along and of vanishing_order is evaluated
+by the same program, so limits compiles no invariant program of all 23
+roots, and a fault in a root it does not read (a2, b2, e2, c1u, c1v,
+n~) fails no sample.  A report builds no curvature packet, so it
+computes no principal curvature and no kappa_til_1, whose 0/0 limit
+would evaluate further points on the u-line of a sample.  Every ray of
+a report shares one distance schedule, so its logarithms are taken once
+per report (`numerics.LogAxis`), and every fit on it runs as the
+straight-line fit of its count of samples.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from .classify import _FMT, CLASSES, _class_code, _fmt
 from .curvature import _gauss_mean
 from .errors import LcframeError
 from .numerics import LogAxis, richardson
-from .straightline import float_code, roots_read
-from .surface import SurfaceDef
+from .straightline import compile_function, float_code, roots_read, straight_code
+from .surface import _SLACK, SurfaceDef
 from .taxonomy import Category, Kind
 
 __all__ = [
@@ -156,14 +159,10 @@ class ApproachPath:
         return [self.r0 * self.ratio ** k for k in range(self.count)]
 
     def points(self):
-        u0, v0 = self.target
-        pts = []
-        for r in self.distances():
-            if self.direction is not None:
-                pts.append((u0 + r * self.direction[0], v0 + r * self.direction[1]))
-            else:
-                pts.append(tuple(self.curve(r)))
-        return pts
+        if self.direction is None:
+            return [tuple(self.curve(r)) for r in self.distances()]
+        (u0, v0), (du, dv) = self.target, self.direction
+        return [(u0 + r * du, v0 + r * dv) for r in self.distances()]
 
 
 @dataclass(frozen=True)
@@ -217,33 +216,11 @@ def _target(s, u, v):
     return inv, CLASSES[float_code(_class_code, roots)(inv, 1e-9)]
 
 
-def _sample_ray(s, path):
-    """(u, v, roots, class) of every sample, in schedule order, with the
-    values of _sample_roots() as a tuple.
-
-    Each sample must lie in the domain and classify regular; the first
-    that does not raises.  The domain is checked here, once, and each
-    sample is one call of the samples' program, classified as classify
-    does."""
-    roots = _sample_roots()
-    program, class_code = s.program(roots), float_code(_class_code, roots)
-    samples = []
-    for (u, v) in path.points():
-        if not s.domain.contains(u, v):
-            raise SampleOutsideDomainError(
-                f"sample ({u!r}, {v!r}) outside domain of {s.name!r}")
-        inv = program(u, v)
-        pc = CLASSES[class_code(inv, 1e-9)]
-        if not pc.is_regular:
-            raise QuantityUndefinedError(
-                f"sample ({u!r}, {v!r}) hit a {pc.category.value} locus")
-        samples.append((u, v, inv, pc))
-    return samples
-
-
 class _Sample(NamedTuple):
     """What limits reads of one evaluated point; K and H are None where
-    the classical curvatures are undefined, as in a curvature packet."""
+    the classical curvatures are undefined, as in a curvature packet.
+    The same fields, each a tuple over the samples of a ray, are that
+    ray's columns (_columns)."""
 
     u: float
     v: float
@@ -255,44 +232,117 @@ class _Sample(NamedTuple):
     H: float | None
 
 
-def _records(samples):
-    """The record of each sample, from the values of its roots."""
+#: whether a sample may have each class code, an index into CLASSES
+_REGULAR = tuple(pc.is_regular for pc in CLASSES)
+
+
+@functools.cache
+def _ray_kernel(roots):
+    """The ray kernel of a program of the root names `roots`, generated
+    on first use: a function (points, program, box, name, tol) ->
+    (records, classes, fault).
+
+    For each point (u, v), in order, it tests the domain box (u_lo,
+    u_hi, v_lo, v_hi), calls program(u, v) once and runs
+    classify._class_code on its values at tol, inline.  The first point
+    outside the box raises SampleOutsideDomainError, naming the surface
+    `name`, and the first whose class is not regular raises
+    QuantityUndefinedError.  Otherwise it runs curvature._gauss_mean
+    inline and keeps the point's _Sample record and its class code.
+    Both decisions are the straight-line code of their traces
+    (straightline.straight_code).  An arithmetic error of a record (a
+    power of |lam~| that overflows) is returned as `fault`, with the
+    records before it, and the points after it are only classified: a
+    sample's class error comes before any record's error."""
+    code = straight_code((_class_code, _gauss_mean), roots)
+    (class_lines, class_code), (record_lines, (f, _, has_kh, K, H)) = code.parts
+    return compile_function("\n".join([
+        f"def ray_kernel(_points, _program, _box, _name, {', '.join(code.params)}):",
+        "    _u_lo, _u_hi, _v_lo, _v_hi = _box",
+        "    _records, _classes, _fault = [], [], None",
+        "    for _u, _v in _points:",
+        "        if not (_u_lo <= _u <= _u_hi and _v_lo <= _v <= _v_hi):",
+        "            raise SampleOutsideDomainError(",
+        "                f'sample ({_u!r}, {_v!r}) outside domain of {_name!r}')",
+        f"        {code.unpack}= _program(_u, _v)",
+        *(f"        {line}" for line in class_lines),
+        f"        _class = {class_code}",
+        "        if not _REGULAR[_class]:",
+        "            raise QuantityUndefinedError(",
+        "                f'sample ({_u!r}, {_v!r}) hit a {_CLASSES[_class].category.value} locus')",
+        "        _classes.append(_class)",
+        "        if _fault is None:",
+        "            try:",
+        *(f"                {line}" for line in record_lines),
+        f"                _records.append(_record((_u, _v, c2, {f[6]}, {f[7]}, {f[8]}, "
+        f"{K} if {has_kh} else None, {H} if {has_kh} else None)))",
+        "            except ArithmeticError as _error:",
+        "                _fault = _error",
+        "    return _records, _classes, _fault",
+    ]), {"ArithmeticError": ArithmeticError,
+         "SampleOutsideDomainError": SampleOutsideDomainError,
+         "QuantityUndefinedError": QuantityUndefinedError,
+         "_REGULAR": _REGULAR, "_CLASSES": CLASSES,
+         "_record": functools.partial(tuple.__new__, _Sample)})
+
+
+def _ray(s, path):
+    """(records, classes, fault) of the samples of path on s, by the ray
+    kernel of the samples' program (_ray_kernel).  Its box is the one
+    DomainBox.contains tests."""
+    roots, d = _sample_roots(), s.domain
+    box = (d.u_min - _SLACK, d.u_max + _SLACK, d.v_min - _SLACK, d.v_max + _SLACK)
+    return _ray_kernel(roots)(path.points(), s.program(roots), box, s.name, 1e-9)
+
+
+def _columns(records):
+    """The columns of records: a _Sample of tuples."""
+    return _Sample._make(zip(*records))
+
+
+def _target_record(s, u, v):
+    """The _Sample record of a target, which lies on a locus, where a
+    sample may not: by the samples' program, with no class test."""
     roots = _sample_roots()
-    gauss_mean, c2_at = float_code(_gauss_mean, roots), roots.index("c2")
-    records = []
-    for u, v, inv, _ in samples:
-        f, _, has_kh, K, H = gauss_mean(inv)
-        if not has_kh:
-            K = H = None
-        records.append(_Sample(u, v, inv[c2_at], f[6], f[7], f[8], K, H))
-    return records
+    inv, _ = _target(s, u, v)
+    f, _, has_kh, K, H = float_code(_gauss_mean, roots)(inv)
+    if not has_kh:
+        K = H = None
+    return _Sample(u, v, inv[roots.index("c2")], f[6], f[7], f[8], K, H)
 
 
-def _quantity_values(quantity, records):
-    """The quantity at each record; the first record where it is
-    undefined raises."""
+def _quantity_values(quantity, cols):
+    """The quantity at each sample of a ray's columns; the first sample
+    where it is undefined raises."""
     if quantity == "K":
-        values = [rec.K for rec in records]
+        values = cols.K
     elif quantity == "H":
-        values = [rec.H for rec in records]
+        values = cols.H
     else:
-        values = [None if rec.K is None else rec.c2 * rec.K for rec in records]
+        values = [None if K is None else c2 * K for c2, K in zip(cols.c2, cols.K)]
     if None in values:
-        rec = records[values.index(None)]
+        k = values.index(None)
         raise QuantityUndefinedError(
-            f"{quantity} undefined at sample ({rec.u!r}, {rec.v!r})")
+            f"{quantity} undefined at sample ({cols.u[k]!r}, {cols.v[k]!r})")
     return values
 
 
-def _field_values(name, quantity, records):
-    """The order field name at each record; quantity selects Gamma."""
+def _field_values(name, quantity, cols):
+    """The order field name at each sample of a ray's columns; quantity
+    selects Gamma."""
     if name != "Gamma":
-        return [getattr(rec, name) for rec in records]
+        return getattr(cols, name)
     if quantity == "H":
-        return [rec.c2 * abs(rec.lambda_til) ** 1.5 for rec in records]
+        return [c2 * abs(lam) ** 1.5 for c2, lam in zip(cols.c2, cols.lambda_til)]
     if quantity == "c2K":
-        return [abs(rec.lambda_til) ** 2 for rec in records]
-    return [rec.c2 * abs(rec.lambda_til) ** 2 for rec in records]
+        return [abs(lam) ** 2 for lam in cols.lambda_til]
+    return [c2 * abs(lam) ** 2 for c2, lam in zip(cols.c2, cols.lambda_til)]
+
+
+def _vanishes(mags):
+    """Whether every magnitude is at most ABS_ZERO; not max(mags), since
+    a NaN magnitude must fail the test wherever it is."""
+    return all(map(ABS_ZERO.__ge__, mags))
 
 
 def _fit_order(axis, values, residual=False):
@@ -301,8 +351,7 @@ def _fit_order(axis, values, residual=False):
     vanishing field.  The residual is None unless `residual` is true
     (0.0 for a vanishing field)."""
     mags = list(map(abs, values))
-    # not max(mags): a NaN magnitude must fail the test, wherever it is
-    if all(m <= ABS_ZERO for m in mags):
+    if _vanishes(mags):
         return math.inf, 0.0
     slope, _, resid = axis.slope(mags, residual)
     if slope is None:
@@ -327,28 +376,29 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
         raise LcframeError(
             f"limit target must be lightlike or rank-one singular, "
             f"got {tc.category.value} at {path.target}")
-    return _verdict(path, LogAxis(path.distances()), quantity,
-                    _records(_sample_ray(s, path)), {})
+    records, _, fault = _ray(s, path)
+    if fault is not None:
+        raise fault
+    return _verdict(path, LogAxis(path.distances()), quantity, _columns(records), {})
 
 
-def _verdict(path, axis, quantity, records, numerator_orders) -> LimitVerdict:
-    """limit_along's verdict from the records of the path's samples.
+def _verdict(path, axis, quantity, cols, numerator_orders) -> LimitVerdict:
+    """limit_along's verdict from the columns of the path's samples.
 
     axis is the path's LogAxis.  numerator_orders caches the fitted
     order of K~ and H~ by field name across the quantities of one path:
     K and c2*K share the numerator K~."""
     distances = axis.distances
-    values = _quantity_values(quantity, records)
+    values = _quantity_values(quantity, cols)
 
     num_field = "Htil" if quantity == "H" else "Ktil"
     if num_field not in numerator_orders:
-        numerator_orders[num_field] = _fit_order(
-            axis, _field_values(num_field, quantity, records))[0]
+        numerator_orders[num_field] = _fit_order(axis, getattr(cols, num_field))[0]
     l_order = numerator_orders[num_field]
-    m_order = _fit_order(axis, _field_values("Gamma", quantity, records))[0]
+    m_order = _fit_order(axis, _field_values("Gamma", quantity, cols))[0]
 
     mags = list(map(abs, values))
-    if all(m <= ABS_ZERO for m in mags):
+    if _vanishes(mags):
         note = "identically zero on the schedule"
     elif l_order is math.inf:
         # the samples are the numerator's rounding noise over a vanishing
@@ -412,20 +462,24 @@ def vanishing_order(
         raise LcframeError(f"order fields are {ORDER_FIELDS}, got {field_name!r}")
     if quantity not in QUANTITIES:
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-    samples = _sample_ray(s, path)
+    records, _, fault = _ray(s, path)
     distances = path.distances()
-    target_value = _field_values(field_name, quantity, _records(
-        [(*path.target, _target(s, *path.target)[0], None)]))[0]
-    # the target test needs only the first sample's record; the others
-    # are built once it passes
-    records = _records(samples[:1])
-    sample_scale = abs(_field_values(field_name, quantity, records)[0]) + 1.0
-    if abs(target_value) > tol * sample_scale:
+    target_value, = _order_values(field_name, quantity, [_target_record(s, *path.target)])
+    # the target test needs only the first sample's record; a fault of
+    # a later one is raised once it passes
+    if fault is not None and not records:
+        raise fault
+    sample_scale = abs(_order_values(field_name, quantity, records[:1])[0]) + 1.0
+    # a value beyond the float range does not vanish: inf > tol * inf is false
+    if not math.isfinite(target_value) or abs(target_value) > tol * sample_scale:
         raise FieldNonvanishingError(
             f"{field_name} = {target_value!r} does not vanish at {path.target}")
-    records += _records(samples[1:])
-    values = _field_values(field_name, quantity, records)
-    order, resid = _fit_order(LogAxis(distances), values, residual=True)
+    if fault is not None:
+        raise fault
+    values = _order_values(field_name, quantity, records)
+    order = resid = None
+    if all(map(math.isfinite, values)):
+        order, resid = _fit_order(LogAxis(distances), values, residual=True)
     if order is None:
         raise LcframeError(f"cannot fit an order for {field_name} along the path")
     coeff = None
@@ -439,6 +493,15 @@ def vanishing_order(
         leading_coefficient=coeff,
         slope_residual=resid,
     )
+
+
+def _order_values(name, quantity, records):
+    """The order field name at each record, as _field_values gives it,
+    or inf at every record where a power of |lam~| in Gamma overflows."""
+    try:
+        return _field_values(name, quantity, _columns(records))
+    except OverflowError:
+        return [math.inf] * len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +658,46 @@ def boundedness_report(
     the domain or hit another locus are recorded with the error and
     skipped; the summary uses completed rays only.
     """
+    pc, rays = _fan(s, u, v, directions, count)
+    quantities = _report_quantities(pc.category)
+    report = BoundednessReport(target=(u, v), category=pc.category, kind=pc.kind)
+    axis = None  # every ray shares one schedule
+    for label, direction in rays:
+        path = ApproachPath(target=(u, v), direction=direction,
+                            r0=r0, count=count)
+        if axis is None:
+            axis = LogAxis(path.distances())
+        try:
+            records, classes, fault = _ray(s, path)
+        except LcframeError as exc:
+            report.outcomes.append(DirectionOutcome(
+                label=label, direction=direction, side=None,
+                verdicts={}, error=str(exc)))
+            continue
+        if fault is not None:
+            raise fault
+        sides = {CLASSES[c].category.value for c in set(classes)}
+        side = sides.pop() if len(sides) == 1 else None
+        verdicts = {}
+        error = None
+        try:
+            cols = _columns(records)
+            numerator_orders = {}
+            for q in quantities:
+                verdicts[q] = _verdict(path, axis, q, cols, numerator_orders)
+        except LcframeError as exc:
+            error = str(exc)
+        report.outcomes.append(DirectionOutcome(
+            label=label, direction=direction, side=side,
+            verdicts=verdicts, error=error))
+    _summarise(report, pc)
+    return report
+
+
+def _fan(s, u, v, directions, count):
+    """(class, rays) of a report's target: its PointClass, and the
+    (label, direction) of each ray of its fan.  Raises where the
+    arguments or the target's class admit no report."""
     _require_int(directions, "ray count")
     _require_int(count, "sample count")
     if directions < 0:
@@ -604,8 +707,6 @@ def boundedness_report(
         raise LcframeError(
             f"boundedness target must be lightlike or rank-one singular, "
             f"got {pc.category.value} at ({u}, {v})")
-    quantities = _report_quantities(pc.category)
-
     rays = [(f"fan{i}", (math.cos(2.0 * math.pi * i / directions),
                          math.sin(2.0 * math.pi * i / directions)))
             for i in range(directions)]
@@ -613,36 +714,12 @@ def boundedness_report(
     if trans is not None:
         rays.append(("transversal+", trans))
         rays.append(("transversal-", (-trans[0], -trans[1])))
+    return pc, rays
 
-    report = BoundednessReport(target=(u, v), category=pc.category, kind=pc.kind)
-    axis = None  # every ray shares one schedule
-    for label, direction in rays:
-        path = ApproachPath(target=(u, v), direction=direction,
-                            r0=r0, count=count)
-        if axis is None:
-            axis = LogAxis(path.distances())
-        try:
-            samples = _sample_ray(s, path)
-        except LcframeError as exc:
-            report.outcomes.append(DirectionOutcome(
-                label=label, direction=direction, side=None,
-                verdicts={}, error=str(exc)))
-            continue
-        sides = {sample_class.category for *_, sample_class in samples}
-        side = sides.pop().value if len(sides) == 1 else None
-        verdicts = {}
-        error = None
-        try:
-            records = _records(samples)
-            numerator_orders = {}
-            for q in quantities:
-                verdicts[q] = _verdict(path, axis, q, records, numerator_orders)
-        except LcframeError as exc:
-            error = str(exc)
-        report.outcomes.append(DirectionOutcome(
-            label=label, direction=direction, side=side,
-            verdicts=verdicts, error=error))
 
+def _summarise(report, pc):
+    """Fill in the summary fields of a report from its outcomes; pc is
+    the target's PointClass."""
     completed = [oc for oc in report.outcomes if oc.error is None and oc.verdicts]
     if completed:
         def bounded(q):
@@ -669,7 +746,6 @@ def boundedness_report(
         else:
             report.bounded_mean_implies_bounded_gauss = \
                 "not-applicable (needs a non-degenerate first kind rank-one point)"
-    return report
 
 
 def _dichotomy(completed, quantity, rescaled, bounded_evidence, use_rescaled):

@@ -1,15 +1,25 @@
 """Small numerical helpers shared by the curvature and limit modules.
 
-loglog_slope and LogAxis.slope share one least-squares fit, _fit: one
+loglog_slope and LogAxis.slope compute one least-squares fit, _fit: one
 pass over the points sums y and x*y, each left to right from 0.0, and
 the rms residual, a second pass, is computed only when the caller asks
-for it."""
+for it.  LogAxis runs it as straight-line code generated for its count
+of points (_unrolled_fit), each sum a run of `+=` statements in the
+order of _fit's loop, so the bits are _fit's."""
 
 from __future__ import annotations
 
+import functools
 import math
 
+from .straightline import compile_function
+
 __all__ = ["richardson", "loglog_slope", "LogAxis"]
+
+#: LogAxis fits at most this many points by an unrolled fit, whose
+#: source and compile time grow with its count; a longer schedule runs
+#: _fit's loop, which computes the same bits.
+UNROLL_MAX = 64
 
 
 def richardson(values, ratio: float, levels: int = 2) -> float:
@@ -55,29 +65,74 @@ class LogAxis:
 
     Holds log(distance) of every sample and the sums of the logs and of
     their squares, so that fitting a sequence with every magnitude
-    positive reuses them.  `slope(magnitudes, residual)` returns exactly
+    positive reuses them, in the unrolled fit of the schedule's count.
+    `slope(magnitudes, residual)` returns exactly
     `loglog_slope(distances, magnitudes, residual)`: the same sums over
     the same sequences in the same order.
     """
 
-    __slots__ = ("distances", "_xs", "_sx", "_sxx")
+    __slots__ = ("distances", "_xs", "_sx", "_sxx", "_fit")
 
     def __init__(self, distances):
         self.distances = tuple(distances)
-        xs = [math.log(r) for r in self.distances] \
-            if all(r > 0.0 for r in self.distances) else None
-        self._xs = xs
-        if xs is not None:
-            self._sx = _total(xs)
-            self._sxx = _total(x * x for x in xs)
+        self._fit = None
+        if len(self.distances) >= 2 and all(r > 0.0 for r in self.distances):
+            self._xs = tuple(map(math.log, self.distances))
+            self._sx = _total(self._xs)
+            self._sxx = _total(x * x for x in self._xs)
+            n = len(self._xs)
+            self._fit = _unrolled_fit(n) if n <= UNROLL_MAX else _looped_fit
 
     def slope(self, magnitudes, residual=True):
         """loglog_slope(self.distances, magnitudes, residual)."""
-        xs = self._xs
-        if xs is None or len(magnitudes) != len(xs) \
-                or not all(m > 0.0 for m in magnitudes):
-            return loglog_slope(self.distances, magnitudes, residual)
-        return _fit(xs, list(map(math.log, magnitudes)), self._sx, self._sxx, residual)
+        fit = self._fit
+        if fit is not None and len(magnitudes) == len(self._xs):
+            result = fit(magnitudes, self._xs, self._sx, self._sxx, residual)
+            if result is not None:
+                return result
+        return loglog_slope(self.distances, magnitudes, residual)
+
+
+@functools.lru_cache(maxsize=8)
+def _unrolled_fit(n):
+    """_fit of n >= 2 points as straight-line code: a function
+    (magnitudes, xs, sx, sxx, residual) -> _fit(xs, logs of magnitudes,
+    sx, sxx, residual), or None where a magnitude is not positive.
+
+    Each sum is a statement `s = 0.0` and one `s += term` per point, in
+    the order of _fit's loop, so any count compiles without nesting, and
+    the arithmetic is _fit's, operand for operand.  Generated once per
+    count on first use; the fits of the last few counts are kept."""
+    points = range(n)
+    return compile_function("\n".join([
+        "def unrolled_fit(_ms, _xs, sx, sxx, residual):",
+        "    " + "".join(f"_m{i}, " for i in points) + "= _ms",
+        "    if not (" + " and ".join(f"_m{i} > 0.0" for i in points) + "):",
+        "        return None",
+        "    " + "".join(f"_x{i}, " for i in points) + "= _xs",
+        *(f"    _y{i} = log(_m{i})" for i in points),
+        "    sy = 0.0",
+        *(f"    sy += _y{i}" for i in points),
+        "    sxy = 0.0",
+        *(f"    sxy += _x{i} * _y{i}" for i in points),
+        f"    denom = {n} * sxx - sx * sx",
+        "    if denom == 0.0:",
+        "        return None, None, None",
+        f"    slope = ({n} * sxy - sx * sy) / denom",
+        f"    intercept = (sy - slope * sx) / {n}",
+        "    if not residual:",
+        "        return slope, intercept, None",
+        "    rss = 0.0",
+        *(f"    rss += (_y{i} - (slope * _x{i} + intercept)) ** 2" for i in points),
+        f"    return slope, intercept, sqrt(rss / {n})",
+    ]), {"log": math.log})
+
+
+def _looped_fit(magnitudes, xs, sx, sxx, residual):
+    """What _unrolled_fit(len(xs)) returns, computed by _fit's loop."""
+    if not all(m > 0.0 for m in magnitudes):
+        return None
+    return _fit(xs, list(map(math.log, magnitudes)), sx, sxx, residual)
 
 
 def _fit(xs, ys, sx, sxx, residual):

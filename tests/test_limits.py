@@ -3,22 +3,26 @@ import dataclasses
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from lcframe import catalog, limits
-from lcframe.classify import classify
+from lcframe.classify import CLASSES, classify
 from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
 from lcframe.expr import EvalDomainError
 from lcframe.limits import (
-    ABS_ZERO, ApproachPath, FieldNonvanishingError, QuantityUndefinedError, Verdict,
-    _fit_order, _records, _Sample, _sample_roots, _verdict, boundedness_report,
-    limit_along, vanishing_order,
+    ABS_ZERO, ApproachPath, FieldNonvanishingError, QuantityUndefinedError,
+    SampleOutsideDomainError, Verdict, _columns, _fit_order, _ray, _Sample, _sample_roots,
+    _verdict, boundedness_report, limit_along, vanishing_order,
 )
 from lcframe.numerics import LogAxis
-from lcframe.surface import SurfaceDef, basic_invariants_at
-from lcframe.taxonomy import Category
+from lcframe.surface import DomainBox, SurfaceDef, basic_invariants_at
+from lcframe.taxonomy import Category, Kind, LightlikeBranch
 
 #: one target evaluation plus 10 rays (8 fan, 2 transversal) x 12 samples
 MAX_REPORT_CALLS = 1 + 10 * 12
@@ -257,7 +261,8 @@ def test_samples_csv_quotes_labels_as_csv_writer_does(locus_reports):
 
 
 def _bits(x):
-    return None if x is None else float.hex(x)
+    """x in bits, signed zeros apart; None and other values as they are."""
+    return float.hex(x) if type(x) is float else x
 
 
 def test_sample_records_match_packets(locus_reports):
@@ -268,10 +273,10 @@ def test_sample_records_match_packets(locus_reports):
             if oc.error is not None:
                 continue
             path = ApproachPath(target=report.target, direction=oc.direction)
-            program = s.program(_sample_roots())
-            for u, v in path.points():
+            records, _, fault = _ray(s, path)
+            assert fault is None
+            for (u, v), rec in zip(path.points(), records, strict=True):
                 inv = basic_invariants_at(s, u, v)
-                rec, = _records([(u, v, program(u, v), None)])
                 p = _packet(s, u, v, inv)
                 assert (rec.u, rec.v, _bits(rec.c2)) == (u, v, _bits(inv.c2))
                 assert [_bits(getattr(rec, f)) for f in fields] == \
@@ -317,5 +322,227 @@ def test_the_first_undefined_sample_raises(zero_mean_band):
     u, v = path.points()[3]
     for quantity in ("K", "c2K"):
         with pytest.raises(QuantityUndefinedError) as exc:
-            _verdict(path, axis, quantity, records, {})
+            _verdict(path, axis, quantity, _columns(records), {})
         assert str(exc.value) == f"{quantity} undefined at sample ({u!r}, {v!r})"
+
+
+# ---------------------------------------------------------------------------
+# The ray kernel against the per-sample loop it replaced (oracles)
+
+PI = math.pi
+
+#: Two targets on every locus of the catalog, from the closed forms of
+#: its defining inner product: a1 = 0 (L1), b1 = 0 (L2) or c2 = 0.
+LOCUS_FORMS = [
+    *(("sphere", PI / 2, t) for t in (0.9, 4.4)),  # the poles, c2 = -cos u
+    *(("sphere", -PI / 2, t) for t in (2.2, 5.5)),
+    *(("sphere", PI / 4, t) for t in (1.3, 3.8)),
+    *(("sphere", -PI / 4, t) for t in (0.5, 4.9)),
+    *(("mixed_bowl", 1.0, t) for t in (1.7, 5.2)),
+    *(("mixed_bowl", -1.0, t) for t in (0.4, 3.1)),
+    *(("twisted_band", t, -1.0 - math.sin(2 * t) / 2) for t in (-2.1, 0.7)),
+    *(("twisted_band", t, 1.0 - math.sin(2 * t) / 2) for t in (-0.6, 2.4)),
+    *(("timelike_trough", t, PI / 2) for t in (-0.5, 0.3)),
+    *(("flared_trough", t, PI / 2) for t in (0.8, 1.25)),
+    *(("flared_trough", 1.0 / (t * math.sin(t)), t) for t in (1.15, 1.45)),
+    *(("parabolic_cone", 0.0, t) for t in (1.1, 4.0)),
+    *(("cubic_cone", 0.0, t) for t in (2.6, 5.9)),
+    *(("flat_plane", 0.0, t) for t in (0.3, 3.3)),
+    *(("zero_mean_band", t, -1.0) for t in (-1.9, 2.3)),
+    *(("zero_mean_band", t, 1.0) for t in (-0.8, 1.6)),
+]
+
+
+@pytest.fixture(scope="module")
+def form_targets():
+    surfaces = {name: catalog.load(name) for name in catalog.names()}
+    return [(surfaces[name], (u, v)) for name, u, v in LOCUS_FORMS]
+
+
+def test_the_forms_reach_every_kind_of_locus(form_targets):
+    assert {name for name, _, _ in LOCUS_FORMS} == set(catalog.names())
+    classes = {classify(s, *target) for s, target in form_targets}
+    assert {(pc.category, pc.lightlike_branch) for pc in classes} >= {
+        (Category.LIGHTLIKE, LightlikeBranch.L1), (Category.LIGHTLIKE, LightlikeBranch.L2)}
+    assert {(pc.category, pc.kind) for pc in classes} >= {
+        (Category.SINGULAR_1, Kind.FIRST), (Category.SINGULAR_1, Kind.SECOND)}
+
+
+def _record_bits(rec):
+    return tuple(map(_bits, rec))
+
+
+def _verdict_bits(ver):
+    """A LimitVerdict with every float in bits, so that NaN and -0.0 compare."""
+    return tuple(tuple(map(_bits, x)) if type(x) is tuple else _bits(x)
+                 for x in dataclasses.astuple(ver))
+
+
+def _outcome(fn, *args):
+    """('value', result) of fn(*args), or ('raises', type, message)."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # compared, whatever it is
+        return ("raises", type(exc), str(exc))
+
+
+def _kernel_ray(s, path):
+    """The kernel's records of a ray in bits, with their classes, or how
+    it raises: a record's fault raises once the ray has classified."""
+    records, classes, fault = _ray(s, path)
+    if fault is not None:
+        raise fault
+    return [_record_bits(rec) for rec in records], [CLASSES[c] for c in classes]
+
+
+def _oracle_ray(s, path):
+    samples = oracles.sample_ray(s, path)
+    return ([_record_bits(rec) for rec in oracles.records(samples)],
+            [pc for *_, pc in samples])
+
+
+def test_ray_records_equal_the_oracle(form_targets):
+    rays = completed = 0
+    for s, target in form_targets:
+        for oc in boundedness_report(s, *target).outcomes:
+            path = ApproachPath(target=target, direction=oc.direction)
+            kernel = _outcome(_kernel_ray, s, path)
+            assert kernel == _outcome(_oracle_ray, s, path), (s.name, target, oc.label)
+            rays += 1
+            completed += kernel[0] == "value"
+    assert completed > 100 and rays - completed > 20
+
+
+def _report_bytes(report):
+    csv_text = io.StringIO()
+    report.write_samples_csv(csv_text)
+    return report.to_text(), csv_text.getvalue()
+
+
+def test_reports_equal_the_oracle(form_targets):
+    for s, target in form_targets:
+        report, expected = boundedness_report(s, *target), oracles.boundedness_report(s, *target)
+        assert _report_bytes(report) == _report_bytes(expected), (s.name, target)
+        assert [(oc.label, oc.side, oc.error, {q: _verdict_bits(ver) for q, ver in oc.verdicts.items()})
+                for oc in report.outcomes] == \
+            [(oc.label, oc.side, oc.error, {q: _verdict_bits(ver) for q, ver in oc.verdicts.items()})
+             for oc in expected.outcomes]
+
+
+def test_a_curved_path_equals_the_oracle(sphere):
+    # the pole approached along a parabola in the parameter plane
+    path = ApproachPath(target=(PI / 2, 1.0), curve=lambda r: (PI / 2 - r, 1.0 + r * r))
+    assert _outcome(_kernel_ray, sphere, path) == _outcome(_oracle_ray, sphere, path)
+    for quantity in ("K", "H"):
+        assert _verdict_bits(limit_along(sphere, path, quantity)) == \
+            _verdict_bits(oracles.limit_along(sphere, path, quantity))
+    est = vanishing_order(sphere, path, "c2")
+    assert (est.order, est.is_integer) == (1.0, True)
+
+
+@pytest.mark.parametrize("surface, target, direction, error, message", [
+    ("sphere", (PI / 2, 1.0), (1.0, 0.0), SampleOutsideDomainError,
+     "sample (1.6707963267948966, 1.0) outside domain of 'sphere'"),
+    ("sphere", (PI / 2, 1.0), (0.0, 1.0), QuantityUndefinedError,
+     "sample (1.5707963267948966, 1.1) hit a singular1 locus"),
+    ("mixed_bowl", (1.0, 1.0), (0.0, -1.0), QuantityUndefinedError,
+     "sample (1.0, 0.9) hit a lightlike locus"),
+    (LOG_PLANE, (0.0, 1.0), (-1.0, 0.0), EvalDomainError, "log of a nonpositive argument"),
+], ids=["domain", "singular", "lightlike", "program"])
+def test_a_failing_sample_raises_as_the_oracle_does(request, surface, target, direction,
+                                                   error, message):
+    s = SurfaceDef.from_dict(surface) if isinstance(surface, dict) \
+        else request.getfixturevalue(surface)
+    path = ApproachPath(target=target, direction=direction)
+    kernel = _outcome(_kernel_ray, s, path)
+    assert kernel == ("raises", error, message)
+    assert kernel == _outcome(_oracle_ray, s, path)
+    for quantity in ("K", "H"):
+        assert _outcome(limit_along, s, path, quantity)[:2] == ("raises", error)
+
+
+#: A stand-in surface whose program returns the drawn values of the
+#: sample roots at each point of one path.
+STUB_PATH = ApproachPath(target=(0.0, 0.0), direction=(1.0, 0.0), count=6)
+
+
+def _stub(values, target=None):
+    table = dict(zip(STUB_PATH.points(), values))
+    table[STUB_PATH.target] = target
+    return SimpleNamespace(
+        name="stub", domain=DomainBox(-1.0, 1.0, -1.0, 1.0),
+        require_in_domain=lambda u, v: None,
+        program=lambda roots, schedule="point": lambda u, v: table[(u, v)])
+
+
+def _roots(**values):
+    return tuple(values.get(name, 0.0) for name in _sample_roots())
+
+
+#: A timelike sample whose |lam~|^2 overflows in K's denominator, and
+#: a singular one (c2 = 0).
+OVERFLOWING = _roots(a1=1e80, b1=1e80, c1=2e80, c2=1.0, c2u=1.0)
+SINGULAR = _roots(a1=1.0, b1=1.0, c2u=1.0)
+REGULAR = _roots(a1=1.0, b1=2.0, c1=1.0, c2=1.0)
+
+
+def test_a_record_fault_comes_after_every_class_test():
+    # the overflow at sample 1 is raised only because no later sample
+    # fails its class test; the singular sample 4 is raised before it
+    faulting = _stub([REGULAR, OVERFLOWING, REGULAR, REGULAR, REGULAR, REGULAR])
+    records, classes, fault = _ray(faulting, STUB_PATH)
+    assert isinstance(fault, OverflowError) and len(records) == 1 and len(classes) == 6
+    assert _outcome(_kernel_ray, faulting, STUB_PATH) == \
+        _outcome(_oracle_ray, faulting, STUB_PATH) == \
+        ("raises", OverflowError, "(34, 'Numerical result out of range')")
+    singular = _stub([REGULAR, OVERFLOWING, REGULAR, REGULAR, SINGULAR, REGULAR])
+    assert _outcome(_kernel_ray, singular, STUB_PATH) == \
+        _outcome(_oracle_ray, singular, STUB_PATH) == \
+        ("raises", QuantityUndefinedError, "sample (0.00625, 0.0) hit a singular1 locus")
+
+
+#: Special root values: both zeros, the class tolerance and its
+#: neighbours, NaN, the infinities and magnitudes where powers overflow.
+SPECIAL_ROOTS = [s * x for x in (0.0, 1e-9, 1e-9 * (1 + 2 ** -52), math.nan, math.inf,
+                                 1e300, 1e150, 1e80, 1e-150, 1.0, 0.5) for s in (1.0, -1.0)]
+root_values = st.one_of(st.sampled_from(SPECIAL_ROOTS), st.floats(-2.0, 2.0), st.floats())
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(*[root_values] * len(_sample_roots())),
+                min_size=STUB_PATH.count, max_size=STUB_PATH.count))
+def test_the_kernel_equals_the_oracle_on_any_roots(values):
+    s = _stub(values)
+    assert _outcome(_kernel_ray, s, STUB_PATH) == _outcome(_oracle_ray, s, STUB_PATH)
+
+
+def _scaled_sphere(c):
+    text = json.loads(catalog.surface_text("sphere"))
+    text["X"] = [f"{c!r}*({x})" for x in text["X"]]
+    return SurfaceDef.from_dict(text)
+
+
+@pytest.mark.parametrize("scale, field, value", [
+    # |lam~|^2 of the target's Gamma overflowed: OverflowError
+    (1e100, "Gamma", "inf"),
+    # K~ and H~ are -inf at the target, which passed as vanishing, and
+    # their slope was NaN: ValueError from round()
+    (1e150, "Ktil", "-inf"),
+    (1e150, "Htil", "-inf"),
+    # lam~ is inf at the target, which passed as vanishing
+    (1e160, "lambda_til", "inf"),
+])
+def test_a_field_beyond_the_float_range_does_not_vanish(scale, field, value):
+    with pytest.raises(FieldNonvanishingError,
+                       match=rf"^{field} = {value} does not vanish at \(1\.57"):
+        vanishing_order(_scaled_sphere(scale), POLE_PATH, field)
+
+
+def test_a_sample_field_beyond_the_float_range_fits_no_order():
+    # Gamma = c2 |lam~|^2 vanishes at the target, where c2 = 0, and
+    # |lam~|^2 overflows at every sample: the first sample's scale raised
+    # OverflowError
+    s = _stub([_roots(a1=1e100, b1=1e100, c2=1.0)] * STUB_PATH.count,
+              target=_roots(a1=1.0, b1=1.0))
+    with pytest.raises(LcframeError, match="^cannot fit an order for Gamma along the path$"):
+        vanishing_order(s, STUB_PATH, "Gamma")

@@ -5,7 +5,8 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcframe.numerics import LogAxis, loglog_slope
+from lcframe import numerics
+from lcframe.numerics import UNROLL_MAX, LogAxis, loglog_slope
 
 
 def left_to_right(values):
@@ -123,3 +124,39 @@ def test_an_axis_fits_as_loglog_slope_with_and_without_the_residual(case):
     if isinstance(with_residual, tuple):
         # the same slope and intercept; only the residual is left out
         assert without == with_residual[:2] + (None,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 16).flatmap(lambda n: st.tuples(
+    # every distance positive, down to 1e-250 * 0.01^15
+    st.builds(lambda r0, ratio: [r0 * ratio ** k for k in range(n)],
+              st.floats(min_value=1e-250, max_value=1e3),
+              st.floats(min_value=0.01, max_value=0.99)),
+    st.lists(st.one_of(st.sampled_from(_SIGNED_EDGES),
+                       st.floats(min_value=0.0, max_value=1e-300),
+                       st.floats()),
+             min_size=n, max_size=n),
+    st.booleans())))
+def test_the_unrolled_fit_is_the_loop_fit(case):
+    distances, mags, residual = case
+    xs = [math.log(r) for r in distances]
+    sx, sxx = numerics._total(xs), numerics._total(x * x for x in xs)
+    fit = numerics._unrolled_fit(len(xs))
+    if all(m > 0.0 for m in mags):
+        expected = _outcome(numerics._fit, xs, list(map(math.log, mags)), sx, sxx, residual)
+        assert _outcome(fit, mags, xs, sx, sxx, residual) == expected
+    else:
+        # a zero, negative or NaN magnitude is left to loglog_slope
+        assert fit(mags, xs, sx, sxx, residual) is None
+    assert _outcome(LogAxis(distances).slope, mags, residual) == \
+        _outcome(loglog_slope, distances, mags, residual)
+
+
+def test_a_long_schedule_is_fitted_by_the_loop():
+    distances = [0.1 * 0.97 ** k for k in range(UNROLL_MAX + 1)]
+    mags = [r ** 1.5 * (2.0 + r) for r in distances]
+    before = numerics._unrolled_fit.cache_info().misses
+    axis = LogAxis(distances)
+    assert numerics._unrolled_fit.cache_info().misses == before
+    for residual in (True, False):
+        assert _hex(axis.slope(mags, residual)) == _hex(loglog_slope(distances, mags, residual))
