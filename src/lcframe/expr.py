@@ -26,24 +26,25 @@ hashes no table again.
 
 A parse with slots shares what comes before the code too: each generic
 constant is a Slot leaf, which no rule folds, so those trees are one
-tree before they are derived, and a surface derives and numbers it once
-per process (surface.SurfaceDef); a numbering's slots are bound to each
-surface's values (_Numbering.bound).  A value computed from constants
-alone, which a literal derivation folds into one constant, is computed
-at run time with the same operation on the same operands, so its bits
-are the same.  Where it is 0.0 or +-1.0, on which the rules fold
-further, _Numbering.folds_further says so, and the surface takes its
-literal derivation for that program.  Shared codes and trees are never
-changed once made, so threads may share them; threads racing on a miss
-make equal ones, and one is kept.
+tree before they are derived, and the surfaces whose texts have one
+token key derive and number it once per process (surface.SurfaceDef);
+a numbering's slots are bound to each surface's values
+(_Numbering.bound).  A value computed from constants alone, which a
+literal derivation folds into one constant, is computed at run time
+with the same operation on the same operands, so its bits are the
+same.  Where it is 0.0 or +-1.0, on which the rules fold further,
+_Numbering.folds_further says so, and the surface takes its literal
+derivation, once, for that program and every later one.  Shared codes
+and trees are never changed once made, so threads may share them;
+threads racing on a miss make equal ones, and one is kept.
 
 Source text is read by one regular expression (_TOKEN), whose classes
 are those of str.isspace, isdigit, isalpha and isalnum.  A text's token
 key (_token_key) is its tokens with each generic constant its slot
 index, formed without parsing: texts with equal keys parse with slots
 to equal trees, so a table keyed by it reads a known text's constants
-from its tokens and parses only on a miss (surface.SurfaceDef's shapes,
-constant_value's domain bounds).
+from its tokens, and a miss parses (surface.SurfaceDef's shapes, which
+it also derives, and constant_value's domain bounds).
 
 A tree has three kinds of program, each compiled from its numbering:
 the point program; the grid program, which samples the trees over a
@@ -179,9 +180,6 @@ class Const(Expr):
     # by repr, as a Dag interns constants: 0.0 and -0.0 are two trees
     def __eq__(self, other):
         return type(other) is Const and repr(self.value) == repr(other.value)
-
-    def __hash__(self):
-        return hash(repr(self.value))
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,15 @@ The derivation belongs to a surface's shape: its component trees with
 each generic constant a slot, which it shares with every surface that
 differs from it only in its constants' values, such as its images
 under X -> cX, a Lorentz transformation or a parameter shift.  A shape
-is derived once per process, in one expr.Dag, so each distinct
-subexpression is simplified and differentiated once; the context is
-dropped when the derivation returns, and neither the shape nor the
-compiled programs keep a reference to it.  A build finds its shape by
-the token key of its nine component texts (expr._token_key): their
+is derived in one expr.Dag, so each distinct subexpression is
+simplified and differentiated once; the context is dropped when the
+derivation returns, and neither the shape nor the compiled programs
+keep a reference to it.  The process's one table of shapes is keyed by
+the token key of the nine component texts (expr._token_key): their
 tokens, with each generic constant its slot index.  A known key gives
-the shape, and the constants are read from the tokens, so a text is
-parsed only the first time its key is seen; texts whose tokens differ
-but whose trees do not, such as in their parentheses, parse to trees
-that find the shape.
+the shape, and the constants are read from the tokens, so texts are
+parsed and derived only the first time their key is seen.  A miss, and
+components that are trees or not ASCII text, parse and derive.
 Domain bounds are keyed the same way (expr.constant_value).  A shape
 keeps one table of trees by root name: the 23 BasicInvariants fields
 (the twenty coefficients and partials, and n~ = X_u ^ m), lam~ = -4 a1
@@ -224,16 +223,15 @@ class SurfaceDef:
     """A surface: its name, its domain, its shape and its constants.
 
     The components of X, v and w are keyed by their tokens, each generic
-    constant its slot index (expr._token_key), and a process-wide table
-    of keys (_by_tokens) gives the shape of a known key without a parse.
-    On a miss, or for components that are trees or not ASCII text, they
-    are parsed with each generic constant a slot (expr.parse), and the
-    shape, the derivation of those trees (_Shape), is looked up in a
-    table by the trees (_shape) and derived only on a miss there.  So a
-    surface and its images under X -> cX, a Lorentz transformation of
-    (X, v, w) or a parameter shift, which differ only in their
-    constants, parse once per process if written alike, and derive and
-    number their trees once.  constants holds the slots' values.
+    constant its slot index (expr._token_key), and the process's table
+    of shapes (_by_tokens) gives the shape of a known key without a
+    parse.  On a miss, or for components that are trees or not ASCII
+    text, they are parsed with each generic constant a slot
+    (expr.parse), and the shape, the derivation of those trees (_Shape),
+    is derived.  So a surface and its images under X -> cX, a Lorentz
+    transformation of (X, v, w) or a parameter shift, which differ only
+    in their constants, parse, derive and number their trees once per
+    process if written alike.  constants holds the slots' values.
     program(roots, schedule) binds them to the shape's numbering of
     roots and compiles the program of the roots a consumer reads on
     first use, keeping it under (roots, schedule); its code is shared
@@ -241,9 +239,11 @@ class SurfaceDef:
     found without hashing the numbering again.
 
     A shape is immutable but for the second partials and numberings it
-    fills in on first use, and a surface but for the programs it keeps:
-    threads racing there derive, number or compile equal values, and
-    one is kept (dict.setdefault; the table keeps one shape per key).
+    fills in on first use, and a surface but for the programs it keeps
+    and the literal shape it may take (program): threads racing there
+    derive, number or compile equal values, and one is kept
+    (dict.setdefault, an attribute write; the table keeps one shape per
+    key).
     Every evaluation is pure, so surfaces may be built and shared freely
     across threads.  The command line relies on this: it shares each
     built surface across the calls of cli.main in one process.
@@ -277,21 +277,28 @@ class SurfaceDef:
         the shape's numbering of roots with this surface's constants
         bound.  Where a constant value of those trees is one that the
         derivation's rules fold further if its slots are constants (0.0
-        or +-1.0: expr._Numbering.folds_further), the numbering is
-        instead that of the shape of the components with every constant
-        literal, which has no slots, so the values are those of the
+        or +-1.0: expr._Numbering.folds_further), the surface's shape
+        becomes that of its components with every constant literal,
+        derived once, which has no slots, so the values are those of the
         literal derivation in every case.  Threads racing here compile
         equal programs, and the first one kept is returned to all of
         them."""
         program = self._programs.get((roots, schedule))
         if program is not None:
             return program
-        numbering, folds = self.shape.numbering(roots)
-        numbering = numbering.bound(self.constants)
-        if numbering.folds_further(folds):
-            literal = tuple(tuple(_literal(c, self.constants) for c in sources)
-                            for sources in self.shape.components)
-            numbering = _shape(literal).numbering(roots)[0]
+        slotted, folds = self.shape.numbering(roots)
+        numbering = slotted.bound(self.constants)
+        # a numbering without slots binds to itself and has nothing to
+        # fold further; the literal shape has none, so once taken it is
+        # this surface's shape from then on
+        if numbering != slotted and numbering.folds_further(folds):
+            try:  # _literal recurses about two frames per tree level
+                literal = tuple(tuple(_literal(c, self.constants) for c in trees)
+                                for trees in self.shape.components)
+            except RecursionError as exc:
+                raise _too_deep("simplify", exc) from None
+            self.shape = _Shape(literal)
+            numbering = self.shape.numbering(roots)[0]
         if schedule == "point":
             program = compile_program(numbering)
         elif schedule == "arrays":
@@ -365,6 +372,10 @@ class SurfaceDef:
             dom = data["domain"]
         except KeyError as exc:
             raise SurfaceFormatError(f"missing surface key: {exc.args[0]!r}") from None
+        # the command line writes its outputs to files named after it
+        if not isinstance(name, str) or not name or any(c in name for c in "/\\\0"):
+            raise SurfaceFormatError(
+                f"surface name must be a nonempty string without '/', '\\' or NUL, got {name!r}")
         for key, comp in (("X", x), ("v", v), ("w", w)):
             if not isinstance(comp, (list, tuple)) or len(comp) != 3:
                 raise SurfaceFormatError(f"surface key {key!r} must list 3 expressions")
@@ -442,8 +453,8 @@ _SECOND_PARTIALS = {"x_uu": ("x_u", "u"), "x_uv": ("x_u", "v"), "x_vv": ("x_v", 
 
 class _Shape:
     """The derivation of a surface's component trees, whose generic
-    constants are slots: every surface whose components parse to these
-    trees shares it, whatever its constants' values.
+    constants are slots: every surface whose texts have the token key
+    it was derived for shares it, whatever its constants' values.
 
     Construction derives, in one derivation context (expr.Dag) that is
     dropped when it returns, one table of trees by root name: the
@@ -492,22 +503,6 @@ class _Shape:
 SHAPES = 64
 
 
-@lru_cache(maxsize=SHAPES)
-def _derived(components):
-    return _Shape(components)
-
-
-def _shape(components):
-    """The shape of component trees, derived on a miss of the process's
-    table of the SHAPES most recently used.  The key is the trees, which
-    compare and hash structurally (a constant by repr), so it is formed
-    without deriving; a build that raises is not kept."""
-    try:
-        return _derived(components)
-    except RecursionError as exc:  # hashing or comparing a tree too deep
-        raise _too_deep("simplify", exc) from None
-
-
 def _texts_key(sources, slots):
     """The token key of the components of X, v and w (expr._token_key),
     their slots numbered together in slots and the texts carried
@@ -532,19 +527,18 @@ def _by_tokens(key):
     """The shape of the texts key carries (_texts_key), parsed on a miss
     of the process's table of the SHAPES token keys most recently used.
     Texts whose tokens differ from these only in their generic constants
-    hit it, and parse and derive nothing; texts whose tokens differ but
-    whose trees do not, such as in their parentheses, miss it and find
-    the shape by their trees."""
+    hit it, and parse and derive nothing; any other texts miss it, and
+    parse and derive.  A build that raises is not kept."""
     return _parsed_shape(key.sources, {})
 
 
 def _parsed_shape(sources, slots):
     """The shape of the components of X, v and w, parsed with slots
-    (_component) and looked up by their trees (_shape)."""
+    (_component) and derived."""
     components = tuple(tuple(_component(c, slots) for c in texts) for texts in sources)
     if any(len(c) != 3 for c in components):
         raise SurfaceFormatError("X, v and w each need exactly 3 components")
-    return _shape(components)
+    return _Shape(components)
 
 
 def _component(source, slots):

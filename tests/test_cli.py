@@ -402,6 +402,31 @@ def test_a_boolean_domain_bound_is_a_format_error(tmp_path, capsys, bound):
         "", f"error: domain bound must be a number or an expression, got {json.dumps(bound)}\n")
 
 
+#: Surface names that are not one plain file name; {tmp} is the test's
+#: folder
+UNSAFE_NAMES = {"parent": "../escaped", "absolute": "{tmp}/elsewhere", "subfolder": "a/b",
+                "backslash": "a\\b", "nul": "a\0b", "empty": "", "number": 7, "null": None}
+
+
+@pytest.mark.parametrize("case", UNSAFE_NAMES)
+def test_a_name_that_is_not_a_plain_file_name_is_a_format_error(tmp_path, capsys, builds, case):
+    # the outputs are named after the surface and joined onto --out:
+    # "../escaped" wrote beside it, an absolute name where it pointed,
+    # "a/b" ended in a traceback, and the others wrote oddly named files
+    name = UNSAFE_NAMES[case]
+    if case == "absolute":
+        name = name.format(tmp=tmp_path)
+    data = dict(SPHERE, name=name)
+    with pytest.raises(SurfaceFormatError, match="^surface name must be ") as exc:
+        SurfaceDef.from_dict(data)
+    surf = tmp_path / "s.surf"
+    surf.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["classify", str(surf), "--grid", "5x4", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.surf"]
+    assert builds == []
+
+
 def _csv_writer_trace(polylines):
     """The trace CSV of polylines as csv.writer writes it, a row at a
     time."""

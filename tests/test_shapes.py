@@ -199,6 +199,85 @@ def test_a_value_that_folds_further_takes_the_literal_derivation(data, monkeypat
     assert s.program(("x_u",)).__defaults__ == _literal(s, data).program(("x_u",)).__defaults__
 
 
+def test_a_surface_derives_its_literal_shape_once(monkeypatch):
+    # the literal shape has no slots, so it serves every later program
+    derived = []
+    init = surface._Shape.__init__
+
+    def counted(self, components):
+        derived.append(components)
+        init(self, components)
+
+    monkeypatch.setattr(surface, "_Shape", type("_Shape", (surface._Shape,), {
+        "__slots__": (), "__init__": counted}))
+    monkeypatch.setattr(expr._Numbering, "folds_further", lambda numbering, folds: True)
+    surface._by_tokens.cache_clear()
+    data = FOLDING[0]
+    s = SurfaceDef.from_dict(data)
+    assert len(derived) == 1
+    shape = s.shape
+    for roots in ROOT_SETS:
+        for schedule in ("point", "grid", "arrays"):
+            s.program(roots, schedule)
+    for roots in EDGE_ROOTS:
+        s.program(roots, "edges")
+    assert len(derived) == 2 and s.shape is not shape
+    assert "Slot(" not in repr(derived[1])
+    # the surface's own: a second surface of the same texts derives one too
+    other = SurfaceDef.from_dict(data)
+    assert other.shape is shape
+    other.program(("x_u",))
+    assert len(derived) == 3 and other.shape is not s.shape
+    assert _every_value(s) == _every_value(_literal(s, data))
+
+
+def _deeper(call, frames=80):
+    """call() run below frames more frames of the stack."""
+    return _deeper(call, frames - 1) if frames else call()
+
+
+def _deep(x1):
+    """A surface whose first component of X is x1, a text of deep trees."""
+    return {"name": "deep", "X": [x1, "-u*sin(v)", "-u*cos(v)"],
+            "v": ["1", "sin(v)", "cos(v)"], "w": ["1", "-sin(v)", "-cos(v)"],
+            "domain": {"u": ["0.5", "1"], "v": ["0", "2*pi"]}}
+
+
+def test_a_long_sum_builds_and_evaluates():
+    # 499 levels: hashing the trees for a table of shapes raised "nested
+    # too deeply to simplify", though the derivation handles them
+    def run():
+        s = SurfaceDef.from_dict(_deep(" + ".join(["u"] * 500)))
+        return [s.program(roots)(0.75, 0.5) for roots in
+                [("x_u",), ("lambda_til",), BasicInvariants._fields]]
+
+    x_u, (lam,), invariants = _deeper(run)
+    assert x_u[0] == 500.0
+    assert lam == -4.0 * (invariants[0] * invariants[1])
+
+
+def test_a_long_sum_that_folds_further_gives_every_program():
+    # both programs take the literal derivation, and a table keyed by
+    # the literal trees hashed them, too deep for Python, on the second
+    def run():
+        s = SurfaceDef.from_dict(_deep("(2 - 2)*log(u)" + " + u" * 400))
+        return s.program(("x_u",))(0.75, 0.5), s.program(("lambda_til",))(0.75, 0.5)
+
+    x_u, (lam,) = _deeper(run)
+    assert x_u[0] == 400.0 and math.isfinite(lam)
+
+
+def test_a_literal_derivation_too_deep_is_an_lcframe_error():
+    # the literal trees are built recursively, two frames a level, so
+    # the fallback raised a bare RecursionError where the shape built
+    def run():
+        s = SurfaceDef.from_dict(_deep("(2 - 2)*log(u)" + " + v" * 600))
+        s.program(("x_u",))
+
+    with pytest.raises(LcframeError, match="^expression nested too deeply to "):
+        _deeper(run)
+
+
 def _images(per_surface=4, seed=7):
     """.surf texts of per_surface images of every catalog surface."""
     rng = random.Random(seed)
@@ -226,7 +305,6 @@ def test_images_derive_and_number_each_shape_once(monkeypatch):
     monkeypatch.setattr(expr, "parse", counting("parse", expr.parse))
     monkeypatch.setattr(Dag, "differentiate", counting("differentiate", Dag.differentiate))
     surface._by_tokens.cache_clear()
-    surface._derived.cache_clear()
     texts = _images()
     assert len(texts) == 36
     for k, text in enumerate(texts):
@@ -244,7 +322,6 @@ def test_images_derive_and_number_each_shape_once(monkeypatch):
     assert calls["shapes"] == 9
     assert calls["numberings"] == 9 * len(ROOT_SETS)
     assert surface._by_tokens.cache_info().misses == 9
-    assert surface._derived.cache_info().misses == 9
 
 
 def test_signed_zeros_are_two_shapes():
@@ -277,7 +354,6 @@ def test_threads_deriving_shapes_at_once_match_a_serial_build():
 
     serial = values()
     surface._by_tokens.cache_clear()
-    surface._derived.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -286,4 +362,4 @@ def test_threads_deriving_shapes_at_once_match_a_serial_build():
     finally:
         sys.setswitchinterval(interval)
     assert all(r == serial for r in results)
-    assert surface._derived.cache_info().currsize == len(catalog.names())
+    assert surface._by_tokens.cache_info().currsize == len(catalog.names())

@@ -649,7 +649,6 @@ class TestInvariantProgram:
         monkeypatch.setattr(Dag, "__init__", counted)
         # so that the build derives its shape
         surface._by_tokens.cache_clear()
-        surface._derived.cache_clear()
         s = SurfaceDef.from_dict(json.loads(catalog.surface_text("twisted_band")))
         for field in TRACED_FIELDS:
             for schedule in ("point", "grid", "edges"):
