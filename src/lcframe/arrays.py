@@ -1,20 +1,20 @@
 """Grids as arrays: the invariant program, packets and classes over
 blocks of points.
 
-classify_grid and the curvature CSV evaluate a grid of at least
+classify.grid_blocks evaluates a grid of at least
 classify.ARRAY_MIN_POINTS points here, BLOCK points at a time in
-row-major order, and write their CSV lines CHUNK points at a time.  Per
-block, one call of the surface's array program gives the 23 invariants
-as arrays, and the packet (curvature._packet_fields) and the class
-(classify._class_code) are computed from them by the very code the
-point loop runs: that code is written once against a few operations
-(where, not_, max, hypot, sqrt, pow, div), and _ArrayOps spells them
-over arrays, as the point loop's code traced from it
-(straightline.float_code) spells them over floats.  Every branch
-becomes a mask.  Only this module imports numpy, and lcframe imports it
-only for such a grid.
+row-major order, and classify.write_grid_csv formats the blocks as it
+formats a smaller grid's point blocks.  Per block, one call of the
+surface's array program gives the 23 invariants as arrays, and the
+packet (curvature._packet_fields) and the class (classify._class_code)
+are computed from them by the very code a point block runs: that code
+is written once against a few operations (where, not_, max, hypot,
+sqrt, pow, div), and _ArrayOps spells them over arrays, as the point
+block's code traced from it (straightline.float_code) spells them over
+floats.  Every branch becomes a mask.  Only this module imports numpy,
+and lcframe imports it only for such a grid.
 
-The values are bit-identical to the point loop by construction: numpy
+The values are bit-identical to a point block's by construction: numpy
 computes only the operations IEEE 754 rounds exactly (+ - * /,
 negation, abs and sqrt), and every other function (sin, cos, tan, exp,
 log, sinh, cosh and powers) is the same math or Python function,
@@ -23,26 +23,25 @@ and scattered back to every element that holds that pattern (hypot is
 called per element).  The same function of the same bits gives the
 same bits, so this changes no output; keying by bits, not by value,
 keeps 0.0 and -0.0 apart, and NaN payloads too.  The one exception is
-the sign of a NaN, which the point loop itself does not keep: CPython
+the sign of a NaN, which a point block itself does not keep: CPython
 3.11 flips it once it specialises float addition.  Surfaces of
 revolution, cones and troughs repeat their values along whole grid
 lines, so most blocks hold few distinct values.  texts formats a CSV
 column the same way: each distinct pattern once per chunk.
 
 numpy does not raise, so a fault mask is kept instead.  It is set
-wherever the point loop would raise: at a zero divisor, a guarded log
-or sqrt, a per-element call that raises, a non-finite root, a point
+wherever a point's evaluation would raise: at a zero divisor, a guarded
+log or sqrt, a per-element call that raises, a non-finite root, a point
 outside the domain, and a 0/0 limit sample that
 curvature._ratio_limit_kappa1 would reach.  The grid still fails as a
 whole: at the first faulted point in row-major order the point program
-runs and raises the point loop's own error.
+runs and raises that point's own error.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -54,15 +53,11 @@ from .errors import LcframeError
 from .expr import SCALAR, NumberEnv
 from .numerics import richardson
 
-__all__ = ["ARRAY", "BLOCK", "CHUNK", "Block", "grid_blocks", "texts", "write_grid_csv"]
+__all__ = ["ARRAY", "BLOCK", "Block", "grid_blocks", "texts"]
 
 #: Points per block: enough to amortise numpy's per-call overhead over
 #: the invariant program, the packet masks and the class predicates.
 BLOCK = 4096
-
-#: Points per CSV write: few enough that one chunk's column strings
-#: stay small.
-CHUNK = 1024
 
 _FAULTS = (ArithmeticError, ValueError)
 
@@ -261,12 +256,12 @@ class Block:
     curvature._packet_fields gives for them: the packet fields, named
     as in the curvature CSV, and c2; where each field that a packet may
     leave None is set; and the packet's three flags.  With a tolerance,
-    `codes` holds the classes as indices into classify.CLASSES.  The
-    other invariants are dropped once the block is built, as a classify
-    grid keeps all its blocks.
+    column "class" holds the classes as indices into classify.CLASSES.
+    The other invariants are dropped once the block is built, as a
+    classify grid keeps all its blocks.
     """
 
-    __slots__ = ("start", "u", "v", "columns", "defined", "flags", "codes")
+    __slots__ = ("start", "u", "v", "columns", "defined", "flags")
 
     def __init__(self, s, start, u, v, tol=None):
         self.start, self.u, self.v = start, u, v
@@ -286,19 +281,27 @@ class Block:
         with np.errstate(all="ignore"):
             self.columns, self.defined, self.flags = _packet_fields(inv, ops, limit)
             self.columns["Gtil"] = np.full(len(u), self.columns["Gtil"])
-            self.codes = None if tol is None else _class_code(inv, tol, ops)
+            if tol is not None:
+                self.columns["class"] = _class_code(inv, tol, ops)
         if bad.any():
             i = int(np.argmax(bad))
-            curvature_packet(s, float(u[i]), float(v[i]))  # raises the point loop's error
+            curvature_packet(s, float(u[i]), float(v[i]))  # raises the point's own error
             raise LcframeError(
-                f"array evaluation faulted at ({u[i]!r}, {v[i]!r}) where the point loop does not")
+                f"array evaluation faulted at ({u[i]!r}, {v[i]!r}) where the point does not")
+
+    def values(self, name, part=slice(None)):
+        """Column `name` at the points `part`, None where the packet has
+        None."""
+        out = self.columns[name][part].tolist()
+        defined = self.defined.get(name)
+        if defined is not None:
+            for i in np.flatnonzero(~defined[part]).tolist():
+                out[i] = None
+        return out
 
     def packets(self):
-        """The block's CurvaturePackets, equal to the point loop's."""
-        cols = {name: values.tolist() for name, values in self.columns.items()}
-        for name, where in self.defined.items():
-            for i in np.flatnonzero(~where).tolist():
-                cols[name][i] = None
+        """The block's CurvaturePackets, equal to curvature_packet's."""
+        cols = {name: self.values(name) for name in self.columns}
         flags = {name: where.tolist() for name, where in self.flags.items()}
         return [_packet_record(u, v, {name: values[i] for name, values in cols.items()},
                                {name: where[i] for name, where in flags.items()})
@@ -332,31 +335,10 @@ def grid_blocks(s, us, vs, tol=None):
     classified at tol when it is given.
 
     Each block is evaluated when it is reached, so the first block with
-    a faulted point raises the point loop's error."""
+    a faulted point raises that point's error."""
     nv = len(vs)
     u_all = np.repeat(np.asarray(us, float), nv)
     v_all = np.tile(np.asarray(vs, float), len(us))
     for start in range(0, len(u_all), BLOCK):
         stop = start + BLOCK
         yield Block(s, start, u_all[start:stop], v_all[start:stop], tol)
-
-
-def write_grid_csv(fh, us, vs, blocks, columns):
-    """Write one CSV line per point of `blocks`, CHUNK points at a time:
-    u and v, each formatted once per grid line, then the text columns
-    that columns(block, part) gives for the block's points `part`."""
-    nv = len(vs)
-    u_texts, v_texts = list(map(_FMT, us)), list(map(_FMT, vs))
-    for block in blocks:
-        for lo in range(0, len(block.u), CHUNK):
-            part = slice(lo, min(lo + CHUNK, len(block.u)))
-            # the whole grid lines the chunk's points lie on, cut to them
-            first, offset = divmod(block.start + lo, nv)
-            cut = slice(offset, offset + part.stop - lo)
-            lines = -(-cut.stop // nv)
-            u_col = list(chain.from_iterable(
-                [t] * nv for t in u_texts[first:first + lines]))[cut]
-            v_col = (v_texts * lines)[cut]
-            fh.write("\n".join(map(",".join, zip(u_col, v_col, *columns(block, part))))
-                     + "\n")
-        del block  # freed before the next block is built

@@ -20,13 +20,14 @@ the floats of a point as straight-line code traced from it
 (straightline.float_code, compiled on first use) and on the arrays of a
 block with arrays._ArrayOps.
 
-classify_grid evaluates a grid of ARRAY_MIN_POINTS (4096) points or
-more as arrays, 4096 points per block (lcframe.arrays), with the same
-values, rows and CSV bytes as the point loop and the same error at the
-same first failing point.  Smaller grids, the demo's among them, stay
-on the point loop: importing numpy costs 0.06-0.07 s and about 12 MB,
-more than arrays save below that size.  Every float an artifact prints
-goes through _FMT, '%.12g' (equal to format(x, '.12g')).
+grid_blocks alone picks a grid's evaluator: arrays from ARRAY_MIN_POINTS
+(4096) points on, 4096 points per block (lcframe.arrays), else
+_PointBlocks of CHUNK points, as importing numpy costs 0.06-0.07 s and
+about 12 MB, more than arrays save below that size.  Both give the same
+values and columns, and the same error at the same first failing point;
+the rows and write_grid_csv, the writer of every classify and curvature
+CSV, read only those.  Every float an artifact prints goes through
+_FMT, '%.12g' (equal to format(x, '.12g')).
 
 Loci are traced as zero sets of lam~ (lightlike locus) or c2 (rank-one
 singular locus) by marching squares with bisection refinement, from
@@ -51,8 +52,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .curvature import CurvaturePacket, _packet, _singular, is_zero
+from .curvature import CurvaturePacket, _packet, _packet_record, _point_fields, _singular, is_zero
 from .errors import LcframeError
 from .minkowski import pseudo_dot
 from .straightline import float_code, roots_read
@@ -83,6 +85,10 @@ TRACEABLE_FIELDS = ("lambda_til", "c2")
 #: (lcframe.arrays); smaller ones point by point, as importing numpy
 #: costs more than the arrays save there.
 ARRAY_MIN_POINTS = 4096
+
+#: Points per CSV write: few enough that one chunk's column strings
+#: stay small.
+CHUNK = 1024
 
 #: The one float format of every artifact: format(x, ".12g"), also for
 #: signed zeros and subnormals, as a bound method that maps quickly.
@@ -470,17 +476,17 @@ class ClassificationRow:
 class ClassificationTable:
     """Row-major (u outer, v inner) classification of a sample grid.
 
-    A grid of ARRAY_MIN_POINTS points or more keeps its arrays.Blocks
-    (arrays.BLOCK points each): `rows` is built from them when first
-    read, and write_csv formats them arrays.CHUNK points at a time
-    without building rows.
+    Holds the grid (us, vs) and its blocks, as grid_blocks gives them
+    classified: `rows` is built from them when first read, and
+    write_csv formats them CHUNK points at a time without building
+    rows.
     """
 
-    def __init__(self, surface, resolution, tol, rows=None, grid=None, blocks=None):
+    def __init__(self, surface, resolution, tol, grid, blocks):
         self.surface = surface
         self.resolution = tuple(resolution)
         self.tol = tol
-        self._rows = rows
+        self._rows = None
         self._grid = grid  # (us, vs) of the blocks
         self._blocks = blocks
 
@@ -490,27 +496,16 @@ class ClassificationTable:
             self._rows = [
                 ClassificationRow(u=p.u, v=p.v, point_class=CLASSES[code], packet=p, c2=c2)
                 for block in self._blocks
-                for p, code, c2 in zip(block.packets(), block.codes.tolist(),
-                                       block.columns["c2"].tolist())]
+                for p, code, c2 in zip(block.packets(), block.values("class"),
+                                       block.values("c2"))]
         return self._rows
 
     def write_csv(self, fh) -> None:
         fh.write(",".join(CSV_HEADER) + "\n")
-        if self._blocks is None:
-            for row in self._rows:
-                p = row.packet
-                fh.write(",".join((
-                    _fmt(row.u), _fmt(row.v), _class_text(row.point_class),
-                    _fmt(p.lambda_til), _fmt(row.c2), _fmt(p.Ktil), _fmt(p.Htil),
-                    _fmt(p.K), _fmt(p.H), _fmt(p.kappa_til_1))) + "\n")
-            return
-        from .arrays import write_grid_csv
-
         class_texts = [_class_text(pc) for pc in CLASSES]
         write_grid_csv(fh, *self._grid, self._blocks, lambda block, part: (
-            [class_texts[code] for code in block.codes[part].tolist()],
-            *(block.texts(name, part)
-              for name in ("lambda_til", "c2", "Ktil", "Htil", "K", "H", "kappa_til_1"))))
+            [class_texts[code] for code in block.values("class", part)],
+            *(block.texts(name, part) for name in CSV_HEADER[6:])))
 
 
 def _class_text(pc):
@@ -526,20 +521,69 @@ def _fmt(x):
     return "" if x is None else _FMT(x)
 
 
-def _point_rows(s, us, vs, tol):
-    """The rows of the grid us x vs, one point at a time.  The invariant
-    program and the class code are fetched once per grid; the grid's
-    points lie in the domain (DomainBox.grid)."""
-    program = s.program(BasicInvariants._fields)
-    class_code = float_code(_class_code, BasicInvariants._fields)
-    rows = []
-    for u in us:
-        for v in vs:
+class _PointBlock:
+    """Up to CHUNK consecutive points of a grid below ARRAY_MIN_POINTS,
+    with arrays.Block's columns over lists, each point evaluated as
+    curvature_packet and classify evaluate it but with no domain check,
+    as a grid's points lie in the domain (DomainBox.grid)."""
+
+    def __init__(self, s, start, u, v, tol=None):
+        self.start, self.u, self.v = start, u, v
+        program = s.program(BasicInvariants._fields)
+        class_code = float_code(_class_code, BasicInvariants._fields)
+        self._points = []  # (values, flags) of each point
+        for u, v in zip(self.u, self.v):
             inv = BasicInvariants._make(program(u, v))
-            rows.append(ClassificationRow(
-                u=u, v=v, point_class=CLASSES[class_code(inv, tol)],
-                packet=_packet(s, u, v, inv), c2=inv.c2))
-    return rows
+            values, flags = _point_fields(s, u, v, inv)
+            if tol is not None:
+                values["class"] = class_code(inv, tol)
+            self._points.append((values, flags))
+
+    def values(self, name, part=slice(None)):
+        return [values[name] for values, _ in self._points[part]]
+
+    def texts(self, name, part=slice(None)):
+        return list(map(_fmt, self.values(name, part)))
+
+    def packets(self):
+        return [_packet_record(u, v, *point) for u, v, point in zip(self.u, self.v, self._points)]
+
+
+def grid_blocks(s, us, vs, tol=None):
+    """The blocks of the grid us x vs in row-major order (u outer),
+    classified at tol when it is given: arrays.Blocks from
+    ARRAY_MIN_POINTS points on, else _PointBlocks.  Each block is
+    evaluated when it is reached."""
+    if len(us) * len(vs) >= ARRAY_MIN_POINTS:
+        from .arrays import grid_blocks as array_blocks
+
+        yield from array_blocks(s, us, vs, tol)
+        return
+    u_all, v_all = [u for u in us for _ in vs], list(vs) * len(us)
+    for start in range(0, len(u_all), CHUNK):
+        stop = start + CHUNK
+        yield _PointBlock(s, start, u_all[start:stop], v_all[start:stop], tol)
+
+
+def write_grid_csv(fh, us, vs, blocks, columns):
+    """Write one CSV line per point of `blocks`, CHUNK points at a time:
+    u and v, each formatted once per grid line, then the text columns
+    that columns(block, part) gives for the block's points `part`."""
+    nv = len(vs)
+    u_texts, v_texts = list(map(_FMT, us)), list(map(_FMT, vs))
+    for block in blocks:
+        for lo in range(0, len(block.u), CHUNK):
+            part = slice(lo, min(lo + CHUNK, len(block.u)))
+            # the whole grid lines the chunk's points lie on, cut to them
+            first, offset = divmod(block.start + lo, nv)
+            cut = slice(offset, offset + part.stop - lo)
+            lines = -(-cut.stop // nv)
+            u_col = list(chain.from_iterable(
+                [t] * nv for t in u_texts[first:first + lines]))[cut]
+            v_col = (v_texts * lines)[cut]
+            fh.write("\n".join(map(",".join, zip(u_col, v_col, *columns(block, part))))
+                     + "\n")
+        del block  # freed before the next block is built
 
 
 def classify_grid(
@@ -548,16 +592,10 @@ def classify_grid(
     """Classify every point of a closed sample grid.
 
     Rows are emitted u-major then v, so identical configurations yield
-    byte-identical CSV output.  A grid of ARRAY_MIN_POINTS points or
-    more is evaluated as arrays, with the same values and the same
-    error at the same first failing point."""
+    byte-identical CSV output.  The grid is evaluated by grid_blocks."""
     if not (0 < tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
     nu, nv = resolution
     us, vs = s.domain.grid(nu, nv)  # validates >= 2x2
-    if nu * nv < ARRAY_MIN_POINTS:
-        return ClassificationTable(s.name, (nu, nv), tol, rows=_point_rows(s, us, vs, tol))
-    from .arrays import grid_blocks
-
-    return ClassificationTable(s.name, (nu, nv), tol, grid=(us, vs),
-                               blocks=list(grid_blocks(s, us, vs, tol)))
+    return ClassificationTable(s.name, (nu, nv), tol, (us, vs),
+                               list(grid_blocks(s, us, vs, tol)))

@@ -4,11 +4,12 @@ Subcommands: validate, classify, curvature, trace, limits, demo.  All
 CSV output prints floats with 12 significant digits and a '.' decimal
 separator regardless of locale (classify._FMT, '%.12g', formats every
 one), so identical configurations produce byte-identical artifacts.
-classify and curvature evaluate a grid of 4096 points or more as arrays
-(lcframe.arrays), 4096 points per block and 1024 points per CSV write,
-and write the same bytes as the point loop that smaller grids keep;
-numpy is imported only for such a grid, so the demo, trace, limits and
-validate never load it.
+classify and curvature take their grid's blocks from
+classify.grid_blocks, which evaluates a grid of 4096 points or more as
+arrays (lcframe.arrays) and a smaller one point by point, and format
+them with classify.write_grid_csv, 1024 points per CSV write; numpy is
+imported only for such a grid, so the demo, trace, limits and validate
+never load it.
 The argument parser is built once per process, on the first call of
 main, and reused by every later call; each call parses into a fresh
 namespace, so no option carries over from one call to the next.
@@ -27,8 +28,8 @@ surface outside those 16, or an image of one under X -> cX, a Lorentz
 map or a parameter shift, reads its constants from its text's tokens
 and parses, derives, numbers and compiles only what no earlier surface
 of its shape did.  A trace CSV is formatted a polyline at a time.
-Exit codes: 0 success, 1 validation or comparison failure, 2 usage
-error.
+Exit codes: 0 success, 1 an error (a failed output write among them)
+or a validation or comparison failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from pathlib import Path
 
 from . import catalog
 from .classify import (
-    _FMT, ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _fmt, classify_grid, trace_zero_set,
+    _FMT, TRACEABLE_FIELDS, _fmt, classify_grid, grid_blocks, trace_zero_set, write_grid_csv,
 )
-from .curvature import _packet, _singular, curvature_packet
+from .curvature import _packet, _singular
 from .errors import LcframeError
 from .expr import constant_value
 from .limits import (
@@ -174,30 +175,8 @@ CURVATURE_HEADER = (
 def _write_curvature_csv(s, grid, fh):
     us, vs = s.domain.grid(*grid)
     fh.write(",".join(CURVATURE_HEADER) + "\n")
-    if len(us) * len(vs) < ARRAY_MIN_POINTS:
-        _write_curvature_points(s, us, vs, fh)
-        return
-    from .arrays import grid_blocks, write_grid_csv
-
     write_grid_csv(fh, us, vs, grid_blocks(s, us, vs), lambda block, part: (
         block.texts(name, part) for name in CURVATURE_HEADER[2:]))
-
-
-def _write_curvature_points(s, us, vs, fh):
-    """The curvature CSV rows of the grid us x vs, one point at a time."""
-    for u in us:
-        u_text = _fmt(u)
-        for v in vs:
-            p = curvature_packet(s, u, v)
-            v1 = p.V1 or (None, None)
-            v2 = p.V2 or (None, None)
-            fh.write(",".join((
-                u_text, _fmt(v), _fmt(p.Etil), _fmt(p.Ftil), _fmt(p.Gtil),
-                _fmt(p.Ltil), _fmt(p.Mtil), _fmt(p.Ntil), _fmt(p.lambda_til),
-                _fmt(p.Ktil), _fmt(p.Htil), _fmt(p.K), _fmt(p.H),
-                _fmt(p.kappa_til_1), _fmt(p.kappa_til_2),
-                _fmt(v1[0]), _fmt(v1[1]), _fmt(v2[0]), _fmt(v2[1]),
-                _fmt(p.n_til.x1), _fmt(p.n_til.x2), _fmt(p.n_til.x3))) + "\n")
 
 
 #: A trace row's degenerate column, by the vertex's flag.
@@ -489,7 +468,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except LcframeError as exc:
+    except (LcframeError, OSError) as exc:  # OSError: an output write failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -353,8 +353,9 @@ def _packet_record(u, v, c, flags) -> CurvaturePacket:
     )
 
 
-def _packet(s, u, v, inv) -> CurvaturePacket:
-    """The curvature bundle at (u, v) built from the point's invariants."""
+def _point_fields(s, u, v, inv):
+    """(values, flags) of _packet_fields at (u, v) from the point's
+    invariants, each value None where it is not defined."""
 
     def limit(where):
         kappa1 = _ratio_limit_kappa1(s, u, v) if where else None
@@ -364,7 +365,12 @@ def _packet(s, u, v, inv) -> CurvaturePacket:
     for name, where in defined.items():
         if not where:
             values[name] = None
-    return _packet_record(u, v, values, flags)
+    return values, flags
+
+
+def _packet(s, u, v, inv) -> CurvaturePacket:
+    """The curvature bundle at (u, v) built from the point's invariants."""
+    return _packet_record(u, v, *_point_fields(s, u, v, inv))
 
 
 def classical_curvatures(s: SurfaceDef, u: float, v: float) -> ClassicalCurvatures:

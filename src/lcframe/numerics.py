@@ -17,8 +17,8 @@ from .straightline import compile_function
 __all__ = ["richardson", "loglog_slope", "LogAxis"]
 
 #: LogAxis fits at most this many points by an unrolled fit, whose
-#: source and compile time grow with its count; a longer schedule runs
-#: _fit's loop, which computes the same bits.
+#: source and compile time grow with its count; a longer schedule is
+#: fitted by loglog_slope, which computes the same bits.
 UNROLL_MAX = 64
 
 
@@ -76,12 +76,12 @@ class LogAxis:
     def __init__(self, distances):
         self.distances = tuple(distances)
         self._fit = None
-        if len(self.distances) >= 2 and all(r > 0.0 for r in self.distances):
+        n = len(self.distances)
+        if 2 <= n <= UNROLL_MAX and all(r > 0.0 for r in self.distances):
             self._xs = tuple(map(math.log, self.distances))
             self._sx = _total(self._xs)
             self._sxx = _total(x * x for x in self._xs)
-            n = len(self._xs)
-            self._fit = _unrolled_fit(n) if n <= UNROLL_MAX else _looped_fit
+            self._fit = _unrolled_fit(n)
 
     def slope(self, magnitudes, residual=True):
         """loglog_slope(self.distances, magnitudes, residual)."""
@@ -126,13 +126,6 @@ def _unrolled_fit(n):
         *(f"    rss += (_y{i} - (slope * _x{i} + intercept)) ** 2" for i in points),
         f"    return slope, intercept, sqrt(rss / {n})",
     ]), {"log": math.log})
-
-
-def _looped_fit(magnitudes, xs, sx, sxx, residual):
-    """What _unrolled_fit(len(xs)) returns, computed by _fit's loop."""
-    if not all(m > 0.0 for m in magnitudes):
-        return None
-    return _fit(xs, list(map(math.log, magnitudes)), sx, sxx, residual)
 
 
 def _fit(xs, ys, sx, sxx, residual):

@@ -1,3 +1,6 @@
+import contextlib
+import importlib
+import math
 import sys
 
 import pytest
@@ -94,3 +97,22 @@ def unshared_code(monkeypatch):
     compile_grid_program call compiles its code as if the map were
     cleared just before it."""
     monkeypatch.setattr(expr, "_shared_code", expr._shared_code.__wrapped__)
+
+
+@pytest.fixture
+def evaluated_as(monkeypatch):
+    """evaluated_as("points") is a context in which
+    classify.grid_blocks evaluates every grid, whatever its size, as
+    point blocks, and evaluated_as("arrays") one in which it evaluates
+    every grid as arrays.Blocks."""
+    thresholds = {"points": math.inf, "arrays": 0}
+
+    @contextlib.contextmanager
+    def context(kind):
+        with monkeypatch.context() as patch:
+            # the package's name classify is the function, not the module
+            patch.setattr(importlib.import_module("lcframe.classify"), "ARRAY_MIN_POINTS",
+                          thresholds[kind])
+            yield
+
+    return context

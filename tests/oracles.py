@@ -1,4 +1,5 @@
-"""Reference implementations that the tests compare lcframe against."""
+"""Reference implementations that the tests compare lcframe against,
+and first_difference, which says where two large outputs part."""
 
 import math
 import operator
@@ -35,6 +36,18 @@ FLOAT_OPS = SimpleNamespace(
     pow=lambda x, p, where: x ** p if where else math.nan,
     div=lambda a, b, where: a / b if where else math.nan,
 )
+
+
+def first_difference(got, want):
+    """(index, got line, wanted line) of the first line where two texts
+    differ, None if they are equal; cheaper to report than a diff of
+    two large CSVs."""
+    if got == want:
+        return None
+    got, want = got.split("\n"), want.split("\n")
+    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+             min(len(got), len(want)))
+    return i, got[i:i + 1], want[i:i + 1]
 
 
 def bisect_edge(f, p0, p1, f0, f1, refine_tol):

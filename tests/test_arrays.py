@@ -1,8 +1,8 @@
 """Per-block evaluation of the array grids: each distinct bit pattern
 of a block is evaluated and formatted once, with the results of
 evaluating and formatting every element; grids that span several
-blocks and chunks write the point loop's CSVs; and the class and packet
-decisions, written once, decide alike on floats and on arrays."""
+blocks and chunks write the CSVs of point blocks; and the class and
+packet decisions, written once, decide alike on floats and on arrays."""
 
 import io
 import math
@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcframe import catalog
-from lcframe.arrays import BLOCK, CHUNK, _ArrayOps, _each, grid_blocks, texts
+from lcframe.arrays import BLOCK, Block, _ArrayOps, _each, texts
 from lcframe.classify import (
-    _FMT, CLASSES, ClassificationTable, _class_code, _point_rows, classify_grid,
+    _FMT, ARRAY_MIN_POINTS, CHUNK, CLASSES, _class_code, _PointBlock, classify_grid, grid_blocks,
 )
-from lcframe.cli import CURVATURE_HEADER, _write_curvature_csv, _write_curvature_points
+from lcframe.cli import _write_curvature_csv
 from lcframe.curvature import ZERO_TOL, _fundamentals, _packet_fields
 from lcframe.surface import BasicInvariants, SurfaceDef
-from oracles import FLOAT_OPS
+from oracles import FLOAT_OPS, first_difference
 
 
 def bits(x):
@@ -124,33 +124,38 @@ def test_the_spanning_grid_cuts_blocks_and_chunks_mid_line():
     assert BLOCK % CHUNK == 0 and CHUNK % nv != 0
 
 
-def first_difference(got, want):
-    """(index, got line, wanted line) of the first line where two texts
-    differ, None if they are equal; cheaper to report than a diff of
-    two large CSVs."""
-    if got == want:
-        return None
-    got, want = got.split("\n"), want.split("\n")
-    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
-             min(len(got), len(want)))
-    return i, got[i:i + 1], want[i:i + 1]
+def grid_csvs(s, grid):
+    """The classify and the curvature CSV of s on grid."""
+    classify_csv, curvature_csv = io.StringIO(), io.StringIO()
+    classify_grid(s, grid).write_csv(classify_csv)
+    _write_curvature_csv(s, grid, curvature_csv)
+    return classify_csv.getvalue(), curvature_csv.getvalue()
 
 
 @pytest.mark.parametrize("name", ["flat_plane", "twisted_band", "sphere"])
-def test_csvs_across_blocks_and_chunks_match_the_point_loop(name):
-    # every flat_plane point takes the 0/0 limit path
+def test_csvs_across_blocks_and_chunks_match_the_point_loop(name, evaluated_as):
+    # every flat_plane point takes the 0/0 limit path; the same grid as
+    # point blocks, through the same writer
     s = catalog.load(name)
-    us, vs = s.domain.grid(*SPANNING_GRID)
-    arrays, points = io.StringIO(), io.StringIO()
-    classify_grid(s, SPANNING_GRID).write_csv(arrays)
-    ClassificationTable(s.name, SPANNING_GRID, 1e-9,
-                        rows=_point_rows(s, us, vs, 1e-9)).write_csv(points)
-    assert first_difference(arrays.getvalue(), points.getvalue()) is None
-    arrays, points = io.StringIO(), io.StringIO()
-    _write_curvature_csv(s, SPANNING_GRID, arrays)
-    points.write(",".join(CURVATURE_HEADER) + "\n")
-    _write_curvature_points(s, us, vs, points)
-    assert first_difference(arrays.getvalue(), points.getvalue()) is None
+    arrays = grid_csvs(s, SPANNING_GRID)
+    with evaluated_as("points"):
+        points = grid_csvs(s, SPANNING_GRID)
+    for got, want in zip(arrays, points):
+        assert first_difference(got, want) is None
+
+
+def test_grid_blocks_picks_the_evaluator_by_the_grid_size(sphere, evaluated_as):
+    def kinds(grid):
+        return [type(block) for block in grid_blocks(sphere, *sphere.domain.grid(*grid))]
+
+    assert 64 * 63 < ARRAY_MIN_POINTS == 64 * 64 == BLOCK == 4 * CHUNK
+    assert kinds((64, 63)) == [_PointBlock] * 4
+    assert kinds((64, 64)) == [Block]
+    assert kinds((65, 64)) == [Block, Block]
+    with evaluated_as("points"):
+        assert kinds((65, 64)) == [_PointBlock] * 5
+    with evaluated_as("arrays"):
+        assert kinds((3, 2)) == [Block]
 
 
 def test_no_array_program_call_exceeds_a_block(flat_plane, monkeypatch):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from lcframe import catalog
 from lcframe.classify import (
-    TRACEABLE_FIELDS, ClassificationTable, _fmt, _link_segments, _point_rows, _segments,
-    classify, classify_grid, line_of_curvature_test, null_vector, trace_zero_set,
+    ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _fmt, _link_segments, _segments, classify,
+    classify_grid, line_of_curvature_test, null_vector, trace_zero_set,
 )
 from lcframe.cli import _write_trace_csv
 from lcframe.curvature import curvature_packet
 from lcframe.expr import EvalDomainError, compile_field
-from oracles import bisect_edge
+from oracles import bisect_edge, first_difference
 from lcframe.surface import BasicInvariants, DomainBox, SurfaceDef, basic_invariants_at
 from lcframe.taxonomy import Category, Kind, PointClass
 
@@ -28,9 +28,8 @@ GRIDS = ((9, 8), (65, 64))
 class TestClassifyGrid:
     def test_each_point_evaluated_once(self, mixed_bowl, invariant_calls, field_evals,
                                        monkeypatch):
-        # the point loop fetches the invariant program once per grid, not
-        # once per point through basic_invariants_at, and calls it once
-        # per point
+        # a point block fetches the invariant program once, not once per
+        # point through basic_invariants_at, and calls it once per point
         program = mixed_bowl.program(BasicInvariants._fields)
         calls = [0]
 
@@ -65,14 +64,21 @@ class TestClassifyGrid:
         assert invariant_calls[0] == 0
 
     @pytest.mark.parametrize("name", catalog.names())
-    def test_array_csv_matches_the_point_loop(self, name):
+    def test_array_csv_matches_the_point_loop(self, name, evaluated_as):
+        # a grid one point below ARRAY_MIN_POINTS, one at it and one past
+        # a block: each grid's CSV and rows are those of the other evaluator
         s = catalog.load(name)
-        arrays, points = io.StringIO(), io.StringIO()
-        classify_grid(s, GRIDS[1]).write_csv(arrays)
-        us, vs = s.domain.grid(*GRIDS[1])
-        ClassificationTable(s.name, GRIDS[1], 1e-9,
-                            rows=_point_rows(s, us, vs, 1e-9)).write_csv(points)
-        assert arrays.getvalue() == points.getvalue()
+        for grid in ((64, 63), (64, 64), GRIDS[1]):
+            other = "arrays" if grid[0] * grid[1] < ARRAY_MIN_POINTS else "points"
+            tables = [classify_grid(s, grid)]
+            with evaluated_as(other):
+                tables.append(classify_grid(s, grid))
+            csvs = [io.StringIO(), io.StringIO()]
+            for table, fh in zip(tables, csvs):
+                table.write_csv(fh)
+            assert first_difference(*(fh.getvalue() for fh in csvs)) is None, grid
+            rows = [table.rows for table in tables]
+            assert [i for i, pair in enumerate(zip(*rows)) if pair[0] != pair[1]] == [], grid
 
     @pytest.mark.parametrize("grid", GRIDS)
     def test_a_fault_fails_the_grid_as_the_point_loop_does(self, grid):

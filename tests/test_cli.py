@@ -17,11 +17,12 @@ from lcframe import catalog
 from lcframe.classify import ARRAY_MIN_POINTS, CSV_HEADER, TRACEABLE_FIELDS, LocusPolyline, _fmt
 from lcframe.cli import (
     CURVATURE_HEADER, _build_parser, _load_surface, _surface_from_text, _write_curvature_csv,
-    _write_curvature_points, _write_trace_csv, main, run_demo,
+    _write_trace_csv, main, run_demo,
 )
 from lcframe.expr import MAX_NESTING, ExprSyntaxError
 from lcframe.limits import QUANTITIES, boundedness_report
 from lcframe.surface import SurfaceDef, SurfaceFormatError
+from oracles import first_difference
 
 TRACE_HEADER = ["field", "polyline", "vertex", "u", "v", "residual",
                 "degenerate", "closed"]
@@ -119,13 +120,13 @@ def test_refine_tol_must_be_positive_and_finite(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("name", catalog.names())
-def test_array_curvature_csv_matches_the_point_loop(name):
+def test_array_curvature_csv_matches_the_point_loop(name, evaluated_as):
     s = catalog.load(name)
     arrays, points = io.StringIO(), io.StringIO()
     _write_curvature_csv(s, (65, 64), arrays)
-    points.write(",".join(CURVATURE_HEADER) + "\n")
-    _write_curvature_points(s, *s.domain.grid(65, 64), points)
-    assert arrays.getvalue() == points.getvalue()
+    with evaluated_as("points"):
+        _write_curvature_csv(s, (65, 64), points)
+    assert first_difference(arrays.getvalue(), points.getvalue()) is None
 
 
 def test_array_curvature_csv_fails_as_the_point_loop_does(tmp_path, capsys):
@@ -139,6 +140,34 @@ def test_array_curvature_csv_fails_as_the_point_loop_does(tmp_path, capsys):
     for grid in ("9x8", "65x64"):
         assert main(["curvature", str(surf), "--grid", grid, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: division by zero\n"
+
+
+def test_a_name_too_long_for_the_file_system_is_an_error(tmp_path, capsys):
+    data = json.loads(catalog.surface_text("sphere"))
+    data["name"] = "n" * 300
+    surf = tmp_path / "long.surf"
+    surf.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["classify", str(surf), "--grid", "5x4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File name too long" in err, err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "sphere", "--grid", "5x4"],
+    ["curvature", "sphere", "--grid", "5x4"],
+    ["trace", "sphere", "--grid", "8x8"],
+    ["limits", "sphere", "--at", "pi/2,1"],
+    ["demo"],
+], ids=lambda args: args[0])
+def test_an_out_that_is_a_file_is_an_error(tmp_path, capsys, args):
+    out = tmp_path / "taken"
+    out.write_text("kept", encoding="utf-8")
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err, err
+    assert out.read_text(encoding="utf-8") == "kept"
 
 
 def test_small_runs_do_not_import_numpy(tmp_path):
