@@ -226,20 +226,26 @@ def _ratio_limits(s, u, v, bad):
 
     Each of the six samples of all points is one array-program call, no
     larger than the block; a sample the point loop would reach and that
-    faults marks its point in bad.
+    faults marks its point in bad.  A direction stops once no point is
+    alive in it (as where K~ = H~ = 0 everywhere): its finer samples
+    reach no point, so none can fault, and its estimates, NaN, are
+    masked by `complete`.
     """
     estimates, complete = [], []
     for direction in (-1.0, 1.0):
         alive = np.ones(len(u), bool)
         values = []
         for delta in LIMIT_OFFSETS:
+            if not alive.any():
+                break
             ratio, usable, inside, faults = _limit_sample(s, u + direction * delta, v)
             reached = alive & inside
             bad |= reached & faults
             alive = reached & ~faults & usable
             values.append(ratio)
         # offsets shrink by 0.1, coarsest first
-        estimates.append(richardson(values, 0.1, levels=2))
+        estimates.append(richardson(values, 0.1, levels=2) if len(values) == len(LIMIT_OFFSETS)
+                         else np.full(len(u), math.nan))
         complete.append(alive)
     # sum(estimates) starts from the integer 0, which turns -0.0 into 0.0
     first = 0.0 + np.where(complete[0], estimates[0], estimates[1])

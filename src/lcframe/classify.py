@@ -525,28 +525,35 @@ class _PointBlock:
     """Up to CHUNK consecutive points of a grid below ARRAY_MIN_POINTS,
     with arrays.Block's columns over lists, each point evaluated as
     curvature_packet and classify evaluate it but with no domain check,
-    as a grid's points lie in the domain (DomainBox.grid)."""
+    as a grid's points lie in the domain (DomainBox.grid).  Like a
+    Block it keeps one list per column and per flag, a slot per point,
+    None where the packet has None."""
 
     def __init__(self, s, start, u, v, tol=None):
         self.start, self.u, self.v = start, u, v
         program = s.program(BasicInvariants._fields)
         class_code = float_code(_class_code, BasicInvariants._fields)
-        self._points = []  # (values, flags) of each point
+        points = []  # (values, flags) of each point, until they become columns
         for u, v in zip(self.u, self.v):
             inv = BasicInvariants._make(program(u, v))
             values, flags = _point_fields(s, u, v, inv)
             if tol is not None:
                 values["class"] = class_code(inv, tol)
-            self._points.append((values, flags))
+            points.append((values, flags))
+        values, flags = points[0]
+        self.columns = {name: [p[0][name] for p in points] for name in values}
+        self.flags = {name: [p[1][name] for p in points] for name in flags}
 
     def values(self, name, part=slice(None)):
-        return [values[name] for values, _ in self._points[part]]
+        return self.columns[name][part]
 
     def texts(self, name, part=slice(None)):
         return list(map(_fmt, self.values(name, part)))
 
     def packets(self):
-        return [_packet_record(u, v, *point) for u, v, point in zip(self.u, self.v, self._points)]
+        return [_packet_record(u, v, {name: values[i] for name, values in self.columns.items()},
+                               {name: where[i] for name, where in self.flags.items()})
+                for i, (u, v) in enumerate(zip(self.u, self.v))]
 
 
 def grid_blocks(s, us, vs, tol=None):

@@ -24,23 +24,40 @@ verdict.  A fit computes its rms residual only where a result keeps it:
 the quantity's own slope and vanishing_order, not the order fits of a
 verdict.
 
-Each ray is walked by one ray kernel (_ray_kernel), generated once per
-process from the traces of `classify._class_code` and
-`curvature._gauss_mean` over the 15 roots they read (_sample_roots).
-For each sample in turn it tests the domain, calls the samples' program
-once, decides the class inline, and builds the sample's record of c2,
-lam~, K~, H~, K and H inline; the first sample that leaves the domain
-or does not classify regular raises.  Every quantity, field and verdict
-along the path is read from the ray's records, taken as columns.  The
+A report walks its fan in three steps.
+- One schedule.  The schedule is validated once, and its distances
+  and their logarithms (`numerics.LogAxis`) are taken once.  The
+  samples' program, its domain box and the ray kernel are looked up
+  once (_walker).  Each ray's points are built from its unit
+  direction, normalised as ApproachPath normalises a direction.
+- Each distinct ray once.  A ray is keyed by the exact bits of its
+  unit direction, 0.0 and -0.0 apart.  A ray equal to an earlier one
+  (a transversal ray along a fan ray) reuses that ray's side, error
+  and verdicts; its outcome keeps its own label and direction.
+- One ray kernel and one fit kernel per ray.  The ray kernel
+  (_ray_kernel) is generated once per process from the traces of
+  `classify._class_code` and `curvature._gauss_mean` over the 15
+  roots they read (_sample_roots).  For each sample in turn it tests
+  the domain, calls the samples' program once, decides the class
+  inline, and builds the sample's record of c2, lam~, K~, H~, K and H
+  inline; the first sample that leaves the domain or does not
+  classify regular raises.  The fit kernel (_fit_kernel), generated
+  once per count of samples and set of quantities, takes the ray's
+  records and fits every sequence a verdict reads: the orders of K~
+  and H~, the orders of each Gamma, and each quantity's slope with
+  its residual.  Its fits are `numerics.fit_lines`' straight-line
+  code, the arithmetic of `numerics.loglog_slope` operand for
+  operand; a sequence holding a magnitude that is not > 0, or a
+  schedule with no straight-line fits, is fitted by loglog_slope
+  itself.  _verdict then applies the rule above to the fits.
+limit_along and vanishing_order walk their path by the same ray kernel
+and fit it by the same fit kernel, so every ray fit has one path.  The
 target of a report, of limit_along and of vanishing_order is evaluated
-by the same program, so limits compiles no invariant program of all 23
-roots, and a fault in a root it does not read (a2, b2, e2, c1u, c1v,
-n~) fails no sample.  A report builds no curvature packet, so it
+by the samples' program, so limits compiles no invariant program of
+all 23 roots, and a fault in a root it does not read (a2, b2, e2, c1u,
+c1v, n~) fails no sample.  A report builds no curvature packet, so it
 computes no principal curvature and no kappa_til_1, whose 0/0 limit
-would evaluate further points on the u-line of a sample.  Every ray of
-a report shares one distance schedule, so its logarithms are taken once
-per report (`numerics.LogAxis`), and every fit on it runs as the
-straight-line fit of its count of samples.
+would evaluate further points on the u-line of a sample.
 """
 
 from __future__ import annotations
@@ -57,7 +74,7 @@ from typing import NamedTuple
 from .classify import _FMT, CLASSES, _class_code, _fmt
 from .curvature import _gauss_mean
 from .errors import LcframeError
-from .numerics import LogAxis, richardson
+from .numerics import FIT_NAMES, LogAxis, fit_lines, richardson
 from .straightline import compile_function, float_code, roots_read, straight_code
 from .surface import _SLACK, SurfaceDef
 from .taxonomy import Category, Kind
@@ -122,6 +139,39 @@ def _require_int(value, what):
         raise LcframeError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _schedule(r0, ratio, count):
+    """The distances r0 * ratio^k, k = 0..count-1, of a sample schedule;
+    raises the LcframeError of a schedule that admits no fit."""
+    if not 0.0 < ratio < 1.0:
+        raise LcframeError("schedule ratio must lie in (0, 1)")
+    _require_int(count, "sample count")
+    if not 0.0 < r0 < math.inf or count < 4:
+        raise LcframeError("schedule needs a finite r0 > 0 and at least 4 samples")
+    return [r0 * ratio ** k for k in range(count)]
+
+
+def _unit(direction):
+    """direction scaled to unit length; raises the LcframeError of a
+    direction that has none."""
+    du, dv = direction
+    length = math.hypot(du, dv)
+    if not length < math.inf:  # a component is not finite, or the length overflows
+        raise LcframeError("direction must be finite")
+    if length == 0.0:
+        raise LcframeError("direction must be nonzero")
+    return (du / length, dv / length)
+
+
+def _points(target, unit, distances):
+    """The points at distances from target along the unit direction."""
+    (u0, v0), (du, dv) = target, unit
+    return [(u0 + r * du, v0 + r * dv) for r in distances]
+
+
+#: the step shrink factor of a report's schedule and of a default path
+_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class ApproachPath:
     """Geometric sample schedule approaching a target point.
@@ -135,34 +185,23 @@ class ApproachPath:
     direction: tuple | None = None
     curve: object | None = None  # callable s -> (u, v)
     r0: float = 1e-1
-    ratio: float = 0.5
+    ratio: float = _RATIO
     count: int = 12
 
     def __post_init__(self):
         if (self.direction is None) == (self.curve is None):
             raise LcframeError("provide exactly one of direction or curve")
-        if not 0.0 < self.ratio < 1.0:
-            raise LcframeError("schedule ratio must lie in (0, 1)")
-        _require_int(self.count, "sample count")
-        if not 0.0 < self.r0 < math.inf or self.count < 4:
-            raise LcframeError("schedule needs a finite r0 > 0 and at least 4 samples")
+        _schedule(self.r0, self.ratio, self.count)
         if self.direction is not None:
-            du, dv = self.direction
-            length = math.hypot(du, dv)
-            if not length < math.inf:  # a component is not finite, or the length overflows
-                raise LcframeError("direction must be finite")
-            if length == 0.0:
-                raise LcframeError("direction must be nonzero")
-            object.__setattr__(self, "direction", (du / length, dv / length))
+            object.__setattr__(self, "direction", _unit(self.direction))
 
     def distances(self):
-        return [self.r0 * self.ratio ** k for k in range(self.count)]
+        return _schedule(self.r0, self.ratio, self.count)
 
     def points(self):
         if self.direction is None:
             return [tuple(self.curve(r)) for r in self.distances()]
-        (u0, v0), (du, dv) = self.target, self.direction
-        return [(u0 + r * du, v0 + r * dv) for r in self.distances()]
+        return _points(self.target, self.direction, self.distances())
 
 
 @dataclass(frozen=True)
@@ -286,13 +325,20 @@ def _ray_kernel(roots):
          "_record": functools.partial(tuple.__new__, _Sample)})
 
 
-def _ray(s, path):
-    """(records, classes, fault) of the samples of path on s, by the ray
-    kernel of the samples' program (_ray_kernel).  Its box is the one
-    DomainBox.contains tests."""
+def _walker(s):
+    """The ray kernel of the samples' program of s, with its domain box
+    and name bound: a function points -> (records, classes, fault).  Its
+    box is the one DomainBox.contains tests."""
     roots, d = _sample_roots(), s.domain
     box = (d.u_min - _SLACK, d.u_max + _SLACK, d.v_min - _SLACK, d.v_max + _SLACK)
-    return _ray_kernel(roots)(path.points(), s.program(roots), box, s.name, 1e-9)
+    kernel, program, name = _ray_kernel(roots), s.program(roots), s.name
+    return lambda points: kernel(points, program, box, name, 1e-9)
+
+
+def _ray(s, path):
+    """(records, classes, fault) of the samples of path on s, by the ray
+    kernel (_walker)."""
+    return _walker(s)(path.points())
 
 
 def _columns(records):
@@ -345,21 +391,116 @@ def _vanishes(mags):
     return all(map(ABS_ZERO.__ge__, mags))
 
 
-def _fit_order(axis, values, residual=False):
-    """(order, slope_residual) of values sampled on axis: the log-log
-    slope snapped to a near integer, math.inf for an identically
-    vanishing field.  The residual is None unless `residual` is true
-    (0.0 for a vanishing field)."""
-    mags = list(map(abs, values))
-    if _vanishes(mags):
-        return math.inf, 0.0
-    slope, _, resid = axis.slope(mags, residual)
-    if slope is None:
-        return None, None
-    snapped = round(slope)
-    if abs(slope - snapped) <= ORDER_SNAP:
-        return float(snapped), resid
-    return slope, resid
+#: The magnitude of each sequence that a ray fits, as an expression of
+#: the fields of one _Sample record: the order fields, Gamma of each
+#: quantity, and the quantities.  Each is the abs() of the value as
+#: _field_values and _quantity_values compute it.
+_MAGNITUDES = {
+    "c2": "abs({c2})", "lambda_til": "abs({lambda_til})",
+    "Ktil": "abs({Ktil})", "Htil": "abs({Htil})",
+    "Gamma K": "abs({c2} * abs({lambda_til}) ** 2)",
+    "Gamma H": "abs({c2} * abs({lambda_til}) ** 1.5)",
+    "Gamma c2K": "abs(abs({lambda_til}) ** 2)",
+    "K": "abs({K})", "H": "abs({H})", "c2K": "abs({c2} * {K})",
+}
+
+
+@functools.lru_cache(maxsize=32)
+def _fit_kernel(unroll, quantities, order=None):
+    """The fit kernel of a ray, generated on first use for a LogAxis of
+    unroll `unroll`: a function (records, distances, xs, sx, sxx) ->
+    fits, given the records of the ray's samples and the axis's
+    distances, xs, sx and sxx.
+
+    fits holds, for each quantity in turn, (l, m, slope, residual): the
+    fitted orders of its numerator (K~, or H~ for H) and of its Gamma,
+    and the slope of the quantity's own magnitudes with its rms
+    residual, which are None where _verdict reads no slope (every
+    magnitude at most ABS_ZERO, or l infinite).  Where `order` names a
+    sequence of _MAGNITUDES, fits ends in its (order, residual), as
+    vanishing_order reads it.  An order is math.inf where every
+    magnitude is at most ABS_ZERO (residual 0.0), else the fitted slope,
+    snapped to an integer within ORDER_SNAP, or None where no slope
+    fits; the residual of an order is kept for `order` alone.  The fits
+    run in the order the verdicts read them, K~ once for K and c2K, so
+    the first error a sequence raises is the one that fitting them one
+    at a time in that order raises: a power of |lam~| that overflows,
+    or round() of the NaN slope of an infinite magnitude.
+
+    With unroll = n > 0, each sequence is n magnitudes fitted by the
+    straight-line code of numerics.fit_lines; with unroll = 0 it is a
+    list fitted by loglog_slope.  The kernels of the last few keys are
+    kept."""
+    fields = _Sample._fields
+    if unroll:
+        points = range(unroll)
+        mags = [f"_m{i}" for i in points]
+        body = [", ".join("(" + ", ".join(f"{f}_{i}" for f in fields) + ")" for i in points)
+                + ", = _records",
+                "".join(f"_x{i}, " for i in points) + "= _xs"]
+
+        def magnitudes(key):
+            return [f"_m{i} = " + _MAGNITUDES[key].format(**{f: f"{f}_{i}" for f in fields})
+                    for i in points]
+
+        vanishing = " and ".join(f"{m} <= ABS_ZERO" for m in mags)
+
+        def fit(residual):
+            return fit_lines(mags, residual)
+    else:
+        body = []
+
+        def magnitudes(key):
+            return [f"_ms = [{_MAGNITUDES[key].format(**{f: f for f in fields})} "
+                    f"for {', '.join(fields)} in _records]"]
+
+        vanishing = "_vanishes(_ms)"
+
+        def fit(residual):
+            return [f"slope, _, resid = loglog_slope(_distances, _ms, {residual})"]
+
+    def fitted_order(key, residual, name):
+        return [*magnitudes(key),
+                f"if {vanishing}:",
+                f"    {name}, resid = inf, 0.0",
+                "else:",
+                *(f"    {line}" for line in fit(residual)),
+                "    if slope is None:",
+                f"        {name} = None",
+                "    else:",
+                "        snapped = round(slope)",
+                f"        {name} = float(snapped) if abs(slope - snapped) <= ORDER_SNAP else slope"]
+
+    results, numerators = [], set()
+    for q in quantities:
+        num = "Htil" if q == "H" else "Ktil"
+        if num not in numerators:
+            numerators.add(num)
+            body += fitted_order(num, False, f"l_{num}")
+        body += [*fitted_order(f"Gamma {q}", False, f"m_{q}"),
+                 *magnitudes(q),
+                 f"if l_{num} is inf or {vanishing}:",
+                 f"    slope_{q} = resid_{q} = None",
+                 "else:",
+                 *(f"    {line}" for line in fit(True)),
+                 f"    slope_{q}, resid_{q} = slope, resid"]
+        results.append(f"(l_{num}, m_{q}, slope_{q}, resid_{q}), ")
+    if order is not None:
+        body += fitted_order(order, True, "order")
+        results.append("(order, resid), ")
+    body.append(f"return ({''.join(results)})")
+    return compile_function("\n".join([
+        "def fit_kernel(_records, _distances, _xs, sx, sxx):",
+        *(f"    {line}" for line in body),
+    ]), {**FIT_NAMES, "ABS_ZERO": ABS_ZERO, "ORDER_SNAP": ORDER_SNAP,
+         "_vanishes": _vanishes, "round": round, "float": float})
+
+
+def _fits(axis, quantities, records, order=None):
+    """The fits of _fit_kernel(axis.unroll, quantities, order) on
+    records."""
+    return _fit_kernel(axis.unroll, quantities, order)(
+        records, axis.distances, axis.xs, axis.sx, axis.sxx)
 
 
 def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdict:
@@ -379,26 +520,39 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
     records, _, fault = _ray(s, path)
     if fault is not None:
         raise fault
-    return _verdict(path, LogAxis(path.distances()), quantity, _columns(records), {})
+    verdicts = {}
+    _verdicts(path.ratio, LogAxis(path.distances()), (quantity,), records, verdicts)
+    return verdicts[quantity]
 
 
-def _verdict(path, axis, quantity, cols, numerator_orders) -> LimitVerdict:
-    """limit_along's verdict from the columns of the path's samples.
+def _verdicts(ratio, axis, quantities, records, verdicts):
+    """Add the LimitVerdict of each quantity, in turn, to the dict
+    verdicts, from the records of one ray's samples on axis, whose
+    schedule shrinks by ratio.  One call of the ray's fit kernel fits
+    every sequence.  The first quantity undefined at a sample raises,
+    once the verdicts of the quantities before it are added."""
+    cols = _columns(records)
+    values, undefined = [], None
+    for q in quantities:
+        try:
+            values.append(_quantity_values(q, cols))
+        except QuantityUndefinedError as exc:
+            undefined = exc
+            break
+    defined = quantities[:len(values)]
+    for q, vals, fit in zip(defined, values, _fits(axis, defined, records)):
+        verdicts[q] = _verdict(ratio, axis.distances, q, vals, *fit)
+    if undefined is not None:
+        raise undefined
 
-    axis is the path's LogAxis.  numerator_orders caches the fitted
-    order of K~ and H~ by field name across the quantities of one path:
-    K and c2*K share the numerator K~."""
-    distances = axis.distances
-    values = _quantity_values(quantity, cols)
 
+def _verdict(ratio, distances, quantity, values, l_order, m_order, slope, resid):
+    """The LimitVerdict of quantity from its values at the samples at
+    distances, of a schedule that shrinks by ratio, and its fits: the
+    orders l of its numerator and m of its Gamma, and its own slope
+    and residual (_fit_kernel)."""
     num_field = "Htil" if quantity == "H" else "Ktil"
-    if num_field not in numerator_orders:
-        numerator_orders[num_field] = _fit_order(axis, getattr(cols, num_field))[0]
-    l_order = numerator_orders[num_field]
-    m_order = _fit_order(axis, _field_values("Gamma", quantity, cols))[0]
-
-    mags = list(map(abs, values))
-    if _vanishes(mags):
+    if _vanishes(map(abs, values)):
         note = "identically zero on the schedule"
     elif l_order is math.inf:
         # the samples are the numerator's rounding noise over a vanishing
@@ -413,7 +567,6 @@ def _verdict(path, axis, quantity, cols, numerator_orders) -> LimitVerdict:
             slope=None, slope_residual=None,
             distances=distances, values=tuple(values), note=note)
 
-    slope, _, resid = axis.slope(mags)
     if slope is None:
         return LimitVerdict(
             quantity=quantity, verdict=Verdict.INCONCLUSIVE, value=None,
@@ -429,7 +582,7 @@ def _verdict(path, axis, quantity, cols, numerator_orders) -> LimitVerdict:
     else:
         # flat slope: extrapolate and demand actual convergence
         tail = values[-4:]
-        extrapolated = richardson(tail, path.ratio, levels=2)
+        extrapolated = richardson(tail, ratio, levels=2)
         spread = abs(values[-1] - values[-2])
         converged = spread <= 5e-2 * (1.0 + abs(extrapolated))
         if converged and abs(extrapolated) > 1e-9:
@@ -479,7 +632,8 @@ def vanishing_order(
     values = _order_values(field_name, quantity, records)
     order = resid = None
     if all(map(math.isfinite, values)):
-        order, resid = _fit_order(LogAxis(distances), values, residual=True)
+        key = f"Gamma {quantity}" if field_name == "Gamma" else field_name
+        (order, resid), = _fits(LogAxis(distances), (), records, key)
     if order is None:
         raise LcframeError(f"cannot fit an order for {field_name} along the path")
     coeff = None
@@ -661,37 +815,42 @@ def boundedness_report(
     pc, rays = _fan(s, u, v, directions, count)
     quantities = _report_quantities(pc.category)
     report = BoundednessReport(target=(u, v), category=pc.category, kind=pc.kind)
-    axis = None  # every ray shares one schedule
+    axis = LogAxis(_schedule(r0, _RATIO, count))
+    walk = _walker(s)
+    walked = {}  # the bits of a unit direction -> (side, verdicts, error)
     for label, direction in rays:
-        path = ApproachPath(target=(u, v), direction=direction,
-                            r0=r0, count=count)
-        if axis is None:
-            axis = LogAxis(path.distances())
-        try:
-            records, classes, fault = _ray(s, path)
-        except LcframeError as exc:
-            report.outcomes.append(DirectionOutcome(
-                label=label, direction=direction, side=None,
-                verdicts={}, error=str(exc)))
-            continue
-        if fault is not None:
-            raise fault
-        sides = {CLASSES[c].category.value for c in set(classes)}
-        side = sides.pop() if len(sides) == 1 else None
-        verdicts = {}
-        error = None
-        try:
-            cols = _columns(records)
-            numerator_orders = {}
-            for q in quantities:
-                verdicts[q] = _verdict(path, axis, q, cols, numerator_orders)
-        except LcframeError as exc:
-            error = str(exc)
+        unit = _unit(direction)
+        key = tuple(map(float.hex, unit))  # 0.0 and -0.0 apart
+        if key not in walked:
+            walked[key] = _walk_ray(walk, _points((u, v), unit, axis.distances),
+                                    axis, quantities)
+        side, verdicts, error = walked[key]
         report.outcomes.append(DirectionOutcome(
             label=label, direction=direction, side=side,
-            verdicts=verdicts, error=error))
+            verdicts=dict(verdicts), error=error))
     _summarise(report, pc)
     return report
+
+
+def _walk_ray(walk, points, axis, quantities):
+    """(side, verdicts, error) of the ray of a report through points:
+    walked by walk (_walker), its verdicts those of quantities on axis.
+    A ray whose samples leave the domain, hit a locus or cannot be
+    evaluated keeps the error and no side."""
+    try:
+        records, classes, fault = walk(points)
+    except LcframeError as exc:
+        return None, {}, str(exc)
+    if fault is not None:
+        raise fault
+    sides = {CLASSES[c].category.value for c in set(classes)}
+    side = sides.pop() if len(sides) == 1 else None
+    verdicts = {}
+    try:
+        _verdicts(_RATIO, axis, quantities, records, verdicts)
+    except LcframeError as exc:
+        return side, verdicts, str(exc)
+    return side, verdicts, None
 
 
 def _fan(s, u, v, directions, count):

@@ -1,23 +1,23 @@
 """Small numerical helpers shared by the curvature and limit modules.
 
-loglog_slope and LogAxis.slope compute one least-squares fit, _fit: one
-pass over the points sums y and x*y, each left to right from 0.0, and
-the rms residual, a second pass, is computed only when the caller asks
-for it.  LogAxis runs it as straight-line code generated for its count
-of points (_unrolled_fit), each sum a run of `+=` statements in the
-order of _fit's loop, so the bits are _fit's."""
+Every log-log fit is one least-squares fit, _fit: one pass over the
+points sums y and x*y, each left to right from 0.0, and the rms
+residual, a second pass, is computed only when the caller asks for it.
+loglog_slope runs it as a loop.  fit_lines writes it as straight-line
+code for the count of points of one schedule, whose logs and their sums
+a LogAxis holds: each sum a run of `+=` statements in the order of
+_fit's loop, so the bits are _fit's.  The limits fit kernels
+(limits._fit_kernel) are generated from it; a sequence holding a
+magnitude that is not > 0 falls back to loglog_slope within them."""
 
 from __future__ import annotations
 
-import functools
 import math
-
-from .straightline import compile_function
 
 __all__ = ["richardson", "loglog_slope", "LogAxis"]
 
-#: LogAxis fits at most this many points by an unrolled fit, whose
-#: source and compile time grow with its count; a longer schedule is
+#: A LogAxis has straight-line fits up to this many points, since their
+#: source and compile time grow with the count; a longer schedule is
 #: fitted by loglog_slope, which computes the same bits.
 UNROLL_MAX = 64
 
@@ -60,72 +60,70 @@ def loglog_slope(distances, magnitudes, residual=True):
     return _fit(xs, ys, _total(xs), _total(x * x for x in xs), residual)
 
 
-class LogAxis:
-    """The log-distance axis of one sample schedule, shared by fits.
+#: The global names that the statements of fit_lines read, besides sqrt.
+FIT_NAMES = {"log": math.log, "loglog_slope": loglog_slope}
 
-    Holds log(distance) of every sample and the sums of the logs and of
-    their squares, so that fitting a sequence with every magnitude
-    positive reuses them, in the unrolled fit of the schedule's count.
-    `slope(magnitudes, residual)` returns exactly
-    `loglog_slope(distances, magnitudes, residual)`: the same sums over
-    the same sequences in the same order.
+
+class LogAxis:
+    """The log-distance axis of one sample schedule, shared by its fits.
+
+    `unroll` is the count of points of the straight-line fits that
+    fit_lines writes for this schedule, 0 where there are none: past
+    UNROLL_MAX points, or where a distance is not positive, whose log
+    does not exist.  Where it is nonzero, `xs` holds log(distance) of
+    every sample, and `sx` and `sxx` the sums of the logs and of their
+    squares, added as _total adds them; otherwise all three are None.
     """
 
-    __slots__ = ("distances", "_xs", "_sx", "_sxx", "_fit")
+    __slots__ = ("distances", "unroll", "xs", "sx", "sxx")
 
     def __init__(self, distances):
         self.distances = tuple(distances)
-        self._fit = None
+        self.unroll, self.xs, self.sx, self.sxx = 0, None, None, None
         n = len(self.distances)
         if 2 <= n <= UNROLL_MAX and all(r > 0.0 for r in self.distances):
-            self._xs = tuple(map(math.log, self.distances))
-            self._sx = _total(self._xs)
-            self._sxx = _total(x * x for x in self._xs)
-            self._fit = _unrolled_fit(n)
-
-    def slope(self, magnitudes, residual=True):
-        """loglog_slope(self.distances, magnitudes, residual)."""
-        fit = self._fit
-        if fit is not None and len(magnitudes) == len(self._xs):
-            result = fit(magnitudes, self._xs, self._sx, self._sxx, residual)
-            if result is not None:
-                return result
-        return loglog_slope(self.distances, magnitudes, residual)
+            self.unroll = n
+            self.xs = tuple(map(math.log, self.distances))
+            self.sx = _total(self.xs)
+            self.sxx = _total(x * x for x in self.xs)
 
 
-@functools.lru_cache(maxsize=8)
-def _unrolled_fit(n):
-    """_fit of n >= 2 points as straight-line code: a function
-    (magnitudes, xs, sx, sxx, residual) -> _fit(xs, logs of magnitudes,
-    sx, sxx, residual), or None where a magnitude is not positive.
+def fit_lines(mags, residual):
+    """Statements that set `slope` and `resid` to the slope and the rms
+    residual of loglog_slope(distances, magnitudes, residual), where
+    mags names the n magnitudes, as straight-line code for a LogAxis of
+    unroll n.  They read its xs as _x0 .. _x{n-1}, its sx and sxx as
+    sx and sxx, and its distances as _distances, and run with
+    FIT_NAMES among their globals.
 
-    Each sum is a statement `s = 0.0` and one `s += term` per point, in
-    the order of _fit's loop, so any count compiles without nesting, and
-    the arithmetic is _fit's, operand for operand.  Generated once per
-    count on first use; the fits of the last few counts are kept."""
-    points = range(n)
-    return compile_function("\n".join([
-        "def unrolled_fit(_ms, _xs, sx, sxx, residual):",
-        "    " + "".join(f"_m{i}, " for i in points) + "= _ms",
-        "    if not (" + " and ".join(f"_m{i} > 0.0" for i in points) + "):",
-        "        return None",
-        "    " + "".join(f"_x{i}, " for i in points) + "= _xs",
-        *(f"    _y{i} = log(_m{i})" for i in points),
-        "    sy = 0.0",
-        *(f"    sy += _y{i}" for i in points),
-        "    sxy = 0.0",
-        *(f"    sxy += _x{i} * _y{i}" for i in points),
-        f"    denom = {n} * sxx - sx * sx",
-        "    if denom == 0.0:",
-        "        return None, None, None",
-        f"    slope = ({n} * sxy - sx * sy) / denom",
-        f"    intercept = (sy - slope * sx) / {n}",
-        "    if not residual:",
-        "        return slope, intercept, None",
-        "    rss = 0.0",
-        *(f"    rss += (_y{i} - (slope * _x{i} + intercept)) ** 2" for i in points),
-        f"    return slope, intercept, sqrt(rss / {n})",
-    ]), {"log": math.log})
+    Where every magnitude is > 0, each sum is a statement `s = 0.0` and
+    one `s += term` per point, in the order of _fit's loop, so any count
+    compiles without nesting, and the arithmetic is _fit's, operand for
+    operand.  Otherwise (a zero or NaN magnitude) they call
+    loglog_slope, which leaves such points out."""
+    n, points = len(mags), range(len(mags))
+    if residual:
+        rms = [f"    intercept = (sy - slope * sx) / {n}",
+               "    rss = 0.0",
+               *(f"    rss += (_y{i} - (slope * _x{i} + intercept)) ** 2" for i in points),
+               f"    resid = sqrt(rss / {n})"]
+    else:
+        rms = ["    resid = None"]
+    fit = [*(f"_y{i} = log({m})" for i, m in enumerate(mags)),
+           "sy = 0.0",
+           *(f"sy += _y{i}" for i in points),
+           "sxy = 0.0",
+           *(f"sxy += _x{i} * _y{i}" for i in points),
+           f"denom = {n} * sxx - sx * sx",
+           "if denom == 0.0:",
+           "    slope = resid = None",
+           "else:",
+           f"    slope = ({n} * sxy - sx * sy) / denom",
+           *rms]
+    return ["if " + " and ".join(f"{m} > 0.0" for m in mags) + ":",
+            *(f"    {line}" for line in fit),
+            "else:",
+            f"    slope, _, resid = loglog_slope(_distances, [{', '.join(mags)}], {residual})"]
 
 
 def _fit(xs, ys, sx, sxx, residual):

@@ -16,7 +16,7 @@ from lcframe.limits import (
     ABS_ZERO, ORDER_SNAP, SLOPE_UNBOUNDED, SLOPE_ZERO, ApproachPath, DirectionOutcome,
     LimitVerdict, QuantityUndefinedError, SampleOutsideDomainError, Verdict,
 )
-from lcframe.numerics import LogAxis, loglog_slope, richardson
+from lcframe.numerics import loglog_slope, richardson
 from lcframe.taxonomy import Category
 
 #: The operations of the shared decisions (curvature._gauss_mean,
@@ -220,13 +220,13 @@ def field_values(name, quantity, recs):
     return [rec.c2 * abs(rec.lambda_til) ** 2 for rec in recs]
 
 
-def fit_order(axis, values, residual=False):
-    """(order, slope_residual) of values on axis, the slope fitted by
-    loglog_slope's loop."""
+def fit_order(distances, values, residual=False):
+    """(order, slope_residual) of values sampled at distances, the slope
+    fitted by loglog_slope's loop."""
     mags = list(map(abs, values))
     if all(m <= ABS_ZERO for m in mags):
         return math.inf, 0.0
-    slope, _, resid = loglog_slope(axis.distances, mags, residual)
+    slope, _, resid = loglog_slope(distances, mags, residual)
     if slope is None:
         return None, None
     snapped = round(slope)
@@ -235,16 +235,16 @@ def fit_order(axis, values, residual=False):
     return slope, resid
 
 
-def verdict(path, axis, quantity, recs, numerator_orders):
-    """The LimitVerdict of quantity from the records of path's samples."""
-    distances = axis.distances
+def verdict(path, distances, quantity, recs, numerator_orders):
+    """The LimitVerdict of quantity from the records of path's samples,
+    at distances (a tuple), each sequence fitted by loglog_slope."""
     values = quantity_values(quantity, recs)
     num_field = "Htil" if quantity == "H" else "Ktil"
     if num_field not in numerator_orders:
         numerator_orders[num_field] = fit_order(
-            axis, field_values(num_field, quantity, recs))[0]
+            distances, field_values(num_field, quantity, recs))[0]
     l_order = numerator_orders[num_field]
-    m_order = fit_order(axis, field_values("Gamma", quantity, recs))[0]
+    m_order = fit_order(distances, field_values("Gamma", quantity, recs))[0]
     mags = list(map(abs, values))
     if all(m <= ABS_ZERO for m in mags):
         note = "identically zero on the schedule"
@@ -295,7 +295,7 @@ def limit_along(s, path, quantity):
         raise LcframeError(
             f"limit target must be lightlike or rank-one singular, "
             f"got {tc.category.value} at {path.target}")
-    return verdict(path, LogAxis(path.distances()), quantity,
+    return verdict(path, tuple(path.distances()), quantity,
                    records(sample_ray(s, path)), {})
 
 
@@ -319,7 +319,7 @@ def boundedness_report(s, u, v, directions=8, r0=1e-1, count=12):
         try:
             recs, numerator_orders = records(samples), {}
             for q in limits._report_quantities(pc.category):
-                verdicts[q] = verdict(path, LogAxis(path.distances()), q, recs,
+                verdicts[q] = verdict(path, tuple(path.distances()), q, recs,
                                       numerator_orders)
         except LcframeError as exc:
             error = str(exc)

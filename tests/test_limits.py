@@ -16,11 +16,11 @@ from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
 from lcframe.expr import EvalDomainError
 from lcframe.limits import (
-    ABS_ZERO, ApproachPath, FieldNonvanishingError, QuantityUndefinedError,
-    SampleOutsideDomainError, Verdict, _columns, _fit_order, _ray, _Sample, _sample_roots,
-    _verdict, boundedness_report, limit_along, vanishing_order,
+    _MAGNITUDES, ABS_ZERO, QUANTITIES, ApproachPath, FieldNonvanishingError,
+    QuantityUndefinedError, SampleOutsideDomainError, Verdict, _fits, _ray, _Sample,
+    _sample_roots, _verdicts, boundedness_report, limit_along, vanishing_order,
 )
-from lcframe.numerics import LogAxis
+from lcframe.numerics import UNROLL_MAX, LogAxis, loglog_slope
 from lcframe.surface import DomainBox, SurfaceDef, basic_invariants_at
 from lcframe.taxonomy import Category, Kind, LightlikeBranch
 
@@ -306,12 +306,15 @@ def test_a_vanishing_numerator_gives_limit_zero(zero_mean_band):
 
 
 def test_order_fits_keep_the_residual_only_when_asked():
+    # a verdict's order fits keep no residual; vanishing_order's keeps it
     axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
     values = [3.0 * r ** 2 * (1.0 + r) for r in axis.distances]
-    order, resid = _fit_order(axis, values, residual=True)
-    assert order == 2.0 and resid > 0.0
-    assert _fit_order(axis, values) == (2.0, None)
-    assert _fit_order(axis, [0.0] * 12) == (math.inf, 0.0)
+    records = [_Sample(0.0, 0.0, 1.0, 1.0, x, 0.0, 1.0, 0.0) for x in values]
+    (l_order, _, slope, resid), (order, order_resid) = _fits(axis, ("K",), records, "Ktil")
+    assert l_order == order == 2.0 and order_resid > 0.0
+    assert (slope, resid) == (0.0, 0.0)
+    (order, order_resid), = _fits(axis, (), records, "Htil")
+    assert (order, order_resid) == (math.inf, 0.0)
 
 
 def test_the_first_undefined_sample_raises(zero_mean_band):
@@ -321,9 +324,16 @@ def test_the_first_undefined_sample_raises(zero_mean_band):
                for k, (u, v) in enumerate(path.points())]
     u, v = path.points()[3]
     for quantity in ("K", "c2K"):
+        verdicts = {}
         with pytest.raises(QuantityUndefinedError) as exc:
-            _verdict(path, axis, quantity, _columns(records), {})
+            _verdicts(path.ratio, axis, (quantity,), records, verdicts)
         assert str(exc.value) == f"{quantity} undefined at sample ({u!r}, {v!r})"
+        assert verdicts == {}
+    # the verdicts of the quantities before the undefined one are kept
+    verdicts = {}
+    with pytest.raises(QuantityUndefinedError, match="^K undefined at sample"):
+        _verdicts(path.ratio, axis, ("H", "K"), records, verdicts)
+    assert list(verdicts) == ["H"]
 
 
 # ---------------------------------------------------------------------------
@@ -546,3 +556,130 @@ def test_a_sample_field_beyond_the_float_range_fits_no_order():
               target=_roots(a1=1.0, b1=1.0))
     with pytest.raises(LcframeError, match="^cannot fit an order for Gamma along the path$"):
         vanishing_order(s, STUB_PATH, "Gamma")
+
+
+# ---------------------------------------------------------------------------
+# The fit kernel against loglog_slope's loop (oracles), and repeated rays
+
+#: Values whose magnitude is at most ABS_ZERO: both zeros, +-ABS_ZERO
+#: and the float below it, the least subnormal and the least normal.
+VANISHING = [0.0, -0.0, ABS_ZERO, -ABS_ZERO, math.nextafter(ABS_ZERO, 0.0), 5e-324, -5e-324,
+             2.2250738585072014e-308]
+SPECIAL_VALUES = VANISHING + [math.nextafter(ABS_ZERO, 1.0), math.nan, math.inf, -math.inf,
+                              1.0, -1.0, 1e300, -1e150]
+
+
+def _power_law(distances, c, p):
+    """c r^p at each distance r, inf where it is beyond the float range."""
+    out = []
+    for r in distances:
+        try:
+            out.append(c * r ** p)
+        except (OverflowError, ZeroDivisionError):
+            out.append(math.inf)
+    return out
+
+
+def _sequences(distances):
+    n = len(distances)
+    return st.one_of(
+        st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES),
+                           st.floats(min_value=0.0, max_value=1e-300),  # subnormals among them
+                           st.floats(-1e3, 1e3), st.floats()),
+                 min_size=n, max_size=n),
+        st.lists(st.sampled_from(VANISHING), min_size=n, max_size=n),
+        st.builds(_power_law, st.just(distances), st.floats(-10.0, 10.0),
+                  st.sampled_from([-3.0, -1.5, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])))
+
+
+def _rays(n):
+    """(distances, records, order) of one ray of n samples: every record
+    field a drawn sequence, and the order field to fit."""
+    # a schedule may underflow to distance 0.0, which leaves no logs to unroll
+    schedules = st.builds(lambda r0, ratio: tuple(r0 * ratio ** k for k in range(n)),
+                          st.one_of(st.floats(1e-3, 1.0), st.floats(5e-324, 1e-300)),
+                          st.floats(0.01, 0.99))
+    return schedules.flatmap(lambda distances: st.tuples(
+        st.just(distances),
+        st.tuples(*[_sequences(distances)] * 6).map(
+            lambda fields: [_Sample(0.0, 0.0, *sample) for sample in zip(*fields)]),
+        st.sampled_from([key for key in _MAGNITUDES if key not in QUANTITIES])))
+
+
+def _oracle_fits(distances, recs, order):
+    """The kernel's fits by loglog_slope's loop, in _verdict's order."""
+    fits, numerators = [], {}
+    for q in QUANTITIES:
+        num = "Htil" if q == "H" else "Ktil"
+        if num not in numerators:
+            numerators[num] = oracles.fit_order(
+                distances, oracles.field_values(num, q, recs))[0]
+        l_order = numerators[num]
+        m_order = oracles.fit_order(distances, oracles.field_values("Gamma", q, recs))[0]
+        mags = [abs(x) for x in oracles.quantity_values(q, recs)]
+        slope = resid = None
+        if l_order is not math.inf and not all(m <= ABS_ZERO for m in mags):
+            slope, _, resid = loglog_slope(distances, mags)
+        fits.append((l_order, m_order, slope, resid))
+    field, _, quantity = order.partition(" ")
+    fits.append(oracles.fit_order(distances, oracles.field_values(field, quantity or "K", recs),
+                                  residual=True))
+    return fits
+
+
+def _fits_bits(fits):
+    return [tuple(map(_bits, fit)) for fit in fits]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(4, UNROLL_MAX + 2).flatmap(_rays))
+def test_the_fit_kernel_fits_as_loglog_slope(ray):
+    distances, recs, order = ray
+    axis = LogAxis(distances)
+    got = _outcome(lambda: _fits_bits(_fits(axis, QUANTITIES, recs, order)))
+    assert got == _outcome(lambda: _fits_bits(_oracle_fits(distances, recs, order)))
+    if got[0] == "value":
+        # an identically vanishing sequence has the order math.inf itself
+        fits = _fits(axis, QUANTITIES, recs, order)
+        assert all(x is math.inf for fit in fits for x in fit if x == math.inf)
+
+
+#: A target of the seed-1 locus draw whose ray transversal+ is fan0, the
+#: unit direction (1.0, 0.0), bit for bit; both rays complete.
+REPEATED_RAY_TARGET = (1.0, 4.350348079960858)
+
+
+def test_a_repeated_ray_repeats_the_earlier_outcome(mixed_bowl):
+    report = boundedness_report(mixed_bowl, *REPEATED_RAY_TARGET)
+    outcomes = {oc.label: oc for oc in report.outcomes}
+    first, repeated = outcomes["fan0"], outcomes["transversal+"]
+    assert first.error is None and first.verdicts
+    assert limits._unit(repeated.direction) == limits._unit(first.direction) == (1.0, 0.0)
+    assert dataclasses.replace(repeated, label="fan0", direction=first.direction) == first
+    path = ApproachPath(target=REPEATED_RAY_TARGET, direction=repeated.direction)
+    assert {q: _verdict_bits(limit_along(mixed_bowl, path, q)) for q in repeated.verdicts} == \
+        {q: _verdict_bits(ver) for q, ver in repeated.verdicts.items()}
+
+
+def test_the_ray_kernel_walks_each_distinct_ray_once(mixed_bowl, monkeypatch):
+    walked = []
+    ray_kernel = limits._ray_kernel
+
+    def counted(roots):
+        kernel = ray_kernel(roots)
+
+        def walk(points, *args):
+            walked.append(tuple(points))
+            return kernel(points, *args)
+        return walk
+
+    monkeypatch.setattr(limits, "_ray_kernel", counted)
+    report = boundedness_report(mixed_bowl, *REPEATED_RAY_TARGET)
+    units = {tuple(map(float.hex, limits._unit(oc.direction))) for oc in report.outcomes}
+    assert (len(report.outcomes), len(units)) == (10, 9)
+    assert len(walked) == 9
+    # each walk is the points of its own unit direction, in the fan's order
+    distances = ApproachPath(REPEATED_RAY_TARGET, (1.0, 0.0)).distances()
+    assert walked == [tuple(limits._points(REPEATED_RAY_TARGET, limits._unit(oc.direction),
+                                           distances))
+                      for oc in report.outcomes if oc.label != "transversal+"]

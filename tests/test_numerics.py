@@ -5,8 +5,9 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcframe import numerics
-from lcframe.numerics import UNROLL_MAX, LogAxis, loglog_slope
+from lcframe import limits, numerics
+from lcframe.numerics import FIT_NAMES, UNROLL_MAX, LogAxis, fit_lines, loglog_slope
+from lcframe.straightline import compile_function
 
 
 def left_to_right(values):
@@ -34,6 +35,35 @@ def ref_loglog_slope(distances, magnitudes, total=left_to_right):
     intercept = (sy - slope * sx) / n
     rss = total((y - (slope * x + intercept)) ** 2 for x, y in pts)
     return slope, intercept, math.sqrt(rss / n)
+
+
+@functools.cache
+def _straight_line_fit(n, residual):
+    """The statements of fit_lines for n magnitudes as a function
+    (axis, magnitudes) -> (slope, rms residual), axis a LogAxis of
+    unroll n."""
+    mags = [f"_m{i}" for i in range(n)]
+    return compile_function("\n".join([
+        "def fit(_axis, _ms):",
+        "    _distances, _xs, sx, sxx = _axis.distances, _axis.xs, _axis.sx, _axis.sxx",
+        "    " + "".join(f"_x{i}, " for i in range(n)) + "= _xs",
+        "    " + "".join(f"{m}, " for m in mags) + "= _ms",
+        *(f"    {line}" for line in fit_lines(mags, residual)),
+        "    return slope, resid",
+    ]), FIT_NAMES)
+
+
+def straight_line_slope(distances, mags, residual=True):
+    """(slope, rms residual) of mags by the straight-line fit of the
+    schedule's LogAxis, None where it has none."""
+    axis = LogAxis(distances)
+    if not axis.unroll:
+        return None
+    return _straight_line_fit(axis.unroll, residual)(axis, mags)
+
+
+def _slope_and_residual(fit):
+    return fit[0], fit[2]
 
 
 _EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1.0, 1e300,
@@ -67,13 +97,18 @@ def test_fits_match_the_reference_bit_for_bit(case):
     distances, mags = case
     expected = repr(ref_loglog_slope(distances, mags))
     assert repr(loglog_slope(distances, mags)) == expected
-    assert repr(LogAxis(distances).slope(mags)) == expected
+    straight = straight_line_slope(distances, mags)
+    if straight is not None:
+        assert repr(straight) == repr(_slope_and_residual(ref_loglog_slope(distances, mags)))
 
 
 def test_an_axis_serves_every_sequence_of_its_schedule():
     axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
-    for mags in ([2.0 ** -k for k in range(12)], [0.0] + [1.0] * 11, [3.0] * 5):
-        assert repr(axis.slope(mags)) == repr(ref_loglog_slope(axis.distances, mags))
+    assert axis.unroll == 12
+    fit = _straight_line_fit(12, True)
+    for mags in ([2.0 ** -k for k in range(12)], [0.0] + [1.0] * 11, [3.0] * 12):
+        assert repr(fit(axis, mags)) == \
+            repr(_slope_and_residual(ref_loglog_slope(axis.distances, mags)))
 
 
 def test_fits_add_left_to_right_on_every_python():
@@ -87,7 +122,7 @@ def test_fits_add_left_to_right_on_every_python():
     expected = ref_loglog_slope(distances, mags)
     assert expected[0] != ref_loglog_slope(distances, mags, math.fsum)[0]
     assert repr(loglog_slope(distances, mags)) == repr(expected)
-    assert repr(LogAxis(distances).slope(mags)) == repr(expected)
+    assert repr(straight_line_slope(distances, mags)) == repr(_slope_and_residual(expected))
 
 
 def _hex(fit):
@@ -115,15 +150,17 @@ _SIGNED_EDGES = _EDGES + [-1e300, math.inf, -math.inf, math.nan, -5e-324]
              min_size=n, max_size=n))))
 def test_an_axis_fits_as_loglog_slope_with_and_without_the_residual(case):
     distances, mags = case
-    axis = LogAxis(distances)
     with_residual = _outcome(loglog_slope, distances, mags)
-    assert _outcome(axis.slope, mags) == with_residual
-    assert _outcome(axis.slope, mags, True) == with_residual
     without = _outcome(loglog_slope, distances, mags, False)
-    assert _outcome(axis.slope, mags, False) == without
     if isinstance(with_residual, tuple):
         # the same slope and intercept; only the residual is left out
         assert without == with_residual[:2] + (None,)
+    if LogAxis(distances).unroll:
+        for residual, expected in ((True, with_residual), (False, without)):
+            straight = _outcome(straight_line_slope, distances, mags, residual)
+            if isinstance(expected, tuple):
+                expected = _slope_and_residual(expected)
+            assert straight == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -139,24 +176,30 @@ def test_an_axis_fits_as_loglog_slope_with_and_without_the_residual(case):
     st.booleans())))
 def test_the_unrolled_fit_is_the_loop_fit(case):
     distances, mags, residual = case
+    axis = LogAxis(distances)
+    assert axis.unroll == len(distances)
     xs = [math.log(r) for r in distances]
-    sx, sxx = numerics._total(xs), numerics._total(x * x for x in xs)
-    fit = numerics._unrolled_fit(len(xs))
+    assert (axis.xs, axis.sx, axis.sxx) == \
+        (tuple(xs), numerics._total(xs), numerics._total(x * x for x in xs))
+    straight = _outcome(_straight_line_fit(axis.unroll, residual), axis, mags)
     if all(m > 0.0 for m in mags):
-        expected = _outcome(numerics._fit, xs, list(map(math.log, mags)), sx, sxx, residual)
-        assert _outcome(fit, mags, xs, sx, sxx, residual) == expected
+        expected = _outcome(numerics._fit, xs, list(map(math.log, mags)),
+                            axis.sx, axis.sxx, residual)
     else:
         # a zero, negative or NaN magnitude is left to loglog_slope
-        assert fit(mags, xs, sx, sxx, residual) is None
-    assert _outcome(LogAxis(distances).slope, mags, residual) == \
-        _outcome(loglog_slope, distances, mags, residual)
+        expected = _outcome(loglog_slope, distances, mags, residual)
+    if isinstance(expected, tuple):
+        expected = _slope_and_residual(expected)
+    assert straight == expected
 
 
 def test_a_long_schedule_is_fitted_by_the_loop():
     distances = [0.1 * 0.97 ** k for k in range(UNROLL_MAX + 1)]
     mags = [r ** 1.5 * (2.0 + r) for r in distances]
-    before = numerics._unrolled_fit.cache_info().misses
     axis = LogAxis(distances)
-    assert numerics._unrolled_fit.cache_info().misses == before
-    for residual in (True, False):
-        assert _hex(axis.slope(mags, residual)) == _hex(loglog_slope(distances, mags, residual))
+    assert (axis.unroll, axis.xs, axis.sx, axis.sxx) == (0, None, None, None)
+    assert LogAxis(distances[:-1]).unroll == UNROLL_MAX
+    # a limits fit kernel of this schedule fits K by loglog_slope's loop
+    records = [limits._Sample(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, m, 1.0) for m in mags]
+    (_, _, slope, resid), = limits._fits(axis, ("K",), records)
+    assert _hex((slope, resid)) == _hex(_slope_and_residual(loglog_slope(distances, mags)))

@@ -150,10 +150,9 @@ def test_importing_lcframe_traces_nothing():
         "import sys\n"
         "import lcframe, lcframe.cli, lcframe.limits\n"
         "straightline = sys.modules['lcframe.straightline']\n"
-        "numerics = sys.modules['lcframe.numerics']\n"
         "caches = (straightline._trace, straightline.float_code,\n"
         "          lcframe.limits._sample_roots, lcframe.limits._ray_kernel,\n"
-        "          numerics._unrolled_fit)\n"
+        "          lcframe.limits._fit_kernel)\n"
         "assert [c.cache_info().currsize for c in caches] == [0] * 5\n")
     env = dict(os.environ, PYTHONPATH=str(Path(lcframe.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env,
