@@ -35,11 +35,15 @@ the field's programs in the surface's table (SurfaceDef.program).  Its
 grid program (expr.compile_grid_program) samples the field computing a
 value of u alone once per grid row and one of v alone once per column,
 bit-identical to the point program, and a fault raises the point
-loop's first error.  The scan turns each row's signs into one int and
+loop's first error.  One scan turns each row's signs into one int,
 visits only the cells whose corner signs differ (1.6% of the cells of
 the seed-1 surface_survey benchmark's 64² traces), in row-major order,
-so segments, vertices and CSV bytes are those of scanning every cell.
-Each edge crossing is refined by one of the field's bisection kernels
+and reads each one's 4-bit corner pattern from the same ints.  An edge
+is an int that sorts as (row, column, u before v), so segments, vertices
+and CSV bytes are those of scanning every cell.  An edge lies on at
+most two cells, so the segments form paths and loops; each path is
+walked from its least end, then each loop from its least edge.  Each
+edge crossing is refined by one of the field's bisection kernels
 (expr.compile_edge_kernels), which run every halving in one frame with
 the point program's values, stop rule and errors bit for bit; the
 saddle centres call the point program.  A vertex is classified from a
@@ -58,7 +62,7 @@ from .curvature import CurvaturePacket, _packet, _packet_record, _point_fields, 
 from .errors import LcframeError
 from .minkowski import pseudo_dot
 from .straightline import float_code, roots_read
-from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
+from .surface import BasicInvariants, SurfaceDef, _grid_size, basic_invariants_at
 from .taxonomy import Category, Kind, LightlikeBranch, PointClass
 
 __all__ = [
@@ -198,46 +202,14 @@ class LocusPolyline:
     closed: bool = False
 
 
-_SEGMENT_TABLE = {
-    # corner sign pattern (bl, br, tr, tl), True = positive -> edge pairs
-    # of a mixed cell; edges are 0 bottom, 1 right, 2 top, 3 left
-    (True, False, False, False): ((3, 0),),
-    (False, True, False, False): ((0, 1),),
-    (False, False, True, False): ((1, 2),),
-    (False, False, False, True): ((2, 3),),
-    (True, True, False, False): ((3, 1),),
-    (False, True, True, False): ((0, 2),),
-    (False, False, True, True): ((1, 3),),
-    (True, False, False, True): ((0, 2),),
-    (True, True, True, False): ((2, 3),),
-    (True, True, False, True): ((1, 2),),
-    (True, False, True, True): ((0, 1),),
-    (False, True, True, True): ((3, 0),),
-    # saddles resolved by the centre sample at call time
-    (True, False, True, False): None,
-    (False, True, False, True): None,
-}
-
-
-def _mixed_cells(values):
-    """(i, j) of each cell of the value grid whose corners values[i][j],
-    values[i + 1][j], values[i + 1][j + 1] and values[i][j + 1] are not
-    all positive or all not, in row-major order.
-
-    Each row's signs are one int, bit j set where values[i][j] > 0.  A
-    cell is mixed where a corner differs from the one in the next row
-    (x = a ^ b, at column j or j + 1) or its two corners in row i do
-    (a ^ a >> 1); if none of these do, the two in row i + 1 agree too."""
-    columns = [1 << j for j in range(len(values[0]))]
-    inner = columns[-1] - 1  # the cells j = 0 .. nv - 2
-    bits = [sum(bit for bit, x in zip(columns, row) if x > 0.0) for row in values]
-    for i, (a, b) in enumerate(zip(bits, bits[1:])):
-        x = a ^ b
-        mixed = (x | x >> 1 | a ^ a >> 1) & inner
-        while mixed:
-            low = mixed & -mixed
-            yield i, low.bit_length() - 1
-            mixed ^= low
+#: The segments of a cell by its corner pattern bl | br << 1 | tr << 2 |
+#: tl << 3, a bit set where that corner's value is > 0: pairs of its
+#: edges, 0 bottom, 1 right, 2 top and 3 left.  The saddles 5 and 10
+#: are None: the centre sample picks their pairing.
+_CELL_SEGMENTS = (
+    (), ((3, 0),), ((0, 1),), ((3, 1),), ((1, 2),), None, ((0, 2),), ((2, 3),),
+    ((2, 3),), ((0, 2),), None, ((1, 2),), ((1, 3),), ((0, 1),), ((3, 0),), (),
+)
 
 
 def _segments(point, edges, us, vs, values, refine_tol):
@@ -245,42 +217,55 @@ def _segments(point, edges, us, vs, values, refine_tol):
     samples on the grid us x vs: (segments, crossings).  point is the
     field's point program and edges its bisection kernels.
 
-    Each segment joins two edge keys, (i, j, "u") for the edge from
-    grid point (i, j) to (i + 1, j) and (i, j, "v") for the one to
-    (i, j + 1).  crossings maps every key to its crossing refined by
-    the kernel along that edge, so neighbouring cells share vertices
-    exactly."""
+    Each row's signs are one int, bit j set where values[i][j] > 0.  A
+    cell is mixed where a corner differs from the one in the next row
+    (x = a ^ b, at column j or j + 1) or its two corners in row i do
+    (a ^ a >> 1); if none of these do, the two in row i + 1 agree too.
+    The same bits give the cell's corner pattern, and the mixed cells
+    are visited in row-major order.
+
+    Each segment joins two edges, each an int: 2 * (i * nv + j) for the
+    edge from grid point (i, j) to (i + 1, j) and one more for the one
+    to (i, j + 1), so edges sort as (i, j, along u before along v).
+    crossings maps every edge to its crossing refined by the kernel
+    along that edge, so neighbouring cells share vertices exactly."""
     along_u, along_v = edges
+    nv = len(vs)
     crossings = {}
 
-    def edge_point(key):
-        if key not in crossings:
-            i, j, d = key
-            if d == "u":
-                crossings[key] = along_u(vs[j], us[i], us[i + 1],
-                                         values[i][j], values[i + 1][j], refine_tol)
+    def crossing(edge):
+        if edge not in crossings:
+            i, j = divmod(edge >> 1, nv)
+            if edge & 1:
+                crossings[edge] = along_v(us[i], vs[j], vs[j + 1],
+                                          values[i][j], values[i][j + 1], refine_tol)
             else:
-                crossings[key] = along_v(us[i], vs[j], vs[j + 1],
-                                         values[i][j], values[i][j + 1], refine_tol)
-        return key
+                crossings[edge] = along_u(vs[j], us[i], us[i + 1],
+                                          values[i][j], values[i + 1][j], refine_tol)
+        return edge
 
+    columns = [1 << j for j in range(nv)]
+    inner = columns[-1] - 1  # the cells j = 0 .. nv - 2
+    bits = [sum(bit for bit, x in zip(columns, row) if x > 0.0) for row in values]
     segments = []
-    for i, j in _mixed_cells(values):
-        pattern = (values[i][j] > 0.0, values[i + 1][j] > 0.0,
-                   values[i + 1][j + 1] > 0.0, values[i][j + 1] > 0.0)
-        pairs = _SEGMENT_TABLE[pattern]
-        # bottom, right, top, left
-        edges = ((i, j, "u"), (i + 1, j, "v"), (i, j + 1, "u"), (i, j, "v"))
-        if pairs is None:
-            # ambiguous saddle: the centre sample picks the pairing
-            centre, = point((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
-            if (centre > 0.0) == pattern[0]:
-                pairs = ((0, 1), (2, 3))
-            else:
-                pairs = ((3, 0), (1, 2))
-        # every pair joins two distinct edges whose corner signs differ
-        for pair in pairs:
-            segments.append(tuple(edge_point(edges[e]) for e in pair))
+    for i, (a, b) in enumerate(zip(bits, bits[1:])):
+        x = a ^ b
+        mixed = (x | x >> 1 | a ^ a >> 1) & inner
+        while mixed:
+            low = mixed & -mixed
+            mixed ^= low
+            j = low.bit_length() - 1
+            left, right = a >> j, b >> j  # bits 0 and 1: corners j and j + 1
+            pattern = left & 1 | (right & 3) << 1 | (left & 2) << 2
+            pairs = _CELL_SEGMENTS[pattern]
+            if pairs is None:
+                # a saddle: the centre sample picks the pairing
+                centre, = point((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
+                pairs = ((0, 1), (2, 3)) if (centre > 0.0) == (pattern == 5) else ((3, 0), (1, 2))
+            edge = 2 * (i * nv + j)
+            cell = (edge, edge + 2 * nv + 1, edge + 2, edge + 1)  # bottom, right, top, left
+            # every pair joins two distinct edges whose corner signs differ
+            segments += [(crossing(cell[p]), crossing(cell[q])) for p, q in pairs]
     return segments, crossings
 
 
@@ -294,17 +279,18 @@ def trace_zero_set(
     """Trace the zero set of lam~ or c2 over the domain grid.
 
     The field is sampled over the grid by its grid program
-    (SurfaceDef.program); marching squares visits only the cells whose
-    corner signs differ, every edge crossing is refined by the field's
-    bisection kernel along that edge until |field| <= refine_tol (at
-    most expr.HALVINGS halvings, else the point of least |field| seen),
-    and the resulting segments are linked into polylines.  Returns a
-    list of LocusPolyline, possibly empty.
+    (SurfaceDef.program).  One scan of the rows' sign bits finds the
+    cells whose corner signs differ and their corner patterns, whose
+    segments join edges named by ints (_segments); every edge crossing
+    is refined by the field's bisection kernel along that edge until
+    |field| <= refine_tol (at most expr.HALVINGS halvings, else the
+    point of least |field| seen).  Each path or loop of segments is a
+    polyline (_chains).  Returns a list of LocusPolyline, possibly empty.
     """
     if field_name not in TRACEABLE_FIELDS:
         raise LcframeError(
             f"traceable fields are {TRACEABLE_FIELDS}, got {field_name!r}")
-    nu, nv = resolution
+    nu, nv = _grid_size(resolution)
     if nu < 8 or nv < 8:
         raise LcframeError(f"trace resolution must be at least 8x8, got {nu}x{nv}")
     if not (0 < refine_tol < math.inf):
@@ -318,64 +304,44 @@ def trace_zero_set(
     return _link_segments(s, field_name, segments, crossings, classify_tol)
 
 
-def _link_segments(s, field_name, segments, crossings, classify_tol):
-    adjacency = {}
+def _chains(segments):
+    """The polylines of segments as (edges, closed).  An edge is in one
+    or two segments (it lies on at most two cells), so they form paths
+    and loops: each path is walked from its least end, then each loop
+    from its least edge towards its first neighbour in segment order,
+    each step to the neighbour that is not the previous edge."""
+    neighbours = {}  # edge -> the edges it shares a segment with, in segment order
     for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    used, chains = set(), []
+    for start in sorted(neighbours, key=lambda edge: (len(neighbours[edge]), edge)):
+        chain, previous, edge = [], None, start
+        while edge is not None and edge not in used:
+            used.add(edge)
+            chain.append(edge)
+            previous, edge = edge, next(
+                (k for k in neighbours[edge] if k != previous), None)
+        if chain:
+            chains.append((chain, edge == start))
+    return chains
 
-    used = set()
-    polylines = []
 
-    def walk(start):
-        chain = [start]
-        seen_edges = set()
-        current = start
-        while True:
-            step = None
-            for nxt in adjacency[current]:
-                edge = frozenset((current, nxt))
-                if edge not in seen_edges:
-                    step = nxt
-                    seen_edges.add(edge)
-                    break
-            if step is None:
-                break
-            chain.append(step)
-            current = step
-            if current == start:
-                break
-        return chain
-
-    openings = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for start in openings:
-        if start in used:
-            continue
-        chain = walk(start)
-        if all(k not in used for k in chain):
-            used.update(chain)
-            polylines.append((chain, False))
-    for start in sorted(adjacency):
-        if start in used:
-            continue
-        chain = walk(start)
-        closed = len(chain) > 1 and chain[0] == chain[-1]
-        if closed:
-            chain = chain[:-1]
-        used.update(chain)
-        polylines.append((chain, closed))
-
+def _link_segments(s, field_name, segments, crossings, classify_tol):
+    """The LocusPolylines of segments, each vertex the crossing of its
+    edge, ordered by their first vertices."""
+    chains = _chains(segments)
+    if not chains:
+        return []  # compiles no vertex program
     expected = (Category.LIGHTLIKE if field_name == "lambda_til"
                 else Category.SINGULAR_1)
+    roots = roots_read(_class_code)
+    program, class_code = s.program(roots), float_code(_class_code, roots)
     out = []
-    for chain, closed in polylines:
-        if len(chain) < 2:
-            continue
-        roots = roots_read(_class_code)
-        program, class_code = s.program(roots), float_code(_class_code, roots)
+    for chain, closed in chains:
         poly = LocusPolyline(field=field_name, closed=closed)
-        for key in chain:
-            (u, v), residual = crossings[key]
+        for edge in chain:
+            (u, v), residual = crossings[edge]
             poly.vertices.append((u, v))
             poly.residuals.append(residual)
             pc = CLASSES[class_code(program(u, v), classify_tol)]
@@ -602,7 +568,7 @@ def classify_grid(
     byte-identical CSV output.  The grid is evaluated by grid_blocks."""
     if not (0 < tol < math.inf):
         raise LcframeError("classification tolerance must be positive and finite")
-    nu, nv = resolution
+    nu, nv = _grid_size(resolution)
     us, vs = s.domain.grid(nu, nv)  # validates >= 2x2
     return ClassificationTable(s.name, (nu, nv), tol, (us, vs),
                                list(grid_blocks(s, us, vs, tol)))

@@ -56,7 +56,7 @@ from .limits import (
     limit_along,
 )
 from .surface import (
-    SurfaceDef, _file_error, basic_invariants_at, frame_at, validate_framed,
+    SurfaceDef, _file_error, _grid_size, basic_invariants_at, frame_at, validate_framed,
 )
 
 __all__ = ["main"]
@@ -173,7 +173,7 @@ CURVATURE_HEADER = (
 
 
 def _write_curvature_csv(s, grid, fh):
-    us, vs = s.domain.grid(*grid)
+    us, vs = s.domain.grid(*_grid_size(grid))
     fh.write(",".join(CURVATURE_HEADER) + "\n")
     write_grid_csv(fh, us, vs, grid_blocks(s, us, vs), lambda block, part: (
         block.texts(name, part) for name in CURVATURE_HEADER[2:]))

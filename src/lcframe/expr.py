@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import math
 import re
+import zlib
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
@@ -1183,11 +1184,19 @@ def _shared_code(spell, *shape):
     used.  Every program of that shape is this code with its own
     constants bound."""
     try:
-        source, filename = spell(*shape)
-        module = compile(source, filename, "exec")
+        source, kind = spell(*shape)
+        module = compile(source, _file_name(kind, source), "exec")
     except (SyntaxError, RecursionError) as exc:  # too many nested parentheses or levels
         raise _too_deep("compile", exc) from None
     return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _file_name(kind, source):
+    """The file name of generated code of a kind: the kind and the CRC-32
+    of the source, so that a profile, which keys its rows by file, line
+    and function, lists each code apart, under the same name in every
+    process."""
+    return f"<lcframe-{kind}-{zlib.crc32(source.encode()):08x}>"
 
 
 def _constant_params(table):
@@ -1198,12 +1207,12 @@ def _constant_params(table):
 
 
 def _point_source(table, uses, roots, params, root, templates):
-    """The source and file name of compile_program's code for a shape,
+    """The source and kind of compile_program's code for a shape,
     in the environment of params, root and templates."""
     emit = _Emitter(table, uses, dict(templates), {})
     body = "".join(root.format(k=k, text=emit(n)) for k, n in enumerate(roots))
     return (f"def _program({params}{_constant_params(table)}):\n    return ({body})",
-            "<lcframe-program>")
+            "program")
 
 
 def compile_program(trees, env: NumberEnv = SCALAR):
@@ -1272,7 +1281,7 @@ def _assignments(table, uses, hoisted, names):
 
 
 def _grid_source(table, uses, roots):
-    """The source and file name of compile_grid_program's code for a
+    """The source and kind of compile_grid_program's code for a
     shape."""
     deps = _deps(table)
     hoisted = _hoisted(table, deps, roots, _U | _V)
@@ -1301,7 +1310,7 @@ def _grid_source(table, uses, roots):
         f"            _row.append(({point}))",
         "        _rows.append(_row)",
         "    return _rows",
-    ]), "<lcframe-grid-program>"
+    ]), "grid-program"
 
 
 def compile_grid_program(trees):
@@ -1346,7 +1355,7 @@ _EDGE_NAMESPACE = {**_SCALAR_NAMESPACE, "_HALVINGS": range(HALVINGS), "_FAULTS":
 
 
 def _edge_source(table, uses, roots, moving):
-    """The source and file name of compile_edge_kernels' code for a
+    """The source and kind of compile_edge_kernels' code for a
     one-root shape, along edges in the variable moving."""
     held, bit = ("v", _U) if moving == "u" else ("u", _V)
     deps = _deps(table, bit)
@@ -1388,7 +1397,7 @@ def _edge_source(table, uses, roots, moving):
         "        _point(u, v)  # raises the point program's first error at this midpoint",
         "        raise",
         "    return (x, y), best",
-    ]), "<lcframe-edge-kernel>"
+    ]), "edge-kernel"
 
 
 def compile_edge_kernels(trees, point):

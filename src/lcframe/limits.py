@@ -66,7 +66,6 @@ import csv
 import functools
 import io
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -76,7 +75,7 @@ from .curvature import _gauss_mean
 from .errors import LcframeError
 from .numerics import FIT_NAMES, LogAxis, fit_lines, richardson
 from .straightline import compile_function, float_code, roots_read, straight_code
-from .surface import _SLACK, SurfaceDef
+from .surface import _SLACK, SurfaceDef, _require_int
 from .taxonomy import Category, Kind
 
 __all__ = [
@@ -128,15 +127,6 @@ class Verdict(Enum):
     NONZERO_LIMIT = "nonzero"
     UNBOUNDED = "unbounded"
     INCONCLUSIVE = "inconclusive"
-
-
-def _require_int(value, what):
-    """Raise the LcframeError of a count that is not an integer, which
-    range() would reject with a TypeError only once it is used."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise LcframeError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _schedule(r0, ratio, count):

@@ -48,6 +48,7 @@ from functools import cache
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
+from .expr import _file_name
 from .surface import BasicInvariants
 
 __all__ = ["TraceError", "StraightCode", "compile_function", "float_code", "roots_read",
@@ -317,8 +318,9 @@ def straight_code(fns, fields):
 
 def compile_function(source, names=None):
     """The function that source, one def statement, defines: its global
-    names are those of the float code, plus `names` (name -> object)."""
-    module = compile(source, "<lcframe-float-code>", "exec")
+    names are those of the float code, plus `names` (name -> object),
+    and its file name is its source's own (expr._file_name)."""
+    module = compile(source, _file_name("float-code", source), "exec")
     code = next(c for c in module.co_consts if isinstance(c, CodeType))
     return FunctionType(code, _NAMESPACE if names is None else {**_NAMESPACE, **names})
 

@@ -115,9 +115,31 @@ class DomainBox:
     def grid(self, nu: int, nv: int):
         """Closed sampling: both endpoints of each interval included, and
         every point inside the box as contains sees it."""
+        _grid_size((nu, nv))
         if nu < 2 or nv < 2:
             raise LcframeError(f"grid resolution must be at least 2x2, got {nu}x{nv}")
         return _samples(self.u_min, self.u_max, nu), _samples(self.v_min, self.v_max, nv)
+
+
+def _require_int(value, what):
+    """Raise the LcframeError of a count that is not an integer, or is a
+    bool, which range() or a comparison would take or reject with a
+    TypeError only once it is used."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise LcframeError(f"{what} must be an integer, got {value!r}")
+
+
+def _grid_size(resolution):
+    """(nu, nv) of a grid resolution; the LcframeError of one that is not
+    a pair of integers."""
+    try:
+        nu, nv = resolution
+    except (TypeError, ValueError):
+        raise LcframeError(
+            f"grid resolution must be a pair of integers, got {resolution!r}") from None
+    _require_int(nu, "grid resolution nu")
+    _require_int(nv, "grid resolution nv")
+    return nu, nv
 
 
 def _samples(lo, hi, n):
@@ -613,7 +635,7 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
     """
     if not (0 < tol < math.inf):
         raise LcframeError("validation tolerance must be positive and finite")
-    nu, nv = grid
+    nu, nv = _grid_size(grid)
     us, vs = s.domain.grid(nu, nv)
     try:
         rows = s.program(_FRAMED_ROOTS, "grid")(us, vs)

@@ -1,7 +1,9 @@
 import io
+import itertools
 import json
 import math
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from lcframe import catalog
 from lcframe.classify import (
-    ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _fmt, _link_segments, _segments, classify,
+    ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _chains, _fmt, _link_segments, _segments, classify,
     classify_grid, line_of_curvature_test, null_vector, trace_zero_set,
 )
 from lcframe.cli import _write_trace_csv
@@ -187,7 +189,14 @@ _REF_SEGMENT_TABLE = {
 }
 
 
+def _edge(nv, i, j, d):
+    """The int of the edge from grid point (i, j) along d, "u" or "v",
+    on a grid of nv columns, as _segments names it."""
+    return 2 * (i * nv + j) + "uv".index(d)
+
+
 def _ref_segments(f, us, vs, values, refine_tol):
+    nv = len(vs)
     crossings = {}
 
     def edge_point(key, pa, pb, fa, fb):
@@ -207,10 +216,10 @@ def _ref_segments(f, us, vs, values, refine_tol):
             pts = ((us[i], vs[j]), (us[i + 1], vs[j]),
                    (us[i + 1], vs[j + 1]), (us[i], vs[j + 1]))
             edge_defs = (
-                ((i, j, "u"), pts[0], pts[1], corners[0], corners[1]),
-                ((i + 1, j, "v"), pts[1], pts[2], corners[1], corners[2]),
-                ((i, j + 1, "u"), pts[3], pts[2], corners[3], corners[2]),
-                ((i, j, "v"), pts[0], pts[3], corners[0], corners[3]),
+                (_edge(nv, i, j, "u"), pts[0], pts[1], corners[0], corners[1]),
+                (_edge(nv, i + 1, j, "v"), pts[1], pts[2], corners[1], corners[2]),
+                (_edge(nv, i, j + 1, "u"), pts[3], pts[2], corners[3], corners[2]),
+                (_edge(nv, i, j, "v"), pts[0], pts[3], corners[0], corners[3]),
             )
             if pairs is None:
                 centre, = f((us[i] + us[i + 1]) / 2.0, (vs[j] + vs[j + 1]) / 2.0)
@@ -221,6 +230,25 @@ def _ref_segments(f, us, vs, values, refine_tol):
             for pair in pairs:
                 segments.append(tuple(edge_point(*edge_defs[e]) for e in pair))
     return segments, crossings
+
+
+def _assert_paths_and_loops(segments):
+    """No edge is in more than two segments, and _chains links them into
+    polylines of distinct edges whose links are the segments, each once."""
+    assert max(Counter(itertools.chain.from_iterable(segments)).values(), default=0) <= 2
+    links = Counter()
+    for edges, closed in _chains(segments):
+        assert len(set(edges)) == len(edges) >= 2
+        links.update(map(frozenset, zip(edges, edges[1:] + (edges[:1] if closed else []))))
+    assert links == Counter(map(frozenset, segments))
+
+
+# rows of random signs, zeros of both signs among them, or of one
+# sign throughout, at widths about one 64-bit word
+_SIGN_GRIDS = st.integers(62, 66).flatmap(lambda nv: st.lists(st.one_of(
+    st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=nv, max_size=nv),
+    st.sampled_from([-1.0, -0.0, 0.0, 1.0]).map(lambda x: [x] * nv)),
+    min_size=2, max_size=5))
 
 
 def _trace_csv(polylines):
@@ -245,13 +273,8 @@ class TestTrace:
         assert _trace_csv(trace_zero_set(s, field, grid)) == _trace_csv(
             _link_segments(s, field, *want, 1e-9))
 
-    # rows of random signs, zeros of both signs among them, or of one
-    # sign throughout, at widths about one 64-bit word
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(62, 66).flatmap(lambda nv: st.lists(st.one_of(
-        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]), min_size=nv, max_size=nv),
-        st.sampled_from([-1.0, -0.0, 0.0, 1.0]).map(lambda x: [x] * nv)),
-        min_size=2, max_size=5)))
+    @given(_SIGN_GRIDS)
     def test_random_sign_grids_match_the_all_cells_scan(self, values):
         us = [0.25 * i for i in range(len(values))]
         vs = [0.125 * j for j in range(len(values[0]))]
@@ -259,6 +282,43 @@ class TestTrace:
         assert fld.program(0.75, 0.5) == (math.sin(7.0 * 0.75 - 3.0 * 0.5),)
         assert _segments(fld.program, fld.edges, us, vs, values, 1e-3) == _ref_segments(
             fld.program, us, vs, values, 1e-3)
+
+    @pytest.mark.parametrize("pattern", range(16))
+    def test_every_corner_pattern_gives_the_table_pairs(self, pattern):
+        # a 2x2 grid for each choice of -1.0, 0.0 and -0.0 at the
+        # non-positive corners, under a field of each sign at the centre
+        positive = tuple(bool(pattern >> k & 1) for k in range(4))  # bl, br, tr, tl
+        cell = tuple(_edge(2, *key) for key in ((0, 0, "u"), (1, 0, "v"), (0, 1, "u"), (0, 0, "v")))
+        fields = {centre: compile_field(repr(centre)) for centre in (1.0, -1.0)}
+        for fills in itertools.product((-1.0, 0.0, -0.0), repeat=positive.count(False)):
+            fill = iter(fills)
+            bl, br, tr, tl = (1.0 if p else next(fill) for p in positive)
+            for centre, fld in fields.items():
+                pairs = _REF_SEGMENT_TABLE[positive]
+                if pairs is None:
+                    pairs = ((0, 1), (2, 3)) if (centre > 0.0) == positive[0] else ((3, 0), (1, 2))
+                segments, crossings = _segments(fld.program, fld.edges, [0.0, 1.0], [0.0, 1.0],
+                                                [[bl, tl], [br, tr]], 1e-9)
+                assert segments == [(cell[p], cell[q]) for p, q in pairs]
+                assert sorted(crossings) == sorted(itertools.chain.from_iterable(segments))
+
+    @pytest.mark.parametrize("grid", [(64, 64), (37, 61)])
+    @pytest.mark.parametrize("field", TRACEABLE_FIELDS)
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_segments_form_paths_and_loops(self, name, field, grid):
+        s = catalog.load(name)
+        point, grid_program, edges = (s.program((field,), schedule)
+                                      for schedule in ("point", "grid", "edges"))
+        us, vs = s.domain.grid(*grid)
+        _assert_paths_and_loops(_segments(point, edges, us, vs, grid_program(us, vs), 1e-9)[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SIGN_GRIDS)
+    def test_random_sign_grids_form_paths_and_loops(self, values):
+        us = [0.25 * i for i in range(len(values))]
+        vs = [0.125 * j for j in range(len(values[0]))]
+        fld = compile_field("sin(7.0*u - 3.0*v)")
+        _assert_paths_and_loops(_segments(fld.program, fld.edges, us, vs, values, 1e-3)[0])
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 3: refine_tol is absolute, and lam~ has degree 2 in X, so at "

@@ -136,12 +136,13 @@ def test_negative_ray_count_is_an_error(sphere):
     lambda s: ApproachPath(target=(0.0, 0.0), direction=(1.0, 0.0), count=4.5),
     lambda s: boundedness_report(s, math.pi / 2, 1.0, count=12.0),
     lambda s: boundedness_report(s, math.pi / 2, 1.0, directions=2.5),
-], ids=["path-count", "report-count", "report-directions"])
+    lambda s: boundedness_report(s, math.pi / 2, 1.0, directions=True),
+], ids=["path-count", "report-count", "report-directions", "report-directions-bool"])
 def test_a_count_that_is_not_an_integer_is_an_error(sphere, make, monkeypatch):
     # each raised range()'s TypeError once the path or report was in use;
     # now the report fails before it evaluates anything
     monkeypatch.setattr(limits, "_target", None)
-    with pytest.raises(LcframeError, match=r"count must be an integer, got (4\.5|12\.0|2\.5)"):
+    with pytest.raises(LcframeError, match=r"count must be an integer, got (4\.5|12\.0|2\.5|True)"):
         make(sphere)
 
 

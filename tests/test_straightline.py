@@ -3,8 +3,10 @@ the decisions as written (oracles.FLOAT_OPS) bit for bit, exceptions
 included; it is traced on first use, never at import; and a decision
 that branches on a value cannot be traced."""
 
+import cProfile
 import math
 import os
+import pstats
 import struct
 import subprocess
 import sys
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 import lcframe
 from lcframe.classify import _class_code
 from lcframe.curvature import ZERO_TOL, _gauss_mean, _packet_fields
-from lcframe.limits import _sample_roots
+from lcframe.expr import compile_grid_program, parse
+from lcframe.limits import QUANTITIES, _fit_kernel, _fits, _Sample, _sample_roots
+from lcframe.numerics import LogAxis
 from lcframe.straightline import TraceError, float_code, roots_read
 from lcframe.surface import BasicInvariants
 from oracles import FLOAT_OPS
@@ -158,3 +162,25 @@ def test_importing_lcframe_traces_nothing():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_profile_lists_each_generated_code_apart():
+    # pstats keys its rows by (file, line, function), and every code is
+    # generated at line 1: two shapes' grid programs, and the fit kernels
+    # of two keys, are each a row of its own
+    grids = [compile_grid_program([parse(text)]) for text in ("u*v + 1.0", "sin(u) - v")]
+    axes = [LogAxis([0.5 ** k for k in range(n)]) for n in (5, 6)]
+    kernels = [_fit_kernel(axis.unroll, QUANTITIES) for axis in axes]
+    assert kernels[0].__code__.co_filename != kernels[1].__code__.co_filename
+    profile = cProfile.Profile()
+    profile.enable()
+    for grid in grids:
+        grid([0.0, 1.0], [0.5, 2.0])
+    for axis in axes:
+        _fits(axis, QUANTITIES, [_Sample(0.0, 0.0, r, r, r, r * r, 1.0, 1.0)
+                                 for r in axis.distances])
+    profile.disable()
+    rows = {name: sorted(calls for (_, _, fn), (_, calls, *_) in
+                         pstats.Stats(profile).stats.items() if fn == name)
+            for name in ("_grid", "fit_kernel")}
+    assert rows == {"_grid": [1, 1], "fit_kernel": [1, 1]}

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import gc
+import io
 import json
 import math
 import random
@@ -15,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcframe import catalog, expr, surface
-from lcframe.classify import classify_grid
+from lcframe.classify import classify_grid, trace_zero_set
+from lcframe.cli import _write_curvature_csv
 from lcframe.errors import LcframeError
 from lcframe.expr import (
     Add, Const, Dag, EvalDomainError, Expr, Mul, Var, compile_edge_kernels,
@@ -291,7 +293,7 @@ class TestValidation:
         filenames = []
 
         def recording(text, filename, mode):
-            filenames.append(filename)
+            filenames.append(_kind(filename))
             return compile(text, filename, mode)
 
         monkeypatch.setattr(expr, "compile", recording, raising=False)
@@ -303,6 +305,12 @@ class TestValidation:
         # kept on the surface: validating again compiles nothing
         assert validate_framed(s, (5, 7), 1e-8).admitted
         assert filenames == ["<lcframe-grid-program>"]
+
+
+def _kind(filename):
+    """The file name of generated code, <lcframe-KIND-CRC>, without the
+    CRC of its source: <lcframe-KIND>."""
+    return filename[:filename.rindex("-")] + ">"
 
 
 def _scaled(name, c):
@@ -609,6 +617,25 @@ class TestDomainGrid:
         with pytest.raises(SurfaceFormatError, match="^domain bound must be a number or an"):
             SurfaceDef.from_dict(data)
 
+    @pytest.mark.parametrize("nu, nv", [(16, 16.5), (10.5, 4), ("16", 16), (True, 16),
+                                        (16, False)])
+    def test_grid_counts_that_are_not_integers_are_rejected(self, sphere, nu, nv):
+        # booleans included, which are ints to Python
+        with pytest.raises(LcframeError, match="must be an integer"):
+            sphere.domain.grid(nu, nv)
+
+    @pytest.mark.parametrize("call", [
+        lambda s, grid: validate_framed(s, grid),
+        lambda s, grid: classify_grid(s, grid),
+        lambda s, grid: trace_zero_set(s, "lambda_til", grid),
+        lambda s, grid: _write_curvature_csv(s, grid, io.StringIO()),
+    ], ids=["validate_framed", "classify_grid", "trace_zero_set", "curvature_csv"])
+    @pytest.mark.parametrize("grid", [(16, 16.5), (10.5, 4), ("16", 16), (8, 8, 8), (True, 16),
+                                      (16, False), 16])
+    def test_a_resolution_not_a_pair_of_integers_is_rejected(self, sphere, call, grid):
+        with pytest.raises(LcframeError, match="integer"):
+            call(sphere, grid)
+
     def test_a_box_too_wide_for_floats_is_rejected(self):
         # u_max - u_min overflows, and the grid held nan and inf points
         with pytest.raises(SurfaceFormatError, match="finite"):
@@ -822,7 +849,7 @@ def test_a_surface_and_its_images_share_every_program(monkeypatch):
     filenames = []
 
     def recording(text, filename, mode):
-        filenames.append(filename)
+        filenames.append(_kind(filename))
         return compile(text, filename, mode)
 
     monkeypatch.setattr(expr, "compile", recording, raising=False)
