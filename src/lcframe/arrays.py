@@ -32,10 +32,10 @@ column the same way: each distinct pattern once per chunk.
 numpy does not raise, so a fault mask is kept instead.  It is set
 wherever a point's evaluation would raise: at a zero divisor, a guarded
 log or sqrt, a per-element call that raises, a non-finite root, a point
-outside the domain, and a 0/0 limit sample that
-curvature._ratio_limit_kappa1 would reach.  The grid still fails as a
-whole: at the first faulted point in row-major order the point program
-runs and raises that point's own error.
+outside the domain, and a fault of the jet program (curvature._JetRoots),
+evaluated at the points that take the 0/0 limit of kappa_til_1.  The
+grid still fails as a whole: at the first faulted point in row-major
+order the point program runs and raises that point's own error.
 """
 
 from __future__ import annotations
@@ -46,12 +46,9 @@ from functools import partial
 import numpy as np
 
 from .classify import _FMT, _class_code
-from .curvature import (
-    LIMIT_OFFSETS, _band, _fundamentals, _packet_fields, _packet_record, curvature_packet,
-)
+from .curvature import _jet_limit, _JetRoots, _packet_fields, _packet_record, curvature_packet
 from .errors import LcframeError
 from .expr import SCALAR, NumberEnv
-from .numerics import richardson
 
 __all__ = ["ARRAY", "BLOCK", "Block", "grid_blocks", "texts"]
 
@@ -211,49 +208,6 @@ class _ArrayOps:
 # Packets and classes over a block
 
 
-def _limit_sample(s, u, v):
-    """One sample of curvature._ratio_limit_kappa1 at each point:
-    (Ktil / (2 Htil), where Htil clears the zero band, where the point
-    is inside the domain, fault mask)."""
-    inv, faults = s.invariant_arrays(u, v)
-    f = _fundamentals(inv)
-    usable = ~(np.abs(f[8]) <= _band(f, _ArrayOps))
-    return f[7] / (2.0 * f[8]), usable, s.domain.contains(u, v), faults
-
-
-def _ratio_limits(s, u, v, bad):
-    """curvature._ratio_limit_kappa1 at every point: (value, defined).
-
-    Each of the six samples of all points is one array-program call, no
-    larger than the block; a sample the point loop would reach and that
-    faults marks its point in bad.  A direction stops once no point is
-    alive in it (as where K~ = H~ = 0 everywhere): its finer samples
-    reach no point, so none can fault, and its estimates, NaN, are
-    masked by `complete`.
-    """
-    estimates, complete = [], []
-    for direction in (-1.0, 1.0):
-        alive = np.ones(len(u), bool)
-        values = []
-        for delta in LIMIT_OFFSETS:
-            if not alive.any():
-                break
-            ratio, usable, inside, faults = _limit_sample(s, u + direction * delta, v)
-            reached = alive & inside
-            bad |= reached & faults
-            alive = reached & ~faults & usable
-            values.append(ratio)
-        # offsets shrink by 0.1, coarsest first
-        estimates.append(richardson(values, 0.1, levels=2) if len(values) == len(LIMIT_OFFSETS)
-                         else np.full(len(u), math.nan))
-        complete.append(alive)
-    # sum(estimates) starts from the integer 0, which turns -0.0 into 0.0
-    first = 0.0 + np.where(complete[0], estimates[0], estimates[1])
-    both = complete[0] & complete[1]
-    total = np.where(both, first + estimates[1], first)
-    return total / np.where(both, 2.0, 1.0), complete[0] | complete[1]
-
-
 class Block:
     """Curvature packets of up to BLOCK consecutive grid points.
 
@@ -279,8 +233,8 @@ class Block:
             kappa1, defined = np.full(len(u), math.nan), np.zeros(len(u), bool)
             if where.any():
                 idx = np.flatnonzero(where)
-                faults = np.zeros(len(idx), bool)
-                kappa1[idx], defined[idx] = _ratio_limits(s, u[idx], v[idx], faults)
+                jets, faults = s.program(_JetRoots._fields, "arrays")(u[idx], v[idx])
+                kappa1[idx], defined[idx] = _jet_limit(_JetRoots._make(jets), _ArrayOps(faults))
                 bad[idx] |= faults
             return kappa1, defined
 

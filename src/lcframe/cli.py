@@ -381,7 +381,7 @@ DEMO_TOLERANCES = {
     "ntil_1": 1e-9, "ntil_2": 1e-9, "ntil_3": 1e-9,
     "K": 1e-8, "H": 1e-8,
     "pole_Ktil": 1e-10, "pole_Htil": 1e-10,
-    "pole_kappa_til_1": 1e-3,
+    "pole_kappa_til_1": 1e-12,
     "pole_c2u": 1e-8, "pole_c2v": 1e-10,
     "pole_kappa_v_til": 1e-8, "pole_mu_c_til": 1e-10, "pole_mu_Pi_til": 1e-10,
     "pole_limit_K": 1e-4, "pole_limit_H": 1e-4,

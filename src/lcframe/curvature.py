@@ -24,16 +24,23 @@ once (_gauss_mean, _packet_fields) against a few operations: on floats
 they run as straight-line code traced from them (straightline.float_code),
 and lcframe.arrays runs the same functions on the arrays of a block with
 the operations' numpy twins.
+
+Where K~ and H~ both vanish, kappa_til_1 is the 0/0 limit of K~ / (2 H~)
+along the u-line, a ratio of Taylor coefficients of these analytic
+functions: _fundamentals runs on the u-jets (_Jet) of the roots it reads,
+from the point's values of their u-partials (_JetRoots, _jet_limit).
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import LcframeError
 from .minkowski import LVec3, pseudo_dot, wedge
-from .numerics import richardson
+from .numerics import _total
 from .straightline import float_code
 from .surface import BasicInvariants, SurfaceDef, basic_invariants_at
 from .taxonomy import Kind
@@ -55,9 +62,16 @@ __all__ = [
 
 ZERO_TOL = 1e-9
 
-#: offsets used to resolve the 0/0 value of the bounded modified
-#: principal curvature by a directional limit along the u-line
-LIMIT_OFFSETS = (1e-2, 1e-3, 1e-4)
+#: The order of the u-jets that resolve the 0/0 limit of kappa_til_1;
+#: 2 decides every catalog point that takes it.
+LIMIT_ORDER = 2
+
+#: The roots _fundamentals reads.  The values of the jet program are
+#: these and their u-partials up to LIMIT_ORDER, a1uu naming a1's second
+#: (surface._Shape.trees).
+_LIMIT_ROOTS = ("a1", "b1", "c1", "c2", "e1", "f1", "g1", "f2", "g2", "a1u", "b1u")
+_JetRoots = namedtuple("_JetRoots", dict.fromkeys(
+    root + "u" * k for root in _LIMIT_ROOTS for k in range(LIMIT_ORDER + 1)))
 
 
 def _zero_scale(*values) -> float:
@@ -76,9 +90,11 @@ class CurvaturePacket:
     K and H are None where the classical curvatures are undefined
     (vanishing c2 or discriminant).  kappa_til_1 is the bounded branch
     of the modified principal curvatures; at points where both modified
-    curvatures vanish its value is the directional limit along the
-    u-line (kappa1_from_limit is then set).  kappa_til_2 is None with
-    kappa_til_2_unbounded set when its branch denominator vanishes.
+    curvatures vanish its value is the limit of K~ / (2 H~) along the
+    u-line, read from their u-Taylor coefficients (kappa1_from_limit is
+    then set), and None where no order up to LIMIT_ORDER decides it.
+    kappa_til_2 is None with kappa_til_2_unbounded set when its branch
+    denominator vanishes.
     """
 
     u: float
@@ -213,41 +229,60 @@ def _fundamentals(inv: BasicInvariants):
     return Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lam, Ktil, Htil
 
 
-def _band(f, ops):
-    """The zero band of a point's fundamentals f: ZERO_TOL * (1 + max
-    |E~|, |L~|, |N~|), the value of is_zero's bound at E~, L~, N~."""
-    return ZERO_TOL * (1.0 + ops.max(abs(f[0]), abs(f[3]), abs(f[5])))
+def _band(Etil, Ltil, Ntil, ops):
+    """The zero band of E~, L~ and N~: ZERO_TOL * (1 + max |E~|, |L~|,
+    |N~|), the value of is_zero's bound at E~, L~, N~."""
+    return ZERO_TOL * (1.0 + ops.max(abs(Etil), abs(Ltil), abs(Ntil)))
 
 
-def _ratio_limit_kappa1(s, u, v):
-    """Directional limit of K~ / (2 H~) along the u-parameter line.
+class _Jet(tuple):
+    """A Taylor series in u truncated after order LIMIT_ORDER, its k-th
+    coefficient a float, a traced value or an array.  A coefficient of a
+    product is its Cauchy sum added left to right from 0.0, as
+    numerics._total adds, so floats and arrays give the same bits on
+    every Python version."""
 
-    Used to resolve the 0/0 form of the bounded modified principal
-    curvature where both K~ and H~ vanish.  Samples at geometric
-    offsets on whichever sides of the point stay inside the domain and
-    extrapolates to offset zero; returns None when no usable samples
-    exist (e.g. the ratio is 0/0 on the whole line).
+    def __add__(self, other):
+        return _Jet(a + b for a, b in zip(self, other))
+
+    def __sub__(self, other):
+        return _Jet(a - b for a, b in zip(self, other))
+
+    def __mul__(self, other):
+        if type(other) is not _Jet:
+            return _Jet(a * other for a in self)
+        return _Jet(_total(self[i] * other[k - i] for i in range(k + 1)) for k in range(len(self)))
+
+    __rmul__ = __mul__
+
+
+def _jet_limit(inv, ops):
+    """(value, defined) of the u-line limit of K~ / (2 H~) where both
+    vanish, at a point or at arrays of points, from the values of the
+    jet program there (_JetRoots).  For a point it runs as
+    float_code(_jet_limit, _JetRoots._fields)(roots).
+
+    The limit is K~_k / (2 H~_k) at the first order k where H~_k clears
+    the zero band of that order's E~, L~ and N~ (_band) and no lower
+    order's K~_j clears it; it is undefined where no order up to
+    LIMIT_ORDER decides, as where K~ and H~ vanish identically.  A limit
+    of -0.0 is 0.0.
     """
-    estimates = []
-    for direction in (-1.0, 1.0):
-        values = []
-        for delta in LIMIT_OFFSETS:
-            uu = u + direction * delta
-            if not s.domain.contains(uu, v):
-                values = []
-                break
-            f = _fundamentals(basic_invariants_at(s, uu, v))
-            Ktil, Htil = f[7], f[8]
-            if is_zero(Htil, f[0], f[3], f[5]):  # within _band(f)
-                values = []
-                break
-            values.append(Ktil / (2.0 * Htil))
-        if len(values) == len(LIMIT_OFFSETS):
-            # offsets shrink by 0.1, coarsest first
-            estimates.append(richardson(values, 0.1, levels=2))
-    if not estimates:
-        return None
-    return sum(estimates) / len(estimates)
+    # a root's k-th Taylor coefficient is its k-th u-partial / k!
+    jets = SimpleNamespace(**{name: _Jet(getattr(inv, name + "u" * k) / math.factorial(k)
+                                         for k in range(LIMIT_ORDER + 1)) for name in _LIMIT_ROOTS})
+    Etil, _, _, Ltil, _, Ntil, _, Ktil, Htil = _fundamentals(jets)
+    orders = []
+    for k in range(1, LIMIT_ORDER + 1):
+        band = _band(Etil[k], Ltil[k], Ntil[k], ops)
+        h_clears = ops.not_(abs(Htil[k]) <= band)
+        orders.append((h_clears, ops.not_(abs(Ktil[k]) <= band),
+                       ops.div(Ktil[k], 2.0 * Htil[k], h_clears)))
+    value, defined = orders[-1][2], orders[-1][0]
+    for h_clears, k_clears, ratio in reversed(orders[:-1]):
+        value = ops.where(h_clears, ratio, value)
+        defined = h_clears | (ops.not_(k_clears) & defined)
+    return 0.0 + value, defined
 
 
 def curvature_packet(s: SurfaceDef, u: float, v: float) -> CurvaturePacket:
@@ -264,11 +299,10 @@ def _gauss_mean(inv, ops):
     (c2 |lam~|^2) and H = H~ / (c2 |lam~|^(3/2)) are defined only where
     c2 and lam~ both clear it.  This is all a limits report evaluates
     per sample, besides the class: no principal curvature, principal
-    vector or n~, and so no kappa_til_1 and no u-line samples of its
-    0/0 limit.
+    vector or n~, and so no kappa_til_1 and no u-jets of its 0/0 limit.
     """
     f = _fundamentals(inv)
-    band = _band(f, ops)
+    band = _band(f[0], f[3], f[5], ops)
     c2, lam = inv.c2, f[6]
     has_kh = ops.not_(abs(c2) <= band) & ops.not_(abs(lam) <= band)
     al = abs(lam)
@@ -285,8 +319,8 @@ def _packet_fields(inv, ops, limit):
     value a packet may leave None to where it is set; flags holds
     kappa_til_2_unbounded, kappa1_from_limit and principal_complex.
     limit(where) gives (value, defined) of the u-line limit of
-    kappa_til_1 (_ratio_limit_kappa1) and is asked only where `where`
-    holds: where K~ and H~ both vanish.  For a point it runs as
+    kappa_til_1 (_jet_limit) and is asked only where `where` holds:
+    where K~ and H~ both vanish.  For a point it runs as
     float_code(_packet_fields, fields)(roots, limit).
     """
     f, band, has_kh, K, H = _gauss_mean(inv, ops)
@@ -358,8 +392,9 @@ def _point_fields(s, u, v, inv):
     invariants, each value None where it is not defined."""
 
     def limit(where):
-        kappa1 = _ratio_limit_kappa1(s, u, v) if where else None
-        return (math.nan, False) if kappa1 is None else (kappa1, True)
+        if not where:
+            return math.nan, False
+        return float_code(_jet_limit, _JetRoots._fields)(s.program(_JetRoots._fields)(u, v))
 
     values, defined, flags = float_code(_packet_fields, BasicInvariants._fields)(inv, limit)
     for name, where in defined.items():

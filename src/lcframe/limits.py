@@ -31,9 +31,11 @@ A report walks its fan in three steps.
   once (_walker).  Each ray's points are built from its unit
   direction, normalised as ApproachPath normalises a direction.
 - Each distinct ray once.  A ray is keyed by the exact bits of its
-  unit direction, 0.0 and -0.0 apart.  A ray equal to an earlier one
-  (a transversal ray along a fan ray) reuses that ray's side, error
-  and verdicts; its outcome keeps its own label and direction.
+  sample points, 0.0 and -0.0 apart.  A ray whose points are an
+  earlier ray's (a transversal ray along a fan ray, or a direction
+  whose tiny component rounds away at every point) reuses that ray's
+  side, error and verdicts; its outcome keeps its own label and
+  direction.
 - One ray kernel and one fit kernel per ray.  The ray kernel
   (_ray_kernel) is generated once per process from the traces of
   `classify._class_code` and `curvature._gauss_mean` over the 15
@@ -57,7 +59,8 @@ by the samples' program, so limits compiles no invariant program of
 all 23 roots, and a fault in a root it does not read (a2, b2, e2, c1u,
 c1v, n~) fails no sample.  A report builds no curvature packet, so it
 computes no principal curvature and no kappa_til_1, whose 0/0 limit
-would evaluate further points on the u-line of a sample.
+would evaluate a further program at a sample: the u-partials of the
+roots its fundamentals read.
 """
 
 from __future__ import annotations
@@ -807,13 +810,12 @@ def boundedness_report(
     report = BoundednessReport(target=(u, v), category=pc.category, kind=pc.kind)
     axis = LogAxis(_schedule(r0, _RATIO, count))
     walk = _walker(s)
-    walked = {}  # the bits of a unit direction -> (side, verdicts, error)
+    walked = {}  # the bits of a ray's points -> (side, verdicts, error)
     for label, direction in rays:
-        unit = _unit(direction)
-        key = tuple(map(float.hex, unit))  # 0.0 and -0.0 apart
+        points = _points((u, v), _unit(direction), axis.distances)
+        key = tuple(float.hex(x) for point in points for x in point)  # 0.0 and -0.0 apart
         if key not in walked:
-            walked[key] = _walk_ray(walk, _points((u, v), unit, axis.distances),
-                                    axis, quantities)
+            walked[key] = _walk_ray(walk, points, axis, quantities)
         side, verdicts, error = walked[key]
         report.outcomes.append(DirectionOutcome(
             label=label, direction=direction, side=side,

@@ -173,7 +173,8 @@ def _expression(spelled):
 
 
 class _Roots:
-    """The `inv` of a traced run: each root read is a value named as it."""
+    """The `inv` of a traced run: each name read is a root, a value named
+    as it; straight_code checks that it is among the program's."""
 
     __slots__ = ("_code",)
 
@@ -181,8 +182,8 @@ class _Roots:
         self._code = code
 
     def __getattr__(self, name):
-        if name not in BasicInvariants._fields:
-            raise TraceError(f"{name!r} is not a root")
+        if name.startswith("_"):
+            raise AttributeError(name)
         value = self._code.reads.get(name)
         if value is None:
             value = self._code.reads[name] = _Value(self._code, name)

@@ -41,9 +41,11 @@ program of the roots a consumer reads, on the point, arrays, grid or
 edges schedule, with the surface's constants bound, compiled on first
 use and kept.  basic_invariants_at reads all 23 invariants,
 validate_framed v, w, a1, b1, a2, b2, c2, X_u and X_v over its grid, a
-trace its field alone and the ten roots its vertex classes read, and
-limits the 15 roots of its samples' classes and K/H records.  lcframe
-imports numpy only for the arrays schedule.
+trace its field alone and the ten roots its vertex classes read,
+limits the 15 roots of its samples' classes and K/H records, and a
+packet that takes the 0/0 limit of kappa_til_1 the u-partials of the
+roots its fundamentals read (curvature._JetRoots).  lcframe imports
+numpy only for the arrays schedule.
 
 Surfaces handled here satisfy a2 = b2 = 0: the v-tangent is
 proportional to m.  That condition is validated, not normalised.
@@ -469,10 +471,6 @@ def _invariant_trees(dag, xu, xv, fv, fw, m_simplified):
     return roots
 
 
-#: The second partials of X: which first partial, by which variable.
-_SECOND_PARTIALS = {"x_uu": ("x_u", "u"), "x_uv": ("x_u", "v"), "x_vv": ("x_v", "v")}
-
-
 class _Shape:
     """The derivation of a surface's component trees, whose generic
     constants are slots: every surface whose texts have the token key
@@ -481,8 +479,9 @@ class _Shape:
     Construction derives, in one derivation context (expr.Dag) that is
     dropped when it returns, one table of trees by root name: the
     BasicInvariants fields, lambda_til, and x_u, x_v, v, w and m, three
-    trees each.  trees(name) reads it; x_uu, x_uv and x_vv are derived,
-    in a context of their own, when first read.  numbering(roots) is
+    trees each.  trees(name) reads it; a name that is a root's name and
+    then u or v, such as x_uu or a1uu, is that root's partial, derived
+    in a context of its own when first read.  numbering(roots) is
     the value numbering of the trees of roots and its folds
     (expr._Numbering), numbered on first use.  components are the trees
     it was derived from.
@@ -509,8 +508,10 @@ class _Shape:
     def trees(self, name):
         trees = self._trees.get(name)
         if trees is None:
-            first, var = _SECOND_PARTIALS[name]
-            trees = self._trees.setdefault(name, _partials(Dag(), self._trees[first], var))
+            root, var = name[:-1], name[-1:]
+            if var not in ("u", "v"):
+                raise KeyError(name)
+            trees = self._trees.setdefault(name, _partials(Dag(), self.trees(root), var))
         return trees
 
     def numbering(self, roots):

@@ -7,7 +7,7 @@ import pytest
 
 from lcframe import catalog, expr
 from lcframe.expr import CompiledField
-from lcframe.surface import basic_invariants_at
+from lcframe.surface import DomainBox, SurfaceDef, basic_invariants_at
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +53,20 @@ def flat_plane():
 @pytest.fixture(scope="session")
 def zero_mean_band():
     return catalog.load("zero_mean_band")
+
+
+@pytest.fixture(scope="session")
+def jet_pole_plane():
+    """A plane, on which every point takes the 0/0 limit of kappa_til_1,
+    of radius r(u) = u + 1e-70/(u^2 + 1e-21) - 1e-49, which puts no zero
+    divisor into the 23 invariants.  At u = 0 the u-jets read X_uuuu,
+    which divides by (u^2 + 1e-21)^16, and that underflows to 0; so the
+    jet program raises "division by zero" there, and nowhere else.  r(0)
+    is 0, so the points of u = 0 are singular."""
+    r = "(u + 1e-70/(u*u + 1e-21) - 1e-49)"
+    return SurfaceDef("jet_pole_plane", ["1", f"-{r}*sin(v)", f"-{r}*cos(v)"],
+                      ["1", "sin(v)", "cos(v)"], ["1", "-sin(v)", "-cos(v)"],
+                      DomainBox(-1.0, 1.0, 0.0, 2 * math.pi))
 
 
 @pytest.fixture

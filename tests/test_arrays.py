@@ -160,23 +160,28 @@ def test_grid_blocks_picks_the_evaluator_by_the_grid_size(sphere, evaluated_as):
 
 def test_no_array_program_call_exceeds_a_block(flat_plane, monkeypatch):
     sizes = []
-    original = SurfaceDef.invariant_arrays
+    original = SurfaceDef.program
 
-    def counted(self, u, v):
-        sizes.append(len(u))
-        return original(self, u, v)
+    def program(self, roots, schedule="point"):
+        compiled = original(self, roots, schedule)
+        if schedule != "arrays":
+            return compiled
 
-    monkeypatch.setattr(SurfaceDef, "invariant_arrays", counted)
+        def counted(u, v):
+            sizes.append(len(u))
+            return compiled(u, v)
+        return counted
+
+    monkeypatch.setattr(SurfaceDef, "program", program)
     nu, nv = SPANNING_GRID
     blocks = [BLOCK] * 3 + [nu * nv - 3 * BLOCK]
-    # per block: the block's points, then the first limit sample of all
-    # of them on each side; K~ = H~ = 0 everywhere, so no point survives
-    # it and the finer samples of that side are not taken
+    # per block: the invariants of its points, then the u-jets of the
+    # points that take the 0/0 limit of kappa_til_1, every point here
     classify_grid(flat_plane, SPANNING_GRID)
-    assert sizes == [n for n in blocks for _ in range(3)]
+    assert sizes == [n for n in blocks for _ in range(2)]
     sizes.clear()
     _write_curvature_csv(flat_plane, SPANNING_GRID, io.StringIO())
-    assert sizes == [n for n in blocks for _ in range(3)]
+    assert sizes == [n for n in blocks for _ in range(2)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from lcframe import catalog
 from lcframe.classify import (
     ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _chains, _fmt, _link_segments, _segments, classify,
-    classify_grid, line_of_curvature_test, null_vector, trace_zero_set,
+    classify_grid, grid_blocks, line_of_curvature_test, null_vector, trace_zero_set,
 )
 from lcframe.cli import _write_trace_csv
 from lcframe.curvature import curvature_packet
@@ -104,17 +104,32 @@ class TestClassifyGrid:
         assert str(err.value) == "log of a nonpositive argument"
 
     @pytest.mark.parametrize("grid", GRIDS)
-    def test_a_limit_sample_fault_fails_the_grid(self, grid):
-        # a plane, so every point resolves kappa_til_1 by sampling the
-        # u-line; the first sample above row 3 is a pole
+    def test_a_pole_off_the_grid_is_not_evaluated(self, grid):
+        # a plane, so every point takes the 0/0 limit of kappa_til_1; a
+        # pole 0.01 above row 3 lies on no grid point, and the limit is
+        # read from the jets of the grid points themselves
         domain = DomainBox(-1.0, 1.0, 0.0, 2 * math.pi)
         pole = domain.grid(*grid)[0][3] + 0.01
         s = SurfaceDef("plane_with_a_pole",
                        [f"1 + 1e-30/(u - ({pole!r}))", "-u*sin(v)", "-u*cos(v)"],
                        ["1", "sin(v)", "cos(v)"], ["1", "-sin(v)", "-cos(v)"], domain)
+        assert len(classify_grid(s, grid).rows) == grid[0] * grid[1]
+        packets = [p for block in grid_blocks(s, *domain.grid(*grid)) for p in block.packets()]
+        assert all(p.kappa_til_1 is None and not p.kappa1_from_limit for p in packets)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_a_jet_fault_fails_the_grid_as_the_point_loop_does(self, jet_pole_plane, grid):
+        # the 23 invariants evaluate at every grid point; the jets of the
+        # points of u = 0 raise, and the grid raises the point's own error
+        us, vs = jet_pole_plane.domain.grid(*grid)
+        assert 0.0 in us
+        for u in us:
+            basic_invariants_at(jet_pole_plane, u, vs[0])
+        with pytest.raises(EvalDomainError) as point:
+            curvature_packet(jet_pole_plane, 0.0, vs[0])
         with pytest.raises(EvalDomainError) as err:
-            classify_grid(s, grid)
-        assert str(err.value) == "division by zero"
+            classify_grid(jet_pole_plane, grid)
+        assert str(err.value) == str(point.value) == "division by zero"
 
 
 class TestTolerances:

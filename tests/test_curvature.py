@@ -1,17 +1,19 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from lcframe import catalog
+from lcframe.classify import classify_grid, grid_blocks
 from lcframe.curvature import (
     bounded_principal_check, classical_curvatures, curvature_packet,
     modified_normal, principal_curvatures, singular_curvatures,
     singular_zero_equivalences,
 )
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
-from lcframe.surface import basic_invariants_at, frame_at
+from lcframe.surface import BasicInvariants, SurfaceDef, basic_invariants_at, frame_at
 from lcframe.taxonomy import Kind
 from oracles import partial_programs
 
@@ -501,3 +503,80 @@ class TestBoundedPrincipal:
         rep = bounded_principal_check(sphere, math.pi / 2, 1.0, kind)
         assert not rep.applicable
         assert rep.reason == f"kind must be first or second, got {kind}"
+
+
+def grid_packets(s, grid):
+    """The grid's points (u, v) and their CurvaturePackets, as the
+    curvature CSV evaluates them."""
+    us, vs = s.domain.grid(*grid)
+    packets = [p for block in grid_blocks(s, us, vs) for p in block.packets()]
+    return {(u, v) for u in us for v in vs}, packets
+
+
+@pytest.mark.parametrize("evaluator", ["points", "arrays"])
+class TestLimitOfKappaTil1:
+    """Where K~ and H~ both vanish, kappa_til_1 is the ratio of the
+    first u-Taylor coefficients of K~ and 2 H~ that decide it, on both
+    grid evaluators."""
+
+    def test_sphere_pole_rows_read_one_half(self, sphere, evaluated_as, evaluator):
+        # K~ and H~ vanish to order 1 on the pole rows, with K~_1 = H~_1
+        with evaluated_as(evaluator):
+            _, packets = grid_packets(sphere, (17, 16))
+        poles = [p for p in packets if abs(p.u) == math.pi / 2]
+        assert len(poles) == 32
+        for p in poles:
+            assert p.kappa1_from_limit
+            assert abs(p.kappa_til_1 - 0.5) <= 1e-15
+        assert not any(p.kappa1_from_limit for p in packets if abs(p.u) != math.pi / 2)
+
+    def test_cubic_cone_vertex_row_reads_plus_zero(self, cubic_cone, evaluated_as, evaluator):
+        # K~ ~ 18 u^3 and H~ ~ -4.5 u^2: order 2 decides, at 0 / -9
+        with evaluated_as(evaluator):
+            _, packets = grid_packets(cubic_cone, (65, 64))
+        row = [p for p in packets if p.u == 0.0]
+        assert len(row) == 64
+        for p in row:
+            assert p.kappa1_from_limit
+            assert p.kappa_til_1 == 0.0 and math.copysign(1.0, p.kappa_til_1) == 1.0
+        assert not any(p.kappa1_from_limit for p in packets if p.u != 0.0)
+
+    def test_flat_plane_stays_undefined(self, flat_plane, evaluated_as, evaluator):
+        # K~ and H~ vanish identically: no order decides
+        with evaluated_as(evaluator):
+            _, packets = grid_packets(flat_plane, (9, 8))
+        for p in packets:
+            assert p.kappa_til_1 is None and p.V1 is None
+            assert not p.kappa1_from_limit
+
+    def test_no_point_off_the_grid_is_evaluated(self, monkeypatch, evaluated_as, evaluator):
+        evaluated = []
+        original = SurfaceDef.program
+
+        def program(self, roots, schedule="point"):
+            compiled = original(self, roots, schedule)
+
+            def counted(u, v):
+                if schedule == "arrays":
+                    evaluated.extend((roots, point) for point in zip(u.tolist(), v.tolist()))
+                else:
+                    evaluated.append((roots, (u, v)))
+                return compiled(u, v)
+            return counted
+
+        monkeypatch.setattr(SurfaceDef, "program", program)
+        for name in ("sphere", "cubic_cone", "flat_plane"):
+            s = catalog.load(name)
+            with evaluated_as(evaluator):
+                evaluated.clear()
+                classify_grid(s, (17, 16))
+                points, packets = grid_packets(s, (17, 16))
+            assert {point for _, point in evaluated} <= points, name
+            # each grid point once per classify and once per curvature
+            # grid, and each point that takes the limit once more, by its
+            # u-jets
+            jets = [point for roots, point in evaluated if roots != BasicInvariants._fields]
+            assert Counter(point for roots, point in evaluated
+                           if roots == BasicInvariants._fields) == Counter(
+                {point: 2 for point in points}), name
+            assert len(jets) == len(set(jets)) * 2 > 0, name

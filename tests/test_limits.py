@@ -94,20 +94,21 @@ def test_a_fault_in_a_root_no_sample_reads_fails_no_ray():
     assert boundedness_report(s, 1.0, 0.0).category is Category.LIGHTLIKE
 
 
-def test_a_report_reads_no_kappa_til_1():
-    # the rays into u > 0 sample points that evaluate, but whose
-    # kappa_til_1 would be resolved from u-line points 1e-2 to the left,
-    # which fault; those rays failed while a report built packets
-    s = SurfaceDef.from_dict(LOG_PLANE)
-    with pytest.raises(LcframeError, match="log of a nonpositive argument"):
-        curvature_packet(s, 0.001, 1.0)
-    outcomes = {oc.label: oc for oc in boundedness_report(s, 0.0, 1.0).outcomes}
-    for label in ("fan0", "fan1", "fan7", "transversal+"):
+def test_a_report_reads_no_kappa_til_1(jet_pole_plane):
+    # the target's packet raises, since the u-jets of its kappa_til_1
+    # divide by zero there; a report evaluates the target and its rays'
+    # samples by the 15 sample roots alone, so every ray off the locus
+    # completes
+    with pytest.raises(LcframeError, match="division by zero"):
+        curvature_packet(jet_pole_plane, 0.0, 1.0)
+    outcomes = {oc.label: oc for oc in boundedness_report(jet_pole_plane, 0.0, 1.0).outcomes}
+    for label in ("fan0", "fan1", "fan3", "fan4", "fan5", "fan7",
+                  "transversal+", "transversal-"):
         assert outcomes[label].error is None
         assert {q: ver.verdict for q, ver in outcomes[label].verdicts.items()} == {
             "K": Verdict.ZERO_LIMIT, "H": Verdict.ZERO_LIMIT}
-    # the rays into u < 0 still reach points that cannot be evaluated
-    assert outcomes["fan4"].error == "log of a nonpositive argument"
+    # fan2 and fan6 run along the locus
+    assert outcomes["fan2"].error.endswith("hit a singular1 locus")
 
 
 @pytest.mark.parametrize("surface, target", [
@@ -646,7 +647,9 @@ def test_the_fit_kernel_fits_as_loglog_slope(ray):
 
 
 #: A target of the seed-1 locus draw whose ray transversal+ is fan0, the
-#: unit direction (1.0, 0.0), bit for bit; both rays complete.
+#: unit direction (1.0, 0.0), bit for bit; both rays complete.  Its rays
+#: fan4, (-1.0, 1.2e-16), and transversal-, (-1.0, -0.0), are distinct
+#: unit directions whose sample points are the same bits.
 REPEATED_RAY_TARGET = (1.0, 4.350348079960858)
 
 
@@ -678,9 +681,17 @@ def test_the_ray_kernel_walks_each_distinct_ray_once(mixed_bowl, monkeypatch):
     report = boundedness_report(mixed_bowl, *REPEATED_RAY_TARGET)
     units = {tuple(map(float.hex, limits._unit(oc.direction))) for oc in report.outcomes}
     assert (len(report.outcomes), len(units)) == (10, 9)
-    assert len(walked) == 9
-    # each walk is the points of its own unit direction, in the fan's order
+    assert len(walked) == 8
+    # each walk is the points of its own unit direction, in the fan's
+    # order: transversal+ repeats fan0's direction, transversal- fan4's points
     distances = ApproachPath(REPEATED_RAY_TARGET, (1.0, 0.0)).distances()
-    assert walked == [tuple(limits._points(REPEATED_RAY_TARGET, limits._unit(oc.direction),
+    rays = {oc.label: tuple(limits._points(REPEATED_RAY_TARGET, limits._unit(oc.direction),
                                            distances))
-                      for oc in report.outcomes if oc.label != "transversal+"]
+            for oc in report.outcomes}
+    assert rays["transversal-"] == rays["fan4"]
+    assert walked == [ray for label, ray in rays.items()
+                      if label not in ("transversal+", "transversal-")]
+    outcomes = {oc.label: oc for oc in report.outcomes}
+    fan4, repeated = outcomes["fan4"], outcomes["transversal-"]
+    assert fan4.error is None and fan4.verdicts
+    assert dataclasses.replace(repeated, label="fan4", direction=fan4.direction) == fan4
