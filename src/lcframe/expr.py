@@ -240,7 +240,6 @@ class Call(Expr):
 # 'sign' is not part of the surface grammar; it only appears in
 # derivatives of abs, where the result is non-smooth at the origin.
 FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "sinh", "cosh")
-_ALL_FUNCTIONS = FUNCTION_NAMES + ("sign",)
 
 _CONSTANTS = {"pi": math.pi}
 _VARIABLES = ("u", "v")

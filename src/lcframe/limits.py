@@ -25,8 +25,9 @@ the quantity's own slope and vanishing_order, not the order fits of a
 verdict.
 
 A report walks its fan in three steps.
-- One schedule.  The schedule is validated once, and its distances
-  and their logarithms (`numerics.LogAxis`) are taken once.  The
+- One schedule.  The schedule is validated once: from 4 to 64 samples,
+  none at a distance that underflows to 0.0.  Its distances and their
+  logarithms (`numerics.LogAxis`) are taken once.  The
   samples' program, its domain box and the ray kernel are looked up
   once (_walker).  Each ray's points are built from its unit
   direction, normalised as ApproachPath normalises a direction.
@@ -47,11 +48,15 @@ A report walks its fan in three steps.
   once per count of samples and set of quantities, takes the ray's
   records and fits every sequence a verdict reads: the orders of K~
   and H~, the orders of each Gamma, and each quantity's slope with
-  its residual.  Its fits are `numerics.fit_lines`' straight-line
+  its residual; it returns each quantity's values too, and whether
+  they vanish.  Its fits are `numerics.fit_lines`' straight-line
   code, the arithmetic of `numerics.loglog_slope` operand for
-  operand; a sequence holding a magnitude that is not > 0, or a
-  schedule with no straight-line fits, is fitted by loglog_slope
-  itself.  _verdict then applies the rule above to the fits.
+  operand; a sequence holding a magnitude that is not > 0 is fitted
+  by loglog_slope itself.  _verdict then applies the rule above to
+  the fits.
+Each sequence is written once, as an entry of _SEQUENCES: its signed
+value as an expression of a sample's record.  The fit kernel and
+vanishing_order's _sequence are generated from it.
 limit_along and vanishing_order walk their path by the same ray kernel
 and fit it by the same fit kernel, so every ray fit has one path.  The
 target of a report, of limit_along and of vanishing_order is evaluated
@@ -132,15 +137,27 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+#: the most samples a schedule may have: its fit kernel is straight-line
+#: code of a few statements per sample and sequence, whose source and
+#: compile time grow with the count
+_MAX_SAMPLES = 64
+
+
 def _schedule(r0, ratio, count):
     """The distances r0 * ratio^k, k = 0..count-1, of a sample schedule;
-    raises the LcframeError of a schedule that admits no fit."""
+    raises the LcframeError of a schedule that admits no fit: fewer than
+    4 or more than _MAX_SAMPLES samples, or a distance that underflows
+    to 0.0, which has no log."""
     if not 0.0 < ratio < 1.0:
         raise LcframeError("schedule ratio must lie in (0, 1)")
     _require_int(count, "sample count")
-    if not 0.0 < r0 < math.inf or count < 4:
-        raise LcframeError("schedule needs a finite r0 > 0 and at least 4 samples")
-    return [r0 * ratio ** k for k in range(count)]
+    if not 0.0 < r0 < math.inf or not 4 <= count <= _MAX_SAMPLES:
+        raise LcframeError(
+            f"schedule needs a finite r0 > 0 and from 4 to {_MAX_SAMPLES} samples")
+    distances = [r0 * ratio ** k for k in range(count)]
+    if distances[-1] == 0.0:
+        raise LcframeError(f"schedule distance r0 * ratio^{count - 1} underflows to 0.0")
+    return distances
 
 
 def _unit(direction):
@@ -171,7 +188,9 @@ class ApproachPath:
 
     Points are taken at distances r0 * ratio^k, k = 0..count-1, either
     along a straight direction in the parameter plane or along a
-    user-supplied curve s -> (u(s), v(s)) with curve(0) = target.
+    user-supplied curve s -> (u(s), v(s)) with curve(0) = target.  The
+    count is from 4 to 64, and the last distance must not underflow to
+    0.0.
     """
 
     target: tuple
@@ -250,9 +269,7 @@ def _target(s, u, v):
 
 class _Sample(NamedTuple):
     """What limits reads of one evaluated point; K and H are None where
-    the classical curvatures are undefined, as in a curvature packet.
-    The same fields, each a tuple over the samples of a ray, are that
-    ray's columns (_columns)."""
+    the classical curvatures are undefined, as in a curvature packet."""
 
     u: float
     v: float
@@ -334,11 +351,6 @@ def _ray(s, path):
     return _walker(s)(path.points())
 
 
-def _columns(records):
-    """The columns of records: a _Sample of tuples."""
-    return _Sample._make(zip(*records))
-
-
 def _target_record(s, u, v):
     """The _Sample record of a target, which lies on a locus, where a
     sample may not: by the samples' program, with no class test."""
@@ -350,114 +362,62 @@ def _target_record(s, u, v):
     return _Sample(u, v, inv[roots.index("c2")], f[6], f[7], f[8], K, H)
 
 
-def _quantity_values(quantity, cols):
-    """The quantity at each sample of a ray's columns; the first sample
-    where it is undefined raises."""
-    if quantity == "K":
-        values = cols.K
-    elif quantity == "H":
-        values = cols.H
-    else:
-        values = [None if K is None else c2 * K for c2, K in zip(cols.c2, cols.K)]
-    if None in values:
-        k = values.index(None)
-        raise QuantityUndefinedError(
-            f"{quantity} undefined at sample ({cols.u[k]!r}, {cols.v[k]!r})")
-    return values
-
-
-def _field_values(name, quantity, cols):
-    """The order field name at each sample of a ray's columns; quantity
-    selects Gamma."""
-    if name != "Gamma":
-        return getattr(cols, name)
-    if quantity == "H":
-        return [c2 * abs(lam) ** 1.5 for c2, lam in zip(cols.c2, cols.lambda_til)]
-    if quantity == "c2K":
-        return [abs(lam) ** 2 for lam in cols.lambda_til]
-    return [c2 * abs(lam) ** 2 for c2, lam in zip(cols.c2, cols.lambda_til)]
-
-
-def _vanishes(mags):
-    """Whether every magnitude is at most ABS_ZERO; not max(mags), since
-    a NaN magnitude must fail the test wherever it is."""
-    return all(map(ABS_ZERO.__ge__, mags))
-
-
-#: The magnitude of each sequence that a ray fits, as an expression of
+#: The signed value of each sequence that a ray fits, as an expression of
 #: the fields of one _Sample record: the order fields, Gamma of each
-#: quantity, and the quantities.  Each is the abs() of the value as
-#: _field_values and _quantity_values compute it.
-_MAGNITUDES = {
-    "c2": "abs({c2})", "lambda_til": "abs({lambda_til})",
-    "Ktil": "abs({Ktil})", "Htil": "abs({Htil})",
-    "Gamma K": "abs({c2} * abs({lambda_til}) ** 2)",
-    "Gamma H": "abs({c2} * abs({lambda_til}) ** 1.5)",
-    "Gamma c2K": "abs(abs({lambda_til}) ** 2)",
-    "K": "abs({K})", "H": "abs({H})", "c2K": "abs({c2} * {K})",
+#: quantity, and the quantities.  A fit reads the magnitudes, abs() of
+#: the values.  The fit kernel and vanishing_order's _sequence are
+#: generated from these entries, the only spelling of each sequence.
+_SEQUENCES = {
+    "c2": "{c2}", "lambda_til": "{lambda_til}", "Ktil": "{Ktil}", "Htil": "{Htil}",
+    "Gamma K": "{c2} * abs({lambda_til}) ** 2",
+    "Gamma H": "{c2} * abs({lambda_til}) ** 1.5",
+    "Gamma c2K": "abs({lambda_til}) ** 2",
+    "K": "{K}", "H": "{H}", "c2K": "{c2} * {K}",
 }
 
 
 @functools.lru_cache(maxsize=32)
-def _fit_kernel(unroll, quantities, order=None):
-    """The fit kernel of a ray, generated on first use for a LogAxis of
-    unroll `unroll`: a function (records, distances, xs, sx, sxx) ->
-    fits, given the records of the ray's samples and the axis's
-    distances, xs, sx and sxx.
+def _fit_kernel(count, quantities, order=None):
+    """The fit kernel of a ray of `count` samples, generated on first
+    use: a function (records, distances, xs, sx, sxx) -> fits, given the
+    records of the ray's samples and the distances, xs, sx and sxx of
+    its LogAxis.
 
-    fits holds, for each quantity in turn, (l, m, slope, residual): the
-    fitted orders of its numerator (K~, or H~ for H) and of its Gamma,
-    and the slope of the quantity's own magnitudes with its rms
-    residual, which are None where _verdict reads no slope (every
-    magnitude at most ABS_ZERO, or l infinite).  Where `order` names a
-    sequence of _MAGNITUDES, fits ends in its (order, residual), as
+    fits holds, for each quantity in turn, (values, vanishing, l, m,
+    slope, residual): the quantity's values, a tuple; whether each of
+    their magnitudes is at most ABS_ZERO; the fitted orders of its
+    numerator (K~, or H~ for H) and of its Gamma; and the slope of its
+    magnitudes with its rms residual, which are None where _verdict
+    reads no slope (vanishing, or l infinite).  Where `order` names a
+    sequence of _SEQUENCES, fits ends in its (order, residual), as
     vanishing_order reads it.  An order is math.inf where every
     magnitude is at most ABS_ZERO (residual 0.0), else the fitted slope,
     snapped to an integer within ORDER_SNAP, or None where no slope
-    fits; the residual of an order is kept for `order` alone.  The fits
-    run in the order the verdicts read them, K~ once for K and c2K, so
-    the first error a sequence raises is the one that fitting them one
-    at a time in that order raises: a power of |lam~| that overflows,
-    or round() of the NaN slope of an infinite magnitude.
+    fits; the residual of an order is kept for `order` alone.
 
-    With unroll = n > 0, each sequence is n magnitudes fitted by the
-    straight-line code of numerics.fit_lines; with unroll = 0 it is a
-    list fitted by loglog_slope.  The kernels of the last few keys are
-    kept."""
-    fields = _Sample._fields
-    if unroll:
-        points = range(unroll)
-        mags = [f"_m{i}" for i in points]
-        body = [", ".join("(" + ", ".join(f"{f}_{i}" for f in fields) + ")" for i in points)
-                + ", = _records",
-                "".join(f"_x{i}, " for i in points) + "= _xs"]
+    Each sequence is its entry of _SEQUENCES at every sample, and its
+    magnitudes are fitted by the straight-line code of
+    numerics.fit_lines.  The fits run in the order the verdicts read
+    them, K~ once for K and c2K, so the first error a sequence raises is
+    the one that fitting them one at a time in that order raises: a
+    power of |lam~| that overflows, or round() of the NaN slope of an
+    infinite magnitude.  The kernels of the last few keys are kept."""
+    fields, points = _Sample._fields, range(count)
+    mags = [f"_m{i}" for i in points]
+    vanishing = " and ".join(f"{m} <= ABS_ZERO" for m in mags)
+    body = [", ".join("(" + ", ".join(f"{f}_{i}" for f in fields) + ")" for i in points)
+            + ", = _records",
+            "".join(f"_x{i}, " for i in points) + "= _xs"]
 
-        def magnitudes(key):
-            return [f"_m{i} = " + _MAGNITUDES[key].format(**{f: f"{f}_{i}" for f in fields})
-                    for i in points]
-
-        vanishing = " and ".join(f"{m} <= ABS_ZERO" for m in mags)
-
-        def fit(residual):
-            return fit_lines(mags, residual)
-    else:
-        body = []
-
-        def magnitudes(key):
-            return [f"_ms = [{_MAGNITUDES[key].format(**{f: f for f in fields})} "
-                    f"for {', '.join(fields)} in _records]"]
-
-        vanishing = "_vanishes(_ms)"
-
-        def fit(residual):
-            return [f"slope, _, resid = loglog_slope(_distances, _ms, {residual})"]
+    def values(key):
+        return [_SEQUENCES[key].format(**{f: f"{f}_{i}" for f in fields}) for i in points]
 
     def fitted_order(key, residual, name):
-        return [*magnitudes(key),
+        return [*(f"{m} = abs({value})" for m, value in zip(mags, values(key))),
                 f"if {vanishing}:",
                 f"    {name}, resid = inf, 0.0",
                 "else:",
-                *(f"    {line}" for line in fit(residual)),
+                *(f"    {line}" for line in fit_lines(mags, residual)),
                 "    if slope is None:",
                 f"        {name} = None",
                 "    else:",
@@ -471,13 +431,16 @@ def _fit_kernel(unroll, quantities, order=None):
             numerators.add(num)
             body += fitted_order(num, False, f"l_{num}")
         body += [*fitted_order(f"Gamma {q}", False, f"m_{q}"),
-                 *magnitudes(q),
-                 f"if l_{num} is inf or {vanishing}:",
+                 *(f"_v{i} = {value}" for i, value in enumerate(values(q))),
+                 f"values_{q} = ({''.join(f'_v{i}, ' for i in points)})",
+                 *(f"_m{i} = abs(_v{i})" for i in points),
+                 f"vanishing_{q} = {vanishing}",
+                 f"if l_{num} is inf or vanishing_{q}:",
                  f"    slope_{q} = resid_{q} = None",
                  "else:",
-                 *(f"    {line}" for line in fit(True)),
+                 *(f"    {line}" for line in fit_lines(mags, True)),
                  f"    slope_{q}, resid_{q} = slope, resid"]
-        results.append(f"(l_{num}, m_{q}, slope_{q}, resid_{q}), ")
+        results.append(f"(values_{q}, vanishing_{q}, l_{num}, m_{q}, slope_{q}, resid_{q}), ")
     if order is not None:
         body += fitted_order(order, True, "order")
         results.append("(order, resid), ")
@@ -486,14 +449,29 @@ def _fit_kernel(unroll, quantities, order=None):
         "def fit_kernel(_records, _distances, _xs, sx, sxx):",
         *(f"    {line}" for line in body),
     ]), {**FIT_NAMES, "ABS_ZERO": ABS_ZERO, "ORDER_SNAP": ORDER_SNAP,
-         "_vanishes": _vanishes, "round": round, "float": float})
+         "round": round, "float": float})
 
 
 def _fits(axis, quantities, records, order=None):
-    """The fits of _fit_kernel(axis.unroll, quantities, order) on
-    records."""
-    return _fit_kernel(axis.unroll, quantities, order)(
+    """The fits of _fit_kernel on records, the ray's samples on axis."""
+    return _fit_kernel(len(axis.distances), quantities, order)(
         records, axis.distances, axis.xs, axis.sx, axis.sxx)
+
+
+@functools.cache
+def _sequence(key):
+    """A function records -> the value of the sequence key of _SEQUENCES
+    at each record, a list, generated on first use; inf at every record
+    where a power of |lam~| overflows."""
+    fields = _Sample._fields
+    return compile_function("\n".join([
+        "def sequence(_records):",
+        "    try:",
+        f"        return [{_SEQUENCES[key].format(**{f: f for f in fields})}"
+        f" for {', '.join(fields)} in _records]",
+        "    except OverflowError:",
+        "        return [inf] * len(_records)",
+    ]), {"OverflowError": OverflowError, "len": len})
 
 
 def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdict:
@@ -513,39 +491,31 @@ def limit_along(s: SurfaceDef, path: ApproachPath, quantity: str) -> LimitVerdic
     records, _, fault = _ray(s, path)
     if fault is not None:
         raise fault
-    verdicts = {}
-    _verdicts(path.ratio, LogAxis(path.distances()), (quantity,), records, verdicts)
-    return verdicts[quantity]
+    return _verdicts(path.ratio, LogAxis(path.distances()), (quantity,), records)[quantity]
 
 
-def _verdicts(ratio, axis, quantities, records, verdicts):
-    """Add the LimitVerdict of each quantity, in turn, to the dict
-    verdicts, from the records of one ray's samples on axis, whose
-    schedule shrinks by ratio.  One call of the ray's fit kernel fits
-    every sequence.  The first quantity undefined at a sample raises,
-    once the verdicts of the quantities before it are added."""
-    cols = _columns(records)
-    values, undefined = [], None
-    for q in quantities:
-        try:
-            values.append(_quantity_values(q, cols))
-        except QuantityUndefinedError as exc:
-            undefined = exc
-            break
-    defined = quantities[:len(values)]
-    for q, vals, fit in zip(defined, values, _fits(axis, defined, records)):
-        verdicts[q] = _verdict(ratio, axis.distances, q, vals, *fit)
+def _verdicts(ratio, axis, quantities, records):
+    """The LimitVerdict of each quantity, a dict, from the records of one
+    ray's samples on axis, whose schedule shrinks by ratio.  One call of
+    the ray's fit kernel fits every sequence.  The ray kernel sets K and
+    H to None together, so every quantity is undefined at the same
+    samples: the first such sample raises, named for the first
+    quantity."""
+    undefined = next((rec for rec in records if rec.K is None), None)
     if undefined is not None:
-        raise undefined
+        raise QuantityUndefinedError(
+            f"{quantities[0]} undefined at sample ({undefined.u!r}, {undefined.v!r})")
+    return {q: _verdict(ratio, axis.distances, q, *fit)
+            for q, fit in zip(quantities, _fits(axis, quantities, records))}
 
 
-def _verdict(ratio, distances, quantity, values, l_order, m_order, slope, resid):
-    """The LimitVerdict of quantity from its values at the samples at
-    distances, of a schedule that shrinks by ratio, and its fits: the
-    orders l of its numerator and m of its Gamma, and its own slope
-    and residual (_fit_kernel)."""
+def _verdict(ratio, distances, quantity, values, vanishing, l_order, m_order, slope, resid):
+    """The LimitVerdict of quantity from its fits (_fit_kernel): its
+    values at the samples at distances, of a schedule that shrinks by
+    ratio, whether they vanish, the orders l of its numerator and m of
+    its Gamma, and its own slope and residual."""
     num_field = "Htil" if quantity == "H" else "Ktil"
-    if _vanishes(map(abs, values)):
+    if vanishing:
         note = "identically zero on the schedule"
     elif l_order is math.inf:
         # the samples are the numerator's rounding noise over a vanishing
@@ -558,14 +528,14 @@ def _verdict(ratio, distances, quantity, values, l_order, m_order, slope, resid)
             quantity=quantity, verdict=Verdict.ZERO_LIMIT, value=None,
             numerator_order=l_order, denominator_order=m_order,
             slope=None, slope_residual=None,
-            distances=distances, values=tuple(values), note=note)
+            distances=distances, values=values, note=note)
 
     if slope is None:
         return LimitVerdict(
             quantity=quantity, verdict=Verdict.INCONCLUSIVE, value=None,
             numerator_order=l_order, denominator_order=m_order,
             slope=None, slope_residual=None,
-            distances=distances, values=tuple(values),
+            distances=distances, values=values,
             note="could not fit a slope (zeros in the sample sequence)")
 
     if slope >= SLOPE_ZERO:
@@ -588,8 +558,7 @@ def _verdict(ratio, distances, quantity, values, l_order, m_order, slope, resid)
         quantity=quantity, verdict=verdict, value=value,
         numerator_order=l_order, denominator_order=m_order,
         slope=slope, slope_residual=resid,
-        distances=distances, values=tuple(values),
-        note=note)
+        distances=distances, values=values, note=note)
 
 
 def vanishing_order(
@@ -603,29 +572,33 @@ def vanishing_order(
     integer when within 0.15; otherwise the fractional value is kept and
     flagged.  The leading coefficient extrapolates field / distance^order.
     `quantity` selects which Gamma is meant when field_name == "Gamma".
+    tol must be positive and finite.
     """
     if field_name not in ORDER_FIELDS:
         raise LcframeError(f"order fields are {ORDER_FIELDS}, got {field_name!r}")
     if quantity not in QUANTITIES:
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
+    if not (0 < tol < math.inf):
+        raise LcframeError("vanishing tolerance must be positive and finite")
+    key = f"Gamma {quantity}" if field_name == "Gamma" else field_name
+    sequence = _sequence(key)
     records, _, fault = _ray(s, path)
     distances = path.distances()
-    target_value, = _order_values(field_name, quantity, [_target_record(s, *path.target)])
+    target_value, = sequence([_target_record(s, *path.target)])
     # the target test needs only the first sample's record; a fault of
     # a later one is raised once it passes
     if fault is not None and not records:
         raise fault
-    sample_scale = abs(_order_values(field_name, quantity, records[:1])[0]) + 1.0
+    sample_scale = abs(sequence(records[:1])[0]) + 1.0
     # a value beyond the float range does not vanish: inf > tol * inf is false
     if not math.isfinite(target_value) or abs(target_value) > tol * sample_scale:
         raise FieldNonvanishingError(
             f"{field_name} = {target_value!r} does not vanish at {path.target}")
     if fault is not None:
         raise fault
-    values = _order_values(field_name, quantity, records)
+    values = sequence(records)
     order = resid = None
     if all(map(math.isfinite, values)):
-        key = f"Gamma {quantity}" if field_name == "Gamma" else field_name
         (order, resid), = _fits(LogAxis(distances), (), records, key)
     if order is None:
         raise LcframeError(f"cannot fit an order for {field_name} along the path")
@@ -640,15 +613,6 @@ def vanishing_order(
         leading_coefficient=coeff,
         slope_residual=resid,
     )
-
-
-def _order_values(name, quantity, records):
-    """The order field name at each record, as _field_values gives it,
-    or inf at every record where a power of |lam~| in Gamma overflows."""
-    try:
-        return _field_values(name, quantity, _columns(records))
-    except OverflowError:
-        return [math.inf] * len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +765,12 @@ def boundedness_report(
     singular point along a fan of directions.
 
     The fan is `directions` equally spaced rays plus the two rays along
-    +-(transversal direction of the locus).  Rays whose samples leave
-    the domain or hit another locus are recorded with the error and
-    skipped; the summary uses completed rays only.
+    +-(transversal direction of the locus).  Each ray is sampled at
+    r0 * 0.5^k, k = 0..count-1: count is from 4 to 64, and the last
+    distance must not underflow to 0.0.  Rays whose samples leave the
+    domain or hit another locus (or its class band, within 1e-9) are
+    recorded with the error and skipped; the summary uses completed
+    rays only.
     """
     pc, rays = _fan(s, u, v, directions, count)
     quantities = _report_quantities(pc.category)
@@ -837,12 +804,10 @@ def _walk_ray(walk, points, axis, quantities):
         raise fault
     sides = {CLASSES[c].category.value for c in set(classes)}
     side = sides.pop() if len(sides) == 1 else None
-    verdicts = {}
     try:
-        _verdicts(_RATIO, axis, quantities, records, verdicts)
+        return side, _verdicts(_RATIO, axis, quantities, records), None
     except LcframeError as exc:
-        return side, verdicts, str(exc)
-    return side, verdicts, None
+        return side, {}, str(exc)
 
 
 def _fan(s, u, v, directions, count):

@@ -6,21 +6,15 @@ residual, a second pass, is computed only when the caller asks for it.
 loglog_slope runs it as a loop.  fit_lines writes it as straight-line
 code for the count of points of one schedule, whose logs and their sums
 a LogAxis holds: each sum a run of `+=` statements in the order of
-_fit's loop, so the bits are _fit's.  The limits fit kernels
-(limits._fit_kernel) are generated from it; a sequence holding a
-magnitude that is not > 0 falls back to loglog_slope within them."""
+_fit's loop, so the bits are _fit's.  The limits fit kernel
+(limits._fit_kernel) is generated from it; a sequence holding a
+magnitude that is not > 0 falls back to loglog_slope within it."""
 
 from __future__ import annotations
 
 import math
 
 __all__ = ["richardson", "loglog_slope", "LogAxis"]
-
-#: A LogAxis has straight-line fits up to this many points, since their
-#: source and compile time grow with the count; a longer schedule is
-#: fitted by loglog_slope, which computes the same bits.
-UNROLL_MAX = 64
-
 
 def richardson(values, ratio: float, levels: int = 2) -> float:
     """Extrapolate a sequence sampled at steps r0 * ratio^k to step 0.
@@ -67,32 +61,25 @@ FIT_NAMES = {"log": math.log, "loglog_slope": loglog_slope}
 class LogAxis:
     """The log-distance axis of one sample schedule, shared by its fits.
 
-    `unroll` is the count of points of the straight-line fits that
-    fit_lines writes for this schedule, 0 where there are none: past
-    UNROLL_MAX points, or where a distance is not positive, whose log
-    does not exist.  Where it is nonzero, `xs` holds log(distance) of
-    every sample, and `sx` and `sxx` the sums of the logs and of their
-    squares, added as _total adds them; otherwise all three are None.
+    Every distance must be positive.  `xs` holds log(distance) of every
+    sample, and `sx` and `sxx` the sums of the logs and of their
+    squares, added as _total adds them.
     """
 
-    __slots__ = ("distances", "unroll", "xs", "sx", "sxx")
+    __slots__ = ("distances", "xs", "sx", "sxx")
 
     def __init__(self, distances):
         self.distances = tuple(distances)
-        self.unroll, self.xs, self.sx, self.sxx = 0, None, None, None
-        n = len(self.distances)
-        if 2 <= n <= UNROLL_MAX and all(r > 0.0 for r in self.distances):
-            self.unroll = n
-            self.xs = tuple(map(math.log, self.distances))
-            self.sx = _total(self.xs)
-            self.sxx = _total(x * x for x in self.xs)
+        self.xs = tuple(map(math.log, self.distances))
+        self.sx = _total(self.xs)
+        self.sxx = _total(x * x for x in self.xs)
 
 
 def fit_lines(mags, residual):
     """Statements that set `slope` and `resid` to the slope and the rms
     residual of loglog_slope(distances, magnitudes, residual), where
     mags names the n magnitudes, as straight-line code for a LogAxis of
-    unroll n.  They read its xs as _x0 .. _x{n-1}, its sx and sxx as
+    n distances.  They read its xs as _x0 .. _x{n-1}, its sx and sxx as
     sx and sxx, and its distances as _distances, and run with
     FIT_NAMES among their globals.
 

@@ -9,7 +9,8 @@ straight_code gives the statements of several decisions traced one
 after the other, for a caller that compiles them into a loop of its
 own: limits' ray kernel runs the class and the record of every sample
 of a ray in one function.  compile_function compiles such generated
-functions, and numerics' unrolled fits, with the names the code reads.
+functions, and limits' fit kernel of numerics' straight-line fits, with
+the names the code reads.
 
 A function is traced: it runs once on symbolic values (the roots it
 reads from `inv` and its other parameters besides `ops`), and each

@@ -403,13 +403,11 @@ class SurfaceDef:
         for key, comp in (("X", x), ("v", v), ("w", w)):
             if not isinstance(comp, (list, tuple)) or len(comp) != 3:
                 raise SurfaceFormatError(f"surface key {key!r} must list 3 expressions")
-        try:
-            bounds = [_bound(dom["u"][0]), _bound(dom["u"][1]),
-                      _bound(dom["v"][0]), _bound(dom["v"][1])]
-        except (KeyError, IndexError, TypeError):
-            raise SurfaceFormatError(
-                "domain must be {'u': [lo, hi], 'v': [lo, hi]}") from None
-        return cls(name, x, v, w, DomainBox(*bounds))
+        # exactly two bounds each: a string's characters are no bounds
+        pairs = [dom.get(key) for key in ("u", "v")] if isinstance(dom, dict) else [None]
+        if not all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs):
+            raise SurfaceFormatError("domain must be {'u': [lo, hi], 'v': [lo, hi]}")
+        return cls(name, x, v, w, DomainBox(*(_bound(b) for pair in pairs for b in pair)))
 
     @classmethod
     def from_file(cls, path) -> "SurfaceDef":

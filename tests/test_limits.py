@@ -16,11 +16,11 @@ from lcframe.curvature import _packet, curvature_packet
 from lcframe.errors import LcframeError
 from lcframe.expr import EvalDomainError
 from lcframe.limits import (
-    _MAGNITUDES, ABS_ZERO, QUANTITIES, ApproachPath, FieldNonvanishingError,
+    _SEQUENCES, ABS_ZERO, QUANTITIES, ApproachPath, FieldNonvanishingError,
     QuantityUndefinedError, SampleOutsideDomainError, Verdict, _fits, _ray, _Sample,
-    _sample_roots, _verdicts, boundedness_report, limit_along, vanishing_order,
+    _sample_roots, _schedule, _verdicts, boundedness_report, limit_along, vanishing_order,
 )
-from lcframe.numerics import UNROLL_MAX, LogAxis, loglog_slope
+from lcframe.numerics import LogAxis, loglog_slope
 from lcframe.surface import DomainBox, SurfaceDef, basic_invariants_at
 from lcframe.taxonomy import Category, Kind, LightlikeBranch
 
@@ -172,6 +172,19 @@ def test_vanishing_order_needs_a_vanishing_field(sphere):
         vanishing_order(sphere, POLE_PATH, "lambda_til")
 
 
+@pytest.mark.parametrize("field, tol", [
+    # lambda_til = 1.0 at the pole passed as vanishing, of order 0.0
+    ("lambda_til", math.nan), ("lambda_til", math.inf),
+    # c2 vanishes at the pole, but read as not vanishing
+    ("c2", 0.0), ("c2", -1e-9),
+])
+def test_vanishing_order_rejects_a_tolerance_that_is_not_positive_and_finite(
+        sphere, field, tol):
+    with pytest.raises(LcframeError,
+                       match="^vanishing tolerance must be positive and finite$"):
+        vanishing_order(sphere, POLE_PATH, field, tol=tol)
+
+
 @pytest.mark.parametrize("field", ["Gamma", "c2"])
 def test_vanishing_order_rejects_an_unknown_quantity(sphere, field):
     # an unknown quantity was read as K
@@ -312,30 +325,25 @@ def test_order_fits_keep_the_residual_only_when_asked():
     axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
     values = [3.0 * r ** 2 * (1.0 + r) for r in axis.distances]
     records = [_Sample(0.0, 0.0, 1.0, 1.0, x, 0.0, 1.0, 0.0) for x in values]
-    (l_order, _, slope, resid), (order, order_resid) = _fits(axis, ("K",), records, "Ktil")
+    (values, vanishing, l_order, _, slope, resid), (order, order_resid) = \
+        _fits(axis, ("K",), records, "Ktil")
     assert l_order == order == 2.0 and order_resid > 0.0
-    assert (slope, resid) == (0.0, 0.0)
+    assert (values, vanishing, slope, resid) == ((1.0,) * 12, False, 0.0, 0.0)
     (order, order_resid), = _fits(axis, (), records, "Htil")
     assert (order, order_resid) == (math.inf, 0.0)
 
 
 def test_the_first_undefined_sample_raises(zero_mean_band):
+    # the ray kernel sets K and H to None together, as here
     path = ApproachPath(target=(0.5, 1.0), direction=(0.0, 1.0))
     axis = LogAxis(path.distances())
-    records = [_Sample(u, v, 1.0, 1.0, 1.0, 1.0, None if k in (3, 7) else 1.0, 1.0)
+    records = [_Sample(u, v, 1.0, 1.0, 1.0, 1.0, *((None, None) if k in (3, 7) else (1.0, 1.0)))
                for k, (u, v) in enumerate(path.points())]
     u, v = path.points()[3]
-    for quantity in ("K", "c2K"):
-        verdicts = {}
+    for quantities in (("K",), ("c2K",), ("H", "K"), ("K", "H", "c2K")):
         with pytest.raises(QuantityUndefinedError) as exc:
-            _verdicts(path.ratio, axis, (quantity,), records, verdicts)
-        assert str(exc.value) == f"{quantity} undefined at sample ({u!r}, {v!r})"
-        assert verdicts == {}
-    # the verdicts of the quantities before the undefined one are kept
-    verdicts = {}
-    with pytest.raises(QuantityUndefinedError, match="^K undefined at sample"):
-        _verdicts(path.ratio, axis, ("H", "K"), records, verdicts)
-    assert list(verdicts) == ["H"]
+            _verdicts(path.ratio, axis, quantities, records)
+        assert str(exc.value) == f"{quantities[0]} undefined at sample ({u!r}, {v!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +458,33 @@ def test_a_curved_path_equals_the_oracle(sphere):
             _verdict_bits(oracles.limit_along(sphere, path, quantity))
     est = vanishing_order(sphere, path, "c2")
     assert (est.order, est.is_integer) == (1.0, True)
+
+
+@pytest.mark.parametrize("args, message", [
+    ({"count": 65}, r"^schedule needs a finite r0 > 0 and from 4 to 64 samples$"),
+    ({"r0": 1e-322}, r"^schedule distance r0 \* ratio\^11 underflows to 0\.0$"),
+], ids=["count-65", "underflowing-r0"])
+def test_a_schedule_has_at_most_64_positive_distances(sphere, args, message):
+    with pytest.raises(LcframeError, match=message):
+        ApproachPath(target=POLE_PATH.target, direction=(-1.0, 0.0), **args)
+    with pytest.raises(LcframeError, match=message):
+        boundedness_report(sphere, *POLE_PATH.target, **args)
+
+
+def test_a_schedule_of_64_samples_still_fits(sphere):
+    path = ApproachPath(target=POLE_PATH.target, direction=(-1.0, 0.0), ratio=0.9, count=64)
+    for quantity in ("K", "H"):
+        verdict = limit_along(sphere, path, quantity)
+        assert verdict.verdict is Verdict.NONZERO_LIMIT and len(verdict.values) == 64
+        assert _verdict_bits(verdict) == _verdict_bits(oracles.limit_along(sphere, path, quantity))
+    est = vanishing_order(sphere, path, "c2")
+    assert (est.order, est.is_integer) == (1.0, True)
+    # at a report's ratio 0.5 the last samples of every ray fall inside
+    # the class band of the locus
+    report = boundedness_report(sphere, *POLE_PATH.target, count=64)
+    assert all(oc.error is not None for oc in report.outcomes)
+    assert _report_bytes(report) == \
+        _report_bytes(oracles.boundedness_report(sphere, *POLE_PATH.target, count=64))
 
 
 @pytest.mark.parametrize("surface, target, direction, error, message", [
@@ -597,15 +632,15 @@ def _sequences(distances):
 def _rays(n):
     """(distances, records, order) of one ray of n samples: every record
     field a drawn sequence, and the order field to fit."""
-    # a schedule may underflow to distance 0.0, which leaves no logs to unroll
-    schedules = st.builds(lambda r0, ratio: tuple(r0 * ratio ** k for k in range(n)),
-                          st.one_of(st.floats(1e-3, 1.0), st.floats(5e-324, 1e-300)),
-                          st.floats(0.01, 0.99))
-    return schedules.flatmap(lambda distances: st.tuples(
+    # every distance positive, down to subnormals: 1e-300 * 0.5^63
+    schedules = st.one_of(
+        st.builds(_schedule, st.floats(1e-3, 1.0), st.floats(0.01, 0.99), st.just(n)),
+        st.builds(_schedule, st.floats(1e-300, 1e-290), st.floats(0.5, 0.99), st.just(n)))
+    return schedules.map(tuple).flatmap(lambda distances: st.tuples(
         st.just(distances),
         st.tuples(*[_sequences(distances)] * 6).map(
             lambda fields: [_Sample(0.0, 0.0, *sample) for sample in zip(*fields)]),
-        st.sampled_from([key for key in _MAGNITUDES if key not in QUANTITIES])))
+        st.sampled_from([key for key in _SEQUENCES if key not in QUANTITIES])))
 
 
 def _oracle_fits(distances, recs, order):
@@ -618,11 +653,13 @@ def _oracle_fits(distances, recs, order):
                 distances, oracles.field_values(num, q, recs))[0]
         l_order = numerators[num]
         m_order = oracles.fit_order(distances, oracles.field_values("Gamma", q, recs))[0]
-        mags = [abs(x) for x in oracles.quantity_values(q, recs)]
+        values = tuple(oracles.quantity_values(q, recs))
+        mags = [abs(x) for x in values]
+        vanishing = all(m <= ABS_ZERO for m in mags)
         slope = resid = None
-        if l_order is not math.inf and not all(m <= ABS_ZERO for m in mags):
+        if l_order is not math.inf and not vanishing:
             slope, _, resid = loglog_slope(distances, mags)
-        fits.append((l_order, m_order, slope, resid))
+        fits.append((values, vanishing, l_order, m_order, slope, resid))
     field, _, quantity = order.partition(" ")
     fits.append(oracles.fit_order(distances, oracles.field_values(field, quantity or "K", recs),
                                   residual=True))
@@ -630,11 +667,12 @@ def _oracle_fits(distances, recs, order):
 
 
 def _fits_bits(fits):
-    return [tuple(map(_bits, fit)) for fit in fits]
+    return [tuple(tuple(map(_bits, x)) if type(x) is tuple else _bits(x) for x in fit)
+            for fit in fits]
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.integers(4, UNROLL_MAX + 2).flatmap(_rays))
+@given(st.integers(4, 64).flatmap(_rays))
 def test_the_fit_kernel_fits_as_loglog_slope(ray):
     distances, recs, order = ray
     axis = LogAxis(distances)

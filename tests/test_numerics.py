@@ -5,8 +5,8 @@ import operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcframe import limits, numerics
-from lcframe.numerics import FIT_NAMES, UNROLL_MAX, LogAxis, fit_lines, loglog_slope
+from lcframe import numerics
+from lcframe.numerics import FIT_NAMES, LogAxis, fit_lines, loglog_slope
 from lcframe.straightline import compile_function
 
 
@@ -40,8 +40,8 @@ def ref_loglog_slope(distances, magnitudes, total=left_to_right):
 @functools.cache
 def _straight_line_fit(n, residual):
     """The statements of fit_lines for n magnitudes as a function
-    (axis, magnitudes) -> (slope, rms residual), axis a LogAxis of
-    unroll n."""
+    (axis, magnitudes) -> (slope, rms residual), axis a LogAxis of n
+    distances."""
     mags = [f"_m{i}" for i in range(n)]
     return compile_function("\n".join([
         "def fit(_axis, _ms):",
@@ -55,11 +55,11 @@ def _straight_line_fit(n, residual):
 
 def straight_line_slope(distances, mags, residual=True):
     """(slope, rms residual) of mags by the straight-line fit of the
-    schedule's LogAxis, None where it has none."""
-    axis = LogAxis(distances)
-    if not axis.unroll:
+    schedule's LogAxis, None where a distance is not positive, which
+    has no log."""
+    if not all(r > 0.0 for r in distances):
         return None
-    return _straight_line_fit(axis.unroll, residual)(axis, mags)
+    return _straight_line_fit(len(distances), residual)(LogAxis(distances), mags)
 
 
 def _slope_and_residual(fit):
@@ -104,7 +104,7 @@ def test_fits_match_the_reference_bit_for_bit(case):
 
 def test_an_axis_serves_every_sequence_of_its_schedule():
     axis = LogAxis([0.1 * 0.5 ** k for k in range(12)])
-    assert axis.unroll == 12
+    assert len(axis.xs) == 12
     fit = _straight_line_fit(12, True)
     for mags in ([2.0 ** -k for k in range(12)], [0.0] + [1.0] * 11, [3.0] * 12):
         assert repr(fit(axis, mags)) == \
@@ -155,7 +155,7 @@ def test_an_axis_fits_as_loglog_slope_with_and_without_the_residual(case):
     if isinstance(with_residual, tuple):
         # the same slope and intercept; only the residual is left out
         assert without == with_residual[:2] + (None,)
-    if LogAxis(distances).unroll:
+    if all(r > 0.0 for r in distances):
         for residual, expected in ((True, with_residual), (False, without)):
             straight = _outcome(straight_line_slope, distances, mags, residual)
             if isinstance(expected, tuple):
@@ -177,11 +177,10 @@ def test_an_axis_fits_as_loglog_slope_with_and_without_the_residual(case):
 def test_the_unrolled_fit_is_the_loop_fit(case):
     distances, mags, residual = case
     axis = LogAxis(distances)
-    assert axis.unroll == len(distances)
     xs = [math.log(r) for r in distances]
     assert (axis.xs, axis.sx, axis.sxx) == \
         (tuple(xs), numerics._total(xs), numerics._total(x * x for x in xs))
-    straight = _outcome(_straight_line_fit(axis.unroll, residual), axis, mags)
+    straight = _outcome(_straight_line_fit(len(distances), residual), axis, mags)
     if all(m > 0.0 for m in mags):
         expected = _outcome(numerics._fit, xs, list(map(math.log, mags)),
                             axis.sx, axis.sxx, residual)
@@ -192,14 +191,3 @@ def test_the_unrolled_fit_is_the_loop_fit(case):
         expected = _slope_and_residual(expected)
     assert straight == expected
 
-
-def test_a_long_schedule_is_fitted_by_the_loop():
-    distances = [0.1 * 0.97 ** k for k in range(UNROLL_MAX + 1)]
-    mags = [r ** 1.5 * (2.0 + r) for r in distances]
-    axis = LogAxis(distances)
-    assert (axis.unroll, axis.xs, axis.sx, axis.sxx) == (0, None, None, None)
-    assert LogAxis(distances[:-1]).unroll == UNROLL_MAX
-    # a limits fit kernel of this schedule fits K by loglog_slope's loop
-    records = [limits._Sample(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, m, 1.0) for m in mags]
-    (_, _, slope, resid), = limits._fits(axis, ("K",), records)
-    assert _hex((slope, resid)) == _hex(_slope_and_residual(loglog_slope(distances, mags)))

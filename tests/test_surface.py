@@ -512,6 +512,20 @@ class TestSurfaceFiles:
                 "name": "x", "X": ["u", "v", "1"], "v": ["1", "0", "1"],
                 "w": ["1", "0", "-1"], "domain": {"u": [1, 0], "v": [0, 1]}})
 
+    @pytest.mark.parametrize("domain", [
+        {"u": "01", "v": [0, 1]},  # was read as u in [0, 1], one bound a character
+        {"u": [0, 1, 5], "v": [0, 1]},  # the third bound was dropped
+        {"u": [0, 1], "v": [0]},
+        {"u": [0, 1]},
+        [[0, 1], [0, 1]],
+    ], ids=["string", "three-bounds", "one-bound", "missing-v", "list"])
+    def test_a_domain_needs_two_bounds_for_each_parameter(self, domain):
+        with pytest.raises(SurfaceFormatError,
+                           match=r"^domain must be \{'u': \[lo, hi\], 'v': \[lo, hi\]\}$"):
+            SurfaceDef.from_dict({
+                "name": "x", "X": ["u", "v", "1"], "v": ["1", "0", "1"],
+                "w": ["1", "0", "-1"], "domain": domain})
+
     def test_domain_bounds_must_be_constant(self):
         with pytest.raises(LcframeError):
             SurfaceDef.from_dict({
