@@ -15,7 +15,11 @@ alone, and `lcframe.SurfaceDef` imports `lcframe.surface` (with what it
 imports) when it is first read.  A name is looked up in its submodule on
 every read and never kept here, so the package always shows what the
 submodule binds.  `from lcframe.surface import SurfaceDef` loads only
-the layers a surface build needs.
+the layers a surface build needs.  No import of the package or of a
+submodule loads dataclasses, or inspect with ast, dis and tokenize:
+lcframe's value classes are records with __slots__ (lcframe._record),
+since that import and the code dataclasses generates per class were a
+third of a fresh process's set-up for a surface build.
 
 `lcframe.classify` is the function `classify`, even once the submodule
 of the same name is imported, so `import lcframe.classify as m` binds

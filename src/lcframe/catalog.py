@@ -27,8 +27,6 @@ covers all the regimes the analysis layers care about:
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .errors import LcframeError
 from .surface import SurfaceDef
 
@@ -57,6 +55,8 @@ def surface_text(name: str) -> str:
     if name not in _NAMES:
         raise LcframeError(
             f"unknown catalog surface {name!r}; available: {', '.join(_NAMES)}")
+    from importlib import resources  # imports inspect from Python 3.12 on
+
     return (resources.files("lcframe") / "catalog" / f"{name}.surf").read_text("utf-8")
 
 

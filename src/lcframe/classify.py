@@ -55,10 +55,10 @@ Tracing never imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import chain
 
-from .curvature import CurvaturePacket, _packet, _packet_record, _point_fields, _singular, is_zero
+from ._record import Record
+from .curvature import _packet, _packet_record, _point_fields, _singular, is_zero
 from .errors import LcframeError
 from .minkowski import pseudo_dot
 from .straightline import float_code, roots_read
@@ -152,13 +152,11 @@ def classify(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> PointClass
     return _evaluate(s, u, v, tol)[1]
 
 
-@dataclass(frozen=True)
-class NullVector:
+class NullVector(Record):
     """Parameter-space direction eta whose image under dX is lightlike
     (or zero, at a singular point).  `residual` is <dX(eta), dX(eta)>."""
 
-    eta: tuple
-    residual: float
+    __slots__ = ("eta", "residual")
 
 
 def null_vector(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> NullVector:
@@ -185,8 +183,7 @@ def null_vector(s: SurfaceDef, u: float, v: float, tol: float = 1e-9) -> NullVec
 # Zero-set tracing
 
 
-@dataclass
-class LocusPolyline:
+class LocusPolyline(Record, mutable=True):
     """A traced connected component of a field's zero set.
 
     vertices are (u, v) parameter points ordered along the curve;
@@ -195,11 +192,8 @@ class LocusPolyline:
     the vertex classifies off-locus at the refinement tolerance).
     """
 
-    field: str
-    vertices: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    degenerate: list = field(default_factory=list)
-    closed: bool = False
+    __slots__ = ("field", "vertices", "residuals", "degenerate", "closed")
+    _defaults = ([], [], [], False)
 
 
 #: The segments of a cell by its corner pattern bl | br << 1 | tr << 2 |
@@ -356,8 +350,7 @@ def _link_segments(s, field_name, segments, crossings, classify_tol):
 # Line-of-curvature criterion at rank-one singular points
 
 
-@dataclass(frozen=True)
-class LineOfCurvatureReport:
+class LineOfCurvatureReport(Record):
     """Whether the singular locus through the point is a line of
     curvature.
 
@@ -368,14 +361,9 @@ class LineOfCurvatureReport:
     E~); for a second kind point it reduces to N~ = 0.  Both routes are
     reported along with their agreement."""
 
-    applicable: bool
-    reason: str | None
-    kind: Kind | None = None
-    is_line_of_curvature: bool | None = None
-    directional_derivative: float | None = None
-    kappa_t_til: float | None = None
-    kappa_t_target: float | None = None
-    routes_agree: bool | None = None
+    __slots__ = ("applicable", "reason", "kind", "is_line_of_curvature",
+                 "directional_derivative", "kappa_t_til", "kappa_t_target", "routes_agree")
+    _defaults = (None,) * 6
 
 
 def line_of_curvature_test(
@@ -430,13 +418,11 @@ def line_of_curvature_test(
 # Grid classification
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    u: float
-    v: float
-    point_class: PointClass
-    packet: CurvaturePacket
-    c2: float
+class ClassificationRow(Record):
+    """One point of a ClassificationTable: its PointClass, its
+    CurvaturePacket and c2."""
+
+    __slots__ = ("u", "v", "point_class", "packet", "c2")
 
 
 class ClassificationTable:

@@ -9,7 +9,10 @@ classify.grid_blocks, which evaluates a grid of 4096 points or more as
 arrays (lcframe.arrays) and a smaller one point by point, and format
 them with classify.write_grid_csv, 1024 points per CSV write; numpy is
 imported only for such a grid, so the demo, trace, limits and validate
-never load it.
+never load it.  Importing the module loads no dataclasses, and no
+inspect, ast, dis or tokenize: importlib.resources, which imports
+inspect from Python 3.12 on, is imported where the catalog or the
+golden files are first read.
 The argument parser is built once per process, on the first call of
 main, and reused by every later call; each call parses into a fresh
 namespace, so no option carries over from one call to the next.
@@ -40,7 +43,6 @@ import functools
 import json
 import math
 import sys
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 
@@ -430,6 +432,8 @@ def run_demo(out_dir: Path, golden_dir=None) -> int:
             golden = Path(golden_dir) / fname
             golden_bytes = golden.read_bytes() if golden.is_file() else None
         else:
+            from importlib import resources  # imports inspect from Python 3.12 on
+
             res = resources.files("lcframe") / "golden" / fname
             golden_bytes = res.read_bytes() if res.is_file() else None
         if golden_bytes is None:

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from types import SimpleNamespace
 
+from ._record import Record, _set
 from .errors import LcframeError
 from .minkowski import LVec3, pseudo_dot, wedge
 from .numerics import _total
@@ -83,8 +83,7 @@ def is_zero(value: float, *scale_values) -> bool:
     return abs(value) <= ZERO_TOL * _zero_scale(*scale_values)
 
 
-@dataclass(frozen=True)
-class CurvaturePacket:
+class CurvaturePacket(Record):
     """Everything curvature-like at one parameter point.
 
     K and H are None where the classical curvatures are undefined
@@ -97,31 +96,39 @@ class CurvaturePacket:
     denominator vanishes.
     """
 
-    u: float
-    v: float
-    Etil: float
-    Ftil: float
-    Gtil: float
-    Ltil: float
-    Mtil: float
-    Ntil: float
-    lambda_til: float
-    Ktil: float
-    Htil: float
-    K: float | None
-    H: float | None
-    kappa_til_1: float | None
-    kappa_til_2: float | None
-    kappa_til_2_unbounded: bool
-    kappa1_from_limit: bool
-    principal_complex: bool
-    V1: tuple | None
-    V2: tuple | None
-    n_til: LVec3
+    __slots__ = (
+        "u", "v", "Etil", "Ftil", "Gtil", "Ltil", "Mtil", "Ntil", "lambda_til", "Ktil",
+        "Htil", "K", "H", "kappa_til_1", "kappa_til_2", "kappa_til_2_unbounded",
+        "kappa1_from_limit", "principal_complex", "V1", "V2", "n_til",
+    )
+
+    def __init__(self, u, v, Etil, Ftil, Gtil, Ltil, Mtil, Ntil, lambda_til, Ktil, Htil, K, H,
+                 kappa_til_1, kappa_til_2, kappa_til_2_unbounded, kappa1_from_limit,
+                 principal_complex, V1, V2, n_til):
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "Etil", Etil)
+        _set(self, "Ftil", Ftil)
+        _set(self, "Gtil", Gtil)
+        _set(self, "Ltil", Ltil)
+        _set(self, "Mtil", Mtil)
+        _set(self, "Ntil", Ntil)
+        _set(self, "lambda_til", lambda_til)
+        _set(self, "Ktil", Ktil)
+        _set(self, "Htil", Htil)
+        _set(self, "K", K)
+        _set(self, "H", H)
+        _set(self, "kappa_til_1", kappa_til_1)
+        _set(self, "kappa_til_2", kappa_til_2)
+        _set(self, "kappa_til_2_unbounded", kappa_til_2_unbounded)
+        _set(self, "kappa1_from_limit", kappa1_from_limit)
+        _set(self, "principal_complex", principal_complex)
+        _set(self, "V1", V1)
+        _set(self, "V2", V2)
+        _set(self, "n_til", n_til)
 
 
-@dataclass(frozen=True)
-class SingularCurvatures:
+class SingularCurvatures(Record):
     """Curvature scalars attached to rank-one singular points.
 
     The first kind block (kappa_v/c/Pi/t) needs E~ != 0, and all but
@@ -132,23 +139,14 @@ class SingularCurvatures:
     preconditions.
     """
 
-    kappa_v_til: float | None
-    kappa_c_til: float | None
-    kappa_Pi_til: float | None
-    kappa_t_til: float | None
-    mu_c_til: float | None
-    mu_Pi_til: float | None
-    kappa_v: float | None
-    kappa_c: float | None
-    kappa_Pi: float | None
-    kappa_t: float | None
-    mu_c: float | None
-    mu_Pi: float | None
-    failures: tuple
+    __slots__ = (
+        "kappa_v_til", "kappa_c_til", "kappa_Pi_til", "kappa_t_til", "mu_c_til",
+        "mu_Pi_til", "kappa_v", "kappa_c", "kappa_Pi", "kappa_t", "mu_c", "mu_Pi",
+        "failures",
+    )
 
 
-@dataclass(frozen=True)
-class ClassicalCurvatures:
+class ClassicalCurvatures(Record):
     """First and second fundamental coefficients with respect to the
     normalised normal n~/|n~|, plus the curvatures they induce.
 
@@ -156,18 +154,10 @@ class ClassicalCurvatures:
     second derivatives); it shares no algebra with curvature_packet and
     exists as an independent cross-check."""
 
-    E: float
-    F: float
-    G: float
-    L: float | None
-    M: float | None
-    N: float | None
-    K: float | None
-    H: float | None
+    __slots__ = ("E", "F", "G", "L", "M", "N", "K", "H")
 
 
-@dataclass(frozen=True)
-class ZeroEquivalenceReport:
+class ZeroEquivalenceReport(Record):
     """Agreement of the vanishing of K~ and H~ with the matching
     singular curvature scalar at a rank-one singular point.
 
@@ -176,33 +166,23 @@ class ZeroEquivalenceReport:
     True when K~ and its partner are both zero or both nonzero at
     tolerance, and likewise `mean_agrees`."""
 
-    applicable: bool
-    reason: str | None
-    kind: Kind | None
-    Ktil: float | None = None
-    partner_K: float | None = None
-    gauss_both_zero: bool | None = None
-    gauss_agrees: bool | None = None
-    Htil: float | None = None
-    partner_H: float | None = None
-    mean_both_zero: bool | None = None
-    mean_agrees: bool | None = None
+    __slots__ = (
+        "applicable", "reason", "kind", "Ktil", "partner_K", "gauss_both_zero",
+        "gauss_agrees", "Htil", "partner_H", "mean_both_zero", "mean_agrees",
+    )
+    _defaults = (None,) * 8
 
 
-@dataclass(frozen=True)
-class BoundedPrincipalReport:
+class BoundedPrincipalReport(Record):
     """Check that the bounded modified principal curvature equals
     L~ / E~ at a rank-one singular point where the cuspidal scalar is
     nonzero, and that the other branch is unbounded."""
 
-    applicable: bool
-    reason: str | None
-    kappa_til_1: float | None = None
-    Ltil_over_Etil: float | None = None
-    matches: bool | None = None
-    sign_Etil: int | None = None
-    kappa_v_til: float | None = None
-    kappa_til_2_unbounded: bool | None = None
+    __slots__ = (
+        "applicable", "reason", "kappa_til_1", "Ltil_over_Etil", "matches", "sign_Etil",
+        "kappa_v_til", "kappa_til_2_unbounded",
+    )
+    _defaults = (None,) * 6
 
 
 def modified_normal(s: SurfaceDef, u: float, v: float) -> LVec3:

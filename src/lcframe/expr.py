@@ -79,13 +79,13 @@ from __future__ import annotations
 import math
 import re
 import zlib
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import compress
 from operator import add, itemgetter, mul, neg, or_, sub
 from types import CodeType, FunctionType
 from typing import NamedTuple
 
+from ._record import Record, _set
 from .errors import LcframeError
 
 __all__ = [
@@ -167,74 +167,98 @@ def _too_deep(what, exc):
 # AST
 
 
-class Expr:
-    """Base class of expression nodes.  Nodes are immutable and compare
-    structurally."""
+class Expr(Record):
+    """Base class of expression nodes.
+
+    A node is a record (lcframe._record): its fields are its __slots__,
+    set once by its constructor, positionally or by keyword, and never
+    assigned again (an AttributeError).  It prints as
+    Name(field=value, ...), equals only a node of its own class with
+    equal fields (so Add(a, b) != Sub(a, b)), hashes by its fields, and
+    copies and pickles by them.  Const compares and hashes by the repr
+    of its value."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
 
-    # by repr, as a Dag interns constants: 0.0 and -0.0 are two trees
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    # by repr, as a Dag interns constants: 0.0 and -0.0 are two trees,
+    # and Const(nan) is one
     def __eq__(self, other):
         return type(other) is Const and repr(self.value) == repr(other.value)
 
+    def __hash__(self):
+        return hash(repr(self.value))
 
-@dataclass(frozen=True)
+
 class Slot(Expr):
     """The index-th generic constant of a parse with slots (parse): a
     leaf that no rule folds, whose value a program binds."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        _set(self, "index", index)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str  # "u" or "v"
+    __slots__ = ("name",)  # "u" or "v"
+
+    def __init__(self, name):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg):
+        _set(self, "arg", arg)
 
 
-@dataclass(frozen=True)
+def _binary(self, left, right):
+    _set(self, "left", left)
+    _set(self, "right", right)
+
+
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
+    __init__ = _binary
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")  # an Expr, an int
+
+    def __init__(self, base, exponent):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = ("fn", "arg")  # a name of FUNCTION_NAMES or "sign", an Expr
+
+    def __init__(self, fn, arg):
+        _set(self, "fn", fn)
+        _set(self, "arg", arg)
 
 
 # 'sign' is not part of the surface grammar; it only appears in

@@ -74,10 +74,12 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field
+import struct
 from enum import Enum
+from itertools import chain
 from typing import NamedTuple
 
+from ._record import Record, _set
 from .classify import _FMT, CLASSES, _class_code, _fmt
 from .curvature import _gauss_mean
 from .errors import LcframeError
@@ -182,8 +184,7 @@ def _points(target, unit, distances):
 _RATIO = 0.5
 
 
-@dataclass(frozen=True)
-class ApproachPath:
+class ApproachPath(Record):
     """Geometric sample schedule approaching a target point.
 
     Points are taken at distances r0 * ratio^k, k = 0..count-1, either
@@ -193,19 +194,18 @@ class ApproachPath:
     0.0.
     """
 
-    target: tuple
-    direction: tuple | None = None
-    curve: object | None = None  # callable s -> (u, v)
-    r0: float = 1e-1
-    ratio: float = _RATIO
-    count: int = 12
+    __slots__ = ("target", "direction", "curve", "r0", "ratio", "count")
 
-    def __post_init__(self):
-        if (self.direction is None) == (self.curve is None):
+    def __init__(self, target: tuple, direction: tuple | None = None,
+                 curve=None,  # callable s -> (u, v)
+                 r0: float = 1e-1, ratio: float = _RATIO, count: int = 12):
+        if (direction is None) == (curve is None):
             raise LcframeError("provide exactly one of direction or curve")
-        _schedule(self.r0, self.ratio, self.count)
-        if self.direction is not None:
-            object.__setattr__(self, "direction", _unit(self.direction))
+        _schedule(r0, ratio, count)
+        if direction is not None:
+            direction = _unit(direction)
+        for name, value in zip(self._fields, (target, direction, curve, r0, ratio, count)):
+            _set(self, name, value)
 
     def distances(self):
         return _schedule(self.r0, self.ratio, self.count)
@@ -216,8 +216,7 @@ class ApproachPath:
         return _points(self.target, self.direction, self.distances())
 
 
-@dataclass(frozen=True)
-class LimitVerdict:
+class LimitVerdict(Record):
     """Outcome of a limit estimate along one approach path.
 
     value is the Richardson-extrapolated limit (NonzeroLimit only);
@@ -228,27 +227,28 @@ class LimitVerdict:
     slope_residual its rms fit residual.
     """
 
-    quantity: str
-    verdict: Verdict
-    value: float | None
-    numerator_order: float | None
-    denominator_order: float | None
-    slope: float | None
-    slope_residual: float | None
-    distances: tuple
-    values: tuple
-    note: str | None = None
+    __slots__ = ("quantity", "verdict", "value", "numerator_order", "denominator_order",
+                 "slope", "slope_residual", "distances", "values", "note")
+
+    def __init__(self, quantity: str, verdict: Verdict, value, numerator_order,
+                 denominator_order, slope, slope_residual, distances: tuple, values: tuple,
+                 note: str | None = None):
+        _set(self, "quantity", quantity)
+        _set(self, "verdict", verdict)
+        _set(self, "value", value)
+        _set(self, "numerator_order", numerator_order)
+        _set(self, "denominator_order", denominator_order)
+        _set(self, "slope", slope)
+        _set(self, "slope_residual", slope_residual)
+        _set(self, "distances", distances)
+        _set(self, "values", values)
+        _set(self, "note", note)
 
 
-@dataclass(frozen=True)
-class OrderEstimate:
+class OrderEstimate(Record):
     """Fitted vanishing order of a single field along a path."""
 
-    field: str
-    order: float
-    is_integer: bool
-    leading_coefficient: float | None
-    slope_residual: float | None
+    __slots__ = ("field", "order", "is_integer", "leading_coefficient", "slope_residual")
 
 
 @functools.cache
@@ -619,17 +619,23 @@ def vanishing_order(
 # Direction-fan boundedness report
 
 
-@dataclass(frozen=True)
-class DirectionOutcome:
-    label: str
-    direction: tuple
-    side: str | None  # spacelike / timelike / None when mixed or unknown
-    verdicts: dict  # quantity -> LimitVerdict
-    error: str | None
+class DirectionOutcome(Record):
+    """One ray of a report: side is spacelike, timelike or None when
+    mixed or unknown, verdicts maps each quantity to its LimitVerdict,
+    and error is the text of the error that stopped the ray, or None."""
+
+    __slots__ = ("label", "direction", "side", "verdicts", "error")
+
+    def __init__(self, label: str, direction: tuple, side: str | None, verdicts: dict,
+                 error: str | None):
+        _set(self, "label", label)
+        _set(self, "direction", direction)
+        _set(self, "side", side)
+        _set(self, "verdicts", verdicts)
+        _set(self, "error", error)
 
 
-@dataclass
-class BoundednessReport:
+class BoundednessReport(Record, mutable=True):
     """Fan-of-directions summary of curvature behaviour at a point.
 
     For each usable direction the K and H limits are estimated (plus
@@ -640,15 +646,10 @@ class BoundednessReport:
     quantity) is exhibited by some direction.
     """
 
-    target: tuple
-    category: Category
-    kind: Kind | None
-    outcomes: list = field(default_factory=list)
-    k_bounded_evidence: bool | None = None
-    h_bounded_evidence: bool | None = None
-    k_dichotomy: str | None = None
-    h_dichotomy: str | None = None
-    bounded_mean_implies_bounded_gauss: str | None = None
+    __slots__ = ("target", "category", "kind", "outcomes", "k_bounded_evidence",
+                 "h_bounded_evidence", "k_dichotomy", "h_dichotomy",
+                 "bounded_mean_implies_bounded_gauss")
+    _defaults = ([], None, None, None, None, None)
 
     def to_text(self) -> str:
         lines = [
@@ -777,10 +778,11 @@ def boundedness_report(
     report = BoundednessReport(target=(u, v), category=pc.category, kind=pc.kind)
     axis = LogAxis(_schedule(r0, _RATIO, count))
     walk = _walker(s)
+    bits = struct.Struct(f"{2 * count}d").pack  # a ray's points: 0.0 and -0.0 apart
     walked = {}  # the bits of a ray's points -> (side, verdicts, error)
     for label, direction in rays:
         points = _points((u, v), _unit(direction), axis.distances)
-        key = tuple(float.hex(x) for point in points for x in point)  # 0.0 and -0.0 apart
+        key = bits(*chain.from_iterable(points))
         if key not in walked:
             walked[key] = _walk_ray(walk, points, axis, quantities)
         side, verdicts, error = walked[key]

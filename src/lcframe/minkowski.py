@@ -9,9 +9,9 @@ gives the plain 3x3 determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record, _set
 from .errors import LcframeError
 
 __all__ = [
@@ -27,22 +27,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LVec3:
+class LVec3(Record):
     """A vector of Lorentz-Minkowski 3-space in the canonical basis.
 
     Components must be finite; NaN or infinity is rejected on
     construction so downstream algebra never sees them.
     """
 
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ("x1", "x2", "x3")
 
-    def __post_init__(self):
-        for c in (self.x1, self.x2, self.x3):
+    def __init__(self, x1: float, x2: float, x3: float):
+        for c in (x1, x2, x3):
             if not math.isfinite(c):
                 raise LcframeError(f"non-finite vector component: {c!r}")
+        _set(self, "x1", x1)
+        _set(self, "x2", x2)
+        _set(self, "x3", x3)
 
     def __iter__(self):
         return iter((self.x1, self.x2, self.x3))

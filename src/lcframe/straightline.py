@@ -42,7 +42,6 @@ Importing lcframe traces and compiles nothing.
 
 from __future__ import annotations
 
-import inspect
 import math
 from collections import Counter
 from functools import cache
@@ -237,11 +236,13 @@ class _Trace(NamedTuple):
 def _trace(fns):
     """The trace of the functions fns, each fn(inv, ..., ops=...), run
     one after the other on one set of symbolic roots, so that their
-    locals are distinct; a parameter name they share is one value."""
+    locals are distinct; a parameter name they share is one value.  A
+    fn's parameters are the names its code object lists first."""
     code = _Code()
     roots, ops, params, parts = _Roots(code), _Ops(code), {}, []
     for fn in fns:
-        _, *rest = inspect.signature(fn).parameters
+        fn_code = fn.__code__
+        _, *rest = fn_code.co_varnames[:fn_code.co_argcount + fn_code.co_kwonlyargcount]
         names = [p for p in rest if p != "ops"]
         for p in names:
             params.setdefault(p, _Value(code, p))

@@ -55,10 +55,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
+from ._record import Record, _set
 from .errors import LcframeError
 from .expr import (
     Add, Const, Dag, EvalDomainError, Expr, ExprError, Mul, Neg, Slot, Sub, Var, _numbering,
@@ -89,24 +89,21 @@ class SurfaceFormatError(LcframeError):
     """A surface definition file or dictionary is malformed."""
 
 
-@dataclass(frozen=True)
-class DomainBox:
+class DomainBox(Record):
     """Closed parameter rectangle [u_min, u_max] x [v_min, v_max]."""
 
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
+    __slots__ = ("u_min", "u_max", "v_min", "v_max")
 
-    def __post_init__(self):
-        bounds = (self.u_min, self.u_max, self.v_min, self.v_max)
-        widths = (self.u_max - self.u_min, self.v_max - self.v_min)  # grid steps
+    def __init__(self, u_min: float, u_max: float, v_min: float, v_max: float):
+        bounds = (u_min, u_max, v_min, v_max)
+        widths = (u_max - u_min, v_max - v_min)  # grid steps
         if not all(map(math.isfinite, bounds + widths)):
             raise SurfaceFormatError(
                 f"domain bounds and their distances must be finite, got {bounds}")
-        if not (self.u_min < self.u_max and self.v_min < self.v_max):
-            raise SurfaceFormatError(
-                f"degenerate domain box {self.u_min, self.u_max, self.v_min, self.v_max}")
+        if not (u_min < u_max and v_min < v_max):
+            raise SurfaceFormatError(f"degenerate domain box {bounds}")
+        for name, value in zip(self._fields, bounds):
+            _set(self, name, value)
 
     def contains(self, u: float, v: float, slack: float = _SLACK) -> bool:
         """Whether (u, v) lies in the box widened by slack; u and v may
@@ -153,14 +150,11 @@ def _samples(lo, hi, n):
     return [x if lo - _SLACK <= x <= hi + _SLACK else min(max(x, lo), hi) for x in xs]
 
 
-@dataclass(frozen=True)
-class LightconeFrame:
+class LightconeFrame(Record):
     """Frame triple at a point: lightlike pair (v, w) and the unit
-    spacelike leg m = -(1/2) v^w."""
+    spacelike leg m = -(1/2) v^w, each an LVec3."""
 
-    v: LVec3
-    w: LVec3
-    m: LVec3
+    __slots__ = ("v", "w", "m")
 
 
 class BasicInvariants(NamedTuple):
@@ -193,8 +187,7 @@ class BasicInvariants(NamedTuple):
     ntil_3: float
 
 
-@dataclass(frozen=True)
-class FramedValidationReport:
+class FramedValidationReport(Record):
     """Grid-sampled residuals of the framed-surface conditions.
 
     wedge residual: largest component of X_u^X_v - (alpha v + beta w)
@@ -203,16 +196,11 @@ class FramedValidationReport:
     A surface is admitted when every residual is below tolerance.
     """
 
-    grid: tuple
-    tol: float
-    max_wedge_residual: float
-    max_delta4_residual: float
-    max_abs_a2: float
-    max_abs_b2: float
-    max_abs_alpha: float
-    max_abs_beta: float
-    admitted: bool
-    witness: tuple | None  # (u, v, check_name, value) for the first failure
+    __slots__ = (
+        "grid", "tol", "max_wedge_residual", "max_delta4_residual", "max_abs_a2",
+        "max_abs_b2", "max_abs_alpha", "max_abs_beta", "admitted",
+        "witness",  # (u, v, check_name, value) for the first failure, or None
+    )
 
 
 def _pdot_expr(a, b):
@@ -579,7 +567,7 @@ def _literal(e, constants):
     if cls is Const or cls is Var:
         return e
     return cls(*(_literal(x, constants) if isinstance(x, Expr) else x
-                 for x in (getattr(e, f.name) for f in fields(e))))
+                 for x in (getattr(e, name) for name in e._fields)))
 
 
 def _bound(value):

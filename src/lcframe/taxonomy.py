@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from ._record import Record
 
 __all__ = ["Category", "Kind", "LightlikeBranch", "PointClass"]
 
@@ -36,8 +37,7 @@ class LightlikeBranch(Enum):
     L2 = "L2"  # b1 = 0, a1 != 0
 
 
-@dataclass(frozen=True)
-class PointClass:
+class PointClass(Record):
     """Classification of one parameter point.
 
     degenerate and kind are populated for lightlike and first-class
@@ -46,10 +46,8 @@ class PointClass:
     (they are detected and labelled only).
     """
 
-    category: Category
-    lightlike_branch: LightlikeBranch | None = None
-    degenerate: bool | None = None
-    kind: Kind | None = None
+    __slots__ = ("category", "lightlike_branch", "degenerate", "kind")
+    _defaults = (None, None, None)
 
     @property
     def is_regular(self) -> bool:

@@ -4,7 +4,6 @@ import math
 import random
 import string
 import struct
-from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -236,7 +235,7 @@ class TestRoundTrip:
     @example(Mul(Const(-1.0), Neg(Var("u"))))
     @example(Add(Call("sin", Const(0.0)), Call("sin", Const(-0.0))))
     def test_simplify_is_idempotent(self, e):
-        # by source: dataclass == takes 0.0 and -0.0 for equal
+        # by source, which tells 0.0 from -0.0
         once = simplify(e)
         assert to_source(simplify(once)) == to_source(once)
 
@@ -427,10 +426,9 @@ class TestTokens:
 signed_leaf = st.one_of(leaf, st.sampled_from([Const(0.0), Const(-0.0)]))
 
 
-@dataclass(frozen=True)
 class Slot(Expr):
-    index: int
-    copy: bool  # fill with an equal tree rather than the pool's object
+    # copy: fill with an equal tree rather than the pool's object
+    __slots__ = ("index", "copy")
 
 
 def _fill(e, pool):
@@ -439,7 +437,7 @@ def _fill(e, pool):
         return parse(to_source(tree)) if e.copy else tree
     if isinstance(e, (Const, Var)):
         return e
-    parts = (getattr(e, f.name) for f in fields(e))
+    parts = (getattr(e, name) for name in e._fields)
     return type(e)(*(_fill(x, pool) if isinstance(x, Expr) else x for x in parts))
 
 
@@ -627,7 +625,7 @@ def _with_constants(e, values):
             return Const(next(values))
         if isinstance(x, Var):
             return x
-        parts = (getattr(x, f.name) for f in fields(x))
+        parts = (getattr(x, name) for name in x._fields)
         return type(x)(*(fill(y) if isinstance(y, Expr) else y for y in parts))
 
     return fill(e)
@@ -707,8 +705,8 @@ program_trees = st.lists(st.recursive(signed_leaf, _program_exprs, max_leaves=10
 def _constants(e):
     if isinstance(e, Const):
         return [e.value]
-    return [c for f in fields(e) if isinstance(getattr(e, f.name), Expr)
-            for c in _constants(getattr(e, f.name))]
+    return [c for name in e._fields if isinstance(getattr(e, name), Expr)
+            for c in _constants(getattr(e, name))]
 
 
 class TestArrayProgram:
@@ -968,7 +966,7 @@ def twins(roots):
             key = (Const, repr(e.value))
         else:
             key = (type(e), *(number(x) if isinstance(x, Expr) else x
-                              for x in (getattr(e, f.name) for f in fields(e))))
+                              for x in (getattr(e, name) for name in e._fields)))
         n = numbers.setdefault(key, len(numbers))
         if first.setdefault(n, e) is not e:
             out.append(e)
@@ -984,6 +982,16 @@ ALL_CALLS = st.builds(Call, st.sampled_from(sorted(_REF_OUTER)),
                       st.recursive(signed_leaf, _exprs, max_leaves=4))
 SIGNED_ZERO_SINES = [Add(Call("sin", Const(0.0)), Call("sin", Const(-0.0))),
                      Mul(Call("sin", Const(-0.0)), Call("sin", Const(0.0)))]
+
+
+def test_const_compares_and_hashes_by_repr():
+    nans = Const(float("nan")), Const(float("nan"))
+    assert nans[0] == nans[1] and hash(nans[0]) == hash(nans[1])
+    assert len(set(nans)) == 1
+    zeros = Const(0.0), Const(-0.0)
+    assert zeros[0] != zeros[1] and len(set(zeros)) == 2
+    assert Const(1) != Const(1.0)
+    assert len({Add(Const(0.0), nans[0]), Add(Const(0.0), nans[1])}) == 1
 
 
 class TestDag:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -265,11 +264,16 @@ def test_samples_csv_matches_csv_writer(locus_reports):
     assert rows > 0
 
 
+def _replaced(record, **changes):
+    """A new record of record's class, with the named fields changed."""
+    return type(record)(**{name: changes.get(name, getattr(record, name))
+                           for name in record._fields})
+
+
 def test_samples_csv_quotes_labels_as_csv_writer_does(locus_reports):
     _, report = locus_reports[0]
-    report = dataclasses.replace(report, outcomes=[
-        dataclasses.replace(oc, label=f'{oc.label}, "quoted"')
-        for oc in report.outcomes])
+    report = _replaced(report, outcomes=[
+        _replaced(oc, label=f'{oc.label}, "quoted"') for oc in report.outcomes])
     new, ref = _csv_texts(report)
     assert '\n"transversal-, ""quoted""",K,0,0.1,' in new
     assert new == ref
@@ -395,7 +399,7 @@ def _record_bits(rec):
 def _verdict_bits(ver):
     """A LimitVerdict with every float in bits, so that NaN and -0.0 compare."""
     return tuple(tuple(map(_bits, x)) if type(x) is tuple else _bits(x)
-                 for x in dataclasses.astuple(ver))
+                 for x in (getattr(ver, name) for name in ver._fields))
 
 
 def _outcome(fn, *args):
@@ -697,7 +701,7 @@ def test_a_repeated_ray_repeats_the_earlier_outcome(mixed_bowl):
     first, repeated = outcomes["fan0"], outcomes["transversal+"]
     assert first.error is None and first.verdicts
     assert limits._unit(repeated.direction) == limits._unit(first.direction) == (1.0, 0.0)
-    assert dataclasses.replace(repeated, label="fan0", direction=first.direction) == first
+    assert _replaced(repeated, label="fan0", direction=first.direction) == first
     path = ApproachPath(target=REPEATED_RAY_TARGET, direction=repeated.direction)
     assert {q: _verdict_bits(limit_along(mixed_bowl, path, q)) for q in repeated.verdicts} == \
         {q: _verdict_bits(ver) for q, ver in repeated.verdicts.items()}
@@ -732,4 +736,4 @@ def test_the_ray_kernel_walks_each_distinct_ray_once(mixed_bowl, monkeypatch):
     outcomes = {oc.label: oc for oc in report.outcomes}
     fan4, repeated = outcomes["fan4"], outcomes["transversal-"]
     assert fan4.error is None and fan4.verdicts
-    assert dataclasses.replace(repeated, label="fan4", direction=fan4.direction) == fan4
+    assert _replaced(repeated, label="fan4", direction=fan4.direction) == fan4

@@ -38,12 +38,12 @@ PUBLIC = {
 OBJECTS = {name: home for home, names in PUBLIC.items() for name in names}
 SUBMODULES = ["catalog", "curvature", "errors", "expr", "limits", "minkowski",
               "numerics", "straightline", "surface", "taxonomy"]
-BUILD_MODULES = ["lcframe", "lcframe.errors", "lcframe.expr", "lcframe.minkowski",
-                 "lcframe.surface"]
-CLI_MODULES = ["lcframe", "lcframe.catalog", "lcframe.classify", "lcframe.cli",
-               "lcframe.curvature", "lcframe.errors", "lcframe.expr", "lcframe.limits",
-               "lcframe.minkowski", "lcframe.numerics", "lcframe.straightline",
-               "lcframe.surface", "lcframe.taxonomy"]
+BUILD_MODULES = ["lcframe", "lcframe._record", "lcframe.errors", "lcframe.expr",
+                 "lcframe.minkowski", "lcframe.surface"]
+CLI_MODULES = ["lcframe", "lcframe._record", "lcframe.catalog", "lcframe.classify",
+               "lcframe.cli", "lcframe.curvature", "lcframe.errors", "lcframe.expr",
+               "lcframe.limits", "lcframe.minkowski", "lcframe.numerics",
+               "lcframe.straightline", "lcframe.surface", "lcframe.taxonomy"]
 
 LOADED = ("import json, sys\n"
           "print(json.dumps({'lcframe': sorted(m for m in sys.modules\n"
@@ -78,6 +78,12 @@ class TestImportFootprint:
     def test_the_cli_loads_every_layer_it_runs(self):
         assert json.loads(_fresh("import lcframe.cli\n" + LOADED)) == {
             "lcframe": CLI_MODULES, "numpy": False}
+
+    @pytest.mark.parametrize("module", ["lcframe.surface", "lcframe.cli"])
+    def test_an_import_loads_neither_dataclasses_nor_inspect(self, module):
+        code = (f"import sys, {module}\n"
+                "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+        assert _fresh(code) == "\n"
 
 
 class TestPublicNames:

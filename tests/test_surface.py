@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import gc
 import io
 import json
@@ -384,7 +383,7 @@ def _shifted(e, du, dv):
     if isinstance(e, Const):
         return e
     return type(e)(*(_shifted(x, du, dv) if isinstance(x, Expr) else x
-                     for x in (getattr(e, f.name) for f in dataclasses.fields(e))))
+                     for x in (getattr(e, name) for name in e._fields)))
 
 
 def _variant(name, c=1.0, du=0.0, dv=0.0):
