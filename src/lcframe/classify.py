@@ -54,7 +54,6 @@ Tracing never imports numpy.
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 
 from ._record import Record
@@ -62,7 +61,9 @@ from .curvature import _packet, _packet_record, _point_fields, _singular, is_zer
 from .errors import LcframeError
 from .minkowski import pseudo_dot
 from .straightline import float_code, roots_read
-from .surface import BasicInvariants, SurfaceDef, _grid_size, basic_invariants_at
+from .surface import (
+    BasicInvariants, SurfaceDef, _grid_size, _require_tol, basic_invariants_at,
+)
 from .taxonomy import Category, Kind, LightlikeBranch, PointClass
 
 __all__ = [
@@ -141,8 +142,7 @@ def _class_code(inv: BasicInvariants, tol: float, ops):
 
 def _evaluate(s, u, v, tol=1e-9):
     """(invariants, class) of one parameter point."""
-    if not (0 < tol < math.inf):
-        raise LcframeError("classification tolerance must be positive and finite")
+    _require_tol(tol, "classification tolerance")
     inv = basic_invariants_at(s, u, v)
     return inv, CLASSES[float_code(_class_code, BasicInvariants._fields)(inv, tol)]
 
@@ -287,10 +287,8 @@ def trace_zero_set(
     nu, nv = _grid_size(resolution)
     if nu < 8 or nv < 8:
         raise LcframeError(f"trace resolution must be at least 8x8, got {nu}x{nv}")
-    if not (0 < refine_tol < math.inf):
-        raise LcframeError("refinement tolerance must be positive and finite")
-    if not (0 < classify_tol < math.inf):
-        raise LcframeError("classification tolerance must be positive and finite")
+    _require_tol(refine_tol, "refinement tolerance")
+    _require_tol(classify_tol, "classification tolerance")
     point, grid, edges = (s.program((field_name,), schedule)
                           for schedule in ("point", "grid", "edges"))
     us, vs = s.domain.grid(nu, nv)
@@ -552,8 +550,7 @@ def classify_grid(
 
     Rows are emitted u-major then v, so identical configurations yield
     byte-identical CSV output.  The grid is evaluated by grid_blocks."""
-    if not (0 < tol < math.inf):
-        raise LcframeError("classification tolerance must be positive and finite")
+    _require_tol(tol, "classification tolerance")
     nu, nv = _grid_size(resolution)
     us, vs = s.domain.grid(nu, nv)  # validates >= 2x2
     return ClassificationTable(s.name, (nu, nv), tol, (us, vs),

@@ -85,7 +85,7 @@ from .curvature import _gauss_mean
 from .errors import LcframeError
 from .numerics import FIT_NAMES, LogAxis, fit_lines, richardson
 from .straightline import compile_function, float_code, roots_read, straight_code
-from .surface import _SLACK, SurfaceDef, _require_int
+from .surface import _SLACK, SurfaceDef, _is_number, _require_int, _require_tol
 from .taxonomy import Category, Kind
 
 __all__ = [
@@ -150,10 +150,10 @@ def _schedule(r0, ratio, count):
     raises the LcframeError of a schedule that admits no fit: fewer than
     4 or more than _MAX_SAMPLES samples, or a distance that underflows
     to 0.0, which has no log."""
-    if not 0.0 < ratio < 1.0:
+    if not (_is_number(ratio) and 0.0 < ratio < 1.0):
         raise LcframeError("schedule ratio must lie in (0, 1)")
     _require_int(count, "sample count")
-    if not 0.0 < r0 < math.inf or not 4 <= count <= _MAX_SAMPLES:
+    if not (_is_number(r0) and 0.0 < r0 < math.inf) or not 4 <= count <= _MAX_SAMPLES:
         raise LcframeError(
             f"schedule needs a finite r0 > 0 and from 4 to {_MAX_SAMPLES} samples")
     distances = [r0 * ratio ** k for k in range(count)]
@@ -578,8 +578,7 @@ def vanishing_order(
         raise LcframeError(f"order fields are {ORDER_FIELDS}, got {field_name!r}")
     if quantity not in QUANTITIES:
         raise LcframeError(f"quantity must be one of {QUANTITIES}, got {quantity!r}")
-    if not (0 < tol < math.inf):
-        raise LcframeError("vanishing tolerance must be positive and finite")
+    _require_tol(tol, "vanishing tolerance")
     key = f"Gamma {quantity}" if field_name == "Gamma" else field_name
     sequence = _sequence(key)
     records, _, fault = _ray(s, path)

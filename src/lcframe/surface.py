@@ -128,6 +128,20 @@ def _require_int(value, what):
         raise LcframeError(f"{what} must be an integer, got {value!r}")
 
 
+def _is_number(value):
+    """Whether value is a number a tolerance or a distance may be: not a
+    bool, and of a type with __float__, so that ints, floats and numpy
+    scalars pass and a comparison raises no TypeError."""
+    return not isinstance(value, bool) and hasattr(type(value), "__float__")
+
+
+def _require_tol(value, what):
+    """Raise the LcframeError of a tolerance that is not a positive finite
+    number."""
+    if not (_is_number(value) and 0 < value < math.inf):
+        raise LcframeError(f"{what} must be positive and finite")
+
+
 def _grid_size(resolution):
     """(nu, nv) of a grid resolution; the LcframeError of one that is not
     a pair of integers."""
@@ -620,8 +634,7 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
     error that evaluating those roots and building those vectors point
     by point raises first.
     """
-    if not (0 < tol < math.inf):
-        raise LcframeError("validation tolerance must be positive and finite")
+    _require_tol(tol, "validation tolerance")
     nu, nv = _grid_size(grid)
     us, vs = s.domain.grid(nu, nv)
     try:

@@ -5,10 +5,12 @@ import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from images import image
 from lcframe import catalog
 from lcframe.classify import (
     ARRAY_MIN_POINTS, TRACEABLE_FIELDS, _chains, _fmt, _link_segments, _segments, classify,
@@ -16,6 +18,7 @@ from lcframe.classify import (
 )
 from lcframe.cli import _write_trace_csv
 from lcframe.curvature import curvature_packet
+from lcframe.errors import LcframeError
 from lcframe.expr import EvalDomainError, compile_field
 from oracles import bisect_edge, first_difference
 from lcframe.surface import BasicInvariants, DomainBox, SurfaceDef, basic_invariants_at
@@ -161,6 +164,29 @@ class TestTolerances:
     def test_infinite_tolerance_is_rejected(self, sphere, call, message):
         with pytest.raises(Exception, match=f"{message} tolerance must be positive and finite"):
             call(sphere)
+
+    # a tolerance that is not a number raised a bare TypeError from its
+    # first comparison, and True passed as 1.0
+    @pytest.mark.parametrize("tol", ["1e-9", None, True])
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, tol: classify(s, *POLE, tol), "classification"),
+        (lambda s, tol: classify_grid(s, (8, 8), tol), "classification"),
+        (lambda s, tol: classify_grid(s, (65, 64), tol), "classification"),
+        (lambda s, tol: trace_zero_set(s, "lambda_til", (16, 16), classify_tol=tol),
+         "classification"),
+        (lambda s, tol: trace_zero_set(s, "lambda_til", (16, 16), refine_tol=tol),
+         "refinement"),
+    ], ids=["classify", "grid", "array_grid", "trace_classify_tol", "trace_refine_tol"])
+    def test_a_tolerance_that_is_not_a_number_is_rejected(self, sphere, call, message, tol):
+        with pytest.raises(LcframeError,
+                           match=f"^{message} tolerance must be positive and finite$"):
+            call(sphere, tol)
+
+    @pytest.mark.parametrize("tol", [1, np.float64(1e-9), np.float32(1e-9)])
+    def test_an_int_or_a_numpy_scalar_tolerance_reads_as_its_float(self, sphere, tol):
+        for grid in ((8, 8), (65, 64)):
+            assert classify_grid(sphere, grid, tol).rows == \
+                classify_grid(sphere, grid, float(tol)).rows
 
 
 @given(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308])))
@@ -340,9 +366,8 @@ class TestTrace:
         "1e-6*X |lam~| <= refine_tol holds at the first midpoint; vertices move by 0.0125"))
     def test_sphere_vertices_do_not_move_under_a_homothety(self):
         data = json.loads(catalog.surface_text("sphere"))
-        scaled = dict(data, X=[f"1e-06*({x})" for x in data["X"]])
         polylines = [trace_zero_set(SurfaceDef.from_dict(d), "lambda_til", (64, 64))
-                     for d in (data, scaled)]
+                     for d in (data, image(data, c=1e-06).data)]
         assert [len(p.vertices) for p in polylines[0]] == [len(p.vertices) for p in polylines[1]]
         moved = max(abs(x - y) for a, b in zip(*polylines)
                     for p, q in zip(a.vertices, b.vertices) for x, y in zip(p, q))

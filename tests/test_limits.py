@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from images import image
 from lcframe import catalog, limits
 from lcframe.classify import CLASSES, classify
 from lcframe.curvature import _packet, curvature_packet
@@ -176,6 +177,8 @@ def test_vanishing_order_needs_a_vanishing_field(sphere):
     ("lambda_til", math.nan), ("lambda_til", math.inf),
     # c2 vanishes at the pole, but read as not vanishing
     ("c2", 0.0), ("c2", -1e-9),
+    # a bare TypeError from the first comparison, and True read as 1.0
+    ("c2", "x"), ("c2", None), ("c2", True),
 ])
 def test_vanishing_order_rejects_a_tolerance_that_is_not_positive_and_finite(
         sphere, field, tol):
@@ -475,6 +478,20 @@ def test_a_schedule_has_at_most_64_positive_distances(sphere, args, message):
         boundedness_report(sphere, *POLE_PATH.target, **args)
 
 
+@pytest.mark.parametrize("args, message", [
+    ({"r0": "0.1"}, r"^schedule needs a finite r0 > 0 and from 4 to 64 samples$"),
+    ({"r0": True}, r"^schedule needs a finite r0 > 0 and from 4 to 64 samples$"),
+    ({"ratio": None}, r"^schedule ratio must lie in \(0, 1\)$"),
+], ids=["str-r0", "bool-r0", "none-ratio"])
+def test_a_schedule_distance_that_is_not_a_number_is_rejected(sphere, args, message):
+    # a bare TypeError from the first comparison, and True read as 1.0
+    with pytest.raises(LcframeError, match=message):
+        ApproachPath(target=POLE_PATH.target, direction=(-1.0, 0.0), **args)
+    if "r0" in args:  # a report's ratio is fixed
+        with pytest.raises(LcframeError, match=message):
+            boundedness_report(sphere, *POLE_PATH.target, **args)
+
+
 def test_a_schedule_of_64_samples_still_fits(sphere):
     path = ApproachPath(target=POLE_PATH.target, direction=(-1.0, 0.0), ratio=0.9, count=64)
     for quantity in ("K", "H"):
@@ -567,12 +584,6 @@ def test_the_kernel_equals_the_oracle_on_any_roots(values):
     assert _outcome(_kernel_ray, s, STUB_PATH) == _outcome(_oracle_ray, s, STUB_PATH)
 
 
-def _scaled_sphere(c):
-    text = json.loads(catalog.surface_text("sphere"))
-    text["X"] = [f"{c!r}*({x})" for x in text["X"]]
-    return SurfaceDef.from_dict(text)
-
-
 @pytest.mark.parametrize("scale, field, value", [
     # |lam~|^2 of the target's Gamma overflowed: OverflowError
     (1e100, "Gamma", "inf"),
@@ -586,7 +597,7 @@ def _scaled_sphere(c):
 def test_a_field_beyond_the_float_range_does_not_vanish(scale, field, value):
     with pytest.raises(FieldNonvanishingError,
                        match=rf"^{field} = {value} does not vanish at \(1\.57"):
-        vanishing_order(_scaled_sphere(scale), POLE_PATH, field)
+        vanishing_order(SurfaceDef.from_dict(image("sphere", c=scale).data), POLE_PATH, field)
 
 
 def test_a_sample_field_beyond_the_float_range_fits_no_order():

@@ -9,7 +9,6 @@ of the same surface derived with every constant literal.
 import json
 import math
 import random
-import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from images import image, literal, lorentz
 from lcframe import catalog, expr, surface
 from lcframe.errors import LcframeError
-from lcframe.expr import Dag, parse
+from lcframe.expr import Dag
 from lcframe.surface import BasicInvariants, SurfaceDef
 
 #: The root sets compared: the invariants, each traced field, and each
@@ -30,55 +30,6 @@ ROOT_SETS = [BasicInvariants._fields, ("lambda_til",), ("c2",),
 
 #: The root sets whose edge kernels are compared.
 EDGE_ROOTS = [("lambda_til",), ("c2",), ("a1",)]
-
-
-def _lorentz(rapidity, first, second):
-    """A proper orthochronous Lorentz matrix in signature (-, +, +): a
-    rotation about the time axis, a boost along x1 and another rotation."""
-    def rotation(a):
-        c, s = math.cos(a), math.sin(a)
-        return ((1.0, 0.0, 0.0), (0.0, c, -s), (0.0, s, c))
-
-    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
-    boost = ((ch, sh, 0.0), (sh, ch, 0.0), (0.0, 0.0, 1.0))
-
-    def product(a, b):
-        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-                     for i in range(3))
-
-    return product(product(rotation(first), boost), rotation(second))
-
-
-def _image_text(name, matrix, scale, du, dv):
-    """The .surf text of catalog surface name with (X, v, w) mapped by
-    matrix, X scaled by scale, and the parameters shifted by (du, dv):
-    u is written u - du and v is written v - dv, and the domain moves
-    with them."""
-    data = json.loads(catalog.surface_text(name))
-
-    def moved(components, factor):
-        shift = {"u": f"(u - ({du!r}))", "v": f"(v - ({dv!r}))"}
-        shifted = [re.sub(r"\b[uv]\b", lambda m: shift[m.group()], c) for c in components]
-        return [" + ".join(f"({factor * m!r})*({c})" for m, c in zip(row, shifted))
-                for row in matrix]
-
-    domain = data["domain"]
-    image = {
-        "name": f"{name}-image",
-        "X": moved(data["X"], scale),
-        "v": moved(data["v"], 1.0),
-        "w": moved(data["w"], 1.0),
-        "domain": {"u": [f"{b} + ({du!r})" for b in domain["u"]],
-                   "v": [f"{b} + ({dv!r})" for b in domain["v"]]},
-    }
-    return json.dumps(image)
-
-
-def _literal(s, data):
-    """s derived with every constant literal: its components as trees,
-    which the parser gives no slots."""
-    x, fv, fw = ([parse(c) for c in data[key]] for key in "Xvw")
-    return SurfaceDef(s.name, x, fv, fw, s.domain)
 
 
 def _hex(values):
@@ -131,17 +82,17 @@ def _every_value(s):
        du=st.floats(-1.0, 1.0), dv=st.floats(-1.0, 1.0))
 def test_an_image_gives_the_bits_of_its_literal_derivation(name, rapidity, first, second,
                                                            log_scale, du, dv):
-    text = _image_text(name, _lorentz(rapidity, first, second), 10.0 ** log_scale, du, dv)
-    data = json.loads(text)
+    data = image(name, lorentz(rapidity, first, second), 10.0 ** log_scale, (du, dv),
+                 name=f"{name}-image").data
     s = SurfaceDef.from_dict(data)
-    assert _every_value(s) == _every_value(_literal(s, data))
+    assert _every_value(s) == _every_value(literal(s, data))
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_a_catalog_surface_gives_the_bits_of_its_literal_derivation(name):
     data = json.loads(catalog.surface_text(name))
     s = SurfaceDef.from_dict(data)
-    assert _every_value(s) == _every_value(_literal(s, data))
+    assert _every_value(s) == _every_value(literal(s, data))
 
 
 #: Components of random surfaces: literals that a derivation's rules
@@ -165,7 +116,7 @@ def test_a_random_surface_gives_the_bits_of_its_literal_derivation(components):
     data = {"name": "random", "X": components[:3], "v": components[3:],
             "w": ["1", "-sin(v)", "-cos(v)"], "domain": {"u": ["0.3", "1.7"], "v": ["0.2", "1.1"]}}
     s = SurfaceDef.from_dict(data)
-    assert _every_value(s) == _every_value(_literal(s, data))
+    assert _every_value(s) == _every_value(literal(s, data))
 
 
 #: Surfaces with a constant-only value that the literal derivation
@@ -193,10 +144,10 @@ def test_a_value_that_folds_further_takes_the_literal_derivation(data, monkeypat
 
     monkeypatch.setattr(expr._Numbering, "folds_further", recording)
     s = SurfaceDef.from_dict(data)
-    assert _every_value(s) == _every_value(_literal(s, data))
+    assert _every_value(s) == _every_value(literal(s, data))
     assert any(True in taken for taken in decisions.values())
     # the program of X_u reads the folded value, so it is the literal one
-    assert s.program(("x_u",)).__defaults__ == _literal(s, data).program(("x_u",)).__defaults__
+    assert s.program(("x_u",)).__defaults__ == literal(s, data).program(("x_u",)).__defaults__
 
 
 def test_a_surface_derives_its_literal_shape_once(monkeypatch):
@@ -228,7 +179,7 @@ def test_a_surface_derives_its_literal_shape_once(monkeypatch):
     assert other.shape is shape
     other.program(("x_u",))
     assert len(derived) == 3 and other.shape is not s.shape
-    assert _every_value(s) == _every_value(_literal(s, data))
+    assert _every_value(s) == _every_value(literal(s, data))
 
 
 def _deeper(call, frames=80):
@@ -281,9 +232,10 @@ def test_a_literal_derivation_too_deep_is_an_lcframe_error():
 def _images(per_surface=4, seed=7):
     """.surf texts of per_surface images of every catalog surface."""
     rng = random.Random(seed)
-    return [_image_text(name, _lorentz(rng.uniform(-0.8, 0.8), rng.uniform(0, 6),
-                                       rng.uniform(0, 6)),
-                        10.0 ** rng.uniform(-6, 6), rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return [json.dumps(image(name, lorentz(rng.uniform(-0.8, 0.8), rng.uniform(0, 6),
+                                           rng.uniform(0, 6)),
+                             10.0 ** rng.uniform(-6, 6), (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                             name=f"{name}-image").data)
             for _ in range(per_surface) for name in catalog.names()]
 
 

@@ -14,13 +14,14 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from images import image, literal
 from lcframe import catalog, expr, surface
 from lcframe.classify import classify_grid, trace_zero_set
 from lcframe.cli import _write_curvature_csv
 from lcframe.errors import LcframeError
 from lcframe.expr import (
-    Add, Const, Dag, EvalDomainError, Expr, Mul, Var, compile_edge_kernels,
-    compile_grid_program, compile_program, parse,
+    Const, Dag, EvalDomainError, Mul, compile_edge_kernels, compile_grid_program,
+    compile_program,
 )
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
@@ -249,10 +250,11 @@ class TestValidation:
         assert rep.witness[2] in ("a2", "b2")
         assert rep.max_abs_a2 > 1e-3 or rep.max_abs_b2 > 1e-3
 
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8, math.inf, "1e-8", None, True])
     def test_tolerance_must_be_positive(self, tol):
         # v = w = (1, 0, 1) pairs to 0, not -2; a NaN or an infinite
-        # tolerance admitted it
+        # tolerance admitted it, one that is not a number raised a bare
+        # TypeError, and True passed as 1.0
         s = SurfaceDef("degenerate", ["u", "0", "v"], ["1", "0", "1"], ["1", "0", "1"],
                        DomainBox(0, 1, 0, 1))
         with pytest.raises(LcframeError, match="validation tolerance must be positive"):
@@ -269,7 +271,7 @@ class TestValidation:
     def test_catalog_surfaces_are_admitted_under_a_homothety(self, c):
         rejected = []
         for name in catalog.names():
-            rep = validate_framed(SurfaceDef.from_dict(_scaled(name, c)))
+            rep = validate_framed(SurfaceDef.from_dict(image(name, c=c).data))
             if not rep.admitted:
                 rejected.append((name, rep.witness))
         assert rejected == []
@@ -279,7 +281,7 @@ class TestValidation:
                              "0.25*c (max 2.5e-10) passes it and the surface is admitted")))])
     def test_a_surface_that_is_not_framed_is_rejected_under_a_homothety(self, c):
         # X1 = u + 0.5*v tilts the v-tangent off m: max |a2| = 0.25*c
-        data = _scaled("mixed_bowl", c)
+        data = image("mixed_bowl", c=c).data
         data["X"][0] = f"{c!r}*(u + 0.5*v)"
         rep = validate_framed(SurfaceDef.from_dict(data))
         assert not rep.admitted
@@ -310,12 +312,6 @@ def _kind(filename):
     """The file name of generated code, <lcframe-KIND-CRC>, without the
     CRC of its source: <lcframe-KIND>."""
     return filename[:filename.rindex("-")] + ">"
-
-
-def _scaled(name, c):
-    """The definition of the catalog surface name with X -> c*X."""
-    data = json.loads(catalog.surface_text(name))
-    return dict(data, X=[f"{c!r}*({x})" for x in data["X"]])
 
 
 def _oracle_validate(s, grid=(16, 16), tol=1e-8):
@@ -376,26 +372,6 @@ def _assert_same_report(s, grid, tol):
     return got
 
 
-def _shifted(e, du, dv):
-    """The tree e with u replaced by u + du and v by v + dv."""
-    if isinstance(e, Var):
-        return Add(e, Const(du if e.name == "u" else dv))
-    if isinstance(e, Const):
-        return e
-    return type(e)(*(_shifted(x, du, dv) if isinstance(x, Expr) else x
-                     for x in (getattr(e, name) for name in e._fields)))
-
-
-def _variant(name, c=1.0, du=0.0, dv=0.0):
-    """The catalog surface name with X -> cX and (u, v) -> (u + du, v + dv),
-    on the domain shifted to match."""
-    data = json.loads(catalog.surface_text(name))
-    x, fv, fw = ([_shifted(parse(src), du, dv) for src in data[key]] for key in "Xvw")
-    d = catalog.load(name).domain
-    return SurfaceDef(f"{name}-variant", [Mul(Const(c), e) for e in x], fv, fw,
-                      DomainBox(d.u_min - du, d.u_max - du, d.v_min - dv, d.v_max - dv))
-
-
 class TestValidationMatchesThePointLoop:
     @pytest.mark.parametrize("tol", [1e-8, 1e-14])
     @pytest.mark.parametrize("grid", [(12, 12), (16, 16), (5, 7)])
@@ -412,7 +388,8 @@ class TestValidationMatchesThePointLoop:
            st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
            st.sampled_from([(12, 12), (16, 16), (5, 7)]), st.sampled_from([1e-8, 1e-14]))
     def test_scaled_and_shifted_variants(self, name, log_c, du, dv, grid, tol):
-        _assert_same_report(_variant(name, 10.0 ** log_c, du, dv), grid, tol)
+        data = image(name, c=10.0 ** log_c, shift=(du, dv)).data
+        _assert_same_report(literal(SurfaceDef.from_dict(data), data), grid, tol)
 
 
 #: v = (1, sin v, cos v), w = (1, -sin v, -cos v): an admissible pair.
@@ -826,19 +803,6 @@ def test_programs_compiled_on_first_use_match_an_eager_derivation(name, monkeypa
     assert lazy == eager
 
 
-def _bowl(scale, shift):
-    """mixed_bowl with X scaled by scale and u shifted by shift, the
-    domain moving with it."""
-    u = f"(u - {shift!r})"
-    width = f"(({u})^2 + 2)/2"
-    return {
-        "name": "bowl",
-        "X": [f"{scale!r}*{u}", f"-{scale!r}*{width}*sin(v)", f"-{scale!r}*{width}*cos(v)"],
-        "v": ["1", "sin(v)", "cos(v)"], "w": ["1", "-sin(v)", "-cos(v)"],
-        "domain": {"u": [f"-2 + {shift!r}", f"2 + {shift!r}"], "v": ["0", "2*pi"]},
-    }
-
-
 def _every_program(s):
     """A call () -> float.hex of values or a fault's text per program
     kind of s: each of _every_use, the array program, the traced fields'
@@ -866,7 +830,8 @@ def test_a_surface_and_its_images_share_every_program(monkeypatch):
         return compile(text, filename, mode)
 
     monkeypatch.setattr(expr, "compile", recording, raising=False)
-    datas = [_bowl(3.0, 0.25), _bowl(6.0, 0.25), _bowl(3.0, 0.75)]
+    datas = [image("mixed_bowl", c=c, shift=(du, 0.0)).data
+             for c, du in ((3.0, 0.25), (6.0, 0.25), (3.0, 0.75))]
     # the first use of a traced field compiles its point program, its
     # grid program and its two edge kernels together; any other kind of
     # program compiles at most one code
