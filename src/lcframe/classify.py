@@ -58,12 +58,10 @@ from itertools import chain
 
 from ._record import Record
 from .curvature import _packet, _packet_record, _point_fields, _singular, is_zero
-from .errors import LcframeError
+from .errors import LcframeError, _require_tol
 from .minkowski import pseudo_dot
 from .straightline import float_code, roots_read
-from .surface import (
-    BasicInvariants, SurfaceDef, _grid_size, _require_tol, basic_invariants_at,
-)
+from .surface import BasicInvariants, SurfaceDef, _grid_size, basic_invariants_at
 from .taxonomy import Category, Kind, LightlikeBranch, PointClass
 
 __all__ = [

@@ -18,19 +18,23 @@ main, and reused by every later call; each call parses into a fresh
 namespace, so no option carries over from one call to the next.
 Built surfaces are shared across the calls of main in one process too:
 they are keyed by the exact .surf text (a catalog surface's or a file's,
-so a rewritten file is built again), at most 16 are kept, least
-recently used first out, and each keeps the programs it compiled.  This
-relies on SurfaceDef being immutable apart from those programs.  The
-library loaders (SurfaceDef.from_file, from_dict, catalog.load) still
-build a fresh surface on every call.  Surfaces share their derivation
-by shape beyond that: a surface's generic constants are slots bound to
-its values, its texts are parsed once per token key, and the shape of
-its trees is derived and numbered, and each of its programs' code
-compiled, once per process (lcframe.surface, lcframe.expr).  So a
-surface outside those 16, or an image of one under X -> cX, a Lorentz
-map or a parameter shift, reads its constants from its text's tokens
-and parses, derives, numbers and compiles only what no earlier surface
-of its shape did.  A trace CSV is formatted a polyline at a time.
+so a rewritten file is built again), and each keeps the programs it
+compiled.  As many are kept as the process keeps shapes
+(surface.SHAPES, 64), least recently used first out: a kept surface
+holds only its constants and its bound programs, and a run over a few
+dozen surfaces, each validated and traced in turn, then builds and
+binds each surface once.  This relies on SurfaceDef being immutable
+apart from those programs.  The library loaders (SurfaceDef.from_file,
+from_dict, catalog.load) still build a fresh surface on every call.
+Surfaces share their derivation by shape beyond that: a surface's
+generic constants are slots bound to its values, its texts are parsed
+once per token key, and the shape of its trees is derived and
+numbered, and each of its programs' code compiled, once per process
+(lcframe.surface, lcframe.expr).  So a surface outside those kept, or
+an image of one under X -> cX, a Lorentz map or a parameter shift,
+reads its constants from its text's tokens and parses, derives,
+numbers and compiles only what no earlier surface of its shape did.
+A trace CSV is formatted a polyline at a time.
 Exit codes: 0 success, 1 an error (a failed output write among them)
 or a validation or comparison failure, 2 usage error.
 """
@@ -58,7 +62,7 @@ from .limits import (
     limit_along,
 )
 from .surface import (
-    SurfaceDef, _file_error, _grid_size, basic_invariants_at, frame_at, validate_framed,
+    SHAPES, SurfaceDef, _file_error, _grid_size, basic_invariants_at, frame_at, validate_framed,
 )
 
 __all__ = ["main"]
@@ -98,10 +102,11 @@ def _load_surface(spec: str) -> SurfaceDef:
         raise _file_error(spec, exc) from None
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=SHAPES)
 def _surface_from_text(text: str) -> SurfaceDef:
     """The surface of a .surf text, built once per process while it is
-    among the 16 most recently used; a build that raises is not kept."""
+    among the SHAPES most recently used; a build that raises is not
+    kept."""
     return SurfaceDef.from_dict(json.loads(text))
 
 

@@ -82,10 +82,10 @@ from typing import NamedTuple
 from ._record import Record, _set
 from .classify import _FMT, CLASSES, _class_code, _fmt
 from .curvature import _gauss_mean
-from .errors import LcframeError
+from .errors import LcframeError, _is_number, _require_tol
 from .numerics import FIT_NAMES, LogAxis, fit_lines, richardson
 from .straightline import compile_function, float_code, roots_read, straight_code
-from .surface import _SLACK, SurfaceDef, _is_number, _require_int, _require_tol
+from .surface import _SLACK, SurfaceDef, _require_int
 from .taxonomy import Category, Kind
 
 __all__ = [

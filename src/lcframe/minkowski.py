@@ -12,7 +12,7 @@ import math
 from enum import Enum
 
 from ._record import Record, _set
-from .errors import LcframeError
+from .errors import LcframeError, _require_nonnegative_tol
 
 __all__ = [
     "LVec3",
@@ -123,8 +123,7 @@ def causal_character(a: LVec3, tol: float = 1e-12) -> CausalCharacter:
     is its largest absolute component; otherwise the sign of the
     self-pairing decides.
     """
-    if tol < 0:
-        raise LcframeError("tolerance must be nonnegative")
+    _require_nonnegative_tol(tol, "tolerance")
     q = pseudo_dot(a, a)
     if abs(q) <= _lightlike_tol(a, a, tol):
         return CausalCharacter.LIGHTLIKE
@@ -137,8 +136,7 @@ def is_delta4_pair(v: LVec3, w: LVec3, tol: float = 1e-12) -> bool:
     Such pairs are exactly the admissible frame pairs for lightcone
     framed surfaces.
     """
-    if tol < 0:
-        raise LcframeError("tolerance must be nonnegative")
+    _require_nonnegative_tol(tol, "tolerance")
     if causal_character(v, tol) is not CausalCharacter.LIGHTLIKE:
         return False
     if causal_character(w, tol) is not CausalCharacter.LIGHTLIKE:
@@ -161,8 +159,7 @@ def in_model_space(
     pseudo-normal via `normal`).  All comparisons use the same
     scale-relative tolerance as causal_character.
     """
-    if tol < 0:
-        raise LcframeError("tolerance must be nonnegative")
+    _require_nonnegative_tol(tol, "tolerance")
     band = _lightlike_tol(x, x, tol)
     q = pseudo_dot(x, x)
     if space is ModelSpace.HYPERBOLIC:

@@ -59,7 +59,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from ._record import Record, _set
-from .errors import LcframeError
+from .errors import LcframeError, _is_number, _require_tol
 from .expr import (
     Add, Const, Dag, EvalDomainError, Expr, ExprError, Mul, Neg, Slot, Sub, Var, _numbering,
     _token_key, _TokenKey, _too_deep, compile_edge_kernels, compile_grid_program,
@@ -128,20 +128,6 @@ def _require_int(value, what):
         raise LcframeError(f"{what} must be an integer, got {value!r}")
 
 
-def _is_number(value):
-    """Whether value is a number a tolerance or a distance may be: not a
-    bool, and of a type with __float__, so that ints, floats and numpy
-    scalars pass and a comparison raises no TypeError."""
-    return not isinstance(value, bool) and hasattr(type(value), "__float__")
-
-
-def _require_tol(value, what):
-    """Raise the LcframeError of a tolerance that is not a positive finite
-    number."""
-    if not (_is_number(value) and 0 < value < math.inf):
-        raise LcframeError(f"{what} must be positive and finite")
-
-
 def _grid_size(resolution):
     """(nu, nv) of a grid resolution; the LcframeError of one that is not
     a pair of integers."""
@@ -207,7 +193,7 @@ class FramedValidationReport(Record):
     wedge residual: largest component of X_u^X_v - (alpha v + beta w)
     with alpha = -a1*c2 and beta = b1*c2; pair residual: worst failure
     of the lightlike-pair conditions <v,v> = <w,w> = 0, <v,w> = -2.
-    A surface is admitted when every residual is below tolerance.
+    A surface is admitted when no check fails (validate_framed).
     """
 
     __slots__ = (
@@ -379,6 +365,10 @@ class SurfaceDef:
         return self._vec("m", u, v)
 
     def require_in_domain(self, u, v):
+        """Raise the LcframeError of a point that is not a pair of real
+        numbers (errors._is_number) or lies outside the domain."""
+        if not (_is_number(u) and _is_number(v)):
+            raise LcframeError(f"point ({u!r}, {v!r}) is not a pair of real numbers")
         if not self.domain.contains(u, v):
             raise LcframeError(
                 f"point ({u!r}, {v!r}) outside the domain of surface {self.name!r}")
@@ -622,17 +612,25 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
     Verifies at each grid point that (v, w) is an admissible lightlike
     pair, that a2 and b2 vanish, and that X_u ^ X_v = -a1*c2 v + b1*c2 w.
     The report carries the worst residuals and, on failure, the first
-    witness point, in row-major order.  A pair residual or its scale
-    that overflows fails the lightlike-pair check at that point, with
-    residual inf.
+    witness point, in row-major order, a point's checks in that order.
+    A pair residual or its scale that overflows fails the lightlike-pair
+    check at that point, with residual inf.  |a2| and |b2| fail above
+    the bound _coefficient_bound takes from the grid's largest tangent
+    and frame components, so that X -> cX scales the bound with them.
 
     v, w, a1, b1, a2, b2, c2, X_u and X_v are evaluated over the grid as
     one tensor-grid program (expr.compile_grid_program), and each
     residual is computed from their values with the float operations of
-    pseudo_dot, wedge, LVec3.scaled and LVec3.max_abs.  An evaluation
-    fault, or a residual vector with a non-finite component, raises the
-    error that evaluating those roots and building those vectors point
-    by point raises first.
+    pseudo_dot, wedge, LVec3.scaled and LVec3.max_abs.  Each running
+    maximum is kept by comparison (if x > m: m = x), which gives what
+    max(m, x) gives, NaN included.  The bound is known only once the
+    grid is read, and the first |a2| or |b2| above it exceeds every one
+    of its kind before it; so the loop lists each such new maximum in
+    order, notes how many were listed before the first failure of the
+    pair or the wedge check, and the a2 and b2 tests are decided on the
+    list after the loop.  An evaluation fault, or a residual vector with
+    a non-finite component, raises the error that evaluating those
+    roots and building those vectors point by point raises first.
     """
     _require_tol(tol, "validation tolerance")
     nu, nv = _grid_size(grid)
@@ -645,7 +643,10 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
         point = s.program(_FRAMED_ROOTS)
         rows = ((point(u, v) for v in vs) for u in us)
     max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0
-    witness = None
+    max_tangent = max_frame = 0.0
+    witness = None  # the first failure of the pair or the wedge check
+    records = []  # (u, v, name, value) of each new maximum of |a2| or |b2|
+    recorded = 0  # how many records precede witness
     inf, isfinite = math.inf, math.isfinite
 
     for u, row in zip(us, rows):
@@ -655,30 +656,80 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
             vv = -v1 * v1 + v2 * v2 + v3 * v3
             ww = -w1 * w1 + w2 * w2 + w3 * w3
             vw = -v1 * w1 + v2 * w2 + v3 * w3
+            frame = abs(v1)
+            x = abs(v2)
+            if x > frame:
+                frame = x
+            x = abs(v3)
+            if x > frame:
+                frame = x
+            x = abs(w1)
+            if x > frame:
+                frame = x
+            x = abs(w2)
+            if x > frame:
+                frame = x
+            x = abs(w3)
+            if x > frame:
+                frame = x
+            if frame > max_frame:
+                max_frame = frame
             try:
-                scale = 1.0 + max(abs(v1), abs(v2), abs(v3), abs(w1), abs(w2), abs(w3)) ** 2
+                scale = 1.0 + frame ** 2
             except OverflowError:
                 scale = inf
             if isfinite(vv) and isfinite(ww) and isfinite(vw):
-                pair_res = max(abs(vv), abs(ww), abs(vw + 2.0))
+                pair_res = abs(vv)
+                x = abs(ww)
+                if x > pair_res:
+                    pair_res = x
+                x = abs(vw + 2.0)
+                if x > pair_res:
+                    pair_res = x
                 pair_failed = pair_res > tol * scale or scale == inf
             else:
                 pair_res, pair_failed = inf, True
-            max_pair = max(max_pair, pair_res)
+            if pair_res > max_pair:
+                max_pair = pair_res
             if pair_failed and witness is None:
                 witness = (u, v, "lightlike-pair", pair_res)
+                recorded = len(records)
 
-            max_a2 = max(max_a2, abs(a2))
-            max_b2 = max(max_b2, abs(b2))
-            if abs(a2) > tol and witness is None:
-                witness = (u, v, "a2", a2)
-            if abs(b2) > tol and witness is None:
-                witness = (u, v, "b2", b2)
+            x = abs(a2)
+            if x > max_a2:
+                max_a2 = x
+                records.append((u, v, "a2", a2))
+            x = abs(b2)
+            if x > max_b2:
+                max_b2 = x
+                records.append((u, v, "b2", b2))
 
             alpha = -a1 * c2
             beta = b1 * c2
-            max_alpha = max(max_alpha, abs(alpha))
-            max_beta = max(max_beta, abs(beta))
+            x = abs(alpha)
+            if x > max_alpha:
+                max_alpha = x
+            x = abs(beta)
+            if x > max_beta:
+                max_beta = x
+            x = abs(xu1)
+            if x > max_tangent:
+                max_tangent = x
+            x = abs(xu2)
+            if x > max_tangent:
+                max_tangent = x
+            x = abs(xu3)
+            if x > max_tangent:
+                max_tangent = x
+            x = abs(xv1)
+            if x > max_tangent:
+                max_tangent = x
+            x = abs(xv2)
+            if x > max_tangent:
+                max_tangent = x
+            x = abs(xv3)
+            if x > max_tangent:
+                max_tangent = x
             # lhs = wedge(X_u, X_v), rhs = v.scaled(alpha) + w.scaled(beta)
             lhs1 = -(xu2 * xv3 - xu3 * xv2)
             lhs2 = xu3 * xv1 - xu1 * xv3
@@ -690,11 +741,33 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
                 # one of the vectors gets a non-finite component: raise
                 # the error its LVec3 raises
                 _residual_vector(values)
-            res = max(abs(d1), abs(d2), abs(d3))
-            wedge_scale = 1.0 + max(abs(lhs1), abs(lhs2), abs(lhs3))
-            max_wedge = max(max_wedge, res)
+            res = abs(d1)
+            x = abs(d2)
+            if x > res:
+                res = x
+            x = abs(d3)
+            if x > res:
+                res = x
+            wedge_scale = abs(lhs1)
+            x = abs(lhs2)
+            if x > wedge_scale:
+                wedge_scale = x
+            x = abs(lhs3)
+            if x > wedge_scale:
+                wedge_scale = x
+            wedge_scale = 1.0 + wedge_scale
+            if res > max_wedge:
+                max_wedge = res
             if res > tol * wedge_scale and witness is None:
                 witness = (u, v, "wedge-decomposition", res)
+                recorded = len(records)
+
+    bound = _coefficient_bound(tol, max_tangent, max_frame)
+    for k, record in enumerate(records):
+        if abs(record[3]) > bound:
+            if witness is None or k < recorded:
+                witness = record
+            break
 
     return FramedValidationReport(
         grid=(nu, nv),
@@ -708,6 +781,15 @@ def validate_framed(s: SurfaceDef, grid=(16, 16), tol: float = 1e-8) -> FramedVa
         admitted=witness is None,
         witness=witness,
     )
+
+
+def _coefficient_bound(tol, tangent, frame):
+    """The bound above which |a2| or |b2| fails validate_framed: tol
+    times tangent, the grid's largest |X_u|, |X_v| component, times
+    frame, its largest |v|, |w| component.  a2 = -<X_v, w>/2 and b2 =
+    -<X_v, v>/2, and their rounding, scale with that product, so X -> cX
+    scales the bound as it scales them."""
+    return tol * tangent * frame
 
 
 def _residual_vector(values):

@@ -10,13 +10,16 @@ from typing import NamedTuple
 from lcframe import limits
 from lcframe.classify import CLASSES, _class_code
 from lcframe.curvature import _gauss_mean
-from lcframe.errors import LcframeError
-from lcframe.expr import HALVINGS, Dag, ExprSyntaxError, compile_program, parse
+from lcframe.errors import LcframeError, _require_tol
+from lcframe.expr import HALVINGS, Dag, EvalDomainError, ExprSyntaxError, compile_program, parse
 from lcframe.limits import (
     ABS_ZERO, ORDER_SNAP, SLOPE_UNBOUNDED, SLOPE_ZERO, ApproachPath, DirectionOutcome,
     LimitVerdict, QuantityUndefinedError, SampleOutsideDomainError, Verdict,
 )
 from lcframe.numerics import loglog_slope, richardson
+from lcframe.surface import (
+    _FRAMED_ROOTS, FramedValidationReport, _coefficient_bound, _grid_size, _residual_vector,
+)
 from lcframe.taxonomy import Category
 
 #: The operations of the shared decisions (curvature._gauss_mean,
@@ -328,3 +331,99 @@ def boundedness_report(s, u, v, directions=8, r0=1e-1, count=12):
             verdicts=verdicts, error=error))
     limits._summarise(report, pc)
     return report
+
+
+# ---------------------------------------------------------------------------
+# Framed-surface validation, with a max() call per residual
+
+
+def validate_framed(s, grid=(16, 16), tol=1e-8):
+    """surface.validate_framed with the residual loop it first ran: the
+    same values and float operations, each largest value taken with the
+    builtin max().  The a2 and b2 tests read the bound of the grid's
+    largest tangent and frame components (surface._coefficient_bound),
+    so the loop runs twice: the first pass finds those components, and
+    raises what the loop raises; the second tests against the bound."""
+    _require_tol(tol, "validation tolerance")
+    nu, nv = _grid_size(grid)
+    us, vs = s.domain.grid(nu, nv)
+    *_, tangent, frame = _residual_loop(s, us, vs, tol, math.inf)
+    *fields, witness, _, _ = _residual_loop(s, us, vs, tol,
+                                            _coefficient_bound(tol, tangent, frame))
+    return FramedValidationReport(
+        grid=(nu, nv), tol=tol, max_wedge_residual=fields[0], max_delta4_residual=fields[1],
+        max_abs_a2=fields[2], max_abs_b2=fields[3], max_abs_alpha=fields[4],
+        max_abs_beta=fields[5], admitted=witness is None, witness=witness)
+
+
+def _residual_loop(s, us, vs, tol, bound):
+    """(the largest wedge, pair, |a2|, |b2|, |alpha| and |beta|, the
+    first witness, the largest |X_u|, |X_v| component, the largest |v|,
+    |w| component) over the grid us x vs, a2 and b2 tested against
+    bound."""
+    try:
+        rows = s.program(_FRAMED_ROOTS, "grid")(us, vs)
+    except EvalDomainError:
+        # evaluated point by point as the residuals read them, so an
+        # earlier point's vector fault is raised before this fault
+        point = s.program(_FRAMED_ROOTS)
+        rows = ((point(u, v) for v in vs) for u in us)
+    max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0
+    max_tangent = max_frame = 0.0
+    witness = None
+    inf, isfinite = math.inf, math.isfinite
+
+    for u, row in zip(us, rows):
+        for v, values in zip(vs, row):
+            (v1, v2, v3, w1, w2, w3, a1, b1, a2, b2, c2,
+             xu1, xu2, xu3, xv1, xv2, xv3) = values
+            vv = -v1 * v1 + v2 * v2 + v3 * v3
+            ww = -w1 * w1 + w2 * w2 + w3 * w3
+            vw = -v1 * w1 + v2 * w2 + v3 * w3
+            frame = max(abs(v1), abs(v2), abs(v3), abs(w1), abs(w2), abs(w3))
+            max_frame = max(max_frame, frame)
+            max_tangent = max(max_tangent, abs(xu1), abs(xu2), abs(xu3),
+                              abs(xv1), abs(xv2), abs(xv3))
+            try:
+                scale = 1.0 + frame ** 2
+            except OverflowError:
+                scale = inf
+            if isfinite(vv) and isfinite(ww) and isfinite(vw):
+                pair_res = max(abs(vv), abs(ww), abs(vw + 2.0))
+                pair_failed = pair_res > tol * scale or scale == inf
+            else:
+                pair_res, pair_failed = inf, True
+            max_pair = max(max_pair, pair_res)
+            if pair_failed and witness is None:
+                witness = (u, v, "lightlike-pair", pair_res)
+
+            max_a2 = max(max_a2, abs(a2))
+            max_b2 = max(max_b2, abs(b2))
+            if abs(a2) > bound and witness is None:
+                witness = (u, v, "a2", a2)
+            if abs(b2) > bound and witness is None:
+                witness = (u, v, "b2", b2)
+
+            alpha = -a1 * c2
+            beta = b1 * c2
+            max_alpha = max(max_alpha, abs(alpha))
+            max_beta = max(max_beta, abs(beta))
+            # lhs = wedge(X_u, X_v), rhs = v.scaled(alpha) + w.scaled(beta)
+            lhs1 = -(xu2 * xv3 - xu3 * xv2)
+            lhs2 = xu3 * xv1 - xu1 * xv3
+            lhs3 = xu1 * xv2 - xu2 * xv1
+            d1 = lhs1 - (alpha * v1 + beta * w1)
+            d2 = lhs2 - (alpha * v2 + beta * w2)
+            d3 = lhs3 - (alpha * v3 + beta * w3)
+            if not (isfinite(d1) and isfinite(d2) and isfinite(d3)):
+                # one of the vectors gets a non-finite component: raise
+                # the error its LVec3 raises
+                _residual_vector(values)
+            res = max(abs(d1), abs(d2), abs(d3))
+            wedge_scale = 1.0 + max(abs(lhs1), abs(lhs2), abs(lhs3))
+            max_wedge = max(max_wedge, res)
+            if res > tol * wedge_scale and witness is None:
+                witness = (u, v, "wedge-decomposition", res)
+
+    return (max_wedge, max_pair, max_a2, max_b2, max_alpha, max_beta, witness,
+            max_tangent, max_frame)

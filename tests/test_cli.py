@@ -21,7 +21,8 @@ from lcframe.cli import (
 )
 from lcframe.expr import MAX_NESTING, ExprSyntaxError
 from lcframe.limits import QUANTITIES, boundedness_report
-from lcframe.surface import SurfaceDef, SurfaceFormatError
+from lcframe.surface import SHAPES, SurfaceDef, SurfaceFormatError
+from images import image
 from oracles import first_difference
 
 TRACE_HEADER = ["field", "polyline", "vertex", "u", "v", "residual",
@@ -562,21 +563,44 @@ def test_a_build_that_raises_raises_again(tmp_path, capsys, builds):
     assert builds == ["broken", "broken"]
 
 
-def test_the_seventeenth_text_evicts_the_least_recently_used(tmp_path, builds):
+def test_the_text_past_the_bound_evicts_the_least_recently_used(tmp_path, builds):
+    # as many surfaces are kept as shapes (surface.SHAPES): the 65th
+    # distinct text evicts the least recently used one
     data = json.loads(catalog.surface_text("mixed_bowl"))
     paths = []
-    for k in range(17):
+    for k in range(SHAPES + 1):
         path = tmp_path / f"s{k}.surf"
         path.write_text(json.dumps(dict(data, name=f"s{k}")), encoding="utf-8")
         paths.append(str(path))
-    first = [_load_surface(p) for p in paths[:16]]
+    first = [_load_surface(p) for p in paths[:SHAPES]]
     assert _load_surface(paths[0]) is first[0]  # s1 is now the least recent
-    assert _load_surface(paths[16]).name == "s16"
-    assert _surface_from_text.cache_info().currsize == 16
+    assert _load_surface(paths[SHAPES]).name == f"s{SHAPES}"
+    assert _surface_from_text.cache_info().currsize == SHAPES == 64
     assert _load_surface(paths[0]) is first[0]
-    assert builds == [f"s{k}" for k in range(17)]
+    assert builds == [f"s{k}" for k in range(SHAPES + 1)]
     assert _load_surface(paths[1]) is not first[1]
-    assert builds[17:] == ["s1"]
+    assert builds[SHAPES + 1:] == ["s1"]
+
+
+def test_a_survey_of_36_surfaces_builds_each_once(tmp_path, capsys, builds):
+    # validate and both traces of each of 36 distinct texts, twice in one
+    # process, as a survey runs them: the second pass builds nothing
+    paths = []
+    for name in catalog.names():
+        for k, c in enumerate((1e-3, 0.5, 2.0, 1e3)):
+            path = tmp_path / f"{name}-{k}.surf"
+            path.write_text(json.dumps(image(name, c=c, name=f"{name}-{k}").data),
+                            encoding="utf-8")
+            paths.append(str(path))
+    assert len(paths) == 36
+    for _ in range(2):
+        for path in paths:
+            assert main(["validate", path, "--grid", "8x8"]) == 0
+            for field in TRACEABLE_FIELDS:
+                argv = ["trace", path, "--field", field, "--grid", "12x12"]
+                assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert builds == [Path(p).stem for p in paths]
 
 
 def test_library_loaders_still_build_fresh(tmp_path, capsys, builds):

@@ -239,3 +239,28 @@ class TestModelSpaces:
         assert not in_model_space(LVec3(2, 5, 7), ModelSpace.PLANE, normal=n, offset=0.0)
         with pytest.raises(LcframeError):
             in_model_space(LVec3(1, 0, 0), ModelSpace.PLANE)
+
+
+#: Each tolerance check with a vector and a pair that its verdict reads.
+TOLERANCE_CHECKS = {
+    "causal_character": lambda tol: causal_character(LVec3(1.0, 1.0, 0.0), tol),
+    "is_delta4_pair": lambda tol: is_delta4_pair(LVec3(1.0, 0.0, 0.0), LVec3(1.0, 0.0, 0.0), tol),
+    "in_model_space": lambda tol: in_model_space(LVec3(1.0, 1.0, 0.0), ModelSpace.LIGHT_CONE,
+                                                 tol),
+}
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-12, "1e-12", None, True])
+    @pytest.mark.parametrize("check", TOLERANCE_CHECKS)
+    def test_a_tolerance_that_is_not_a_nonnegative_finite_number_is_rejected(self, check, tol):
+        # a NaN read (1, 1, 0) as timelike, an infinite one made (1, 0, 0)
+        # a delta4 pair with itself, and a string raised a bare TypeError
+        with pytest.raises(LcframeError, match="^tolerance must be nonnegative and finite$"):
+            TOLERANCE_CHECKS[check](tol)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12])
+    def test_zero_and_positive_tolerances_keep_their_verdicts(self, tol):
+        assert causal_character(LVec3(1.0, 1.0, 0.0), tol) is CausalCharacter.LIGHTLIKE
+        assert not is_delta4_pair(LVec3(1.0, 0.0, 0.0), LVec3(1.0, 0.0, 0.0), tol)
+        assert in_model_space(LVec3(1.0, 1.0, 0.0), ModelSpace.LIGHT_CONE, tol)

@@ -14,15 +14,18 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from images import image, literal
+import oracles
+from images import image, literal, lorentz
 from lcframe import catalog, expr, surface
-from lcframe.classify import classify_grid, trace_zero_set
+from lcframe.classify import classify, classify_grid, trace_zero_set
 from lcframe.cli import _write_curvature_csv
+from lcframe.curvature import curvature_packet
 from lcframe.errors import LcframeError
 from lcframe.expr import (
     Const, Dag, EvalDomainError, Mul, compile_edge_kernels, compile_grid_program,
     compile_program,
 )
+from lcframe.limits import boundedness_report
 from lcframe.minkowski import LVec3, pseudo_dot, wedge
 from lcframe.surface import (
     DomainBox, SurfaceDef, SurfaceFormatError, basic_invariants_at, frame_at,
@@ -265,10 +268,10 @@ class TestValidation:
             rep = validate_framed(catalog.load(name), (12, 12), 1e-8)
             assert rep.admitted, (name, rep.witness)
 
-    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, pytest.param(1e9, marks=pytest.mark.xfail(
-        strict=True, reason=("ROADMAP item 3: |a2| <= tol is absolute, and a2 has degree 1 in "
-                             "X, so at 1e9*X its rounding noise fails all nine with witness a2")))])
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6, 1e9])
     def test_catalog_surfaces_are_admitted_under_a_homothety(self, c):
+        # a2 has degree 1 in X: while |a2| <= tol was absolute, its
+        # rounding noise at 1e9*X failed all nine with witness a2
         rejected = []
         for name in catalog.names():
             rep = validate_framed(SurfaceDef.from_dict(image(name, c=c).data))
@@ -276,16 +279,24 @@ class TestValidation:
                 rejected.append((name, rep.witness))
         assert rejected == []
 
-    @pytest.mark.parametrize("c", [1.0, 1e-6, pytest.param(1e-9, marks=pytest.mark.xfail(
-        strict=True, reason=("ROADMAP item 3: |a2| <= tol is absolute, so at 1e-9*X a2 = "
-                             "0.25*c (max 2.5e-10) passes it and the surface is admitted")))])
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
     def test_a_surface_that_is_not_framed_is_rejected_under_a_homothety(self, c):
-        # X1 = u + 0.5*v tilts the v-tangent off m: max |a2| = 0.25*c
+        # X1 = u + 0.5*v tilts the v-tangent off m: max |a2| = 0.25*c,
+        # which an absolute |a2| <= tol passed at 1e-9*X
         data = image("mixed_bowl", c=c).data
         data["X"][0] = f"{c!r}*(u + 0.5*v)"
         rep = validate_framed(SurfaceDef.from_dict(data))
         assert not rep.admitted
         assert rep.witness[2] == "a2"
+
+    @pytest.mark.parametrize("k, check", [(5e-8, "wedge-decomposition"), (7e-8, "b2")])
+    def test_a2_and_b2_are_bounded_by_the_largest_tangent_and_frame_components(self, k, check):
+        # X_u = (3, 0, 0) and X_v = (0, -1, k) against v = (2, 0, 2) and
+        # w = (0.5, 0, -0.5): b2 = -k and the wedge residual is 3k at every
+        # point, and b2 fails above tol * 3 * 2, before the wedge check
+        rep = validate_framed(SurfaceDef("tilted", *TILTED[f"tilt={k!r}"]), (4, 4), 1e-8)
+        assert rep.max_abs_b2 == k
+        assert rep.witness[:3] == (-1.0, -1.0, check)
 
     def test_reads_the_frame_legs_v_and_w_only(self, monkeypatch, unshared_code):
         # v, w, X_u, X_v and the five invariants read come from one grid
@@ -317,13 +328,16 @@ def _kind(filename):
 def _oracle_validate(s, grid=(16, 16), tol=1e-8):
     """validate_framed as a loop over the grid points, evaluating each
     through the surface's vector programs and basic_invariants_at and
-    computing the residuals with LVec3 algebra."""
+    computing the residuals with LVec3 algebra; each point's checks are
+    listed, and the witness is the first that fails once the grid's a2
+    and b2 bound is known."""
     if not (0 < tol < math.inf):
         raise LcframeError("validation tolerance must be positive and finite")
     nu, nv = grid
     us, vs = s.domain.grid(nu, nv)
     max_wedge = max_pair = max_a2 = max_b2 = max_alpha = max_beta = 0.0
-    witness = None
+    max_tangent = max_frame = 0.0
+    checks = []  # (u, v, name, value, failed), failed None for a2 and b2
 
     for u in us:
         for v in vs:
@@ -336,29 +350,31 @@ def _oracle_validate(s, grid=(16, 16), tol=1e-8):
             )
             scale = 1.0 + max(fv.max_abs(), fw.max_abs()) ** 2
             max_pair = max(max_pair, pair_res)
-            if pair_res > tol * scale and witness is None:
-                witness = (u, v, "lightlike-pair", pair_res)
+            checks.append((u, v, "lightlike-pair", pair_res, pair_res > tol * scale))
 
             inv = basic_invariants_at(s, u, v)
             max_a2 = max(max_a2, abs(inv.a2))
             max_b2 = max(max_b2, abs(inv.b2))
-            if abs(inv.a2) > tol and witness is None:
-                witness = (u, v, "a2", inv.a2)
-            if abs(inv.b2) > tol and witness is None:
-                witness = (u, v, "b2", inv.b2)
+            checks.append((u, v, "a2", inv.a2, None))
+            checks.append((u, v, "b2", inv.b2, None))
 
             alpha = -inv.a1 * inv.c2
             beta = inv.b1 * inv.c2
             max_alpha = max(max_alpha, abs(alpha))
             max_beta = max(max_beta, abs(beta))
-            lhs = wedge(s.x_u(u, v), s.x_v(u, v))
+            x_u, x_v = s.x_u(u, v), s.x_v(u, v)
+            max_tangent = max(max_tangent, x_u.max_abs(), x_v.max_abs())
+            max_frame = max(max_frame, fv.max_abs(), fw.max_abs())
+            lhs = wedge(x_u, x_v)
             rhs = fv.scaled(alpha) + fw.scaled(beta)
             res = (lhs - rhs).max_abs()
             wedge_scale = 1.0 + lhs.max_abs()
             max_wedge = max(max_wedge, res)
-            if res > tol * wedge_scale and witness is None:
-                witness = (u, v, "wedge-decomposition", res)
+            checks.append((u, v, "wedge-decomposition", res, res > tol * wedge_scale))
 
+    bound = surface._coefficient_bound(tol, max_tangent, max_frame)
+    witness = next(((u, v, name, value) for u, v, name, value, failed in checks
+                    if (abs(value) > bound if failed is None else failed)), None)
     return surface.FramedValidationReport(
         grid=(nu, nv), tol=tol, max_wedge_residual=max_wedge, max_delta4_residual=max_pair,
         max_abs_a2=max_a2, max_abs_b2=max_b2, max_abs_alpha=max_alpha,
@@ -457,6 +473,100 @@ class TestValidationFaults:
         assert rep.witness == (-1.0, -1.0, "lightlike-pair", math.inf)
         assert rep.max_delta4_residual == math.inf
         assert rep.max_wedge_residual == 0.0
+
+
+def _report_fields(validate, s, grid, tol):
+    """Every field of validate's report, the maxima as float.hex, or the
+    type and message of the error it raises."""
+    try:
+        rep = validate(s, grid, tol)
+    except LcframeError as exc:
+        return type(exc), str(exc)
+    maxima = (rep.max_wedge_residual, rep.max_delta4_residual, rep.max_abs_a2,
+              rep.max_abs_b2, rep.max_abs_alpha, rep.max_abs_beta)
+    return rep.grid, rep.tol, [x.hex() for x in maxima], rep.admitted, repr(rep.witness)
+
+
+#: X, v, w and the domain of planes whose v-tangent (0, -1, k) leaves m
+#: by k, constant or growing with u, some with a frame pair that fails
+#: too: a2 or b2 then fails at the same point as the pair or the wedge
+#: check, or before or after it.
+TILTED = {
+    **{f"tilt={k!r}": (["3*u", "-v", f"{k!r}*v"], ["2", "0", "2"], ["0.5", "0", "-0.5"],
+                       DomainBox(-1.0, 1.0, -1.0, 1.0)) for k in (5e-8, 7e-8)},
+    "tilt-and-pair": (["3*u", "-v", "7e-8*v"], ["2", "0", "2 + 1e-7*u"], ["0.5", "0", "-0.5"],
+                      DomainBox(-1.0, 1.0, -1.0, 1.0)),
+    "growing-tilt": (["3*u", "-v", "1e-8*(u + 2)^3*v"], ["2", "0", "2"], ["0.5", "0", "-0.5"],
+                     DomainBox(-1.0, 1.0, -1.0, 1.0)),
+    "growing-pair": (["3*u", "-v", "1e-8*v"], ["2", "0", "2 + 1e-9*(u + 2)^4"],
+                     ["0.5", "0", "-0.5"], DomainBox(-1.0, 1.0, -1.0, 1.0)),
+}
+
+#: The images of a catalog surface each oracle row validates.
+ORACLE_IMAGES = {
+    **{f"c={c!r}": {"c": c} for c in (1e-6, 1e-3, 1e3, 1e6, 1e9)},
+    "lorentz": {"matrix": lorentz(0.6, 0.4, 1.3)},
+    "swap": {"swap": True},
+    "shift": {"shift": (0.3, -0.2)},
+    "gauge": {"gauge": "exp(0.5*sin(v))"},
+}
+
+
+class TestValidationMatchesTheOracle:
+    """validate_framed against the residual loop it replaced
+    (oracles.validate_framed): every field, bit for bit."""
+
+    @staticmethod
+    def assert_same(s, grids=((16, 16), (5, 7)), tols=(1e-8, 1e-14)):
+        for grid in grids:
+            for tol in tols:
+                want = _report_fields(oracles.validate_framed, s, grid, tol)
+                assert _report_fields(validate_framed, s, grid, tol) == want, (s.name, grid, tol)
+
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog(self, name):
+        self.assert_same(catalog.load(name))
+
+    @pytest.mark.parametrize("kind", ORACLE_IMAGES)
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_images(self, name, kind):
+        self.assert_same(SurfaceDef.from_dict(image(name, **ORACLE_IMAGES[kind]).data))
+
+    @pytest.mark.parametrize("name", TILTED)
+    def test_tilted_planes(self, name):
+        self.assert_same(SurfaceDef(name, *TILTED[name]), grids=((4, 4), (16, 16), (5, 7)),
+                         tols=(1e-9, 1e-8, 3e-8, 1e-7, 1e-6))
+
+    def test_a_non_finite_residual_vector(self):
+        s = SurfaceDef("wedge_overflow", ["1e200*u^2", "1e200*v", "0"],
+                       *SPHERE_FRAME, DomainBox(0.0, 1.0, 0.0, 1.0))
+        assert _report_fields(validate_framed, s, (6, 6), 1e-8) == (
+            LcframeError, "non-finite vector component: inf")
+        self.assert_same(s, grids=((6, 6), (5, 7)))
+
+    def test_a_frame_whose_square_overflows(self):
+        s = SurfaceDef("large_frame", ["u", "-v", "0"], ["1e160", "0", "1e160"],
+                       ["1e-160", "0", "-1e-160"], DomainBox(-1.0, 1.0, -1.0, 1.0))
+        assert validate_framed(s).max_delta4_residual == math.inf
+        self.assert_same(s)
+
+
+class TestPointArguments:
+    @pytest.mark.parametrize("point", [("0.1", 1.0), (0.1, None), (True, 1.0), (0.1, 1 + 0j),
+                                       (np.complex128(0.1), 1.0)],
+                             ids=["str", "None", "bool", "complex", "numpy-complex"])
+    @pytest.mark.parametrize("entry", [classify, basic_invariants_at, frame_at,
+                                       curvature_packet, boundedness_report])
+    def test_a_coordinate_that_is_not_a_real_number_is_an_error(self, sphere, entry, point):
+        # the domain test raised a bare TypeError, or let a bool or a
+        # numpy complex through
+        with pytest.raises(LcframeError, match=r"^point \(.*\) is not a pair of real numbers$"):
+            entry(sphere, *point)
+
+    def test_ints_and_numpy_scalars_read_as_their_floats(self, sphere):
+        want = basic_invariants_at(sphere, 0.0, 1.0)
+        assert basic_invariants_at(sphere, 0, 1) == want
+        assert basic_invariants_at(sphere, np.float32(0.0), np.int64(1)) == want
 
 
 class TestSurfaceFiles:
